@@ -14,7 +14,13 @@ from repro.data.registry import FIG1_DATASETS
 def test_fig01_lossless_vs_eblc(benchmark, testbed, emit):
     rows = run_once(
         benchmark,
-        lambda: testbed.run_lossless_comparison(datasets=FIG1_DATASETS),
+        lambda: testbed.run_sweep(
+            "lossless",
+            datasets=FIG1_DATASETS,
+            codecs=("sz2", "zfp"),
+            lossless_codecs=("zstd", "blosc", "fpzip", "fpc"),
+            rel_bound=1e-2,
+        ),
     )
     by = {(r.dataset, r.codec): r for r in rows}
     codecs = ["zstd", "blosc", "fpzip", "fpc", "sz2", "zfp"]

@@ -19,8 +19,8 @@ DATASETS = ("cesm", "hacc", "nyx", "s3d")
 def test_fig07_serial_energy(benchmark, testbed, emit):
     points = run_once(
         benchmark,
-        lambda: testbed.run_serial_sweep(
-            datasets=DATASETS, codecs=CODECS, bounds=BOUNDS, cpus=PAPER_CPUS
+        lambda: testbed.run_sweep(
+            "serial", datasets=DATASETS, codecs=CODECS, bounds=BOUNDS, cpus=PAPER_CPUS
         ),
     )
     by = {(p.cpu, p.dataset, p.codec, p.rel_bound): p for p in points}

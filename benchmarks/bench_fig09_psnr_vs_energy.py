@@ -15,7 +15,8 @@ CODECS = ("sz2", "sz3", "zfp", "qoz", "szx")
 def test_fig09_psnr_vs_energy(benchmark, testbed, emit):
     points = run_once(
         benchmark,
-        lambda: testbed.run_serial_sweep(
+        lambda: testbed.run_sweep(
+            "serial",
             datasets=("s3d",), codecs=CODECS, bounds=BOUNDS, cpus=("max9480",)
         ),
     )

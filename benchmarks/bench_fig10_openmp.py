@@ -18,8 +18,8 @@ DATASETS = ("cesm", "hacc", "nyx", "s3d")
 def test_fig10_openmp_energy(benchmark, testbed, emit):
     points = run_once(
         benchmark,
-        lambda: testbed.run_thread_sweep(
-            datasets=DATASETS, codecs=CODECS, threads=THREADS, cpus=PAPER_CPUS
+        lambda: testbed.run_sweep(
+            "thread", datasets=DATASETS, codecs=CODECS, threads=THREADS, cpus=PAPER_CPUS
         ),
     )
     by = {(p.cpu, p.dataset, p.codec, p.threads): p for p in points}

@@ -16,8 +16,8 @@ DATASETS = ("nyx", "hacc", "s3d")
 def test_tab03_cr_psnr(benchmark, testbed, emit):
     rows = run_once(
         benchmark,
-        lambda: testbed.run_quality_table(
-            datasets=DATASETS, codecs=CODECS, bounds=BOUNDS
+        lambda: testbed.run_sweep(
+            "quality", datasets=DATASETS, codecs=CODECS, bounds=BOUNDS
         ),
     )
     by = {(r.dataset, r.codec, r.rel_bound): r for r in rows}

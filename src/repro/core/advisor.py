@@ -306,13 +306,14 @@ class DalyAdvisor:
             from repro.dataset.spec import advisor_grid_from_spec
 
             codecs, bounds = advisor_grid_from_spec(compression, codecs, bounds)
-        points = self.testbed.run_checkpoint_sweep(
+        points = self.testbed.run_sweep(
+            "checkpoint",
             datasets=(dataset,),
             codecs=codecs,
             bounds=bounds,
             mttfs=(mttf_s,),
             io_libraries=(self.io_library,),
-            cpu_name=self.cpu_name,
+            cpus=(self.cpu_name,),
             work_s=work_s,
             interval=interval,
             n_nodes=n_nodes,
@@ -599,13 +600,14 @@ class DvfsAdvisor:
         self.io_library = io_library
 
     def _grid(self, dataset, codecs, bounds, freqs):
-        return self.testbed.run_dvfs_sweep(
+        return self.testbed.run_sweep(
+            "dvfs",
             datasets=(dataset,),
             codecs=codecs,
             bounds=bounds,
             freqs=freqs,
             io_libraries=(self.io_library,),
-            cpu_name=self.cpu_name,
+            cpus=(self.cpu_name,),
             include_baseline=True,
         )
 

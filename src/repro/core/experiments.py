@@ -10,17 +10,19 @@
 Every driver returns plain dataclass records that the benchmark harness
 renders into the paper's rows/series.  Compression round-trips are memoized
 per (dataset, scale, codec, bound) — Figures 5/7/8/9 and Table III all share
-one sweep.  The grid drivers (``run_serial_sweep``, ``run_thread_sweep``,
-``run_quality_table``, ``run_io_sweep``, ``run_pipeline_sweep``,
-``run_dvfs_sweep``, ``run_checkpoint_sweep``, ``run_lossless_comparison``)
-delegate to the :mod:`repro.runtime` sweep engine, so whole evaluated points
-— not just round-trips — are memoized in the process-wide result store and
-can be fanned out over thread/process pools.
+one sweep.  Every modeled write and read point (``io_point``, ``read_point``,
+``pipeline_point``, ``dvfs_point``, ``checkpoint_point``) is priced by one
+cost function: a codec leg plus an I/O leg (paper Eqs. 3-5).  Grids run
+through ``run_sweep(kind, **axes)``, which delegates to the
+:mod:`repro.runtime` sweep engine, so whole evaluated points — not just
+round-trips — are memoized in the process-wide result store and can be
+fanned out over thread/process pools.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -303,6 +305,18 @@ class InflationPoint:
         return self.compress_energy_j + self.decompress_energy_j
 
 
+class _Cost(NamedTuple):
+    """One modeled write or read: the codec leg and the I/O leg."""
+
+    nbytes: int  # bytes that cross the PFS
+    codec_time_s: float  # compress (write) or decompress (read)
+    codec_energy_j: float
+    io_time_s: float  # serialize + transfer (write) or transfer + deserialize (read)
+    io_energy_j: float
+    ratio: float  # round-trip quality; 1.0 / +inf for the baseline
+    psnr_db: float
+
+
 # Shared across Testbed instances so every bench in a session reuses sweeps.
 _ROUNDTRIP_CACHE: dict[tuple, RoundtripRecord] = {}
 
@@ -480,6 +494,52 @@ class Testbed:
         )
         return report.runtime_s, report.energy_j
 
+    def _cost(
+        self,
+        direction: str,
+        dataset: str,
+        codec: str | None,
+        rel_bound: float | None,
+        io_library: str,
+        cpu_name: str,
+        freq_ghz: float | None = None,
+    ) -> _Cost:
+        """The one modeled cost of a write or a read (paper Eqs. 3-5).
+
+        ``direction="write"`` prices compress, then serialize + transfer;
+        ``"read"`` prices transfer + deserialize, then decompress.  The
+        codec leg runs at paper scale on one core; ``codec=None`` is the
+        uncompressed baseline with no codec leg.  ``freq_ghz`` (already
+        validated) pins the DVFS point for both legs; ``None`` is the
+        unpinned node.
+        """
+        spec = get_dataset(dataset)
+        cpu = get_cpu(cpu_name)
+        lib = get_io_library(io_library)
+        if codec is None:
+            nbytes, t_c, e_c = spec.paper_nbytes, 0.0, 0.0
+            ratio, psnr_db = 1.0, float("inf")
+        else:
+            if rel_bound is None:
+                raise ConfigurationError("rel_bound required when codec is set")
+            rt = self.roundtrip(dataset, codec, rel_bound)
+            nbytes = max(1, int(round(spec.paper_nbytes / rt.ratio)))
+            ratio, psnr_db = rt.ratio, rt.psnr_db
+            t_c = self.throughput.runtime(
+                codec,
+                "compress" if direction == "write" else "decompress",
+                spec.paper_nbytes,
+                rel_bound,
+                cpu,
+                threads=1,
+                complexity=spec.complexity,
+                freq_ghz=freq_ghz,
+            )
+            e_c = self._meter(cpu, freq_ghz).measure_compute(t_c, 1).energy_j
+        report = self.write_report if direction == "write" else self.read_report
+        t_io, e_io = report(nbytes, lib, cpu, freq_ghz=freq_ghz)
+        return _Cost(nbytes, t_c, e_c, t_io, e_io, ratio, psnr_db)
+
     def read_point(
         self,
         dataset: str,
@@ -493,39 +553,18 @@ class Testbed:
         ``compress_*`` fields carry the *decompression* cost on the read
         path (the codec work needed before analysis can start).
         """
-        spec = get_dataset(dataset)
-        cpu = get_cpu(cpu_name)
-        lib = get_io_library(io_library)
-        if codec is None:
-            nbytes = spec.paper_nbytes
-            t_d, e_d = 0.0, 0.0
-        else:
-            if rel_bound is None:
-                raise ConfigurationError("rel_bound required when codec is set")
-            rt = self.roundtrip(dataset, codec, rel_bound)
-            nbytes = max(1, int(round(spec.paper_nbytes / rt.ratio)))
-            t_d = self.throughput.runtime(
-                codec,
-                "decompress",
-                spec.paper_nbytes,
-                rel_bound,
-                cpu,
-                threads=1,
-                complexity=spec.complexity,
-            )
-            e_d = self._meter(cpu).measure_compute(t_d, 1).energy_j
-        t_r, e_r = self.read_report(nbytes, lib, cpu)
+        c = self._cost("read", dataset, codec, rel_bound, io_library, cpu_name)
         return IOPoint(
             dataset=dataset,
             codec=codec,
             rel_bound=rel_bound,
             io_library=io_library,
             cpu=cpu_name,
-            bytes_written=nbytes,
-            write_time_s=t_r,
-            write_energy_j=e_r,
-            compress_time_s=t_d,
-            compress_energy_j=e_d,
+            bytes_written=c.nbytes,
+            write_time_s=c.io_time_s,
+            write_energy_j=c.io_energy_j,
+            compress_time_s=c.codec_time_s,
+            compress_energy_j=c.codec_energy_j,
         )
 
     def io_point(
@@ -535,62 +574,20 @@ class Testbed:
         rel_bound: float | None,
         io_library: str = "hdf5",
         cpu_name: str = "max9480",
-        pipeline=None,
-    ) -> IOPoint | PipelinePoint:
-        """One Fig. 11 bar: write compressed (or original) data to the PFS.
-
-        ``pipeline`` switches to the block-pipelined model: pass a
-        :class:`~repro.iolib.pipeline.PipelineConfig` (or an int chunk
-        count) and the point is evaluated through :meth:`pipeline_point`,
-        returning a :class:`PipelinePoint` instead of an :class:`IOPoint`.
-        """
-        if pipeline is not None:
-            from repro.iolib.pipeline import PipelineConfig
-
-            if isinstance(pipeline, int):
-                pipeline = PipelineConfig(n_chunks=pipeline)
-            return self.pipeline_point(
-                dataset,
-                codec,
-                rel_bound,
-                io_library=io_library,
-                cpu_name=cpu_name,
-                n_chunks=pipeline.n_chunks,
-                overlap=pipeline.overlap,
-            )
-        spec = get_dataset(dataset)
-        cpu = get_cpu(cpu_name)
-        lib = get_io_library(io_library)
-        if codec is None:
-            nbytes = spec.paper_nbytes
-            t_c, e_c = 0.0, 0.0
-        else:
-            if rel_bound is None:
-                raise ConfigurationError("rel_bound required when codec is set")
-            rt = self.roundtrip(dataset, codec, rel_bound)
-            nbytes = max(1, int(round(spec.paper_nbytes / rt.ratio)))
-            t_c = self.throughput.runtime(
-                codec,
-                "compress",
-                spec.paper_nbytes,
-                rel_bound,
-                cpu,
-                threads=1,
-                complexity=spec.complexity,
-            )
-            e_c = self._meter(cpu).measure_compute(t_c, 1).energy_j
-        t_w, e_w = self.write_report(nbytes, lib, cpu)
+    ) -> IOPoint:
+        """One Fig. 11 bar: write compressed (or original) data to the PFS."""
+        c = self._cost("write", dataset, codec, rel_bound, io_library, cpu_name)
         return IOPoint(
             dataset=dataset,
             codec=codec,
             rel_bound=rel_bound,
             io_library=io_library,
             cpu=cpu_name,
-            bytes_written=nbytes,
-            write_time_s=t_w,
-            write_energy_j=e_w,
-            compress_time_s=t_c,
-            compress_energy_j=e_c,
+            bytes_written=c.nbytes,
+            write_time_s=c.io_time_s,
+            write_energy_j=c.io_energy_j,
+            compress_time_s=c.codec_time_s,
+            compress_energy_j=c.codec_energy_j,
         )
 
     def pipeline_point(
@@ -618,31 +615,9 @@ class Testbed:
         from repro.iolib.pipeline import PipelineConfig, plan_pipelined_write
 
         cfg = PipelineConfig(n_chunks=n_chunks, overlap=overlap)
-        spec = get_dataset(dataset)
-        cpu = get_cpu(cpu_name)
-        lib = get_io_library(io_library)
-        if codec is None:
-            nbytes = spec.paper_nbytes
-            t_c, e_c = 0.0, 0.0
-        else:
-            if rel_bound is None:
-                raise ConfigurationError("rel_bound required when codec is set")
-            rt = self.roundtrip(dataset, codec, rel_bound)
-            nbytes = max(1, int(round(spec.paper_nbytes / rt.ratio)))
-            t_c = self.throughput.runtime(
-                codec,
-                "compress",
-                spec.paper_nbytes,
-                rel_bound,
-                cpu,
-                threads=1,
-                complexity=spec.complexity,
-            )
-            e_c = self._meter(cpu).measure_compute(t_c, 1).energy_j
-
+        c = self._cost("write", dataset, codec, rel_bound, io_library, cpu_name)
         if not cfg.overlap:
             # Degenerate control: the monolithic sequential path, verbatim.
-            t_w, e_w = self.write_report(nbytes, lib, cpu)
             return PipelinePoint(
                 dataset=dataset,
                 codec=codec,
@@ -651,20 +626,28 @@ class Testbed:
                 cpu=cpu_name,
                 n_chunks=cfg.n_chunks,
                 overlap=False,
-                bytes_written=nbytes,
-                compress_time_s=t_c,
-                write_time_s=t_w,
-                total_time_s=t_c + t_w,
-                compress_energy_j=e_c,
-                write_energy_j=e_w,
+                bytes_written=c.nbytes,
+                compress_time_s=c.codec_time_s,
+                write_time_s=c.io_time_s,
+                total_time_s=c.codec_time_s + c.io_time_s,
+                compress_energy_j=c.codec_energy_j,
+                write_energy_j=c.io_energy_j,
             )
 
+        # Overlapped: the plan re-prices the transfer chunk by chunk, so only
+        # the codec leg of the sequential cost carries over.
+        cpu = get_cpu(cpu_name)
         plan = plan_pipelined_write(
-            nbytes, t_c, self.pfs, lib.cost, cpu.speed, cfg.n_chunks
+            c.nbytes,
+            c.codec_time_s,
+            self.pfs,
+            get_io_library(io_library).cost,
+            cpu.speed,
+            cfg.n_chunks,
         )
         phases = compose_phases(plan.intervals, max_cores=cpu.cores)
         total_energy = self._meter(cpu).measure(phases).energy_j
-        # The compress stage's standalone cost is already measured (e_c); the
+        # The compress stage's standalone cost is already measured; the
         # write stage carries the residual, so overlap savings show up as a
         # smaller write energy — mirroring the sequential split.
         return PipelinePoint(
@@ -675,12 +658,12 @@ class Testbed:
             cpu=cpu_name,
             n_chunks=plan.n_chunks,
             overlap=True,
-            bytes_written=nbytes,
-            compress_time_s=t_c,
+            bytes_written=c.nbytes,
+            compress_time_s=c.codec_time_s,
             write_time_s=plan.write_time_s,
             total_time_s=plan.total_time_s,
-            compress_energy_j=e_c,
-            write_energy_j=max(0.0, total_energy - e_c),
+            compress_energy_j=c.codec_energy_j,
+            write_energy_j=max(0.0, total_energy - c.codec_energy_j),
         )
 
     def dvfs_point(
@@ -701,32 +684,8 @@ class Testbed:
         transfer and serialize durations stay frequency-insensitive.  At
         ``f == fnom`` this reproduces :meth:`io_point` exactly.
         """
-        spec = get_dataset(dataset)
-        cpu = get_cpu(cpu_name)
-        freq = cpu.validate_freq(freq_ghz)
-        lib = get_io_library(io_library)
-        if codec is None:
-            nbytes = spec.paper_nbytes
-            t_c, e_c = 0.0, 0.0
-            ratio, psnr_db = 1.0, float("inf")
-        else:
-            if rel_bound is None:
-                raise ConfigurationError("rel_bound required when codec is set")
-            rt = self.roundtrip(dataset, codec, rel_bound)
-            nbytes = max(1, int(round(spec.paper_nbytes / rt.ratio)))
-            ratio, psnr_db = rt.ratio, rt.psnr_db
-            t_c = self.throughput.runtime(
-                codec,
-                "compress",
-                spec.paper_nbytes,
-                rel_bound,
-                cpu,
-                threads=1,
-                complexity=spec.complexity,
-                freq_ghz=freq,
-            )
-            e_c = self._meter(cpu, freq).measure_compute(t_c, 1).energy_j
-        t_w, e_w = self.write_report(nbytes, lib, cpu, freq_ghz=freq)
+        freq = get_cpu(cpu_name).validate_freq(freq_ghz)
+        c = self._cost("write", dataset, codec, rel_bound, io_library, cpu_name, freq)
         return DvfsPoint(
             dataset=dataset,
             codec=codec,
@@ -734,13 +693,13 @@ class Testbed:
             io_library=io_library,
             cpu=cpu_name,
             freq_ghz=freq,
-            bytes_written=nbytes,
-            compress_time_s=t_c,
-            write_time_s=t_w,
-            compress_energy_j=e_c,
-            write_energy_j=e_w,
-            ratio=ratio,
-            psnr_db=psnr_db,
+            bytes_written=c.nbytes,
+            compress_time_s=c.codec_time_s,
+            write_time_s=c.io_time_s,
+            compress_energy_j=c.codec_energy_j,
+            write_energy_j=c.io_energy_j,
+            ratio=c.ratio,
+            psnr_db=c.psnr_db,
         )
 
     def checkpoint_point(
@@ -766,15 +725,15 @@ class Testbed:
         count), checkpointing every ``interval`` seconds of progress —
         ``"daly"``/``"young"`` resolve the closed-form optimal interval from
         the checkpoint cost and the system MTTF ``mttf_s / n_nodes``.  Each
-        checkpoint write is priced by the existing compressed-I/O paths:
-        :meth:`io_point` (default), :meth:`pipeline_point` when
-        ``n_chunks > 1``, or :meth:`dvfs_point` when ``freq_ghz`` pins the
-        clock; restarts are priced by :meth:`read_point` (fetch +
-        decompress).  Failures are drawn per node from an explicit-seed
-        exponential model, the lifetime runs on the deterministic event
-        loop, and energy is integrated through ``Interval`` →
-        ``compose_phases`` with downtime charged at the power model's idle
-        watts.
+        checkpoint write is priced by the same write cost as
+        :meth:`io_point` (or :meth:`dvfs_point` when ``freq_ghz`` pins the
+        clock), or by :meth:`pipeline_point` when ``n_chunks > 1``; restarts
+        are priced by the read cost of :meth:`read_point` (fetch +
+        decompress) at the same clock.  Failures are drawn per node from an
+        explicit-seed exponential model, the lifetime runs on the
+        deterministic event loop, and energy is integrated through
+        ``Interval`` → ``compose_phases`` with downtime charged at the power
+        model's idle watts.
 
         With ``mttf_s=inf`` (one trailing checkpoint) the record reproduces
         the underlying write path bit for bit: the final checkpoint *is* the
@@ -799,64 +758,29 @@ class Testbed:
                     "pipelined checkpoints (n_chunks > 1) cannot be combined "
                     "with a DVFS pin; pick one axis per point"
                 )
-            base = self.dvfs_point(
-                dataset, codec, rel_bound, freq_ghz, io_library, cpu_name
+        if n_chunks > 1:
+            pp = self.pipeline_point(
+                dataset, codec, rel_bound, io_library, cpu_name, n_chunks, overlap
             )
-            ckpt_time = base.compress_time_s + base.write_time_s
-        elif n_chunks > 1:
-            base = self.pipeline_point(
-                dataset,
-                codec,
-                rel_bound,
-                io_library=io_library,
-                cpu_name=cpu_name,
-                n_chunks=n_chunks,
-                overlap=overlap,
-            )
-            ckpt_time = base.total_time_s
+            c_t, c_e = pp.compress_time_s, pp.compress_energy_j
+            w_t, w_e = pp.write_time_s, pp.write_energy_j
+            ckpt_time = pp.total_time_s
         else:
-            base = self.io_point(dataset, codec, rel_bound, io_library, cpu_name)
-            ckpt_time = base.compress_time_s + base.write_time_s
-        if freq_ghz is None:
-            restart = self.read_point(dataset, codec, rel_bound, io_library, cpu_name)
-            r_fetch_t, r_fetch_e = restart.fetch_time_s, restart.fetch_energy_j
-            r_dec_t, r_dec_e = (
-                restart.decompress_time_s,
-                restart.decompress_energy_j,
+            w = self._cost(
+                "write", dataset, codec, rel_bound, io_library, cpu_name, freq_ghz
             )
-        else:
-            # The restart must honour the DVFS pin like every other term:
-            # decompression scales on its roofline compute fraction, the
-            # fetch duration is clock-insensitive, and both integrate power
-            # at the pinned frequency (mirroring read_point at nominal).
-            spec_ds = get_dataset(dataset)
-            lib = get_io_library(io_library)
-            if codec is None:
-                r_nbytes = spec_ds.paper_nbytes
-                r_dec_t, r_dec_e = 0.0, 0.0
-            else:
-                rt_q = self.roundtrip(dataset, codec, rel_bound)
-                r_nbytes = max(1, int(round(spec_ds.paper_nbytes / rt_q.ratio)))
-                r_dec_t = self.throughput.runtime(
-                    codec,
-                    "decompress",
-                    spec_ds.paper_nbytes,
-                    rel_bound,
-                    cpu,
-                    threads=1,
-                    complexity=spec_ds.complexity,
-                    freq_ghz=freq_ghz,
-                )
-                r_dec_e = self._meter(cpu, freq_ghz).measure_compute(r_dec_t, 1).energy_j
-            r_fetch_t, r_fetch_e = self.read_report(
-                r_nbytes, lib, cpu, freq_ghz=freq_ghz
-            )
-
-        if codec is None:
-            ratio, psnr_db = 1.0, float("inf")
-        else:
-            rt = self.roundtrip(dataset, codec, rel_bound)
-            ratio, psnr_db = rt.ratio, rt.psnr_db
+            c_t, c_e = w.codec_time_s, w.codec_energy_j
+            w_t, w_e = w.io_time_s, w.io_energy_j
+            ckpt_time = c_t + w_t
+        # The restart honours the DVFS pin like every other term:
+        # decompression scales on its roofline compute fraction, the fetch
+        # duration is clock-insensitive, and both integrate power at the
+        # pinned frequency.
+        restart = self._cost(
+            "read", dataset, codec, rel_bound, io_library, cpu_name, freq_ghz
+        )
+        r_fetch_t, r_fetch_e = restart.io_time_s, restart.io_energy_j
+        r_dec_t, r_dec_e = restart.codec_time_s, restart.codec_energy_j
 
         model = FailureModel(node_mttf_s=mttf_s, n_nodes=n_nodes)
         restart_time = r_fetch_t + r_dec_t
@@ -875,7 +799,7 @@ class Testbed:
         # and read paths below, never re-integrated from these intervals.
         cost = get_io_library(io_library).cost
         ckpt_act = (
-            (base.compress_time_s + base.write_time_s * cost.transfer_activity)
+            (c_t + w_t * cost.transfer_activity)
             / ckpt_time
             if ckpt_time > 0
             else 1.0
@@ -902,7 +826,7 @@ class Testbed:
         )
         idle_j = meter.measure_split(down_phases).energy_j
 
-        ckpt_energy = base.compress_energy_j + base.write_energy_j
+        ckpt_energy = c_e + w_e
         restart_energy = r_fetch_e + r_dec_e
         ckpt_j = stats.n_checkpoints * ckpt_energy
         if ckpt_time > 0 and stats.ckpt_partial_s > 0:
@@ -936,11 +860,11 @@ class Testbed:
             overlap=bool(overlap),
             freq_ghz=freq_ghz,
             downtime_s=float(downtime_s),
-            ckpt_compress_time_s=base.compress_time_s,
-            ckpt_write_time_s=base.write_time_s,
+            ckpt_compress_time_s=c_t,
+            ckpt_write_time_s=w_t,
             ckpt_time_s=ckpt_time,
-            ckpt_compress_energy_j=base.compress_energy_j,
-            ckpt_write_energy_j=base.write_energy_j,
+            ckpt_compress_energy_j=c_e,
+            ckpt_write_energy_j=w_e,
             restart_fetch_time_s=r_fetch_t,
             restart_decompress_time_s=r_dec_t,
             restart_fetch_energy_j=r_fetch_e,
@@ -955,15 +879,14 @@ class Testbed:
             idle_energy_j=idle_j,
             expected_makespan_s=expected_makespan(spec),
             expected_energy_j=exp_energy,
-            ratio=ratio,
-            psnr_db=psnr_db,
+            ratio=restart.ratio,
+            psnr_db=restart.psnr_db,
         )
 
     # -- figure/table drivers ---------------------------------------------------
     #
-    # `run_sweep` is the one generic entrypoint: any registered experiment
-    # kind (builtin or plugin) runs through it.  The named drivers below are
-    # thin wrappers that keep the seed signatures figures and benchmarks use.
+    # `run_sweep` is the one grid entrypoint: any registered experiment kind
+    # (builtin or plugin) runs through it.
 
     def run_sweep(self, kind: str, **axes) -> list:
         """Run any registered experiment kind's grid through the engine.
@@ -976,181 +899,6 @@ class Testbed:
         from repro.runtime.spec import SweepSpec
 
         return self.engine.run(SweepSpec(kind=kind, **axes))
-
-    def run_serial_sweep(
-        self,
-        datasets=("cesm", "hacc", "nyx", "s3d"),
-        codecs=("sz2", "sz3", "zfp", "qoz", "szx"),
-        bounds=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5),
-        cpus=("max9480",),
-        threads: int = 1,
-    ) -> list[SerialPoint]:
-        """Figs. 5 and 7 (and the data behind Figs. 8/9 and Table III)."""
-        return self.run_sweep(
-            "serial",
-            datasets=datasets,
-            codecs=codecs,
-            bounds=bounds,
-            cpus=cpus,
-            threads=(threads,),
-        )
-
-    def run_thread_sweep(
-        self,
-        datasets=("cesm", "hacc", "nyx", "s3d"),
-        codecs=("sz2", "sz3", "zfp", "qoz", "szx"),
-        threads=(1, 2, 4, 8, 16, 32, 64),
-        rel_bound: float = 1e-3,
-        cpus=("max9480",),
-        paper_fidelity: bool = False,
-    ) -> list[SerialPoint]:
-        """Fig. 10: OpenMP strong scaling at ε = 1e-3.
-
-        ``paper_fidelity=True`` drops the combinations the paper's reference
-        toolchain could not run (OpenMP SZ2 on 1-D/4-D, QoZ on 1-D) so the
-        output matrix matches the figure's missing bars exactly.
-        """
-        return self.run_sweep(
-            "thread",
-            datasets=datasets,
-            codecs=codecs,
-            threads=threads,
-            rel_bound=rel_bound,
-            cpus=cpus,
-            paper_fidelity=paper_fidelity,
-        )
-
-    def run_quality_table(
-        self,
-        datasets=("nyx", "hacc", "s3d"),
-        codecs=("sz3", "zfp", "szx"),
-        bounds=(1e-1, 1e-3, 1e-5),
-    ) -> list[RoundtripRecord]:
-        """Table III: CR and PSNR grid."""
-        return self.run_sweep("quality", datasets=datasets, codecs=codecs, bounds=bounds)
-
-    def run_io_sweep(
-        self,
-        datasets=("cesm", "hacc", "nyx", "s3d"),
-        codecs=("sz2", "sz3", "zfp", "qoz", "szx"),
-        bounds=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5),
-        io_libraries=("hdf5", "netcdf"),
-        cpu_name: str = "max9480",
-    ) -> list[IOPoint]:
-        """Fig. 11: post-compression write energy plus the original baseline."""
-        return self.run_sweep(
-            "io",
-            datasets=datasets,
-            codecs=codecs,
-            bounds=bounds,
-            io_libraries=io_libraries,
-            cpus=(cpu_name,),
-        )
-
-    def run_pipeline_sweep(
-        self,
-        datasets=("cesm", "hacc", "nyx", "s3d"),
-        codecs=("sz2", "sz3", "zfp", "qoz", "szx"),
-        bounds=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5),
-        io_libraries=("hdf5", "netcdf"),
-        cpu_name: str = "max9480",
-        n_chunks: int = 8,
-        overlap: bool = True,
-    ) -> list[PipelinePoint]:
-        """The Fig. 11 grid through the block-pipelined write model."""
-        return self.run_sweep(
-            "pipeline",
-            datasets=datasets,
-            codecs=codecs,
-            bounds=bounds,
-            io_libraries=io_libraries,
-            cpus=(cpu_name,),
-            n_chunks=n_chunks,
-            overlap=overlap,
-        )
-
-    def run_dvfs_sweep(
-        self,
-        datasets=("cesm", "hacc", "nyx", "s3d"),
-        codecs=("sz2", "sz3", "zfp", "qoz", "szx"),
-        bounds=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5),
-        freqs: tuple[float, ...] = (),
-        io_libraries=("hdf5",),
-        cpu_name: str = "max9480",
-        include_baseline: bool = True,
-    ) -> list[DvfsPoint]:
-        """The compress-and-write grid swept along the DVFS frequency axis.
-
-        ``freqs=()`` uses the CPU's canonical
-        :meth:`~repro.energy.cpus.CPUSpec.freq_ladder`.  Points are memoized
-        in the result store like every other kind.
-        """
-        return self.run_sweep(
-            "dvfs",
-            datasets=datasets,
-            codecs=codecs,
-            bounds=bounds,
-            freqs=freqs,
-            io_libraries=io_libraries,
-            cpus=(cpu_name,),
-            include_baseline=include_baseline,
-        )
-
-    def run_checkpoint_sweep(
-        self,
-        datasets=("cesm", "hacc", "nyx", "s3d"),
-        codecs=("sz2", "sz3", "zfp", "qoz", "szx"),
-        bounds=(1e-3,),
-        mttfs=(float("inf"), 86400.0, 21600.0),
-        io_libraries=("hdf5",),
-        cpu_name: str = "max9480",
-        work_s: float = 3600.0,
-        interval: str | float = "daly",
-        n_nodes: int = 1,
-        seed: int = 0,
-        downtime_s: float = 60.0,
-        n_chunks: int = 1,
-        overlap: bool = False,
-        include_baseline: bool = True,
-    ) -> list[CheckpointPoint]:
-        """The checkpointed-lifetime grid along the MTTF axis.
-
-        Every point is a full failure-aware lifetime (plus its closed-form
-        expectations), memoized in the result store like every other kind.
-        """
-        return self.run_sweep(
-            "checkpoint",
-            datasets=datasets,
-            codecs=codecs,
-            bounds=bounds,
-            mttfs=mttfs,
-            io_libraries=io_libraries,
-            cpus=(cpu_name,),
-            work_s=work_s,
-            interval=interval,
-            n_nodes=n_nodes,
-            seed=seed,
-            downtime_s=downtime_s,
-            n_chunks=n_chunks,
-            overlap=overlap,
-            include_baseline=include_baseline,
-        )
-
-    def run_lossless_comparison(
-        self,
-        datasets=("qmcpack", "isabel", "cesm", "exafel"),
-        eblc=("sz2", "zfp"),
-        lossless=("zstd", "blosc", "fpzip", "fpc"),
-        rel_bound: float = 1e-2,
-    ) -> list[RoundtripRecord]:
-        """Fig. 1: lossless vs EBLC ratios."""
-        return self.run_sweep(
-            "lossless",
-            datasets=datasets,
-            codecs=eblc,
-            lossless_codecs=lossless,
-            rel_bound=rel_bound,
-        )
 
     def run_multinode(
         self,
@@ -1170,7 +918,9 @@ class Testbed:
         ranks; see EXPERIMENTS.md).
         """
         spec = get_dataset(dataset)
-        payload = payload_nbytes or spec.paper_nbytes // 6
+        payload = payload_nbytes
+        if payload is None:
+            payload = spec.paper_nbytes // 6
         campaign = MultiNodeCampaign(
             cpu=get_cpu(cpu_name),
             pfs=self.pfs,

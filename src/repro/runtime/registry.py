@@ -826,6 +826,20 @@ def _expand_dvfs(spec) -> list:
     return out
 
 
+def _validate_dvfs(spec) -> None:
+    # An out-of-range clock must fail at construction, naming the CPU and
+    # its DVFS range — not per grid point as a retryable ValueError.
+    from repro.energy.cpus import get_cpu
+
+    for name in spec.cpus if spec.freqs else ():
+        cpu = get_cpu(name)
+        for f in spec.freqs:
+            try:
+                cpu.validate_freq(f)
+            except ValueError as exc:
+                raise ConfigurationError(str(exc)) from None
+
+
 def _expand_checkpoint(spec) -> list:
     # The `io` grid replicated along the per-node MTTF axis (innermost).
     # The pipeline (n_chunks/overlap) and scenario fields ride along on
@@ -1277,6 +1291,7 @@ BUILTIN_KINDS = (
         expand=_expand_dvfs,
         ops=("dvfs_point",),
         spec_fields=(*_IO_FIELDS, "freqs"),
+        validate=_validate_dvfs,
         table=_table_dvfs,
         invariants=_invariants_dvfs,
         conformance=dict(_CONFORMANCE_IO, freqs=(0.8, 1.9)),

@@ -104,7 +104,7 @@ class SweepSpec:
     #: include the uncompressed write/read baseline (``io``/``read`` kinds).
     include_baseline: bool = True
     #: drop codec/ndim combos the paper's toolchain could not run
-    #: (``thread`` kind; see ``Testbed.run_thread_sweep``).
+    #: (``thread`` kind; see :mod:`repro.compressors.capabilities`).
     paper_fidelity: bool = False
     #: chunk count and stage overlap for the ``pipeline`` kind.
     n_chunks: int = 8

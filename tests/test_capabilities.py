@@ -51,7 +51,8 @@ class TestMatrix:
 class TestFidelityMode:
     def test_thread_sweep_drops_unsupported_combos(self):
         tb = Testbed(scale="tiny", sample_interval=0.05)
-        pts = tb.run_thread_sweep(
+        pts = tb.run_sweep(
+            "thread",
             datasets=("hacc",),  # 1-D
             codecs=("sz2", "qoz", "sz3"),
             threads=(1,),
@@ -62,8 +63,8 @@ class TestFidelityMode:
 
     def test_default_keeps_everything(self):
         tb = Testbed(scale="tiny", sample_interval=0.05)
-        pts = tb.run_thread_sweep(
-            datasets=("hacc",), codecs=("sz2", "qoz"), threads=(1,)
+        pts = tb.run_sweep(
+            "thread", datasets=("hacc",), codecs=("sz2", "qoz"), threads=(1,)
         )
         assert {p.codec for p in pts} == {"sz2", "qoz"}
 

@@ -109,6 +109,58 @@ class TestGoldenReduction:
             )
 
 
+class TestExactPins:
+    """Exact write and restart costs of the two branches no conformance
+    golden covers: a DVFS-pinned checkpoint (pinned restart included) and
+    an overlapped pipelined one.  Any change to how these points are
+    priced must leave every float identical."""
+
+    DVFS_FMIN = dict(
+        ckpt_compress_time_s=0.41616487499999993,
+        ckpt_write_time_s=0.2777389727870813,
+        ckpt_time_s=0.6939038477870813,
+        ckpt_compress_energy_j=108.577957,
+        ckpt_write_energy_j=72.284006,
+        restart_fetch_time_s=0.24207449910287085,
+        restart_decompress_time_s=0.337347375,
+        restart_fetch_energy_j=63.00802899999999,
+        restart_decompress_energy_j=88.014369,
+        restart_energy_j=0.0,
+    )
+    PIPELINED = dict(
+        ckpt_compress_time_s=0.29462999999999995,
+        ckpt_write_time_s=0.2777389727870813,
+        ckpt_time_s=0.4124788412081339,
+        ckpt_compress_energy_j=78.720893,
+        ckpt_write_energy_j=31.087047999999996,
+        restart_fetch_time_s=0.24207449910287085,
+        restart_decompress_time_s=0.23883,
+        restart_fetch_energy_j=63.486807999999996,
+        restart_decompress_energy_j=63.811937,
+        restart_energy_j=0.0,
+    )
+
+    @staticmethod
+    def _fields(point, expected):
+        return {name: getattr(point, name) for name in expected}
+
+    def test_dvfs_pinned_at_fmin(self, tb):
+        from repro.energy.cpus import get_cpu
+
+        p = tb.checkpoint_point(
+            "cesm", "szx", 1e-3, mttf_s=math.inf, work_s=600.0,
+            freq_ghz=get_cpu("max9480").fmin_ghz,
+        )
+        assert self._fields(p, self.DVFS_FMIN) == self.DVFS_FMIN
+
+    def test_pipelined_overlap(self, tb):
+        p = tb.checkpoint_point(
+            "cesm", "szx", 1e-3, mttf_s=math.inf, work_s=600.0,
+            n_chunks=4, overlap=True,
+        )
+        assert self._fields(p, self.PIPELINED) == self.PIPELINED
+
+
 class TestFailingLifetimes:
     def test_seeded_run_is_deterministic(self, tb):
         kw = dict(mttf_s=4000.0, n_nodes=4, work_s=3000.0, seed=3)
@@ -225,9 +277,9 @@ class TestStoreAndSweep:
         assert SweepSpec.from_json(spec.to_json()) == spec
 
     def test_run_checkpoint_sweep_driver(self, tb):
-        pts = tb.run_checkpoint_sweep(
-            datasets=("cesm",), codecs=("szx",), bounds=(1e-3,),
-            mttfs=(float("inf"),), work_s=120.0,
+        pts = tb.run_sweep(
+            "checkpoint", datasets=("cesm",), codecs=("szx",), bounds=(1e-3,),
+            mttfs=(float("inf"),), io_libraries=("hdf5",), work_s=120.0,
         )
         assert len(pts) == 2  # baseline + szx
         assert all(isinstance(p, CheckpointPoint) for p in pts)

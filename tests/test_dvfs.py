@@ -248,12 +248,14 @@ class TestDvfsPoint:
 
 class TestDvfsSweep:
     def test_spec_expansion_and_driver(self, tb):
-        pts = tb.run_dvfs_sweep(
+        pts = tb.run_sweep(
+            "dvfs",
             datasets=("cesm",),
             codecs=("szx",),
             bounds=(1e-3,),
             freqs=(1.0, 2.1),
-            cpu_name="plat8160",
+            io_libraries=("hdf5",),
+            cpus=("plat8160",),
         )
         assert all(isinstance(p, DvfsPoint) for p in pts)
         # (baseline + 1 codec point) x 2 freqs
@@ -277,11 +279,11 @@ class TestDvfsSweep:
     def test_memoized_in_store(self, tb):
         kwargs = dict(
             datasets=("cesm",), codecs=("szx",), bounds=(1e-3,), freqs=(1.55,),
-            cpu_name="plat8160",
+            io_libraries=("hdf5",), cpus=("plat8160",),
         )
-        first = tb.run_dvfs_sweep(**kwargs)
+        first = tb.run_sweep("dvfs", **kwargs)
         computed_before = tb.engine.stats.computed
-        second = tb.run_dvfs_sweep(**kwargs)
+        second = tb.run_sweep("dvfs", **kwargs)
         assert tb.engine.stats.computed == computed_before  # all cache hits
         assert first == second
 
@@ -289,12 +291,17 @@ class TestDvfsSweep:
         spec = SweepSpec(kind="dvfs", freqs=(1.0, 2.0))
         assert SweepSpec.from_json(spec.to_json()) == spec
 
+    def test_out_of_range_freq_fails_at_spec_construction(self):
+        with pytest.raises(ConfigurationError, match=r"plat8160.*\[1\.0, 3\.7\]"):
+            SweepSpec(kind="dvfs", cpus=("plat8160",), freqs=(2.1, 9.9))
+        SweepSpec(kind="dvfs", cpus=("plat8160",), freqs=(CPU.fmin_ghz, CPU.fmax_ghz))
+
 
 class TestParetoFrontier:
     def test_dominated_points_removed(self, tb):
-        pts = tb.run_dvfs_sweep(
-            datasets=("cesm",), codecs=("sz3", "szx"), bounds=(1e-3,),
-            cpu_name="plat8160",
+        pts = tb.run_sweep(
+            "dvfs", datasets=("cesm",), codecs=("sz3", "szx"), bounds=(1e-3,),
+            io_libraries=("hdf5",), cpus=("plat8160",),
         )
         frontier = pareto_frontier(pts)
         assert len(frontier) >= 2

@@ -43,19 +43,21 @@ class TestSerialDrivers:
         assert e[0] < e[1] < e[2]
 
     def test_sweep_shapes(self, tb):
-        pts = tb.run_serial_sweep(
-            datasets=("nyx",), codecs=("szx", "zfp"), bounds=(1e-2,), cpus=("plat8160",)
+        pts = tb.run_sweep(
+            "serial", datasets=("nyx",), codecs=("szx", "zfp"), bounds=(1e-2,), cpus=("plat8160",)
         )
         assert len(pts) == 2
 
     def test_thread_sweep_energy_falls_for_szx(self, tb):
-        pts = tb.run_thread_sweep(
-            datasets=("s3d",), codecs=("szx",), threads=(1, 64), cpus=("max9480",)
+        pts = tb.run_sweep(
+            "thread", datasets=("s3d",), codecs=("szx",), threads=(1, 64), cpus=("max9480",)
         )
         assert pts[1].total_energy_j < pts[0].total_energy_j
 
     def test_quality_table_rows(self, tb):
-        rows = tb.run_quality_table(datasets=("nyx",), codecs=("sz3", "szx"), bounds=(1e-1, 1e-5))
+        rows = tb.run_sweep(
+            "quality", datasets=("nyx",), codecs=("sz3", "szx"), bounds=(1e-1, 1e-5)
+        )
         assert len(rows) == 4
         by = {(r.codec, r.rel_bound): r for r in rows}
         assert by[("sz3", 1e-1)].ratio > by[("sz3", 1e-5)].ratio
@@ -75,8 +77,8 @@ class TestIODrivers:
         assert n.write_energy_j > 2.0 * h.write_energy_j
 
     def test_io_sweep_contains_baselines(self, tb):
-        pts = tb.run_io_sweep(
-            datasets=("nyx",), codecs=("szx",), bounds=(1e-3,), io_libraries=("hdf5",)
+        pts = tb.run_sweep(
+            "io", datasets=("nyx",), codecs=("szx",), bounds=(1e-3,), io_libraries=("hdf5",)
         )
         assert any(p.codec is None for p in pts)
         assert any(p.codec == "szx" for p in pts)
@@ -108,6 +110,13 @@ class TestMultinodeDriver:
         assert 0.2 < saving < 0.8
 
 
+    def test_zero_payload_is_rejected_not_defaulted(self, tb):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="payload_nbytes must be positive"):
+            tb.run_multinode(cores=(16,), codecs=(), payload_nbytes=0)
+
+
 class TestInflationDriver:
     def test_fig13_linear_scaling(self, tb):
         pts = tb.run_inflation(factors=(1, 2), codecs=("sz3",), base_scale="tiny")
@@ -120,8 +129,12 @@ class TestInflationDriver:
 
 class TestFig1Driver:
     def test_lossless_vs_eblc(self, tb):
-        rows = tb.run_lossless_comparison(
-            datasets=("isabel",), eblc=("sz2",), lossless=("zstd", "fpzip")
+        rows = tb.run_sweep(
+            "lossless",
+            datasets=("isabel",),
+            codecs=("sz2",),
+            lossless_codecs=("zstd", "fpzip"),
+            rel_bound=1e-2,
         )
         eblc = [r for r in rows if r.codec == "sz2"]
         lossless = [r for r in rows if r.codec != "sz2"]

@@ -511,8 +511,9 @@ class TestCLI:
         assert checker.check("quality", path) == []
 
 
-class TestSchemaShims:
-    """The legacy per-kind checkers stay as deprecation shims that exit 0."""
+class TestRecordSchemaChecker:
+    """``check_record_schemas.py`` gates every kind's sweep JSON and the
+    benchmark document."""
 
     def _sweep_json(self, tmp_path, capsys, argv, name):
         assert main(argv) == 0
@@ -520,37 +521,25 @@ class TestSchemaShims:
         path.write_text(capsys.readouterr().out)
         return str(path)
 
-    def test_dvfs_shim(self, tmp_path, capsys):
-        path = self._sweep_json(tmp_path, capsys, [
-            "sweep", "--kind", "dvfs", "--datasets", "cesm", "--codecs",
-            "szx", "--bounds", "1e-2", "--scale", "tiny", "--cpus",
-            "plat8160", "--freqs", "2.1", "--json",
-        ], "DVFS.json")
-        shim = load_tool("check_dvfs_schema")
-        assert shim.check(path) == []
-        assert shim.main(["check_dvfs_schema.py", path]) == 0
+    KIND_ARGV = {
+        "dvfs": ["--cpus", "plat8160", "--freqs", "2.1"],
+        "pipeline": ["--io-libraries", "hdf5", "--n-chunks", "2"],
+        "checkpoint": ["--io-libraries", "hdf5", "--mttfs", "inf",
+                       "--work", "600"],
+    }
 
-    def test_pipeline_shim(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", list(KIND_ARGV))
+    def test_sweep_records(self, tmp_path, capsys, kind):
         path = self._sweep_json(tmp_path, capsys, [
-            "sweep", "--kind", "pipeline", "--datasets", "cesm", "--codecs",
-            "szx", "--bounds", "1e-2", "--io-libraries", "hdf5", "--scale",
-            "tiny", "--n-chunks", "2", "--json",
-        ], "PIPELINE.json")
-        shim = load_tool("check_pipeline_schema")
-        assert shim.check(path) == []
-        assert shim.main(["check_pipeline_schema.py", path]) == 0
+            "sweep", "--kind", kind, "--datasets", "cesm", "--codecs", "szx",
+            "--bounds", "1e-2", "--scale", "tiny", *self.KIND_ARGV[kind],
+            "--json",
+        ], f"{kind.upper()}.json")
+        checker = load_tool("check_record_schemas")
+        assert checker.check(kind, path) == []
+        assert checker.main(["check_record_schemas.py", kind, path]) == 0
 
-    def test_checkpoint_shim(self, tmp_path, capsys):
-        path = self._sweep_json(tmp_path, capsys, [
-            "sweep", "--kind", "checkpoint", "--datasets", "cesm",
-            "--codecs", "szx", "--bounds", "1e-2", "--io-libraries", "hdf5",
-            "--scale", "tiny", "--mttfs", "inf", "--work", "600", "--json",
-        ], "CHECKPOINT.json")
-        shim = load_tool("check_checkpoint_schema")
-        assert shim.check(path) == []
-        assert shim.main(["check_checkpoint_schema.py", path]) == 0
-
-    def test_bench_shim_and_unified_dispatch(self, tmp_path, capsys):
+    def test_bench_doc(self, tmp_path):
         from repro.runtime.benchmark import SCHEMA_VERSION
 
         doc = {
@@ -567,12 +556,10 @@ class TestSchemaShims:
         }
         path = tmp_path / "BENCH_kernels.json"
         path.write_text(json.dumps(doc))
-        unified = load_tool("check_record_schemas")
-        assert unified.check("bench", path) == []
-        shim = load_tool("check_bench_schema")
-        assert shim.main([str(path)]) == 0
-        err = capsys.readouterr().err
-        assert "deprecated" in err
-        # a broken doc still fails through the shim
+        checker = load_tool("check_record_schemas")
+        assert checker.check("bench", path) == []
+        assert checker.main(["check_record_schemas.py", "bench", str(path)]) == 0
+        # a broken doc still fails
         path.write_text(json.dumps({"schema_version": SCHEMA_VERSION}))
-        assert shim.main([str(path)]) == 1
+        assert checker.check("bench", path) != []
+        assert checker.main(["check_record_schemas.py", "bench", str(path)]) == 1

@@ -2,8 +2,8 @@
 
 The load-bearing guarantees under test (PR acceptance criteria):
 
-- with overlap disabled, pipeline-mode ``io_point`` reproduces the
-  sequential path's energy and time *exactly* (well within 1e-9);
+- with overlap disabled, ``pipeline_point`` reproduces the sequential
+  ``io_point`` energy and time bit for bit;
 - with overlap enabled on a PFS-bound configuration, the total time is
   strictly less than ``compress_time + write_time``;
 - chunk decomposition and the chunked container layout round-trip real
@@ -133,26 +133,20 @@ class TestPlan:
 
 
 class TestEquivalenceWithSequential:
-    """Acceptance: overlap-off pipeline == sequential path to < 1e-9."""
+    """Acceptance: overlap-off pipeline == sequential path, bit for bit."""
 
     @pytest.mark.parametrize("codec,eps", [("szx", 1e-3), (None, None)])
     def test_energy_and_time_match(self, tb, codec, eps):
         seq = tb.io_point("cesm", codec, eps, "hdf5", "max9480")
-        ctl = tb.io_point(
-            "cesm", codec, eps, "hdf5", "max9480",
-            pipeline=PipelineConfig(n_chunks=4, overlap=False),
+        ctl = tb.pipeline_point(
+            "cesm", codec, eps, "hdf5", "max9480", n_chunks=4, overlap=False
         )
-        assert isinstance(ctl, PipelinePoint)
         assert ctl.bytes_written == seq.bytes_written
-        assert abs(ctl.compress_time_s - seq.compress_time_s) < 1e-9
-        assert abs(ctl.write_time_s - seq.write_time_s) < 1e-9
-        assert abs(ctl.total_time_s - (seq.compress_time_s + seq.write_time_s)) < 1e-9
-        assert abs(ctl.total_energy_j - seq.total_energy_j) < 1e-9
-        assert ctl.overlap_saving_s == pytest.approx(0.0, abs=1e-9)
-
-    def test_int_shorthand_for_pipeline_config(self, tb):
-        p = tb.io_point("cesm", "szx", 1e-3, "hdf5", "max9480", pipeline=4)
-        assert isinstance(p, PipelinePoint) and p.overlap and p.n_chunks == 4
+        assert ctl.compress_time_s == seq.compress_time_s
+        assert ctl.write_time_s == seq.write_time_s
+        assert ctl.total_time_s == seq.compress_time_s + seq.write_time_s
+        assert ctl.total_energy_j == seq.total_energy_j
+        assert ctl.overlap_saving_s == 0.0
 
 
 class TestOverlapSavings:
@@ -283,8 +277,8 @@ class TestSweepIntegration:
         assert fresh.get("k") == p
 
     def test_run_pipeline_sweep_driver(self, tb):
-        recs = tb.run_pipeline_sweep(
-            datasets=("cesm",), codecs=("szx",), bounds=(1e-3,),
+        recs = tb.run_sweep(
+            "pipeline", datasets=("cesm",), codecs=("szx",), bounds=(1e-3,),
             io_libraries=("hdf5",), n_chunks=4,
         )
         assert len(recs) == 2
@@ -407,8 +401,8 @@ class TestPipelineCLI:
 
         tools = pathlib.Path(__file__).resolve().parents[1] / "tools"
         spec = importlib.util.spec_from_file_location(
-            "check_pipeline_schema", tools / "check_pipeline_schema.py"
+            "check_record_schemas", tools / "check_record_schemas.py"
         )
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
-        assert mod.check(path) == []
+        assert mod.check("pipeline", path) == []

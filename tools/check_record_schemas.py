@@ -3,12 +3,10 @@
 
 Validates the JSON array emitted by ``repro sweep --kind KIND --json``
 against KIND's registered record schema (derived from the record dataclass
-by :mod:`repro.runtime.registry`) and its registered physical invariants —
-the same checks the per-kind ``check_pipeline_schema.py`` /
-``check_dvfs_schema.py`` / ``check_checkpoint_schema.py`` tools used to
-hand-maintain, now declared once per kind in the registry.  A plugin kind
-that registers ``invariants`` is validated by this tool with no tool
-changes.
+by :mod:`repro.runtime.registry`) and its registered physical invariants,
+declared once per kind in the registry.  This is the one record checker:
+a plugin kind that registers ``invariants`` is validated by it with no
+tool changes.
 
 Usage::
 
