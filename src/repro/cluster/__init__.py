@@ -4,17 +4,14 @@ Reproduces the Section IV-E experiment (Fig. 6): N MPI nodes with R ranks
 each; every rank compresses its copy of the dataset, then all N*R ranks
 write concurrently to the shared PFS while the PAPI monitor records energy
 on every node.  :class:`~repro.cluster.campaign.MultiNodeCampaign` is the
-driver behind Fig. 12.
+driver behind Fig. 12; each of its points is a one-tenant
+:func:`~repro.cluster.scheduler.simulate_cluster` solve.
 """
 
 from repro.cluster.events import EventLoop, Process
 from repro.cluster.node import NodeModel
 from repro.cluster.mpi import SimComm
-from repro.cluster.campaign import (
-    CampaignResult,
-    CheckpointCampaignResult,
-    MultiNodeCampaign,
-)
+from repro.cluster.campaign import CampaignResult, MultiNodeCampaign
 from repro.cluster.scheduler import (
     ClusterSpec,
     ClusterTimeline,
@@ -37,7 +34,6 @@ __all__ = [
     "NodeModel",
     "SimComm",
     "CampaignResult",
-    "CheckpointCampaignResult",
     "MultiNodeCampaign",
     "JobSpec",
     "ClusterSpec",

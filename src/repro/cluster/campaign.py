@@ -4,15 +4,14 @@ Every rank holds a copy of the payload, compresses it locally (one core per
 rank), then all N*R ranks write their compressed output to the shared PFS
 concurrently.  The uncompressed baseline skips straight to the write.  The
 campaign produces per-node energy split into compression and write
-components — Fig. 12's stacked bars — using:
+components — Fig. 12's stacked bars.
 
-- the throughput model for per-rank compression time,
-- the fair-share PFS solver for the concurrent-write completion times,
-- the RAPL/PAPI stack for joules on every node.
-
-Node write activity is stepped: while ``k`` of a node's ranks are still
-draining their transfers the node sustains I/O activity proportional to
-``k`` (serialization/progress threads), decaying to idle as flows finish.
+:class:`MultiNodeCampaign` is the machine model (CPU, PFS, I/O library,
+per-rank payload) plus the per-rank cost kernel: compression time,
+serialization, and output bytes.  :meth:`MultiNodeCampaign.run` prices one
+point as a one-tenant :func:`~repro.cluster.scheduler.simulate_cluster`
+solve on exactly the nodes the job needs, so the cluster scheduler is the
+one code path that schedules and prices a multi-node write.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster import costs
 from repro.energy.cpus import CPUSpec
 from repro.energy.throughput import ThroughputModel
 from repro.errors import ConfigurationError
@@ -29,7 +27,7 @@ from repro.iolib.base import IOLibrary
 from repro.iolib.pfs import PFSModel
 from repro.runtime import registry
 
-__all__ = ["CampaignResult", "CheckpointCampaignResult", "MultiNodeCampaign"]
+__all__ = ["CampaignResult", "MultiNodeCampaign"]
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,6 @@ class CampaignResult:
     bytes_per_rank: int
     written_bytes_total: int
     n_ranks: int = 0  # ranks simulated (== total_cores)
-    freq_ghz: float | None = None  # DVFS pin; None = nominal clock
 
     @property
     def total_energy_j(self) -> float:
@@ -64,47 +61,10 @@ class CampaignResult:
         return self.compress_time_s + self.write_time_s
 
 
-@dataclass(frozen=True)
-class CheckpointCampaignResult:
-    """A checkpointed application lifetime at campaign (multi-node) scale.
-
-    ``write`` is the underlying campaign point pricing one checkpoint (its
-    compress+write makespan and energy); the lifetime itself is the
-    closed-form Daly model over the allocation's system MTTF
-    (``node_mttf_s / nodes``) — the event-loop simulator backs the
-    single-node :class:`~repro.core.experiments.CheckpointPoint` records,
-    while campaign scale uses the expectation model it was validated
-    against.
-    """
-
-    write: CampaignResult  # one checkpoint, priced by run()/run_pipelined()
-    node_mttf_s: float
-    work_s: float
-    interval_s: float
-    n_checkpoints: int
-    ckpt_time_s: float  # one checkpoint's wall time
-    ckpt_energy_j: float
-    restart_time_s: float  # fetch + decompress, whole allocation
-    restart_energy_j: float
-    downtime_s: float
-    expected_makespan_s: float
-    expected_failures: float
-    expected_energy_j: float
-
-    @property
-    def system_mttf_s(self) -> float:
-        return self.node_mttf_s / self.write.nodes
-
-    @property
-    def overhead_fraction(self) -> float:
-        return 1.0 - self.work_s / self.expected_makespan_s
-
-
 # Campaign results are not a sweep kind's primary record, but registering
 # them lets them encode/decode through the ResultStore like every other
 # record (a cached Fig. 12 point round-trips from disk).
 registry.register_record(CampaignResult)
-registry.register_record(CheckpointCampaignResult)
 
 
 class MultiNodeCampaign:
@@ -144,54 +104,35 @@ class MultiNodeCampaign:
         full_nodes, rem = divmod(total_cores, rpn)
         return full_nodes + (1 if rem else 0), rpn, rem
 
-    # Shared with the cluster scheduler: one topology accumulator for all
-    # campaign variants (see repro.cluster.costs).
-    _accumulate_nodes = staticmethod(costs.accumulate_nodes)
-
-    def _compress_and_bytes(
-        self,
-        codec: str | None,
-        rel_bound: float,
-        compression_ratio: float,
-        freq_ghz: float | None,
-    ) -> tuple[float, int]:
-        """Per-rank compression time and output bytes for one configuration."""
-        if codec is None:
-            return 0.0, self.payload_nbytes
-        if compression_ratio <= 0:
-            raise ConfigurationError("compression_ratio must be positive")
-        t_comp = self.throughput.runtime(
-            codec,
-            "compress",
-            self.payload_nbytes,
-            rel_bound,
-            self.cpu,
-            threads=1,
-            complexity=self.complexity,
-            freq_ghz=freq_ghz,
-        )
-        return t_comp, max(1, int(round(self.payload_nbytes / compression_ratio)))
-
     def write_prelude(
         self,
         codec: str | None,
         rel_bound: float = 1e-3,
         compression_ratio: float = 1.0,
-        freq_ghz: float | None = None,
     ) -> tuple[float, float, int]:
         """(compress s, serialize s, bytes per rank) before a write enters the PFS.
 
         The per-rank CPU-side cost of one output dump: compression time at
         the measured ratio, serialization of the compressed bytes, and the
         size of the flow each rank will push through the fair-share model.
-        The cluster scheduler prices every tenant's write through this exact
-        method so contended scenarios share the campaign cost model.
+        The cluster scheduler prices every tenant's write through this
+        method.
         """
-        if freq_ghz is not None:
-            freq_ghz = self.cpu.validate_freq(freq_ghz)
-        t_comp, out_bytes = self._compress_and_bytes(
-            codec, rel_bound, compression_ratio, freq_ghz
-        )
+        if codec is None:
+            t_comp, out_bytes = 0.0, self.payload_nbytes
+        else:
+            if compression_ratio <= 0:
+                raise ConfigurationError("compression_ratio must be positive")
+            t_comp = self.throughput.runtime(
+                codec,
+                "compress",
+                self.payload_nbytes,
+                rel_bound,
+                self.cpu,
+                threads=1,
+                complexity=self.complexity,
+            )
+            out_bytes = max(1, int(round(self.payload_nbytes / compression_ratio)))
         t_serialize = self.io.cost.serialize_seconds(out_bytes, self.cpu.speed)
         return t_comp, t_serialize, out_bytes
 
@@ -201,200 +142,46 @@ class MultiNodeCampaign:
         codec: str | None,
         rel_bound: float = 1e-3,
         compression_ratio: float = 1.0,
-        freq_ghz: float | None = None,
     ) -> CampaignResult:
         """Simulate one campaign point.
 
         ``codec=None`` is the uncompressed baseline; otherwise
         ``compression_ratio`` must be the *measured* ratio of that codec on
         this dataset at ``rel_bound`` (the experiment drivers feed the real
-        value from the synthetic-data compression).  ``freq_ghz`` pins every
-        node at that DVFS point (compression time and dynamic power scale;
-        PFS transfers do not).
+        value from the synthetic-data compression).  The point is a
+        one-tenant cluster on exactly the nodes it needs: no queue, no
+        contention from other jobs.
         """
-        nodes, rpn, rem = self._topology(total_cores)
-        n_ranks = total_cores
-        cost = self.io.cost
-        if freq_ghz is not None:
-            freq_ghz = self.cpu.validate_freq(freq_ghz)
+        from repro.cluster.scheduler import ClusterSpec, JobSpec, simulate_cluster
 
-        # Compression + serialization are CPU work on every rank before the
-        # transfer (the shared per-job prelude).
-        t_comp, t_serialize, out_bytes = self.write_prelude(
-            codec, rel_bound, compression_ratio, freq_ghz
+        nodes, _, _ = self._topology(total_cores)
+        spec = ClusterSpec(
+            n_nodes=nodes,
+            jobs=(JobSpec("solo", total_cores, codec, rel_bound),),
         )
-
-        # All ranks start their transfer together after compress+serialize.
-        t0 = t_comp + t_serialize
-        finish = self.pfs.concurrent_write_times(
-            np.full(n_ranks, out_bytes, dtype=np.float64),
-            efficiency=cost.bandwidth_efficiency,
-            arrivals=np.full(n_ranks, t0),
-        )
-        finish = finish + cost.open_latency_s
-        write_makespan = float(finish.max()) - t0
-
-        def node_energy(ranks: int) -> tuple[float, float]:
-            """(compress J, write J) of one node carrying ``ranks`` ranks."""
-            # Full nodes own the first flows, the partial node the last ones.
-            finishes = finish[:ranks] if ranks == rpn else finish[n_ranks - ranks :]
-            return costs.stepped_node_energy(
-                self.cpu,
-                ranks=ranks,
-                t_comp=t_comp,
-                t_serialize=t_serialize,
-                t0=t0,
-                finishes=finishes,
-                transfer_activity=cost.transfer_activity,
-                sample_interval=self.sample_interval,
-                freq_ghz=freq_ghz,
-            )
-
-        compress_j, write_j = costs.accumulate_nodes(nodes, rpn, rem, node_energy)
-
+        job = simulate_cluster(spec, self, {"solo": compression_ratio}).jobs[0]
         return CampaignResult(
             codec=codec,
             total_cores=total_cores,
-            nodes=nodes,
-            ranks_per_node=rpn,
-            compress_energy_j=compress_j,
-            write_energy_j=write_j,
-            compress_time_s=t_comp,
-            write_time_s=t_serialize + write_makespan,
-            bytes_per_rank=out_bytes,
-            written_bytes_total=out_bytes * n_ranks,
-            n_ranks=n_ranks,
-            freq_ghz=freq_ghz,
-        )
-
-    def run_pipelined(
-        self,
-        total_cores: int,
-        codec: str | None,
-        rel_bound: float = 1e-3,
-        compression_ratio: float = 1.0,
-        n_chunks: int = 8,
-        freq_ghz: float | None = None,
-    ) -> CampaignResult:
-        """One campaign point through the block-pipelined write model.
-
-        Every rank streams its payload through the chunked compress→write
-        pipeline: chunk *i*'s transfer enters the shared PFS the moment its
-        compress+serialize work finishes, overlapping the compression of
-        chunk *i+1* on the same core.  Each rank's chunks share that rank's
-        client link (never multiplying it), and the rank streams contend for
-        the cluster-wide aggregate under the fair-share fluid model.  Node
-        energy integrates the *composed* overlapped timeline: the makespan
-        is never longer than :meth:`run`'s, and usually the energy drops
-        with it — though for compute-free baselines the concurrent
-        serialize+transfer load can cost slightly more power than the
-        stepped sequential drain.
-        """
-        from repro.energy.measurement import EnergyMeter, Interval
-        from repro.iolib.pipeline import stage_intervals, stage_schedule
-
-        nodes, rpn, rem = self._topology(total_cores)
-        n_ranks = total_cores
-        cost = self.io.cost
-        if freq_ghz is not None:
-            freq_ghz = self.cpu.validate_freq(freq_ghz)
-
-        t_comp, out_bytes = self._compress_and_bytes(
-            codec, rel_bound, compression_ratio, freq_ghz
-        )
-
-        sched = stage_schedule(out_bytes, t_comp, cost, self.cpu.speed, n_chunks)
-
-        # Two binding constraints, combined by taking the later finish:
-        #
-        # 1. *Data availability / client link* — each rank alone is a
-        #    single-client chunk pipeline, solved exactly by
-        #    pipelined_write_times (aggregate capped at the stream
-        #    bandwidth: a rank's backed-up chunks share one client link,
-        #    they never multiply it).
-        # 2. *Backend contention* — each rank is one stream of out_bytes
-        #    entering the cluster fair-share model when its first chunk is
-        #    ready; all N*R rank streams share the aggregate ceiling.
-        #
-        # Uncontended, (1) binds and the makespan is the solo pipeline's;
-        # saturated, (2) binds and ranks drain at their fair share.
-        solo_finish = self.pfs.pipelined_write_times(
-            sched.sizes.astype(np.float64),
-            sched.arrivals,
-            efficiency=cost.bandwidth_efficiency,
-        )
-        solo_drain_end = float(solo_finish.max())
-        rank_finish = self.pfs.concurrent_write_times(
-            np.full(n_ranks, float(out_bytes)),
-            efficiency=cost.bandwidth_efficiency,
-            arrivals=np.full(n_ranks, float(sched.arrivals[0])),
-        )
-        drain_end = max(solo_drain_end, float(rank_finish.max()))
-        makespan = drain_end + cost.open_latency_s
-
-        meter = EnergyMeter(
-            self.cpu, sample_interval=self.sample_interval, freq_ghz=freq_ghz
-        )
-
-        def node_energy(ranks: int) -> tuple[float, float]:
-            """(compress J, write J) for one node carrying ``ranks`` ranks."""
-            intervals = stage_intervals(
-                sched,
-                sched.arrivals + self.pfs.metadata_latency_s,
-                solo_finish,
-                cores=ranks,
-                transfer_activity=cost.transfer_activity,
-            )
-            if drain_end > solo_drain_end:
-                # Contention stretches the drain past the solo pipeline: the
-                # node keeps its transfer threads busy until the backend frees.
-                intervals.append(
-                    Interval(
-                        solo_drain_end, drain_end, ranks, cost.transfer_activity, "write"
-                    )
-                )
-            # Close/commit tail, charged like run() and plan_pipelined_write do.
-            intervals.append(
-                Interval(drain_end, makespan, ranks, cost.transfer_activity, "write")
-            )
-            return costs.composed_node_energy(
-                meter, intervals, max_cores=self.cpu.cores, t_comp=t_comp, ranks=ranks
-            )
-
-        compress_j, write_j = costs.accumulate_nodes(nodes, rpn, rem, node_energy)
-
-        return CampaignResult(
-            codec=codec,
-            total_cores=total_cores,
-            nodes=nodes,
-            ranks_per_node=rpn,
-            compress_energy_j=compress_j,
-            write_energy_j=write_j,
-            compress_time_s=t_comp,
-            write_time_s=makespan - t_comp,
-            bytes_per_rank=out_bytes,
-            written_bytes_total=out_bytes * n_ranks,
-            n_ranks=n_ranks,
-            freq_ghz=freq_ghz,
+            nodes=job.nodes,
+            ranks_per_node=job.ranks_per_node,
+            compress_energy_j=job.compress_energy_j,
+            write_energy_j=job.write_energy_j,
+            compress_time_s=job.t_comp,
+            write_time_s=job.write_time_s,
+            bytes_per_rank=job.out_bytes,
+            written_bytes_total=job.out_bytes * total_cores,
+            n_ranks=total_cores,
         )
 
     def _restart_cost(
-        self,
-        codec: str | None,
-        rel_bound: float,
-        out_bytes: int,
-        n_ranks: int,
-        nodes: int,
-        rpn: int,
-        rem: int,
-        freq_ghz: float | None,
-    ) -> tuple[float, float]:
-        """(seconds, joules) for the whole allocation to restart once.
+        self, codec: str | None, rel_bound: float, out_bytes: int, n_ranks: int
+    ) -> float:
+        """Seconds for the whole allocation to restart once.
 
         Every rank fetches its last checkpoint concurrently through the
         fair-share PFS model (reads share the write fabric model — the
-        conservative choice) and then decompresses it locally; energy is
-        accounted per node like the write phase.
+        conservative choice) and then decompresses it locally.
         """
         cost = self.io.cost
         finish = self.pfs.concurrent_write_times(
@@ -403,130 +190,13 @@ class MultiNodeCampaign:
         )
         fetch_s = float(finish.max()) + cost.open_latency_s
         if codec is None:
-            decomp_s = 0.0
-        else:
-            decomp_s = self.throughput.runtime(
-                codec,
-                "decompress",
-                self.payload_nbytes,
-                rel_bound,
-                self.cpu,
-                threads=1,
-                complexity=self.complexity,
-                freq_ghz=freq_ghz,
-            )
-
-        def node_energy(ranks: int) -> tuple[float, float]:
-            restart_j = costs.restart_node_energy(
-                self.cpu,
-                ranks=ranks,
-                fetch_s=fetch_s,
-                decomp_s=decomp_s,
-                transfer_activity=cost.transfer_activity,
-                sample_interval=self.sample_interval,
-                freq_ghz=freq_ghz,
-            )
-            return (restart_j, 0.0)
-
-        restart_j, _ = costs.accumulate_nodes(nodes, rpn, rem, node_energy)
-        return fetch_s + decomp_s, restart_j
-
-    def run_checkpointed(
-        self,
-        total_cores: int,
-        codec: str | None,
-        rel_bound: float = 1e-3,
-        compression_ratio: float = 1.0,
-        node_mttf_s: float = float("inf"),
-        work_s: float = 3600.0,
-        interval: str | float = "daly",
-        downtime_s: float = 60.0,
-        pipelined: bool = False,
-        n_chunks: int = 8,
-        freq_ghz: float | None = None,
-    ) -> CheckpointCampaignResult:
-        """A checkpointed application lifetime across the whole allocation.
-
-        One checkpoint is priced by :meth:`run` (or :meth:`run_pipelined`
-        when ``pipelined``); a restart fetches every rank's checkpoint back
-        through the shared PFS and decompresses it.  The lifetime is then
-        the closed-form Daly model at the allocation's system MTTF
-        (``node_mttf_s / nodes``): the optimal interval, expected failures,
-        expected makespan, and expected energy — compute charged at the
-        allocation's full-load power, downtime at its idle power.
-        """
-        from repro.energy.power import PowerModel
-        from repro.workloads.checkpoint import (
-            CheckpointSpec,
-            expected_energy,
-            expected_failures,
-            expected_makespan,
-            resolve_interval,
-        )
-
-        if pipelined:
-            write = self.run_pipelined(
-                total_cores,
-                codec,
-                rel_bound,
-                compression_ratio,
-                n_chunks=n_chunks,
-                freq_ghz=freq_ghz,
-            )
-        else:
-            write = self.run(
-                total_cores, codec, rel_bound, compression_ratio, freq_ghz=freq_ghz
-            )
-        nodes, rpn, rem = self._topology(total_cores)
-        restart_s, restart_j = self._restart_cost(
+            return fetch_s
+        return fetch_s + self.throughput.runtime(
             codec,
+            "decompress",
+            self.payload_nbytes,
             rel_bound,
-            write.bytes_per_rank,
-            write.n_ranks,
-            nodes,
-            rpn,
-            rem,
-            freq_ghz,
-        )
-
-        ckpt_s = write.total_time_s
-        ckpt_j = write.total_energy_j
-        system_mttf = node_mttf_s / nodes
-        tau = resolve_interval(interval, ckpt_s, system_mttf, restart_s)
-        spec = CheckpointSpec(
-            work_s=work_s,
-            interval_s=tau,
-            ckpt_s=ckpt_s,
-            restart_s=restart_s,
-            mttf_s=system_mttf,
-            downtime_s=downtime_s,
-        )
-
-        power = PowerModel(self.cpu, freq_ghz=freq_ghz)
-        full_nodes = nodes - (1 if rem else 0)
-        compute_w = full_nodes * power.node_power(rpn, 1.0)
-        if rem:
-            compute_w += power.node_power(rem, 1.0)
-        idle_w = nodes * power.node_idle_power()
-
-        return CheckpointCampaignResult(
-            write=write,
-            node_mttf_s=float(node_mttf_s),
-            work_s=float(work_s),
-            interval_s=tau,
-            n_checkpoints=spec.n_checkpoints,
-            ckpt_time_s=ckpt_s,
-            ckpt_energy_j=ckpt_j,
-            restart_time_s=restart_s,
-            restart_energy_j=restart_j,
-            downtime_s=float(downtime_s),
-            expected_makespan_s=expected_makespan(spec),
-            expected_failures=expected_failures(spec),
-            expected_energy_j=expected_energy(
-                spec,
-                compute_power_w=compute_w,
-                ckpt_energy_j=ckpt_j,
-                restart_energy_j=restart_j,
-                idle_power_w=idle_w,
-            ),
+            self.cpu,
+            threads=1,
+            complexity=self.complexity,
         )

@@ -1,14 +1,11 @@
-"""Shared per-job cost kernel for campaign and cluster simulation.
+"""Shared per-job cost kernel for cluster simulation.
 
-:class:`~repro.cluster.campaign.MultiNodeCampaign.run`, its pipelined and
-checkpointed variants, and the multi-tenant cluster simulator all price the
-same physical job: per-rank compress + serialize work, a fair-share PFS
+Every tenant of :mod:`repro.cluster.scheduler` — including the one-tenant
+solve behind :meth:`~repro.cluster.campaign.MultiNodeCampaign.run` — is
+priced the same way: per-rank compress + serialize work, a fair-share PFS
 drain, and per-node energy metered phase by phase.  This module holds the
 one implementation of that accounting — phase construction from completion
-times, per-node metering, and the full/partial-node topology sum — so a
-tenant inside :mod:`repro.cluster.scheduler` is costed by exactly the code
-path that prices a dedicated campaign point (the single-job golden test
-pins them bit-identical).
+times, per-node metering, and the full/partial-node topology sum.
 """
 
 from __future__ import annotations
@@ -22,8 +19,6 @@ __all__ = [
     "drain_phases",
     "measure_node_phases",
     "stepped_node_energy",
-    "restart_node_energy",
-    "composed_node_energy",
     "accumulate_nodes",
 ]
 
@@ -102,53 +97,6 @@ def stepped_node_energy(
         cpu, phases, sample_interval=sample_interval, freq_ghz=freq_ghz
     )
     return by_label.get("compress", 0.0), by_label.get("write", 0.0)
-
-
-def restart_node_energy(
-    cpu: CPUSpec,
-    *,
-    ranks: int,
-    fetch_s: float,
-    decomp_s: float,
-    transfer_activity: float,
-    sample_interval: float,
-    freq_ghz: float | None = None,
-) -> float:
-    """Joules for one node to fetch and decompress its checkpoints."""
-    phases: list[PhaseTuple] = [
-        (fetch_s, ranks, transfer_activity, "restart"),
-        (decomp_s, ranks, 1.0, "restart"),
-    ]
-    by_label = measure_node_phases(
-        cpu, phases, sample_interval=sample_interval, freq_ghz=freq_ghz
-    )
-    return by_label.get("restart", 0.0)
-
-
-def composed_node_energy(
-    meter,
-    intervals,
-    *,
-    max_cores: int,
-    t_comp: float,
-    ranks: int,
-) -> tuple[float, float]:
-    """(compress J, write J) of one node running an overlapped pipeline.
-
-    The overlapped stage ``intervals`` are composed into one sequential
-    phase list and metered in a single continuous window (overlap means the
-    per-label split cannot be exact, so compression is priced separately at
-    its solo load and the remainder is attributed to the write).
-    """
-    from repro.energy.measurement import Phase, compose_phases
-
-    phases = compose_phases(intervals, max_cores=max_cores)
-    total = meter.measure(phases).energy_j
-    if t_comp > 0:
-        compress = meter.measure([Phase(t_comp, ranks, 1.0, "compress")]).energy_j
-    else:
-        compress = 0.0
-    return compress, max(0.0, total - compress)
 
 
 def accumulate_nodes(nodes, rpn, rem, node_energy) -> tuple[float, float]:

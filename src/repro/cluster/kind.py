@@ -142,28 +142,13 @@ def _evaluate_cluster_point(
 ) -> "ClusterResult":
     """Simulate one scenario on one machine configuration.
 
-    The campaign is constructed exactly like
-    :meth:`~repro.core.experiments.Testbed.run_multinode` builds it — same
-    payload split, complexity, throughput model, and sample interval — so a
-    single-tenant scenario reproduces the Fig. 12 campaign numbers
-    bit-identically (the golden test pins this).
+    The campaign comes from the testbed's Fig. 12 builder, so a
+    single-tenant scenario prices exactly like the matching
+    :meth:`~repro.core.experiments.Testbed.run_multinode` point.
     """
-    from repro.cluster.campaign import MultiNodeCampaign
     from repro.cluster.scheduler import parse_scenario, simulate_cluster
-    from repro.data.registry import get_dataset
-    from repro.energy.cpus import get_cpu
-    from repro.iolib.base import get_io_library
 
-    dspec = get_dataset(dataset)
-    campaign = MultiNodeCampaign(
-        cpu=get_cpu(cpu_name),
-        pfs=testbed.pfs,
-        io_library=get_io_library(io_library),
-        payload_nbytes=dspec.paper_nbytes // 6,
-        complexity=dspec.complexity,
-        throughput=testbed.throughput,
-        sample_interval=max(testbed.sample_interval, 0.02),
-    )
+    campaign = testbed._campaign(dataset, cpu_name, io_library)
     cluster = parse_scenario(scenario)
     ratios = {
         job.name: testbed.roundtrip(dataset, job.codec, job.rel_bound).ratio

@@ -13,7 +13,7 @@ contend for the same OST aggregate the paper's Fig. 12 saturates.
 Each job's life: wait in the queue for its node allocation, compute (with a
 per-tenant checkpoint/failure lifecycle from
 :mod:`repro.workloads.lifecycle` when an MTTF is configured), compress and
-serialize the output on every rank (priced by the shared campaign cost
+serialize the output on every rank (priced by the campaign's per-rank cost
 kernel, :meth:`~repro.cluster.campaign.MultiNodeCampaign.write_prelude`),
 then push one flow per rank into the shared PFS and hold the nodes until
 the fair-share drain completes.
@@ -24,8 +24,8 @@ fair-share solve), the simulation runs a fixed-point iteration: write
 durations seed from dedicated-run estimates, each pass replays the full
 event-loop schedule and re-solves the global PFS model with the observed
 arrival times, and the loop stops when the schedule reproduces itself —
-for a single tenant that happens immediately and the numbers collapse
-bit-identically to :meth:`MultiNodeCampaign.run` (the golden test pins it).
+for a single tenant that happens immediately.  A one-tenant solve is how
+:meth:`MultiNodeCampaign.run` prices every Fig. 12 point.
 
 Scenario matrices are generated SimBricks-style — nested loops over the
 axes you want crossed (:func:`scenario_matrix`, :func:`compression_mixes`)
@@ -417,7 +417,14 @@ def _prepare_jobs(
                 f"({campaign.cpu.cores} cores/node) but the cluster has only "
                 f"{spec.n_nodes}: over-subscribed scenarios cannot be scheduled"
             )
-        ratio = float(ratios.get(job.name, 1.0)) if job.codec is not None else 1.0
+        ratio = 1.0
+        if job.codec is not None:
+            if job.name not in ratios:
+                raise ConfigurationError(
+                    f"job {job.name!r} compresses with {job.codec} but has no "
+                    "measured compression ratio in `ratios`"
+                )
+            ratio = float(ratios[job.name])
         t_comp, t_serialize, out_bytes = campaign.write_prelude(
             job.codec, job.rel_bound, ratio
         )
@@ -446,9 +453,8 @@ def _prepare_jobs(
             # so the history is identical whether the job starts at t=0 or
             # deep in the queue — which also keeps the fixed point stable.
             ckpt_s = cpu_s + dedicated_drain
-            restart_s, _restart_j = campaign._restart_cost(
-                job.codec, job.rel_bound, out_bytes, job.ranks,
-                nodes, rpn, rem, None,
+            restart_s = campaign._restart_cost(
+                job.codec, job.rel_bound, out_bytes, job.ranks
             )
             system_mttf = job.mttf_s / nodes
             tau = resolve_interval(job.interval, ckpt_s, system_mttf, restart_s)
@@ -613,8 +619,10 @@ def simulate_cluster(
     """Run ``spec`` on ``campaign``'s machine model to a converged timeline.
 
     ``ratios`` maps job name → measured compression ratio of that job's
-    codec on its dataset (the experiment drivers feed the real value);
-    uncompressed jobs ignore it.  All tenants share the campaign's CPU,
+    codec on its dataset (the experiment drivers feed the real value).
+    Every compressed job needs an entry — a missing one raises
+    :class:`~repro.errors.ConfigurationError` naming the job; uncompressed
+    jobs ignore it.  All tenants share the campaign's CPU,
     I/O library, payload, and PFS — one machine, many jobs.
     """
     states = _prepare_jobs(spec, campaign, ratios or {})

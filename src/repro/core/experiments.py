@@ -900,6 +900,34 @@ class Testbed:
 
         return self.engine.run(SweepSpec(kind=kind, **axes))
 
+    def _campaign(
+        self,
+        dataset: str,
+        cpu_name: str,
+        io_library: str,
+        payload_nbytes: int | None = None,
+    ) -> MultiNodeCampaign:
+        """The Fig. 12 machine model for ``dataset`` on one node type.
+
+        The per-rank payload defaults to one field of the dataset (the
+        snapshot's six fields make a full copy per rank implausible on
+        192 GB nodes at 48 ranks; see EXPERIMENTS.md).  Both
+        :meth:`run_multinode` and the ``cluster`` kind build their campaign
+        here, so a one-tenant cluster point and a Fig. 12 point agree.
+        """
+        spec = get_dataset(dataset)
+        if payload_nbytes is None:
+            payload_nbytes = spec.paper_nbytes // 6
+        return MultiNodeCampaign(
+            cpu=get_cpu(cpu_name),
+            pfs=self.pfs,
+            io_library=get_io_library(io_library),
+            payload_nbytes=payload_nbytes,
+            complexity=spec.complexity,
+            throughput=self.throughput,
+            sample_interval=max(self.sample_interval, 0.02),
+        )
+
     def run_multinode(
         self,
         cores=(16, 32, 64, 128, 256, 512),
@@ -909,40 +937,16 @@ class Testbed:
         cpu_name: str = "plat8160",
         io_library: str = "hdf5",
         payload_nbytes: int | None = None,
-        freq_ghz: float | None = None,
     ) -> list[CampaignResult]:
-        """Fig. 12: N*R ranks compress + write vs the uncompressed baseline.
-
-        The per-rank payload defaults to one NYX field (the snapshot's six
-        fields make a full copy per rank implausible on 192 GB nodes at 48
-        ranks; see EXPERIMENTS.md).
-        """
-        spec = get_dataset(dataset)
-        payload = payload_nbytes
-        if payload is None:
-            payload = spec.paper_nbytes // 6
-        campaign = MultiNodeCampaign(
-            cpu=get_cpu(cpu_name),
-            pfs=self.pfs,
-            io_library=get_io_library(io_library),
-            payload_nbytes=payload,
-            complexity=spec.complexity,
-            throughput=self.throughput,
-            sample_interval=max(self.sample_interval, 0.02),
-        )
+        """Fig. 12: N*R ranks compress + write vs the uncompressed baseline."""
+        campaign = self._campaign(dataset, cpu_name, io_library, payload_nbytes)
         out = []
         for n in cores:
-            out.append(campaign.run(n, None, freq_ghz=freq_ghz))
+            out.append(campaign.run(n, None))
             for codec in codecs:
                 rt = self.roundtrip(dataset, codec, rel_bound)
                 out.append(
-                    campaign.run(
-                        n,
-                        codec,
-                        rel_bound,
-                        compression_ratio=rt.ratio,
-                        freq_ghz=freq_ghz,
-                    )
+                    campaign.run(n, codec, rel_bound, compression_ratio=rt.ratio)
                 )
         return out
 

@@ -16,9 +16,8 @@ with it the total wasted work and energy:
   timeline.
 
 ``Testbed.checkpoint_point`` (and the ``checkpoint`` sweep kind, the
-``repro advise --checkpoint`` advisor, and
-``MultiNodeCampaign.run_checkpointed``) build on these pieces; see
-``docs/user-guide/checkpointing.md``.
+``repro advise --checkpoint`` advisor, and cluster tenants with an MTTF)
+build on these pieces; see ``docs/user-guide/checkpointing.md``.
 """
 
 from repro.workloads.checkpoint import (

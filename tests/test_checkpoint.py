@@ -285,64 +285,6 @@ class TestStoreAndSweep:
         assert all(isinstance(p, CheckpointPoint) for p in pts)
 
 
-class TestCampaignCheckpointed:
-    def test_scales_and_reduces(self):
-        from repro.cluster import MultiNodeCampaign
-        from repro.energy import get_cpu
-        from repro.iolib import PFSModel, get_io_library
-
-        campaign = MultiNodeCampaign(
-            cpu=get_cpu("plat8160"),
-            pfs=PFSModel(),
-            io_library=get_io_library("hdf5"),
-            payload_nbytes=90 * 10**6,
-            complexity=0.48,
-        )
-        ff = campaign.run_checkpointed(
-            96, "sz3", 1e-3, compression_ratio=10.0,
-            node_mttf_s=math.inf, work_s=1800.0,
-        )
-        assert ff.n_checkpoints == 1 and ff.expected_failures == 0.0
-        assert ff.expected_makespan_s == pytest.approx(1800.0 + ff.ckpt_time_s)
-        fail = campaign.run_checkpointed(
-            96, "sz3", 1e-3, compression_ratio=10.0,
-            node_mttf_s=86400.0, work_s=1800.0,
-        )
-        assert fail.system_mttf_s == pytest.approx(86400.0 / 2)
-        assert fail.expected_failures > 0
-        assert fail.expected_makespan_s > ff.expected_makespan_s
-        assert fail.expected_energy_j > ff.expected_energy_j
-        # Compression shrinks the checkpoint and with it the whole lifetime.
-        orig = campaign.run_checkpointed(
-            96, None, node_mttf_s=86400.0, work_s=1800.0
-        )
-        assert fail.ckpt_time_s < orig.ckpt_time_s
-        assert fail.interval_s < orig.interval_s
-
-    def test_compression_wins_at_contention_scale(self):
-        """The Fig. 12 crossover survives the lift to lifetimes: at 512
-        cores the uncompressed checkpoint writes hit PFS saturation, so
-        compressed checkpoints win the expected lifetime energy."""
-        from repro.cluster import MultiNodeCampaign
-        from repro.energy import get_cpu
-        from repro.iolib import PFSModel, get_io_library
-
-        campaign = MultiNodeCampaign(
-            cpu=get_cpu("plat8160"),
-            pfs=PFSModel(),
-            io_library=get_io_library("hdf5"),
-            payload_nbytes=90 * 10**6,
-            complexity=0.48,
-        )
-        kw = dict(node_mttf_s=86400.0, work_s=1800.0)
-        sz3 = campaign.run_checkpointed(
-            512, "sz3", 1e-3, compression_ratio=20.0, **kw
-        )
-        orig = campaign.run_checkpointed(512, None, **kw)
-        assert sz3.expected_energy_j < orig.expected_energy_j
-        assert sz3.expected_makespan_s < orig.expected_makespan_s
-
-
 class TestDalyAdvisor:
     @pytest.fixture(scope="class")
     def advice(self):

@@ -239,7 +239,7 @@ class TestCampaign:
         expected_nodes = -(-cores // min(cores, 48))
         assert r.nodes == expected_nodes
 
-    @pytest.mark.parametrize("run_name", ["run", "run_pipelined"])
+    @pytest.mark.parametrize("run_name", ["run"])
     def test_partial_node_energy_between_neighbours(self, campaign, run_name):
         """E(96 ranks) < E(100 ranks) < E(144 ranks): a 4-rank partial node
         costs more than nothing and far less than a full extra node."""
@@ -257,16 +257,6 @@ class TestCampaign:
         assert r2.compress_energy_j == pytest.approx(
             2 * r1.compress_energy_j, rel=1e-12
         )
-
-    def test_dvfs_campaign_point(self, campaign):
-        nom = campaign.run(48, "sz3", 1e-3, 10.0)
-        pinned = campaign.run(48, "sz3", 1e-3, 10.0, freq_ghz=campaign.cpu.fnom_ghz)
-        assert pinned.compress_energy_j == nom.compress_energy_j
-        assert pinned.freq_ghz == campaign.cpu.fnom_ghz and nom.freq_ghz is None
-        slow = campaign.run(48, "sz3", 1e-3, 10.0, freq_ghz=campaign.cpu.fmin_ghz)
-        assert slow.compress_time_s > nom.compress_time_s
-        with pytest.raises(ValueError):
-            campaign.run(48, "sz3", 1e-3, 10.0, freq_ghz=99.0)
 
     def test_bytes_accounting(self, campaign):
         r = campaign.run(32, "sz3", 1e-3, compression_ratio=10.0)

@@ -94,11 +94,14 @@ class TestIODrivers:
 
 class TestMultinodeDriver:
     def test_fig12_shape(self, tb):
-        res = tb.run_multinode(cores=(16, 512), codecs=("sz3",))
+        codecs = ("sz2", "sz3", "zfp", "qoz")
+        res = tb.run_multinode(cores=(16, 512), codecs=codecs)
         by = {(r.codec, r.total_cores): r for r in res}
-        # Crossover: original cheap at 16 cores, expensive at 512.
-        assert by[(None, 16)].total_energy_j < by[("sz3", 16)].total_energy_j
-        assert by[(None, 512)].total_energy_j > by[("sz3", 512)].total_energy_j
+        # Crossover for every Fig. 12 codec: original cheap at 16 cores,
+        # expensive at 512.
+        for codec in codecs:
+            assert by[(None, 16)].total_energy_j < by[(codec, 16)].total_energy_j
+            assert by[(None, 512)].total_energy_j > by[(codec, 512)].total_energy_j
 
     def test_paper_25pct_multinode_band(self, tb):
         """Abstract: ~25% energy saving in multi-node settings (we accept a

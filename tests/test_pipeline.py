@@ -286,58 +286,6 @@ class TestSweepIntegration:
         assert recs[0].codec is None  # baseline first, like the io kind
 
 
-class TestPipelinedCampaign:
-    def test_pipelined_beats_sequential_makespan(self):
-        from repro.cluster.campaign import MultiNodeCampaign
-        from repro.energy.cpus import get_cpu
-
-        campaign = MultiNodeCampaign(
-            cpu=get_cpu("plat8160"),
-            pfs=PFSModel(),
-            io_library=get_io_library("hdf5"),
-            payload_nbytes=200_000_000,
-            sample_interval=0.02,
-        )
-        seq = campaign.run(64, "sz3", 1e-3, compression_ratio=10.0)
-        pip = campaign.run_pipelined(64, "sz3", 1e-3, compression_ratio=10.0, n_chunks=8)
-        assert pip.total_time_s < seq.total_time_s
-        assert pip.compress_time_s == pytest.approx(seq.compress_time_s)
-        assert pip.total_energy_j > 0
-        assert pip.written_bytes_total == seq.written_bytes_total
-
-    def test_single_rank_respects_client_bandwidth_floor(self):
-        """One rank's backed-up chunks share one client link, never multiply it."""
-        from repro.cluster.campaign import MultiNodeCampaign
-        from repro.energy.cpus import get_cpu
-
-        pfs = PFSModel()
-        lib = get_io_library("hdf5")
-        payload = 800_000_000
-        campaign = MultiNodeCampaign(
-            cpu=get_cpu("plat8160"), pfs=pfs, io_library=lib,
-            payload_nbytes=payload, sample_interval=0.02,
-        )
-        result = campaign.run_pipelined(1, None, n_chunks=8)
-        floor = (payload / 1e6) / (pfs.stream_bw_mbps * lib.cost.bandwidth_efficiency)
-        assert result.total_time_s >= floor
-
-    def test_uncompressed_pipelined_baseline(self):
-        from repro.cluster.campaign import MultiNodeCampaign
-        from repro.energy.cpus import get_cpu
-
-        campaign = MultiNodeCampaign(
-            cpu=get_cpu("plat8160"),
-            pfs=PFSModel(),
-            io_library=get_io_library("hdf5"),
-            payload_nbytes=100_000_000,
-            sample_interval=0.02,
-        )
-        seq = campaign.run(32, None)
-        pip = campaign.run_pipelined(32, None, n_chunks=8)
-        assert pip.compress_energy_j == 0.0
-        assert pip.total_time_s <= seq.total_time_s
-
-
 class TestPipelineCLI:
     def test_sweep_kind_pipeline_json(self, capsys):
         rc = main([

@@ -1,7 +1,7 @@
-"""Multi-tenant cluster scheduler: golden identity, contention, backfill.
+"""Multi-tenant cluster scheduler: exact pins, contention, backfill.
 
-The acceptance spine of the scheduler layer: a single-tenant scenario must
-reproduce :meth:`MultiNodeCampaign.run` bit-identically, contended tenants
+The acceptance spine of the scheduler layer: the one-tenant solves behind
+:meth:`MultiNodeCampaign.run` are pinned to exact values, contended tenants
 must see strictly longer writes than dedicated ones, the EASY-backfill
 schedule must be deterministic, and the registry plumbing (store keys,
 nested-record round-trips, schema gates) must hold for the cluster kind.
@@ -143,6 +143,13 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="over-subscribed"):
             simulate_cluster(spec, campaign)
 
+    def test_compressed_job_without_ratio_rejected(self, campaign):
+        # A compressed tenant with no measured ratio used to be priced at
+        # ratio 1.0: full compression time, yet the full payload written.
+        spec = parse_scenario("nodes=2; a=ranks:8,codec:sz3")
+        with pytest.raises(ConfigurationError, match="job 'a'.*ratio"):
+            simulate_cluster(spec, campaign, {})
+
 
 class TestMatrixHelpers:
     def test_scenario_matrix_cross_product(self):
@@ -181,33 +188,48 @@ class TestMatrixHelpers:
         assert [m.jobs[0].codec for m in mixes] == ["szx", "sz3", None]
 
 
-class TestGoldenIdentity:
-    """A single-tenant scenario IS the Fig. 12 campaign, bit for bit."""
+class TestExactPins:
+    """Exact ``CampaignResult`` fields of four Fig. 12 campaign points.
 
-    @pytest.mark.parametrize(
-        "ranks,codec,ratio",
-        [(16, None, 1.0), (100, "sz3", 20.0), (512, "szx", 7.3)],
-    )
-    def test_single_tenant_collapses_to_campaign_run(
-        self, campaign, ranks, codec, ratio
-    ):
-        ref = campaign.run(ranks, codec, 1e-3, compression_ratio=ratio)
-        spec = ClusterSpec(
-            n_nodes=ref.nodes,
-            jobs=(JobSpec(name="solo", ranks=ranks, codec=codec),),
-        )
-        timeline = simulate_cluster(spec, campaign, {"solo": ratio})
-        job = timeline.jobs[0]
-        # Exact-float equality, not approx: the scheduler must reproduce
-        # the campaign's arithmetic path, no drift allowed.
-        assert job.compress_energy_j == ref.compress_energy_j
-        assert job.write_energy_j == ref.write_energy_j
-        assert job.t_comp == ref.compress_time_s
-        assert job.write_time_s == ref.write_time_s
-        assert job.out_bytes == ref.bytes_per_rank
-        assert job.nodes == ref.nodes
-        assert job.stretch == 1.0
-        assert not job.backfilled and job.queue_wait_s == 0.0
+    A one-rank job, a full-node uncompressed job, a partial last node
+    (100 ranks on 48-core nodes) and a PFS-saturating compressed job.  Any
+    change to how a campaign point is priced must leave every value
+    identical — exact equality, not approx.
+    """
+
+    PINS = {
+        (1, None, 1.0): dict(
+            codec=None, total_cores=1, nodes=1, ranks_per_node=1,
+            compress_energy_j=0.0, write_energy_j=16.316724,
+            compress_time_s=0.0, write_time_s=0.14164593301435408,
+            bytes_per_rank=90000000, written_bytes_total=90000000, n_ranks=1,
+        ),
+        (16, None, 1.0): dict(
+            codec=None, total_cores=16, nodes=1, ranks_per_node=16,
+            compress_energy_j=0.0, write_energy_j=58.939116,
+            compress_time_s=0.0, write_time_s=0.42585645933014354,
+            bytes_per_rank=90000000, written_bytes_total=1440000000, n_ranks=16,
+        ),
+        (100, "sz3", 20.0): dict(
+            codec="sz3", total_cores=100, nodes=3, ranks_per_node=48,
+            compress_energy_j=1217.092282, write_energy_j=54.872465,
+            compress_time_s=0.984, write_time_s=0.12646650717703342,
+            bytes_per_rank=4500000, written_bytes_total=450000000, n_ranks=100,
+        ),
+        (512, "szx", 7.3): dict(
+            codec="szx", total_cores=512, nodes=11, ranks_per_node=48,
+            compress_energy_j=1257.534511, write_energy_j=2816.596302,
+            compress_time_s=0.21646153846153846, write_time_s=1.6727431176315788,
+            bytes_per_rank=12328767, written_bytes_total=6312328704, n_ranks=512,
+        ),
+    }
+
+    @pytest.mark.parametrize("point", list(PINS), ids=lambda p: "-".join(map(str, p)))
+    def test_campaign_point_pinned(self, campaign, point):
+        ranks, codec, ratio = point
+        r = campaign.run(ranks, codec, 1e-3, compression_ratio=ratio)
+        expected = self.PINS[point]
+        assert {name: getattr(r, name) for name in expected} == expected
 
     def test_single_tenant_converges_immediately(self, campaign):
         spec = ClusterSpec(n_nodes=1, jobs=(JobSpec(name="solo", ranks=16),))
@@ -442,13 +464,9 @@ class TestClusterKindPlumbing:
         assert check("no_such_kind", path)
 
     def test_single_tenant_record_matches_campaign(self, testbed):
-        # The registry path (testbed-built campaign) reproduces run_multinode
-        # numbers for a single tenant: the golden identity holds end to end.
+        # The registry path and run_multinode share the testbed's campaign
+        # builder, so a single tenant reproduces the Fig. 12 point.
         import repro.cluster.kind  # noqa: F401
-
-        from repro.cluster.campaign import MultiNodeCampaign
-        from repro.data.registry import get_dataset
-        from repro.iolib import get_io_library
 
         result = testbed.engine.evaluate(
             "cluster_point",
@@ -457,17 +475,10 @@ class TestClusterKindPlumbing:
             io_library="hdf5",
             cpu_name="plat8160",
         )
-        dspec = get_dataset("cesm")
         ratio = testbed.roundtrip("cesm", "szx", 1e-3).ratio
-        ref = MultiNodeCampaign(
-            cpu=get_cpu("plat8160"),
-            pfs=testbed.pfs,
-            io_library=get_io_library("hdf5"),
-            payload_nbytes=dspec.paper_nbytes // 6,
-            complexity=dspec.complexity,
-            throughput=testbed.throughput,
-            sample_interval=max(testbed.sample_interval, 0.02),
-        ).run(16, "szx", 1e-3, compression_ratio=ratio)
+        ref = testbed._campaign("cesm", "plat8160", "hdf5").run(
+            16, "szx", 1e-3, compression_ratio=ratio
+        )
         tenant = result.tenants[0]
         assert tenant.compress_energy_j == ref.compress_energy_j
         assert tenant.write_energy_j == ref.write_energy_j

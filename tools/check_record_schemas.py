@@ -13,9 +13,9 @@ Usage::
     python tools/check_record_schemas.py KIND SWEEP.json
 
 ``KIND`` may also name a record dataclass registered through
-``registry.register_record`` without owning a kind (``CampaignResult``,
-``CheckpointCampaignResult``): those validate schema-only, so campaign
-JSON is gated like every registered kind's.  Two spellings are special:
+``registry.register_record`` without owning a kind (``CampaignResult``):
+those validate schema-only, so campaign JSON is gated like every
+registered kind's.  Two spellings are special:
 
 - ``bench`` validates a ``BENCH_kernels.json`` benchmark document
   (:func:`repro.runtime.benchmark.load_doc`) — a versioned dict with
