@@ -33,6 +33,7 @@ from repro.data.inflate import inflate
 from repro.data.registry import generate, get_dataset
 from repro.energy.cpus import CPUSpec, get_cpu
 from repro.energy.measurement import EnergyMeter, Phase
+from repro.energy.papi import check_sample_interval
 from repro.energy.throughput import ThroughputModel
 from repro.errors import ConfigurationError
 from repro.iolib.base import IOLibrary, get_io_library
@@ -334,6 +335,7 @@ class Testbed:
         sample_interval: float = 0.010,
         verify_bounds: bool = True,
     ):
+        check_sample_interval(sample_interval)
         self.scale = scale
         self.pfs = pfs or PFSModel()
         self.throughput = throughput or ThroughputModel()

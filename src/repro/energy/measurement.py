@@ -9,10 +9,11 @@ sampled by a :class:`~repro.energy.papi.PapiPowercapMonitor`, returning an
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.energy.cpus import CPUSpec
-from repro.energy.papi import PapiPowercapMonitor
+from repro.energy.papi import PapiPowercapMonitor, check_sample_interval
 from repro.energy.power import PowerModel
 from repro.energy.rapl import SimulatedRapl
 from repro.errors import ConfigurationError
@@ -143,6 +144,7 @@ class EnergyMeter:
         alpha: float = 0.85,
         freq_ghz: float | None = None,
     ):
+        check_sample_interval(sample_interval)
         self.cpu = cpu
         self.sample_interval = sample_interval
         self.freq_ghz = freq_ghz
@@ -167,7 +169,7 @@ class EnergyMeter:
             runtime_s=monitor.elapsed,
             energy_j=total,
             zone_energies_j=zones,
-            n_samples=len(monitor.samples),
+            n_samples=monitor.n_samples,
         )
 
     def measure_compute(
@@ -194,6 +196,8 @@ class EnergyMeter:
         reports are summed — the same per-segment pattern the multi-node
         campaign's :class:`~repro.cluster.node.NodeModel` uses.
         """
+        if not all(math.isfinite(ph.duration_s) for ph in phases):
+            raise ConfigurationError("phase durations must be finite")
         total: EnergyReport | None = None
         for ph in phases:
             remaining = ph.duration_s

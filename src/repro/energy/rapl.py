@@ -6,18 +6,64 @@ package zone (``intel-rapl:0``, ``intel-rapl:1``, ...) that wraps at
 semantics, wrap-around, per-zone naming — over a virtual clock: callers
 advance time with a power level and read counters exactly as a powercap
 client would, which is what the PAPI layer (:mod:`repro.energy.papi`) does.
+
+Power is constant within one load level, so a span of ``n`` equal clock
+ticks is integrated in closed form: every tick deposits the same integer
+microjoule quantum, the counter moves by ``n`` quanta modulo the wrap range,
+and the clock is the exact sequential float sum of the tick lengths
+(:func:`step_sequence`), bit-identical to advancing one tick at a time.
 """
 
 from __future__ import annotations
+
+import math
+from collections.abc import Iterator
+
+import numpy as np
 
 from repro.energy.cpus import CPUSpec
 from repro.energy.power import PowerModel
 from repro.errors import ConfigurationError
 
-__all__ = ["RaplZone", "SimulatedRapl"]
+__all__ = ["RaplZone", "SimulatedRapl", "step_sequence"]
 
 #: powercap's typical wrap range (~262 kJ) — kept so wrap handling is honest.
 DEFAULT_MAX_ENERGY_RANGE_UJ = 262_143_328_850
+
+#: Longest run of ticks walked in one numpy call; keeps memory O(1) in the
+#: length of a phase.
+STEP_CHUNK = 1 << 16
+
+
+def step_sequence(
+    ufunc: np.ufunc,
+    start: float,
+    step: float,
+    count: int | None = None,
+    size_hint: int = STEP_CHUNK,
+) -> Iterator[np.ndarray]:
+    """Yield the float sequence ``x = ufunc(x, step)`` from ``start`` in chunks.
+
+    Each yielded array holds the next values of ``x`` (``start`` itself is
+    not repeated).  ``ufunc.accumulate`` is strictly sequential, so the
+    values equal applying ``x = x + step`` (``np.add``) or ``x = x - step``
+    (``np.subtract``) one Python float operation at a time.  ``count=None``
+    walks until the caller stops iterating; ``count`` bounds the total.
+    ``size_hint`` sizes the first chunk, so short unbounded walks stay cheap.
+    """
+    x = float(start)
+    left = count
+    n = max(1, min(size_hint, STEP_CHUNK))
+    while left is None or left > 0:
+        if left is not None:
+            n = min(n, left)
+            left -= n
+        buf = np.full(n + 1, step, dtype=np.float64)
+        buf[0] = x
+        ufunc.accumulate(buf, out=buf)
+        yield buf[1:]
+        x = buf[-1]
+        n = STEP_CHUNK
 
 
 class RaplZone:
@@ -35,13 +81,19 @@ class RaplZone:
         """Current counter value (wraps like the hardware)."""
         return self._energy_uj
 
-    def deposit(self, joules: float) -> None:
-        """Accumulate energy into the counter (internal, from the clock)."""
+    def counter_after(self, start_uj: int, joules: float, times: int = 1) -> int:
+        """The reading ``times`` deposits of ``joules`` move ``start_uj`` to.
+
+        Each deposit adds ``round(joules * 1e6)`` whole microjoules and the
+        counter wraps at ``max_energy_range_uj``, as the hardware does.
+        """
         if joules < 0:
             raise ConfigurationError("cannot deposit negative energy")
-        self._energy_uj = int(
-            (self._energy_uj + round(joules * 1e6)) % self.max_energy_range_uj
-        )
+        return (start_uj + times * round(joules * 1e6)) % self.max_energy_range_uj
+
+    def deposit(self, joules: float, times: int = 1) -> None:
+        """Accumulate ``times`` equal deposits of ``joules`` (from the clock)."""
+        self._energy_uj = self.counter_after(self._energy_uj, joules, times)
 
     @staticmethod
     def delta(before: int, after: int, max_range: int = DEFAULT_MAX_ENERGY_RANGE_UJ) -> float:
@@ -70,14 +122,38 @@ class SimulatedRapl:
         """Virtual time in seconds."""
         return self._now
 
-    def advance(self, dt: float, active_cores: int, activity: float = 1.0) -> None:
-        """Advance the clock ``dt`` seconds with a constant load level."""
-        if dt < 0:
+    def advance(
+        self,
+        dt: float,
+        active_cores: int,
+        activity: float = 1.0,
+        ticks: int = 1,
+        tail: float = 0.0,
+    ) -> tuple[float, ...]:
+        """Advance the clock ``ticks`` steps of ``dt`` seconds, then one
+        ``tail`` step if positive, all at one constant load level.
+
+        Each zone deposits the per-step quantum ``ticks`` times plus the
+        tail quantum, and the clock takes the same float additions as
+        stepping one tick at a time.  Returns each package's power (W).
+        """
+        if not (math.isfinite(dt) and math.isfinite(tail)):
+            raise ConfigurationError("time step must be finite")
+        if dt < 0 or tail < 0 or ticks < 0:
             raise ConfigurationError("cannot advance time backwards")
-        for p, zone in enumerate(self.zones):
-            watts = self.power.package_power(p, active_cores, activity)
-            zone.deposit(watts * dt)
-        self._now += dt
+        watts = tuple(
+            self.power.package_power(p, active_cores, activity)
+            for p in range(len(self.zones))
+        )
+        for w, zone in zip(watts, self.zones):
+            zone.deposit(w * dt, ticks)
+            if tail > 0:
+                zone.deposit(w * tail)
+        for chunk in step_sequence(np.add, self._now, dt, ticks):
+            self._now = float(chunk[-1])
+        if tail > 0:
+            self._now += tail
+        return watts
 
     def read_uj(self) -> list[int]:
         """Read every zone counter (the powercap client view)."""

@@ -306,3 +306,328 @@ class TestComposePhasesConservation:
         a = Interval(0.0, 1.0, 2, 0.5, "a")
         z = Interval(0.5, 0.5, 7, 1.0, "z")
         assert compose_phases([a, z]) == compose_phases([a])
+
+
+# -- closed-form sampler ------------------------------------------------------
+
+#: The phantom-tick floor of the polling loop.
+FLOOR = 1e-12
+INTERVALS = (0.003, 0.01, 0.02, 0.05, 0.25)
+
+
+def reference_window(cpu, interval, phases, max_range):
+    """Sample ``phases`` one tick at a time, as the PAPI polling loop does.
+
+    A self-contained copy of the per-tick sampler: every tick prices each
+    package, deposits ``round(P * step * 1e6)`` microjoules modulo the wrap
+    range and appends a sample.  Returns the clock, the counters, every
+    sample and the wrap-aware joules of the window.
+    """
+    from repro.energy.papi import PowerSample
+
+    power = PowerModel(cpu)
+    counters = [0] * cpu.sockets
+    now = 0.0
+    samples = [PowerSample(now, tuple(counters))]
+    for duration, cores, activity in phases:
+        remaining = duration
+        while remaining > FLOOR:
+            step = min(interval, remaining)
+            for p in range(cpu.sockets):
+                joules = power.package_power(p, cores, activity) * step
+                counters[p] = int((counters[p] + round(joules * 1e6)) % max_range)
+            now += step
+            samples.append(PowerSample(now, tuple(counters)))
+            remaining -= step
+    # Counters start at zero, so each one is its zone's wrap-aware delta.
+    joules = sum(c / 1e6 for c in counters)
+    return now, counters, samples, joules
+
+
+def closed_form_window(cpu, interval, phases, max_range):
+    """The same window through :class:`PapiPowercapMonitor`."""
+    rapl = SimulatedRapl(cpu)
+    rapl.zones = [RaplZone(z.name, max_range) for z in rapl.zones]
+    mon = PapiPowercapMonitor(rapl, sample_interval=interval)
+    mon.start()
+    for duration, cores, activity in phases:
+        mon.run_phase(duration, cores, activity)
+    return rapl, mon
+
+
+def assert_bit_identical(cpu, interval, phases, max_range):
+    now, counters, samples, joules = reference_window(cpu, interval, phases, max_range)
+    rapl, mon = closed_form_window(cpu, interval, phases, max_range)
+    # Counters, clock and counts come from the measure path, before any
+    # sample list is built.
+    assert [z.energy_uj for z in rapl.zones] == counters
+    assert rapl.now == now
+    assert mon.n_samples == len(samples)
+    assert mon.elapsed == samples[-1].time_s - samples[0].time_s
+    assert mon.stop() == joules
+    assert mon.samples == samples
+
+
+def _durations(interval):
+    """Durations on, just under and just over tick multiples, near the floor."""
+    from hypothesis import strategies as st
+
+    def near(k, where):
+        base = k * interval
+        return {
+            "on": base,
+            "under": float(np.nextafter(base, 0.0)),
+            "over": float(np.nextafter(base, np.inf)),
+            "floor-": base + 0.5 * FLOOR,
+            "floor": base + FLOOR,
+            "floor+": base + 2 * FLOOR,
+        }[where]
+
+    return st.one_of(
+        st.builds(
+            near,
+            st.integers(0, 400),
+            st.sampled_from(["on", "under", "over", "floor-", "floor", "floor+"]),
+        ),
+        st.sampled_from(
+            [0.0, 0.5 * FLOOR, FLOOR, float(np.nextafter(FLOOR, 1.0)), 2 * FLOOR]
+        ),
+        st.floats(0.0, 4.0, allow_nan=False, allow_infinity=False),
+    )
+
+
+def _windows():
+    """(cpu, interval, phases, wrap range) covering every Table-I CPU."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def window(draw):
+        cpu = get_cpu(draw(st.sampled_from(sorted(CPUS))))
+        interval = draw(st.sampled_from(INTERVALS))
+        phase = st.tuples(
+            _durations(interval),
+            st.integers(0, cpu.cores),
+            st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False),
+        )
+        phases = draw(st.lists(phase, min_size=1, max_size=4))
+        # Small ranges wrap the counters mid-phase, several times over.
+        max_range = draw(
+            st.one_of(
+                st.just(262_143_328_850), st.integers(1_000, 50_000_000)
+            )
+        )
+        return cpu, interval, phases, max_range
+
+    return window()
+
+
+class TestClosedFormSampler:
+    """The closed-form sampler equals the per-tick loop bit for bit."""
+
+    def test_bit_identical_to_per_tick_loop(self):
+        from hypothesis import given, settings
+
+        @settings(max_examples=300, deadline=None)
+        @given(_windows())
+        def check(window):
+            assert_bit_identical(*window)
+
+        check()
+
+    def test_bit_identical_across_chunk_boundaries(self):
+        """Phases many times longer than one numpy chunk."""
+        from hypothesis import given, settings
+
+        from repro.energy import rapl as rapl_module
+
+        @settings(max_examples=60, deadline=None)
+        @given(_windows())
+        def check(window):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rapl_module, "STEP_CHUNK", 7)
+                assert_bit_identical(*window)
+
+        check()
+
+    def test_long_phase_at_real_chunk_size(self):
+        from repro.energy.rapl import STEP_CHUNK
+
+        cpu = get_cpu("plat8160")
+        duration = (STEP_CHUNK + 1234) * 0.01 + 0.004
+        assert_bit_identical(cpu, 0.01, [(duration, 17, 0.7)], 262_143_328_850)
+
+    @pytest.mark.parametrize("interval", INTERVALS)
+    def test_exact_multiples_on_every_cpu(self, interval):
+        for name in sorted(CPUS):
+            cpu = get_cpu(name)
+            phases = [(k * interval, c, 0.9) for k, c in ((1, 0), (7, 1), (40, cpu.cores))]
+            assert_bit_identical(cpu, interval, phases, 262_143_328_850)
+
+    def test_advance_is_the_one_tick_case(self):
+        cpu = get_cpu("plat8260m")
+        rapl = SimulatedRapl(cpu)
+        rapl.zones = [RaplZone(z.name, 5_000_000) for z in rapl.zones]
+        steps = [(0.01, 3, 1.0), (0.003, 50, 0.2), (0.25, 96, 0.9), (1e-13, 0, 0.0)]
+        power, counters, now = PowerModel(cpu), [0] * cpu.sockets, 0.0
+        for dt, cores, activity in steps:
+            rapl.advance(dt, cores, activity)
+            for p in range(cpu.sockets):
+                q = round(power.package_power(p, cores, activity) * dt * 1e6)
+                counters[p] = (counters[p] + q) % 5_000_000
+            now += dt
+        assert rapl.read_uj() == counters and rapl.now == now
+
+    def test_package_power_once_per_phase_per_socket(self, monkeypatch):
+        calls = []
+        original = PowerModel.package_power
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[0])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PowerModel, "package_power", counting)
+        cpu = get_cpu("plat8260m")
+        EnergyMeter(cpu).measure([Phase(12.345, 30), Phase(0.004, 2), Phase(0.0, 1)])
+        assert sorted(calls) == sorted(list(range(cpu.sockets)) * 2)
+
+    def test_samples_built_lazily_and_extended(self):
+        cpu = get_cpu("plat8160")
+        rapl, mon = closed_form_window(cpu, 0.01, [(0.05, 4, 1.0)], 262_143_328_850)
+        assert len(mon.samples) == 6
+        mon.run_phase(0.025, 48)
+        *_, samples, _ = reference_window(
+            cpu, 0.01, [(0.05, 4, 1.0), (0.025, 48, 1.0)], 262_143_328_850
+        )
+        assert mon.samples == samples and mon.n_samples == len(samples)
+
+
+def _raises_within(seconds, fn):
+    """Run ``fn`` on a daemon thread; return what it raised, failing on a hang."""
+    import threading
+
+    outcome = []
+
+    def target():
+        try:
+            fn()
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            outcome.append(exc)
+        else:
+            outcome.append(None)
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"call did not return within {seconds} s"
+    return outcome[0]
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestSamplerGuards:
+    @pytest.mark.parametrize("duration", NON_FINITE, ids=repr)
+    def test_run_phase_rejects_non_finite_duration(self, duration):
+        mon = PapiPowercapMonitor(SimulatedRapl(get_cpu("plat8160")))
+        mon.start()
+        exc = _raises_within(5.0, lambda: mon.run_phase(duration, 1))
+        assert isinstance(exc, ConfigurationError)
+
+    @pytest.mark.parametrize("duration", NON_FINITE, ids=repr)
+    def test_meter_rejects_non_finite_duration(self, duration):
+        meter = EnergyMeter(get_cpu("max9480"))
+        for call in (
+            lambda: meter.measure_compute(duration, 1),
+            lambda: meter.measure_split([Phase(duration, 1)]),
+        ):
+            assert isinstance(_raises_within(5.0, call), ConfigurationError)
+
+    @pytest.mark.parametrize("interval", [0, 0.0, -0.01] + NON_FINITE, ids=repr)
+    def test_bad_sample_interval_rejected_up_front(self, interval):
+        from repro.core.experiments import Testbed
+
+        cpu = get_cpu("plat8160")
+        with pytest.raises(ConfigurationError):
+            PapiPowercapMonitor(SimulatedRapl(cpu), sample_interval=interval)
+        with pytest.raises(ConfigurationError):
+            EnergyMeter(cpu, sample_interval=interval)
+        exc = _raises_within(
+            5.0,
+            lambda: Testbed(scale="tiny", sample_interval=interval).io_point(
+                "cesm", "szx", 1e-3
+            ),
+        )
+        assert isinstance(exc, ConfigurationError)
+
+    def test_interval_below_float_resolution_rejected(self):
+        mon = PapiPowercapMonitor(SimulatedRapl(get_cpu("plat8160")), 1e-300)
+        mon.start()
+        exc = _raises_within(5.0, lambda: mon.run_phase(1.0, 1))
+        assert isinstance(exc, ConfigurationError)
+
+    #: sha256 store keys of one io point, captured before the guard existed.
+    KEYS = {
+        0.010: "023d64c581282855d39ead8f7b3d3ed7c2c8a4a7d7ef82a4c3ef190ccd0b6405",
+        0.25: "5ad4b664407547c7600bd53bd76219c2f0cc35dcb81570c0a1e181388db4e876",
+        1: "a9e8a593c4414401fe8d856d4fe504e8e732d11172f93dad482719aea7158c2b",
+    }
+
+    @pytest.mark.parametrize("interval", list(KEYS), ids=repr)
+    def test_valid_testbed_store_keys_unchanged(self, interval):
+        from repro.core.experiments import Testbed
+        from repro.runtime.store import point_key, testbed_fingerprint
+
+        fp = testbed_fingerprint(Testbed(scale="tiny", sample_interval=interval))
+        params = {"dataset": "cesm", "codec": "szx", "rel_bound": 1e-3}
+        assert point_key("io", params, fp) == self.KEYS[interval]
+
+
+class TestExactPins:
+    """``repr``-exact energy reports captured from the per-tick sampler.
+
+    Any change to how the sampler integrates a window must leave every
+    float, count and zone split identical.
+    """
+
+    def test_measure_split_100s_window(self):
+        meter = EnergyMeter(get_cpu("max9480"))
+        assert repr(meter.measure_split([Phase(100.0, 37, 0.83, "compute")])) == (
+            "EnergyReport(runtime_s=100.0, energy_j=38838.44, "
+            "zone_energies_j=(25838.44, 13000.0), n_samples=10001)"
+        )
+
+    def test_measure_split_across_windows(self):
+        meter = EnergyMeter(get_cpu("max9480"))
+        assert repr(meter.measure_split([Phase(250.0, 7, 0.6, "compute")])) == (
+            "EnergyReport(runtime_s=250.0, energy_j=70634.925, "
+            "zone_energies_j=(38134.924999999996, 32500.0), n_samples=25004)"
+        )
+
+    def test_three_phase_write(self):
+        meter = EnergyMeter(get_cpu("plat8160"))
+        report = meter.measure(
+            [
+                Phase(0.41616487499999993, 1, 1.0, "compress"),
+                Phase(0.0123456789, 1, 1.0, "serialize"),
+                Phase(0.2777389727870813, 1, 0.3, "transfer"),
+            ]
+        )
+        assert repr(report) == (
+            "EnergyReport(runtime_s=0.7062495266870813, energy_j=85.07307399999999, "
+            "zone_energies_j=(46.22935, 38.843724), n_samples=73)"
+        )
+
+    def test_stepped_node_energy(self):
+        from repro.cluster.costs import stepped_node_energy
+
+        joules = stepped_node_energy(
+            get_cpu("plat8160"),
+            ranks=48,
+            t_comp=0.21646153846153846,
+            t_serialize=0.0375,
+            t0=0.25396153846153846,
+            finishes=np.array([1.1, 1.35, 1.35, 1.9267431176315788]),
+            transfer_activity=0.3,
+            sample_interval=0.02,
+        )
+        assert repr(joules) == "(116.88923, 415.48042)"
