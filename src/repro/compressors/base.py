@@ -182,6 +182,8 @@ class Compressor:
                 f"stream was produced by codec {codec!r}, not {self.name!r}"
             )
         if flag == _FLAG_CONSTANT:
+            if len(payload) < 8:
+                raise DecompressionError("truncated constant-array payload")
             (value,) = struct.unpack_from("<d", payload, 0)
             return np.full(shape, value, dtype=dtype)
         if flag == _FLAG_LOSSLESS:
@@ -252,22 +254,27 @@ class Compressor:
     def _unpack_header(data: bytes):
         if len(data) < 6 or data[:4] != _MAGIC:
             raise DecompressionError("not a repro compressed stream (bad magic)")
-        off = 4
-        name_len = data[off]
-        off += 1
-        codec = data[off : off + name_len].decode("ascii")
-        off += name_len
-        dtype_char = chr(data[off])
-        off += 1
-        if dtype_char not in _DTYPE_CODES:
-            raise DecompressionError(f"unknown dtype code {dtype_char!r}")
-        dtype = np.dtype(_DTYPE_CODES[dtype_char])
-        flag, ndim = struct.unpack_from("<BB", data, off)
-        off += 2
-        shape = struct.unpack_from(f"<{ndim}Q", data, off)
-        off += 8 * ndim
-        rel_bound, abs_bound = struct.unpack_from("<dd", data, off)
-        off += 16
+        try:
+            off = 4
+            name_len = data[off]
+            off += 1
+            codec = data[off : off + name_len].decode("ascii")
+            off += name_len
+            dtype_char = chr(data[off])
+            off += 1
+            if dtype_char not in _DTYPE_CODES:
+                raise DecompressionError(f"unknown dtype code {dtype_char!r}")
+            dtype = np.dtype(_DTYPE_CODES[dtype_char])
+            flag, ndim = struct.unpack_from("<BB", data, off)
+            off += 2
+            shape = struct.unpack_from(f"<{ndim}Q", data, off)
+            off += 8 * ndim
+            rel_bound, abs_bound = struct.unpack_from("<dd", data, off)
+            off += 16
+        except (IndexError, UnicodeDecodeError, struct.error) as exc:
+            raise DecompressionError(
+                f"truncated or corrupt stream header ({exc})"
+            ) from None
         return codec, tuple(shape), dtype, rel_bound, abs_bound, flag, data[off:]
 
 

@@ -15,17 +15,41 @@ The error bound is guaranteed analytically: truncating planes below ``kmin``
 perturbs each coefficient by less than ``2^(kmin+1)``, the inverse lift's
 L∞ gain is ``(15/4)^d``, and fixed-point rounding adds half a unit, all of
 which the cut-off computation budgets for (see :func:`_kmin_for`).
+
+Stream layout (after a 9-byte ``<BQ`` header of core rank and block count),
+MSB-first, block after block: a ``0`` bit for an all-zero block; ``11`` plus
+``4^d`` verbatim float64 words for a raw-escape block; otherwise ``0``, the
+12-bit biased exponent, the 6-bit top plane ``kmax`` and the planes
+``kmax .. kmin``.  A plane with ``n`` coefficients already significant emits
+those ``n`` bits LSB-first, then one group per newly significant
+coefficient — a ``1`` test bit and the plane bits up to and including that
+coefficient — then a ``0`` test bit if it ends short of the block size.
+
+The coder is block-parallel (the CEAZ formulation) and makes no Python or
+NumPy call per bitplane.  Every (block, plane, coefficient) owns a fixed
+*slot* for a test bit and one for a data bit, and a boolean slot mask says
+which slots the stream holds; the plane's closing ``0`` sits in the test slot
+at its outgoing count.  The mask follows from each plane's significance
+count (a running max of plane bit lengths) and the group boundaries, all
+vectorized over chunks of blocks (:func:`_slot_mask`).  The encoder fills
+the slots from the plane bits, keeps ``slots[mask]`` and packs the whole
+stream with one ``np.packbits``.  The decoder expands the payload once to a
+byte per bit and finds the group boundaries with one walk over the test
+bits (:func:`_walk`): ``bytes.find`` per group, one strided slice per run of
+planes that add no significant coefficient, and an O(1) skip of every plane
+after the count reaches the block size.  It then rebuilds the same mask and
+scatters each chunk's bits back with one ``slots[mask] = bits``.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
 from repro.compressors.base import Compressor, register_compressor
-from repro.compressors.bitstream import BitReader, BitWriter
-from repro.compressors.blocks import blockify, unblockify
+from repro.compressors.blocks import blockify, padded_shape, unblockify
 from repro.compressors.transform import (
     forward_transform,
     int_to_negabinary,
@@ -46,6 +70,15 @@ PRECISION = 54
 _E_BIAS = 2048  # stored exponent bias (12-bit field)
 _E_BITS = 12
 _K_BITS = 6
+_HEADER = struct.Struct("<BQ")
+
+#: Header slots of a block: nonzero flag, escape flag, exponent, top plane.
+_HEAD_SLOTS = 2 + _E_BITS + _K_BITS
+#: Slot-matrix cells per chunk of blocks; bounds the coder's intermediates.
+_CHUNK_SLOTS = 1 << 18
+_MAX_PLANES = 1 << _K_BITS
+#: Byte-per-bit payload -> ASCII digits, for ``int(..., 2)`` on header fields.
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _block_for_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -91,73 +124,187 @@ def _kmin_for(e: int, abs_bound: float, core_dims: int) -> int:
     return max(kmin, 0)
 
 
-def _rev_bits(value: int, n: int) -> int:
-    """Reverse the low ``n`` bits of ``value`` (LSB-first <-> MSB-first)."""
-    if n == 0:
-        return 0
-    return int(f"{value:0{n}b}"[::-1], 2)
+def _chunk_rows(n_planes: int, bsize: int) -> int:
+    """Blocks per chunk so one slot matrix holds about ``_CHUNK_SLOTS``."""
+    return max(1, _CHUNK_SLOTS // (_HEAD_SLOTS + n_planes * 2 * bsize))
 
 
-def _encode_plane(writer: BitWriter, x: int, n: int, size: int) -> int:
-    """ZFP group-testing bitplane pass; returns the updated significance count.
+def _slot_mask(
+    nonzero: np.ndarray, raw: np.ndarray, n_planes: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which slots of a chunk's slot matrix the stream holds, in stream order.
 
-    The whole plane — known-significant prefix, per-group test bits and the
-    group payloads — is assembled into one integer and emitted with a single
-    ``write_bits`` call, so the writer is driven per *bitplane* rather than
-    per bit.
+    Row ``b`` is block ``b``: :data:`_HEAD_SLOTS` header slots, ``4^d * 64``
+    raw-payload slots when the chunk has a raw block, then per plane ``j``
+    and coefficient ``i`` a test slot and a data slot.  ``x[b, j, i]`` is bit
+    ``kmax_b - j`` of coefficient ``i``; only its significant bits at or
+    above the plane's incoming count matter, so the decoder can pass the
+    group hits alone.  Returns the mask and its ``(rows, planes, size, 2)``
+    plane view.
+
+    A plane holds the data bits below its outgoing count and a test bit at
+    its incoming count and after each significant bit at or above it.  The
+    test bit at the outgoing count is the plane's closing ``0``; the others
+    are ``1``, so a test slot's value is its position's data-slot mask.
     """
-    acc = 0
-    nbits = 0
-    if n:
-        acc = _rev_bits(x & ((1 << n) - 1), n)
-        nbits = n
-    rest = x >> n
-    pos = n
-    while rest:
-        # Group: a '1' test bit, then the plane bits up to and including the
-        # next significant coefficient (LSB-first from position `pos`).
-        glen = (rest & -rest).bit_length()
-        group = _rev_bits((x >> pos) & ((1 << glen) - 1), glen)
-        acc = (acc << (1 + glen)) | (1 << glen) | group
-        nbits += 1 + glen
-        pos += glen
-        rest >>= glen
-    if pos < size:
-        acc <<= 1  # '0' test bit: no further significant coefficients
-        nbits += 1
-    writer.write_bits(acc, nbits)
-    return pos
+    rows, planes, size = x.shape
+    head = _HEAD_SLOTS + (64 * size if raw.any() else 0)
+    mask = np.zeros((rows, head + planes * 2 * size), dtype=bool)
+    mask[:, 0] = True
+    mask[:, 1] = nonzero
+    mask[:, 2:_HEAD_SLOTS] = (nonzero & ~raw)[:, None]
+    mask[:, _HEAD_SLOTS:head] = raw[:, None]
+    cells = mask[:, head:].reshape(rows, planes, size, 2)
+    if not planes:
+        return mask, cells
+    # Significance count after / before each plane: the running max of the
+    # plane bit lengths.  Planes past n_planes get counts that empty them.
+    length = (x * np.arange(1, size + 1, dtype=np.uint8)).max(axis=2)
+    after = np.maximum.accumulate(length, axis=1)
+    before = np.zeros_like(after)
+    before[:, 1:] = after[:, :-1]
+    live = np.arange(planes) < n_planes[:, None]
+    after = np.where(live, after, 0)[:, :, None]
+    before = np.where(live, before, size)[:, :, None]
+    pos = np.arange(size, dtype=np.uint8)
+    np.less(pos, after, out=cells[:, :, :, 1])
+    test = cells[:, :, :, 0]
+    np.equal(pos, before, out=test)
+    test[:, :, 1:] |= x[:, :, :-1].view(bool) & (pos[1:] > before)
+    return mask, cells
 
 
-def _decode_plane(reader: BitReader, n: int, size: int) -> tuple[int, int]:
-    """Inverse of :func:`_encode_plane`; returns (plane integer, new n).
+def _plane_bits(neg: np.ndarray, kmax: np.ndarray, planes: int) -> np.ndarray:
+    """``out[b, j, i]`` = bit ``kmax[b] - j`` of ``neg[b, i]``, ``j < planes``."""
+    aligned = neg << (63 - kmax).astype(np.uint64)[:, None]
+    msb = np.unpackbits(np.ascontiguousarray(aligned, ">u8").view(np.uint8), axis=1)
+    rows, size = neg.shape
+    bits = msb.reshape(rows, size, 64)[:, :, :planes]
+    return np.ascontiguousarray(bits.transpose(0, 2, 1))
 
-    Group payloads are scanned with one chunked ``read_bits`` peek per group
-    (then the bit cursor is snapped back to just past the terminating '1'),
-    instead of the original bit-by-bit reads.
+
+def _from_plane_bits(bits: np.ndarray, kmax: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_plane_bits` (planes beyond ``bits`` read as 0)."""
+    rows, planes, size = bits.shape
+    msb = np.zeros((rows, size, 64), dtype=np.uint8)
+    msb[:, :, :planes] = bits.transpose(0, 2, 1)
+    aligned = np.packbits(msb, axis=2).view(">u8")[:, :, 0].astype(np.uint64)
+    return aligned >> (63 - kmax).astype(np.uint64)[:, None]
+
+
+def _encode_chunk(
+    nonzero, raw, exps, kmax, n_planes, neg, flat_core
+) -> np.ndarray:
+    """The stream bits (one ``uint8`` per bit) of one chunk of blocks."""
+    bits = _plane_bits(neg, kmax, int(n_planes.max(initial=0)))
+    mask, cells = _slot_mask(nonzero, raw, n_planes, bits)
+    slots = np.zeros(mask.shape, dtype=np.uint8)
+    slots[:, 0] = nonzero
+    slots[:, 1] = raw
+    field = ((exps + _E_BIAS) << _K_BITS) | kmax
+    shifts = np.arange(_E_BITS + _K_BITS - 1, -1, -1)
+    slots[:, 2:_HEAD_SLOTS] = (field[:, None] >> shifts) & 1
+    if raw.any():
+        words = flat_core.view(np.uint64).astype(">u8").view(np.uint8)
+        slots[:, _HEAD_SLOTS : _HEAD_SLOTS + words.shape[1] * 8] = np.unpackbits(
+            words, axis=1
+        )
+    values = slots[:, slots.shape[1] - cells[0].size :].reshape(cells.shape)
+    values[:, :, :, 0] = cells[:, :, :, 1]
+    values[:, :, :, 1] = bits
+    return slots[mask]
+
+
+def _walk(stream: bytes, pos: int, blocks: range, size: int, kmin_of):
+    """Parse the headers and group tests of ``blocks`` starting at bit ``pos``.
+
+    ``stream`` holds one byte (0 or 1) per payload bit.  Returns the end bit,
+    one ``(nonzero, raw, exponent, kmax, n_planes)`` row per block, and the
+    group hits as flat indices ``(block * 64 + plane) * size + coefficient``
+    relative to the first block.
+
+    The Python work is one step per group plus one per plane that adds
+    significant coefficients — at most ``size`` of each per block.  A run of
+    planes that add none (``n`` verbatim bits and a ``0`` test bit each) is
+    skipped with one strided slice, and once every coefficient is
+    significant the remaining planes are pure verbatim bits, skipped in O(1).
     """
-    x = 0
-    if n:
-        x = _rev_bits(reader.read_bits(n), n)
-    pos = n
-    while pos < size:
-        if not reader.read_bit():
-            break
-        span = size - pos
-        start = reader.bit_position
-        take = min(span, reader.bit_size - start)
-        if take <= 0:
-            raise DecompressionError("bit stream exhausted")
-        chunk = reader.read_bits(take)
-        if chunk == 0:
-            if take < span:
+    end = len(stream)
+    find = stream.find
+    raw_bits = 64 * size
+    heads, hits = [], []
+    base = blocks.start
+    try:
+        for b in blocks:
+            flag = stream[pos]
+            escape = stream[pos + 1] if flag else 0
+            if not flag or escape:
+                heads.append((flag, escape, 0, 63, 0))
+                pos += 2 + raw_bits if flag else 1
+                continue
+            if pos + _HEAD_SLOTS > end:
                 raise DecompressionError("bit stream exhausted")
-            raise DecompressionError("zfp plane ran past block size")
-        zeros = take - chunk.bit_length()
-        x |= 1 << (pos + zeros)
-        pos += zeros + 1
-        reader.seek_bit(start + zeros + 1)
-    return x, pos
+            field = int(stream[pos + 2 : pos + _HEAD_SLOTS].translate(_ASCII_BITS), 2)
+            pos += _HEAD_SLOTS
+            e = (field >> _K_BITS) - _E_BIAS
+            top = field & (_MAX_PLANES - 1)
+            count = max(top - kmin_of(e) + 1, 0)
+            heads.append((1, 0, e, top, count))
+            row = (b - base) * _MAX_PLANES * size
+            n = j = 0
+            while j < count and n < size:
+                step = n + 1
+                quiet = stream[pos + n : pos + (count - j) * step : step].find(1)
+                if quiet < 0:
+                    pos += (count - j) * step
+                    j = count
+                    break
+                j += quiet
+                pos += quiet * step + n
+                while n < size:
+                    test = stream[pos]
+                    pos += 1
+                    if not test:
+                        break
+                    hit = find(b"\x01", pos, pos + size - n)
+                    if hit < 0:
+                        if pos + size - n > end:
+                            raise DecompressionError("bit stream exhausted")
+                        raise DecompressionError("zfp plane ran past block size")
+                    n += hit - pos
+                    hits.append(row + j * size + n)
+                    n += 1
+                    pos = hit + 1
+                j += 1
+            pos += (count - j) * size
+    except IndexError:
+        raise DecompressionError("bit stream exhausted") from None
+    if pos > end:
+        raise DecompressionError("bit stream exhausted")
+    return pos, heads, hits
+
+
+def _check_geometry(payload: bytes, shape: tuple[int, ...]) -> tuple[int, int]:
+    """Core rank and block count of ``payload``, checked against ``shape``."""
+    if len(payload) < _HEADER.size:
+        raise DecompressionError(
+            f"zfp payload of {len(payload)} bytes is shorter than its "
+            f"{_HEADER.size}-byte header"
+        )
+    core_dims, n_blocks = _HEADER.unpack_from(payload, 0)
+    block = _block_for_shape(shape)
+    want_core = block.count(4)
+    want_blocks = math.prod(n // b for n, b in zip(padded_shape(shape, block), block))
+    if (core_dims, n_blocks) != (want_core, want_blocks):
+        raise DecompressionError(
+            f"zfp payload declares {n_blocks} blocks of rank {core_dims}; "
+            f"shape {shape} needs {want_blocks} of rank {want_core}"
+        )
+    if n_blocks > 8 * (len(payload) - _HEADER.size):
+        raise DecompressionError(
+            f"zfp payload of {len(payload)} bytes cannot hold {n_blocks} blocks"
+        )
+    return core_dims, n_blocks
 
 
 @register_compressor
@@ -191,95 +338,81 @@ class ZFP(Compressor):
         order = sequency_order(core_dims)
         neg = int_to_negabinary(coeff[:, order])
 
-        # Plane integers, vectorized: P[k][b] packs plane k of block b.
-        kmax_arr = np.zeros(n_blocks, dtype=np.int64)
-        any_bits = neg.max(axis=1)
-        nz = any_bits > 0
-        if nz.any():
-            kmax_arr[nz] = (
-                np.floor(np.log2(any_bits[nz].astype(np.float64))).astype(np.int64)
-            )
-        # Guard against float log2 off-by-one at powers of two.
-        kmax_arr = np.minimum(kmax_arr + 1, 63)
-        global_kmax = int(kmax_arr.max()) if n_blocks else 0
-        planes = np.zeros((global_kmax + 1, n_blocks), dtype=np.uint64)
-        pad_to = -(-bsize // 8) * 8
-        for k in range(global_kmax + 1):
-            bits = ((neg >> np.uint64(k)) & np.uint64(1)).astype(np.uint8)
-            packed = np.packbits(bits, axis=1, bitorder="little")
-            if packed.shape[1] < 8:
-                packed = np.pad(packed, ((0, 0), (0, 8 - packed.shape[1])))
-            planes[k] = packed[:, :8].copy().view(np.uint64).ravel()
-        del pad_to
+        # Escape and cut-off plane once per distinct exponent.
+        uniq, inverse = np.unique(exps, return_inverse=True)
+        raw_u = np.array([_needs_raw_escape(int(e), abs_bound) for e in uniq])
+        kmin_u = np.array([_kmin_for(int(e), abs_bound, core_dims) for e in uniq])
+        raw = nonzero & raw_u[inverse]
+        normal = nonzero & ~raw
+        # Top plane: bit length of the OR of the block's coefficients, minus 1.
+        ored = np.bitwise_or.reduce(neg, axis=1)
+        msb = np.unpackbits(ored.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1)
+        kmax = np.where(ored > 0, 63 - np.argmax(msb, axis=1), 0).astype(np.int64)
+        n_planes = np.where(normal, np.maximum(kmax - kmin_u[inverse] + 1, 0), 0)
 
-        writer = BitWriter()
-        kmins = np.array(
-            [_kmin_for(int(e), abs_bound, core_dims) for e in exps], dtype=np.int64
-        )
         flat_core = core.reshape(n_blocks, bsize)
-        for b in range(n_blocks):
-            if not nonzero[b]:
-                writer.write_bit(0)
-                continue
-            writer.write_bit(1)
-            e = int(exps[b])
-            if _needs_raw_escape(e, abs_bound):
-                # Verbatim escape: 1 flag bit + 64 bits/value, exact.
-                writer.write_bit(1)
-                writer.write_many(
-                    flat_core[b].view(np.uint64), np.full(bsize, 64, dtype=np.int64)
-                )
-                continue
-            # True top plane of this block (exact scan fixes the +1 guard).
-            kmax = int(kmax_arr[b])
-            while kmax > 0 and planes[kmax, b] == 0:
-                kmax -= 1
-            # One batched header write: escape flag, exponent, top plane.
-            writer.write_bits(
-                ((e + _E_BIAS) << _K_BITS) | kmax, 1 + _E_BITS + _K_BITS
+        rows = _chunk_rows(int(n_planes.max(initial=0)), bsize)
+        pieces = [
+            _encode_chunk(
+                nonzero[s], raw[s], exps[s], kmax[s], n_planes[s], neg[s],
+                flat_core[s],
             )
-            kmin = int(kmins[b])
-            n = 0
-            for k in range(kmax, kmin - 1, -1):
-                n = _encode_plane(writer, int(planes[k, b]), n, bsize)
-
-        header = struct.pack("<BQ", core_dims, n_blocks)
-        return header + writer.getvalue()
+            for s in (slice(lo, lo + rows) for lo in range(0, n_blocks, rows))
+        ]
+        bits = np.packbits(np.concatenate(pieces))
+        return _HEADER.pack(core_dims, n_blocks) + bits.tobytes()
 
     def _decompress_impl(
         self, payload: bytes, shape: tuple[int, ...], abs_bound: float
     ) -> np.ndarray:
-        core_dims, n_blocks = struct.unpack_from("<BQ", payload, 0)
+        core_dims, n_blocks = _check_geometry(payload, shape)
         bsize = 4**core_dims
-        reader = BitReader(payload[9:])
+        stream = np.unpackbits(
+            np.frombuffer(payload, dtype=np.uint8, offset=_HEADER.size)
+        ).tobytes()
+        bits = np.frombuffer(stream, dtype=np.uint8)
+
+        kmins: dict[int, int] = {}
+
+        def kmin_of(e: int) -> int:
+            if e not in kmins:
+                try:
+                    kmins[e] = _kmin_for(e, abs_bound, core_dims)
+                except (OverflowError, ValueError):
+                    raise DecompressionError(
+                        f"zfp block exponent {e} is out of range for bound "
+                        f"{abs_bound!r}"
+                    ) from None
+            return kmins[e]
 
         neg = np.zeros((n_blocks, bsize), dtype=np.uint64)
         exps = np.zeros(n_blocks, dtype=np.int64)
         nonzero = np.zeros(n_blocks, dtype=bool)
-        raw_blocks: dict[int, np.ndarray] = {}
-        for b in range(n_blocks):
-            if not reader.read_bit():
-                continue
-            nonzero[b] = True
-            if reader.read_bit():  # verbatim escape
-                raw = reader.read_many(np.full(bsize, 64, dtype=np.int64))
-                raw_blocks[b] = raw.view(np.float64)
-                continue
-            e = reader.read_bits(_E_BITS) - _E_BIAS
-            exps[b] = e
-            kmax = reader.read_bits(_K_BITS)
-            kmin = _kmin_for(e, abs_bound, core_dims)
-            n = 0
-            row = neg[b]
-            for k in range(kmax, kmin - 1, -1):
-                x, n = _decode_plane(reader, n, bsize)
-                if x:
-                    kshift = np.uint64(k)
-                    xb = np.frombuffer(
-                        int(x).to_bytes(8, "little"), dtype=np.uint8
-                    )
-                    bits = np.unpackbits(xb, bitorder="little")[:bsize]
-                    row |= bits.astype(np.uint64) << kshift
+        raw_rows: list[np.ndarray] = []
+        raw_vals: list[np.ndarray] = []
+        rows = _chunk_rows(_MAX_PLANES, bsize)
+        pos = 0
+        for lo in range(0, n_blocks, rows):
+            hi = min(lo + rows, n_blocks)
+            start = pos
+            pos, heads, hits = _walk(stream, pos, range(lo, hi), bsize, kmin_of)
+            nz, raw, e, kmax, n_planes = np.array(heads, dtype=np.int64).T
+            nz, raw = nz.astype(bool), raw.astype(bool)
+            planes = int(n_planes.max(initial=0))
+            marks = np.zeros((hi - lo, _MAX_PLANES, bsize), dtype=np.uint8)
+            marks.reshape(-1)[np.array(hits, dtype=np.int64)] = 1
+            mask, cells = _slot_mask(nz, raw, n_planes, marks[:, :planes])
+            slots = np.zeros(mask.shape, dtype=np.uint8)
+            slots[mask] = bits[start:pos]
+            head = mask.shape[1] - cells[0].size
+            values = slots[:, head:].reshape(cells.shape)
+            neg[lo:hi] = _from_plane_bits(values[:, :, :, 1], kmax)
+            exps[lo:hi] = e
+            nonzero[lo:hi] = nz
+            if raw.any():
+                words = np.packbits(slots[raw, _HEAD_SLOTS:head], axis=1)
+                raw_rows.append(lo + np.flatnonzero(raw))
+                raw_vals.append(words.view(">u8").astype(np.uint64).view(np.float64))
 
         coeff = negabinary_to_int(neg)
         order = sequency_order(core_dims)
@@ -289,8 +422,8 @@ class ZFP(Compressor):
         scale = np.exp2(exps.astype(np.float64) - PRECISION)
         vals = q.astype(np.float64) * scale.reshape((n_blocks,) + (1,) * core_dims)
         vals[~nonzero] = 0.0
-        for b, raw in raw_blocks.items():
-            vals[b] = raw.reshape((4,) * core_dims)
+        for idx, raw_block in zip(raw_rows, raw_vals):
+            vals[idx] = raw_block.reshape((-1,) + (4,) * core_dims)
 
         block = _block_for_shape(shape)
         full = vals.reshape((n_blocks,) + tuple(block))

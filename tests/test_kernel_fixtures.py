@@ -10,6 +10,8 @@ including the empty, single-symbol, and longer-than-``PEEK_BITS`` alphabets.
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import pathlib
 
 import numpy as np
@@ -80,6 +82,19 @@ class TestPackFrozenStreams:
             np.testing.assert_array_equal(out, np.where(widths > 0, values, 0), name)
 
 
+#: sha256 of each frozen ZFP stream's decoded array, captured with the
+#: per-bitplane scalar coder before the block-parallel rewrite.
+ZFP_DECODED_SHA256 = {
+    "noisy_2d": "eb97954193f353a55c0b73cddd28af6d1c20bfc22783c685ec22813d602ab3af",
+    "ramp_1d": "d36d94be5ab02b84ade6aba743f3ed9d654362521d63f1ac8cd3cc497125bed6",
+    "raw_escape": "067c28e361f4fd1867ff63d87287708a34614e5901abaf04b37b5cf8238b1863",
+    "smooth_3d": "2c57b49e91abc0020ad4ab52c4a4ed7d383ed008a9aa6984c968223f1838f647",
+    "with_zero_blocks": (
+        "c685c628d50a00a1d24bec93758540f09bc3e7d6f318929241c0c4d0d8d546b8"
+    ),
+}
+
+
 class TestZFPFrozenStreams:
     def test_compress_byte_identical(self, frozen):
         comp = get_compressor("zfp")
@@ -100,6 +115,40 @@ class TestZFPFrozenStreams:
             span = float(arr.max() - arr.min())
             bound = rel * (span if span > 0 else 1.0)
             assert np.abs(recon - arr).max() <= bound * (1 + 1e-9), name
+
+    def test_decompress_frozen_streams_pinned(self, frozen):
+        comp = get_compressor("zfp")
+        assert sorted(ZFP_DECODED_SHA256) == _cases(frozen, "zfp")
+        for name, digest in ZFP_DECODED_SHA256.items():
+            recon = comp.decompress(frozen[f"zfp/{name}/blob"].tobytes())
+            assert recon.dtype == np.float64, name
+            assert hashlib.sha256(recon.tobytes()).hexdigest() == digest, name
+
+
+class TestFixtureCheckTool:
+    """``tools/gen_kernel_fixtures.py --check`` flags stream-format drift."""
+
+    @pytest.fixture(scope="class")
+    def tool(self):
+        path = FIXTURES.parents[2] / "tools" / "gen_kernel_fixtures.py"
+        spec = importlib.util.spec_from_file_location("gen_kernel_fixtures", path)
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        return mod
+
+    def test_check_passes_on_committed_fixtures(self, tool, capsys):
+        assert tool.main(["--check"]) == 0
+        assert "match" in capsys.readouterr().out
+
+    def test_check_fails_on_drift(self, tool, frozen, capsys):
+        cases = {key: frozen[key] for key in frozen.files}
+        blob = cases["zfp/smooth_3d/blob"].copy()
+        blob[-1] ^= 1
+        cases["zfp/smooth_3d/blob"] = blob
+        assert tool.check(cases) == 1
+        assert "zfp/smooth_3d/blob" in capsys.readouterr().out
+        del cases["zfp/smooth_3d/blob"]
+        assert tool.check(cases) == 1
 
 
 class TestVectorizedAgainstScalarSemantics:

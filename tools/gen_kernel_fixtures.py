@@ -11,13 +11,18 @@ kernels can be rewritten freely without silently forking the format.
 Run from the repo root::
 
     PYTHONPATH=src python tools/gen_kernel_fixtures.py
+    PYTHONPATH=src python tools/gen_kernel_fixtures.py --check
 
 Only rerun this when the byte format changes *intentionally*; the diff of
 the regenerated ``.npz`` is then part of the format-change review.
+``--check`` writes nothing: it regenerates every case in memory and exits 1
+if any array (input or stream blob) differs from the committed ``.npz``, or
+if a case was added or removed.
 """
 
 from __future__ import annotations
 
+import argparse
 import pathlib
 import sys
 
@@ -130,11 +135,46 @@ def zfp_cases() -> dict[str, np.ndarray]:
     return cases
 
 
-def main() -> int:
+def all_cases() -> dict[str, np.ndarray]:
     cases: dict[str, np.ndarray] = {}
     cases.update(huffman_cases())
     cases.update(pack_cases())
     cases.update(zfp_cases())
+    return cases
+
+
+def check(cases: dict[str, np.ndarray]) -> int:
+    """Exit status of comparing ``cases`` with the committed fixture file."""
+    with np.load(FIXTURE_PATH) as committed:
+        frozen = {key: committed[key] for key in committed.files}
+    differ = sorted(
+        key
+        for key in set(cases) | set(frozen)
+        if key not in cases
+        or key not in frozen
+        or cases[key].dtype != frozen[key].dtype
+        or cases[key].shape != frozen[key].shape
+        or cases[key].tobytes() != frozen[key].tobytes()
+    )
+    for key in differ:
+        print(f"differs from {FIXTURE_PATH.name}: {key}")
+    if differ:
+        return 1
+    print(f"{FIXTURE_PATH.name}: all {len(cases)} arrays match")
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare regenerated cases with the committed file; write nothing",
+    )
+    args = parser.parse_args(argv)
+    cases = all_cases()
+    if args.check:
+        return check(cases)
     FIXTURE_PATH.parent.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(FIXTURE_PATH, **cases)
     n_cases = len({k.rsplit("/", 2)[0] + "/" + k.split("/")[1] for k in cases})
