@@ -29,16 +29,17 @@ The coder is block-parallel (the CEAZ formulation) and makes no Python or
 NumPy call per bitplane.  Every (block, plane, coefficient) owns a fixed
 *slot* for a test bit and one for a data bit, and a boolean slot mask says
 which slots the stream holds; the plane's closing ``0`` sits in the test slot
-at its outgoing count.  The mask follows from each plane's significance
-count (a running max of plane bit lengths) and the group boundaries, all
-vectorized over chunks of blocks (:func:`_slot_mask`).  The encoder fills
-the slots from the plane bits, keeps ``slots[mask]`` and packs the whole
-stream with one ``np.packbits``.  The decoder expands the payload once to a
-byte per bit and finds the group boundaries with one walk over the test
-bits (:func:`_walk`): ``bytes.find`` per group, one strided slice per run of
-planes that add no significant coefficient, and an O(1) skip of every plane
-after the count reaches the block size.  It then rebuilds the same mask and
-scatters each chunk's bits back with one ``slots[mask] = bits``.
+at its outgoing count.  The mask follows from the *group hits* — the
+coefficients each plane makes significant at or above its incoming count —
+and is built for a chunk of blocks at a time (:func:`_slot_mask`).  The
+encoder finds the hits from each coefficient's bit length, fills the slots
+from the plane bits, keeps the masked slots and packs the whole stream with
+one ``np.packbits``.  The decoder expands the payload once to a byte per bit
+and finds the hits with one walk over the test bits (:func:`_walk`):
+``bytes.find`` per group, one strided slice per run of planes that add no
+significant coefficient, and an O(1) skip of every plane after all
+coefficients are significant.  It then rebuilds the same mask and scatters
+each chunk's bits back into the slots with one ``np.place``.
 """
 
 from __future__ import annotations
@@ -130,24 +131,30 @@ def _chunk_rows(n_planes: int, bsize: int) -> int:
 
 
 def _slot_mask(
-    nonzero: np.ndarray, raw: np.ndarray, n_planes: np.ndarray, x: np.ndarray
+    nonzero: np.ndarray,
+    raw: np.ndarray,
+    n_planes: np.ndarray,
+    shape: tuple[int, int],
+    hits: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Which slots of a chunk's slot matrix the stream holds, in stream order.
 
     Row ``b`` is block ``b``: :data:`_HEAD_SLOTS` header slots, ``4^d * 64``
-    raw-payload slots when the chunk has a raw block, then per plane ``j``
-    and coefficient ``i`` a test slot and a data slot.  ``x[b, j, i]`` is bit
-    ``kmax_b - j`` of coefficient ``i``; only its significant bits at or
-    above the plane's incoming count matter, so the decoder can pass the
-    group hits alone.  Returns the mask and its ``(rows, planes, size, 2)``
-    plane view.
+    raw-payload slots when the chunk has a raw block, then for each of
+    ``shape = (planes, size)`` plane ``j`` and coefficient ``i`` a test slot
+    and a data slot.  ``hits`` are the ``(block, plane, coefficient)``
+    indices of the group hits — the coefficients a plane makes significant
+    at or above its incoming count — in stream order.  Returns the mask and
+    its ``(rows, planes, size, 2)`` plane view.
 
-    A plane holds the data bits below its outgoing count and a test bit at
-    its incoming count and after each significant bit at or above it.  The
-    test bit at the outgoing count is the plane's closing ``0``; the others
-    are ``1``, so a test slot's value is its position's data-slot mask.
+    A plane holds the data bits below its outgoing count (one past its last
+    hit so far) and a test bit at its incoming count and after each hit.
+    The test bit at the outgoing count is the plane's closing ``0``; the
+    others are ``1``, so a test slot's value is its position's data-slot
+    mask.
     """
-    rows, planes, size = x.shape
+    planes, size = shape
+    rows = nonzero.size
     head = _HEAD_SLOTS + (64 * size if raw.any() else 0)
     mask = np.zeros((rows, head + planes * 2 * size), dtype=bool)
     mask[:, 0] = True
@@ -157,34 +164,40 @@ def _slot_mask(
     cells = mask[:, head:].reshape(rows, planes, size, 2)
     if not planes:
         return mask, cells
-    # Significance count after / before each plane: the running max of the
-    # plane bit lengths.  Planes past n_planes get counts that empty them.
-    length = (x * np.arange(1, size + 1, dtype=np.uint8)).max(axis=2)
-    after = np.maximum.accumulate(length, axis=1)
+    # Significance count after / before each plane: one past the highest
+    # hit so far.  Planes past n_planes get counts that empty them.
+    block, plane, coeff = hits
+    row_plane = block * planes + plane
+    last = np.ones(block.size, dtype=bool)
+    last[:-1] = row_plane[1:] != row_plane[:-1]
+    after = np.zeros((rows, planes), dtype=np.uint8)
+    after.reshape(-1)[row_plane[last]] = coeff[last] + 1
+    np.maximum.accumulate(after, axis=1, out=after)
     before = np.zeros_like(after)
     before[:, 1:] = after[:, :-1]
     live = np.arange(planes) < n_planes[:, None]
-    after = np.where(live, after, 0)[:, :, None]
-    before = np.where(live, before, size)[:, :, None]
     pos = np.arange(size, dtype=np.uint8)
-    np.less(pos, after, out=cells[:, :, :, 1])
-    test = cells[:, :, :, 0]
-    np.equal(pos, before, out=test)
-    test[:, :, 1:] |= x[:, :, :-1].view(bool) & (pos[1:] > before)
+    np.less(pos, np.where(live, after, 0)[:, :, None], out=cells[:, :, :, 1])
+    np.equal(pos, np.where(live, before, size)[:, :, None], out=cells[:, :, :, 0])
+    inner = coeff + 1 < size
+    mask.reshape(-1)[
+        block[inner] * mask.shape[1] + head
+        + 2 * (plane[inner] * size + coeff[inner] + 1)
+    ] = True
     return mask, cells
 
 
-def _plane_bits(neg: np.ndarray, kmax: np.ndarray, planes: int) -> np.ndarray:
-    """``out[b, j, i]`` = bit ``kmax[b] - j`` of ``neg[b, i]``, ``j < planes``."""
-    aligned = neg << (63 - kmax).astype(np.uint64)[:, None]
-    msb = np.unpackbits(np.ascontiguousarray(aligned, ">u8").view(np.uint8), axis=1)
-    rows, size = neg.shape
-    bits = msb.reshape(rows, size, 64)[:, :, :planes]
-    return np.ascontiguousarray(bits.transpose(0, 2, 1))
+def _bit_length(values: np.ndarray) -> np.ndarray:
+    """Exact bit length of each ``uint64``: frexp's exponent, less one where
+    the float conversion rounded up to the next power of two."""
+    length = np.minimum(np.frexp(values.astype(np.float64))[1], 64).astype(np.int64)
+    top_bit = np.uint64(1) << np.maximum(length - 1, 0).astype(np.uint64)
+    return np.where(values > 0, length - (values < top_bit), 0)
 
 
 def _from_plane_bits(bits: np.ndarray, kmax: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_plane_bits` (planes beyond ``bits`` read as 0)."""
+    """Coefficients whose bit ``kmax[b] - j`` is ``bits[b, j, i]`` (planes
+    beyond ``bits`` read as 0)."""
     rows, planes, size = bits.shape
     msb = np.zeros((rows, size, 64), dtype=np.uint8)
     msb[:, :, :planes] = bits.transpose(0, 2, 1)
@@ -196,8 +209,16 @@ def _encode_chunk(
     nonzero, raw, exps, kmax, n_planes, neg, flat_core
 ) -> np.ndarray:
     """The stream bits (one ``uint8`` per bit) of one chunk of blocks."""
-    bits = _plane_bits(neg, kmax, int(n_planes.max(initial=0)))
-    mask, cells = _slot_mask(nonzero, raw, n_planes, bits)
+    rows, size = neg.shape
+    planes = int(n_planes.max(initial=0))
+    # The plane where each coefficient becomes significant (64: never); it is
+    # a group hit unless a later coefficient did so in an earlier plane.
+    first = np.where(neg > 0, kmax[:, None] + 1 - _bit_length(neg), 64)
+    later = np.full_like(first, 64)
+    later[:, :-1] = np.minimum.accumulate(first[:, :0:-1], axis=1)[:, ::-1]
+    flat = np.flatnonzero((first <= later) & (first < n_planes[:, None]))
+    hits = (flat // size, first.reshape(-1)[flat], flat % size)
+    mask, cells = _slot_mask(nonzero, raw, n_planes, (planes, size), hits)
     slots = np.zeros(mask.shape, dtype=np.uint8)
     slots[:, 0] = nonzero
     slots[:, 1] = raw
@@ -211,8 +232,12 @@ def _encode_chunk(
         )
     values = slots[:, slots.shape[1] - cells[0].size :].reshape(cells.shape)
     values[:, :, :, 0] = cells[:, :, :, 1]
-    values[:, :, :, 1] = bits
-    return slots[mask]
+    # msb[b, i, j] = bit kmax_b - j of coefficient i.
+    aligned = neg << (63 - kmax).astype(np.uint64)[:, None]
+    msb = np.unpackbits(np.ascontiguousarray(aligned, ">u8").view(np.uint8), axis=1)
+    values[:, :, :, 1] = msb.reshape(rows, size, 64)[:, :, :planes].transpose(0, 2, 1)
+    # np.compress/np.place beat boolean indexing on these irregular masks.
+    return np.compress(mask.reshape(-1), slots.reshape(-1))
 
 
 def _walk(stream: bytes, pos: int, blocks: range, size: int, kmin_of):
@@ -252,15 +277,8 @@ def _walk(stream: bytes, pos: int, blocks: range, size: int, kmin_of):
             heads.append((1, 0, e, top, count))
             row = (b - base) * _MAX_PLANES * size
             n = j = 0
-            while j < count and n < size:
-                step = n + 1
-                quiet = stream[pos + n : pos + (count - j) * step : step].find(1)
-                if quiet < 0:
-                    pos += (count - j) * step
-                    j = count
-                    break
-                j += quiet
-                pos += quiet * step + n
+            while j < count:
+                pos += n
                 while n < size:
                     test = stream[pos]
                     pos += 1
@@ -276,6 +294,15 @@ def _walk(stream: bytes, pos: int, blocks: range, size: int, kmin_of):
                     n += 1
                     pos = hit + 1
                 j += 1
+                if n == size or j == count:
+                    break
+                # Skip to the next plane whose test bit after n verbatim bits is 1.
+                step = n + 1
+                quiet = stream[pos + n : pos + (count - j) * step : step].find(1)
+                if quiet < 0:
+                    quiet = count - j
+                j += quiet
+                pos += quiet * step
             pos += (count - j) * size
     except IndexError:
         raise DecompressionError("bit stream exhausted") from None
@@ -345,9 +372,7 @@ class ZFP(Compressor):
         raw = nonzero & raw_u[inverse]
         normal = nonzero & ~raw
         # Top plane: bit length of the OR of the block's coefficients, minus 1.
-        ored = np.bitwise_or.reduce(neg, axis=1)
-        msb = np.unpackbits(ored.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1)
-        kmax = np.where(ored > 0, 63 - np.argmax(msb, axis=1), 0).astype(np.int64)
+        kmax = np.maximum(_bit_length(np.bitwise_or.reduce(neg, axis=1)) - 1, 0)
         n_planes = np.where(normal, np.maximum(kmax - kmin_u[inverse] + 1, 0), 0)
 
         flat_core = core.reshape(n_blocks, bsize)
@@ -399,11 +424,12 @@ class ZFP(Compressor):
             nz, raw, e, kmax, n_planes = np.array(heads, dtype=np.int64).T
             nz, raw = nz.astype(bool), raw.astype(bool)
             planes = int(n_planes.max(initial=0))
-            marks = np.zeros((hi - lo, _MAX_PLANES, bsize), dtype=np.uint8)
-            marks.reshape(-1)[np.array(hits, dtype=np.int64)] = 1
-            mask, cells = _slot_mask(nz, raw, n_planes, marks[:, :planes])
+            flat = np.array(hits, dtype=np.int64)
+            block, rest = np.divmod(flat, _MAX_PLANES * bsize)
+            hits = (block, *np.divmod(rest, bsize))
+            mask, cells = _slot_mask(nz, raw, n_planes, (planes, bsize), hits)
             slots = np.zeros(mask.shape, dtype=np.uint8)
-            slots[mask] = bits[start:pos]
+            np.place(slots, mask, bits[start:pos])
             head = mask.shape[1] - cells[0].size
             values = slots[:, head:].reshape(cells.shape)
             neg[lo:hi] = _from_plane_bits(values[:, :, :, 1], kmax)

@@ -37,6 +37,7 @@ from repro.compressors.zfp import (
     _K_BITS,
     PRECISION,
     ZFP,
+    _bit_length,
     _block_for_shape,
     _kmin_for,
     _needs_raw_escape,
@@ -341,6 +342,12 @@ class TestAgainstScalarReference:
             np.testing.assert_array_equal(
                 ZFP().decompress(stream), ReferenceZFP().decompress(stream)
             )
+
+    def test_bit_length_exact_where_float_rounds_up(self):
+        edges = [0, 1, 2, 3, 2**53 - 1, 2**53 + 1, 2**54 - 1, 2**63 - 1, 2**63]
+        edges += [2**64 - 2048, 2**64 - 1]
+        values = np.array(edges, dtype=np.uint64)
+        assert _bit_length(values).tolist() == [v.bit_length() for v in edges]
 
     def test_raw_escape_is_exercised(self):
         arr = 1.0e8 + np.random.default_rng(5).standard_normal((4, 4, 4)) * 1e-4
