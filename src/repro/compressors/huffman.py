@@ -3,21 +3,25 @@
 The SZ family entropy-codes quantization indices with Huffman before a final
 DEFLATE pass.  This module implements a canonical Huffman code:
 
-- tree construction with a heap over symbol frequencies,
+- tree construction with a heap over symbol frequencies that records one
+  parent pointer per merge; code lengths are the leaves' depths, found in
+  one root-first pass over the merges (linear in the alphabet),
 - code lengths limited to :data:`MAX_CODE_LENGTH` via the standard
   length-limiting adjustment (rarely triggered for quantization data),
 - a compact header storing only the symbol list and code lengths,
 - vectorized encoding through :func:`repro.compressors.bitstream.pack_bits`,
 - fully vectorized decoding: a :data:`PEEK_BITS`-bit window is gathered at
   *every* candidate bit offset of the word-packed payload, decoded
-  speculatively through the lookup table (with a per-length canonical search
-  for the rare codes longer than :data:`PEEK_BITS`), and the true symbol
-  boundaries are then recovered by pointer-doubling over the resulting
-  offset-successor array.
+  speculatively through the lookup table (one ``np.repeat``: canonical codes
+  fill contiguous prefix ranges; a per-length canonical search handles the
+  rare codes longer than :data:`PEEK_BITS`), and the true symbol boundaries
+  are then recovered by pointer-doubling over the resulting offset-successor
+  array.
 
-Both directions are O(n) NumPy passes (decode adds a log₂(n) factor for the
-pointer doubling); no per-symbol Python loop remains on either path.  The
-byte format is identical to the original per-symbol implementation.
+Both directions are O(n) NumPy passes over the symbols (decode adds a
+log₂(n) factor for the pointer doubling); the only Python loop is the
+per-merge heap step over the distinct symbols.  The byte format is identical
+to the original per-symbol implementation.
 """
 
 from __future__ import annotations
@@ -41,8 +45,12 @@ _HEADER = struct.Struct("<IHI")  # n_symbols_encoded, n_distinct, payload_bits
 def _code_lengths(freqs: np.ndarray) -> np.ndarray:
     """Huffman code length per symbol (0 for absent symbols).
 
-    Uses the classic two-queue/heap algorithm on (frequency, tiebreak) pairs.
-    A single distinct symbol gets length 1 so the stream is still decodable.
+    Uses the classic heap algorithm on (frequency, tiebreak) pairs.  A leaf's
+    tiebreak is its symbol and a merged node's is ``freqs.size`` plus its
+    merge index, so every node has a distinct tiebreak that doubles as its
+    id.  Each merge records the children's parent; depths follow in one
+    pass over the merges, root first.  A single distinct symbol gets length
+    1 so the stream is still decodable.
     """
     present = np.flatnonzero(freqs)
     lengths = np.zeros(freqs.size, dtype=np.int64)
@@ -52,21 +60,24 @@ def _code_lengths(freqs: np.ndarray) -> np.ndarray:
         lengths[present[0]] = 1
         return lengths
 
-    # Heap items: (freq, tiebreak, leaf symbols under this node)
-    heap: list[tuple[int, int, list[int]]] = [
-        (int(freqs[s]), int(s), [int(s)]) for s in present
-    ]
+    heap = [(int(freqs[s]), int(s)) for s in present]
     heapq.heapify(heap)
+    parent = [0] * (freqs.size + present.size - 1)
     tiebreak = int(freqs.size)
     while len(heap) > 1:
-        fa, _, la = heapq.heappop(heap)
-        fb, _, lb = heapq.heappop(heap)
-        for s in la:
-            lengths[s] += 1
-        for s in lb:
-            lengths[s] += 1
-        heapq.heappush(heap, (fa + fb, tiebreak, la + lb))
+        fa, a = heapq.heappop(heap)
+        fb, b = heapq.heappop(heap)
+        parent[a] = parent[b] = tiebreak
+        heapq.heappush(heap, (fa + fb, tiebreak))
         tiebreak += 1
+
+    # Merged nodes are numbered after their children, so walking them from
+    # the root down sees every parent's depth before its children's.
+    depth = [0] * len(parent)
+    for node in range(tiebreak - 2, freqs.size - 1, -1):
+        depth[node] = depth[parent[node]] + 1
+    parent = np.asarray(parent)
+    lengths[present] = np.asarray(depth)[parent[present]] + 1
 
     # Limit code lengths (defensive; extremely skewed inputs only).
     if lengths.max() > MAX_CODE_LENGTH:
@@ -116,25 +127,22 @@ def _canonical_codes(symbols: np.ndarray, lengths: np.ndarray):
     return sorted_syms, sorted_lens, codes
 
 
-def _build_peek_table(
-    sorted_lens: np.ndarray, codes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _build_peek_table(sorted_lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """PEEK_BITS-bit prefix -> (sorted-symbol index, code length) for short codes.
 
+    ``sorted_lens`` are the canonical code lengths in (length, symbol) order,
+    all >= 1 and within the Kraft bound.  Canonical codes then cover
+    contiguous left-aligned prefix ranges from 0, one range of
+    ``2**(PEEK_BITS - len)`` entries per short code, in sorted order.
     Unfilled entries (long-code prefixes) keep index -1 / length 0.
     """
     table_idx = np.full(1 << PEEK_BITS, -1, dtype=np.int32)
     table_len = np.zeros(1 << PEEK_BITS, dtype=np.int8)
-    for ln in np.unique(sorted_lens):
-        ln = int(ln)
-        if ln <= 0 or ln > PEEK_BITS:
-            continue
-        sel = np.flatnonzero(sorted_lens == ln)
-        span = 1 << (PEEK_BITS - ln)
-        base = (codes[sel].astype(np.int64) << (PEEK_BITS - ln))[:, None]
-        idx = (base + np.arange(span, dtype=np.int64)[None, :]).ravel()
-        table_idx[idx] = np.repeat(sel.astype(np.int32), span)
-        table_len[idx] = ln
+    short = sorted_lens[sorted_lens <= PEEK_BITS]
+    spans = np.left_shift(1, PEEK_BITS - short)
+    filled = int(spans.sum())
+    table_idx[:filled] = np.repeat(np.arange(short.size, dtype=np.int32), spans)
+    table_len[:filled] = np.repeat(short.astype(np.int8), spans)
     return table_idx, table_len
 
 
@@ -240,7 +248,7 @@ class HuffmanCodec:
         # per offset from the word-packed payload, classify the top
         # PEEK_BITS through the lookup table, and resolve the rare long-code
         # escapes with a vectorized per-length canonical search.
-        table_idx, table_len = _build_peek_table(sorted_lens, codes)
+        table_idx, table_len = _build_peek_table(sorted_lens)
         words = _words_from_bytes(payload)
         pos = np.arange(total_bits, dtype=np.int64)
         wi = pos >> 6

@@ -5,9 +5,16 @@ estimated residual magnitude):
 
 - **Lorenzo** — predicts each element from its already-reconstructed causal
   neighbours inside the block (out-of-block neighbours read as zero, matching
-  SZ2's block-local semantics).  Compression must therefore walk the block in
-  raster order, but the walk is vectorized *across* blocks: every step updates
-  one in-block position for all blocks at once.
+  SZ2's block-local semantics).  Every neighbour has a smaller index sum, so
+  the positions of one hyperplane ``sum(index) == h`` depend only on earlier
+  hyperplanes: the walk takes one step per hyperplane (16 for a 6³ block, 31
+  for 16², 128 for a 1-D block of 128) and each step updates all of that
+  hyperplane's positions in every block at once.  The arrays are held
+  position-major, ``(positions + 1, n_blocks)``, so each step gathers whole
+  contiguous rows; the extra row is a zero pad that out-of-block
+  neighbours read.  Each element sums its stencil terms in the same order
+  as a raster walk would, so codes and reconstruction are bit-identical to
+  it.
 - **Regression** — fits an affine model ``v ≈ c0 + Σ c_d · x_d`` per block by
   least squares on the *original* values.  The coefficients are stored
   (float32) so compressor and decompressor evaluate the identical prediction,
@@ -18,6 +25,10 @@ Both predictors feed the shared :class:`~repro.compressors.quantizer.LinearQuant
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+import math
 
 import numpy as np
 
@@ -31,26 +42,68 @@ __all__ = [
     "estimate_lorenzo_error",
 ]
 
-# In-block raster offsets and inclusion-exclusion signs of the Lorenzo stencil
-# per rank: 1-D uses the left neighbour; 2-D/3-D the full corner stencil.
-_LORENZO_TERMS = {
-    1: [((1,), +1.0)],
-    2: [((1, 0), +1.0), ((0, 1), +1.0), ((1, 1), -1.0)],
-    3: [
-        ((1, 0, 0), +1.0),
-        ((0, 1, 0), +1.0),
-        ((0, 0, 1), +1.0),
-        ((1, 1, 0), -1.0),
-        ((1, 0, 1), -1.0),
-        ((0, 1, 1), -1.0),
-        ((1, 1, 1), +1.0),
-    ],
-}
+
+def _lorenzo_stencil(ndim: int) -> list[tuple[tuple[int, ...], float]]:
+    """Backward offsets and inclusion-exclusion signs of the rank-``ndim``
+    Lorenzo stencil, ordered by offset weight then lexicographically (1-D
+    uses the left neighbour; higher ranks the full corner stencil)."""
+    return [
+        (tuple(int(d in axes) for d in range(ndim)), 1.0 if k % 2 else -1.0)
+        for k in range(1, ndim + 1)
+        for axes in itertools.combinations(range(ndim), k)
+    ]
 
 
-def _block_positions(block: tuple[int, ...]):
-    """Raster-order in-block multi-indices."""
-    return list(np.ndindex(*block))
+# Terms per block rank, in the order every prediction sums them.
+_LORENZO_TERMS = {ndim: _lorenzo_stencil(ndim) for ndim in range(1, 5)}
+
+
+def _rows(index: np.ndarray):
+    """``index`` as a basic slice when it is one ascending run (a view, not a
+    gather: every hyperplane of a 1-D block is a single position)."""
+    if (np.diff(index) == 1).all():
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
+@functools.lru_cache(maxsize=16)
+def _hyperplane_plan(block: tuple[int, ...]):
+    """Walk plan for ``block``: per hyperplane ``sum(index) == h``, the flat
+    in-block positions and, per stencil term, its neighbours' flat
+    positions.  An out-of-block neighbour points at row ``prod(block)``, the
+    zero pad row of the position-major arrays.
+    """
+    size = math.prod(block)
+    index = np.indices(block).reshape(len(block), size)
+    neighbours = []
+    for offset, _ in _LORENZO_TERMS[len(block)]:
+        nb = index - np.array(offset)[:, None]
+        flat = np.ravel_multi_index(np.maximum(nb, 0), block)
+        neighbours.append(np.where((nb >= 0).all(axis=0), flat, size))
+    level = index.sum(axis=0)
+    plan = []
+    for h in range(int(level.max()) + 1):
+        pos = np.flatnonzero(level == h)
+        plan.append((_rows(pos), pos.size, [_rows(nb[pos]) for nb in neighbours]))
+    return tuple(plan)
+
+
+def _position_major(blocks: np.ndarray, dtype) -> np.ndarray:
+    """``(prod(block) + 1, n_blocks)`` copy of ``blocks``; last row is zero."""
+    n_blocks = blocks.shape[0]
+    out = np.zeros((blocks[0].size + 1, n_blocks), dtype=dtype)
+    out[:-1] = blocks.reshape(n_blocks, -1).T
+    return out
+
+
+def _predict(recon: np.ndarray, n_pos: int, neighbours, signs) -> np.ndarray:
+    """Lorenzo prediction of one hyperplane: a running sum from +0.0 of the
+    signed neighbour rows, in stencil order.  The sum never becomes -0.0,
+    so adding a pad row's ±0.0 is exact and equals skipping the term."""
+    pred = np.zeros((n_pos, recon.shape[1]))
+    for rows, sign in zip(neighbours, signs):
+        pred += recon[rows] * sign
+    return pred
 
 
 def lorenzo_encode_blocks(
@@ -72,22 +125,16 @@ def lorenzo_encode_blocks(
         reconstruction; ``outlier_mask`` flags escape-coded elements.
     """
     block = blocks.shape[1:]
-    ndim = len(block)
-    terms = _LORENZO_TERMS[ndim]
-    codes = np.zeros_like(blocks, dtype=np.int64)
-    recon = np.zeros_like(blocks, dtype=np.float64)
-    for pos in _block_positions(block):
-        pred = np.zeros(blocks.shape[0], dtype=np.float64)
-        for offset, sign in terms:
-            nb = tuple(p - o for p, o in zip(pos, offset))
-            if any(c < 0 for c in nb):
-                continue
-            pred += sign * recon[(slice(None),) + nb]
-        col = blocks[(slice(None),) + pos]
-        q = quantizer.quantize(col, pred)
-        codes[(slice(None),) + pos] = q.codes
-        recon[(slice(None),) + pos] = q.recon
-    return codes, recon, codes == 0
+    signs = [sign for _, sign in _LORENZO_TERMS[len(block)]]
+    values = _position_major(blocks, np.float64)
+    codes = np.zeros_like(values, dtype=np.int64)
+    recon = np.zeros_like(values)
+    for pos, n_pos, neighbours in _hyperplane_plan(block):
+        codes[pos], recon[pos] = quantizer.quantize_codes(
+            values[pos], _predict(recon, n_pos, neighbours, signs)
+        )
+    codes = codes[:-1].T.reshape(blocks.shape)
+    return codes, recon[:-1].T.reshape(blocks.shape), codes == 0
 
 
 def lorenzo_decode_blocks(
@@ -103,26 +150,25 @@ def lorenzo_decode_blocks(
     escape ordering matches compression exactly.
     """
     block = codes.shape[1:]
-    ndim = len(block)
-    terms = _LORENZO_TERMS[ndim]
+    signs = [sign for _, sign in _LORENZO_TERMS[len(block)]]
     width = 2.0 * quantizer.abs_bound
-    recon = np.zeros(codes.shape, dtype=np.float64)
-    for pos in _block_positions(block):
-        pred = np.zeros(codes.shape[0], dtype=np.float64)
-        for offset, sign in terms:
-            nb = tuple(p - o for p, o in zip(pos, offset))
-            if any(c < 0 for c in nb):
-                continue
-            pred += sign * recon[(slice(None),) + nb]
-        code_col = codes[(slice(None),) + pos]
-        signed = zigzag_decode(np.maximum(code_col - 1, 0))
-        vals = pred + signed.astype(np.float64) * width
-        slots = outlier_slots[(slice(None),) + pos]
-        esc = code_col == 0
-        if esc.any():
-            vals = np.where(esc, outlier_values[np.maximum(slots, 0)], vals)
-        recon[(slice(None),) + pos] = vals
-    return recon
+    codes_pm = _position_major(codes, np.int64)
+    # Residuals do not depend on the walk: dequantize every element at once.
+    delta = zigzag_decode(np.maximum(codes_pm - 1, 0)).astype(np.float64) * width
+    esc = codes_pm == 0
+    esc[-1] = False
+    exact = None
+    if esc.any():
+        slots = _position_major(outlier_slots, np.int64)
+        exact = outlier_values[np.maximum(slots, 0)]
+    recon = np.zeros_like(delta)
+    for pos, n_pos, neighbours in _hyperplane_plan(block):
+        vals = _predict(recon, n_pos, neighbours, signs)
+        vals += delta[pos]
+        if exact is not None:
+            np.copyto(vals, exact[pos], where=esc[pos])
+        recon[pos] = vals
+    return recon[:-1].T.reshape(codes.shape)
 
 
 def _design_matrix(block: tuple[int, ...]) -> np.ndarray:

@@ -26,16 +26,14 @@ __all__ = ["QuantizerResult", "LinearQuantizer", "zigzag_encode", "zigzag_decode
 
 def zigzag_encode(signed: np.ndarray) -> np.ndarray:
     """Map signed integers to non-negative: 0,-1,1,-2,2 -> 0,1,2,3,4."""
-    signed = signed.astype(np.int64)
-    return np.where(signed >= 0, 2 * signed, -2 * signed - 1).astype(np.int64)
+    signed = np.asarray(signed, dtype=np.int64)
+    return (signed << 1) ^ (signed >> 63)
 
 
 def zigzag_decode(unsigned: np.ndarray) -> np.ndarray:
     """Inverse of :func:`zigzag_encode`."""
-    unsigned = unsigned.astype(np.int64)
-    return np.where(unsigned % 2 == 0, unsigned // 2, -(unsigned + 1) // 2).astype(
-        np.int64
-    )
+    unsigned = np.asarray(unsigned, dtype=np.int64)
+    return (unsigned >> 1) ^ -(unsigned & 1)
 
 
 @dataclass(frozen=True)
@@ -85,27 +83,32 @@ class LinearQuantizer:
         """Quantize ``values - predictions``; see class docstring."""
         values = np.asarray(values, dtype=np.float64)
         predictions = np.asarray(predictions, dtype=np.float64)
+        codes, recon = self.quantize_codes(values, predictions)
+        return QuantizerResult(codes=codes, outliers=values[codes == 0], recon=recon)
+
+    def quantize_codes(
+        self, values: np.ndarray, predictions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`quantize` without the outlier pool, for float64 inputs:
+        returns ``(codes, recon)``.  Hot loops call this once per step."""
         width = 2.0 * self.abs_bound
-        residual = values - predictions
         with np.errstate(invalid="ignore", over="ignore"):
-            raw = np.rint(residual / width)
-        finite = np.isfinite(raw) & np.isfinite(predictions)
+            raw = np.rint((values - predictions) / width)
+        # A non-finite prediction always makes the residual non-finite.
+        finite = np.isfinite(raw)
         # Clip before casting to avoid undefined int conversion of huge floats.
         raw = np.where(finite, raw, 0.0)
-        raw = np.clip(raw, -(2**62), 2**62)
+        np.maximum(raw, -(2**62), out=raw)
+        np.minimum(raw, 2**62, out=raw)
         signed = raw.astype(np.int64)
-        recon = predictions + signed.astype(np.float64) * width
+        recon = predictions + signed * width
         folded = zigzag_encode(signed) + 1
         within = (
             finite
             & (np.abs(recon - values) <= self.abs_bound * (1 + 1e-12))
             & (folded < self.max_code)
         )
-        codes = np.where(within, folded, 0).astype(np.int64)
-        outlier_mask = ~within
-        outliers = values[outlier_mask].astype(np.float64)
-        recon = np.where(within, recon, values)
-        return QuantizerResult(codes=codes, outliers=outliers, recon=recon)
+        return np.where(within, folded, 0), np.where(within, recon, values)
 
     def dequantize(
         self, codes: np.ndarray, predictions: np.ndarray, outliers: np.ndarray

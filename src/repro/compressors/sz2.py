@@ -17,13 +17,14 @@ elements by the quantizer contract, escaped elements verbatim.
 
 from __future__ import annotations
 
+import math
 import struct
-import zlib
 
 import numpy as np
 
 from repro.compressors.base import Compressor, register_compressor
 from repro.compressors.blocks import blockify, unblockify
+from repro.compressors.deflate import pack_chunk, unpack_chunk
 from repro.compressors.huffman import huffman_decode, huffman_encode
 from repro.compressors.predictors import (
     estimate_lorenzo_error,
@@ -37,8 +38,6 @@ from repro.errors import DecompressionError
 
 __all__ = ["SZ2"]
 
-_ZLIB_LEVEL = 6
-
 
 def _block_for_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
     ndim = len(shape)
@@ -51,22 +50,46 @@ def _block_for_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
     return (1,) * (ndim - 3) + (6, 6, 6)
 
 
-def _pack_chunk(raw: bytes) -> bytes:
-    comp = zlib.compress(raw, _ZLIB_LEVEL)
-    return struct.pack("<QQ", len(comp), len(raw)) + comp
+def _read_layout(payload: bytes, shape: tuple[int, ...], abs_bound: float):
+    """Parse and check the payload header against the stream's shape.
 
-
-def _unpack_chunk(data: bytes, off: int) -> tuple[bytes, int]:
-    if len(data) < off + 16:
-        raise DecompressionError("sz2 stream truncated in chunk header")
-    clen, rlen = struct.unpack_from("<QQ", data, off)
-    off += 16
-    if len(data) < off + clen:
-        raise DecompressionError("sz2 stream truncated in chunk body")
-    raw = zlib.decompress(data[off : off + clen])
-    if len(raw) != rlen:
-        raise DecompressionError("sz2 chunk length mismatch after inflate")
-    return raw, off + clen
+    Returns ``(block, n_blocks, regression mask, offset of the first chunk)``.
+    Everything is checked before any array is sized from it.
+    """
+    if not abs_bound > 0:
+        raise DecompressionError(f"sz2 needs a positive error bound, got {abs_bound!r}")
+    block = _block_for_shape(shape)
+    if len(block) != len(shape):
+        raise DecompressionError(f"sz2 cannot decode a rank-{len(shape)} shape")
+    if not payload or payload[0] != len(block):
+        raise DecompressionError(
+            f"sz2 block rank does not match the rank-{len(shape)} stream shape"
+        )
+    head = struct.Struct(f"<B{len(block)}HQQ")
+    if len(payload) < head.size:
+        raise DecompressionError("sz2 stream truncated in payload header")
+    _, *stored, n_blocks, n_reg = head.unpack_from(payload, 0)
+    if tuple(stored) != block:
+        raise DecompressionError(
+            f"sz2 block {tuple(stored)} does not match {block} for shape {shape}"
+        )
+    expected = math.prod(-(-n // b) for n, b in zip(shape, block))
+    if n_blocks != expected or expected == 0:
+        raise DecompressionError(
+            f"sz2 stream declares {n_blocks} blocks; shape {shape} has {expected}"
+        )
+    off = head.size
+    n_mode_bytes = -(-n_blocks // 8)
+    if len(payload) < off + n_mode_bytes:
+        raise DecompressionError("sz2 stream truncated in predictor modes")
+    modes = np.frombuffer(payload, dtype=np.uint8, count=n_mode_bytes, offset=off)
+    reg_mask = np.unpackbits(modes)[:n_blocks].astype(bool)
+    if n_reg != int(reg_mask.sum()):
+        raise DecompressionError(
+            f"sz2 stream declares {n_reg} regression blocks; its modes mark "
+            f"{int(reg_mask.sum())}"
+        )
+    return block, n_blocks, reg_mask, off + n_mode_bytes
 
 
 @register_compressor
@@ -124,9 +147,9 @@ class SZ2(Compressor):
             struct.pack(f"<{len(block)}H", *block),
             struct.pack("<QQ", n_blocks, reg_idx.size),
             mode_bytes,
-            _pack_chunk(coeffs.astype(np.float32).tobytes()),
-            _pack_chunk(outliers.astype(np.float64).tobytes()),
-            _pack_chunk(huffman_encode(flat_codes)),
+            pack_chunk(coeffs.astype(np.float32).tobytes()),
+            pack_chunk(outliers.astype(np.float64).tobytes()),
+            pack_chunk(huffman_encode(flat_codes)),
         ]
         return b"".join(parts)
 
@@ -135,31 +158,27 @@ class SZ2(Compressor):
     def _decompress_impl(
         self, payload: bytes, shape: tuple[int, ...], abs_bound: float
     ) -> np.ndarray:
-        off = 0
-        (block_rank,) = struct.unpack_from("<B", payload, off)
-        off += 1
-        block = struct.unpack_from(f"<{block_rank}H", payload, off)
-        off += 2 * block_rank
-        n_blocks, n_reg = struct.unpack_from("<QQ", payload, off)
-        off += 16
-        n_mode_bytes = -(-n_blocks // 8)
-        reg_mask = (
-            np.unpackbits(
-                np.frombuffer(payload, dtype=np.uint8, count=n_mode_bytes, offset=off)
-            )[:n_blocks]
-            .astype(bool)
-        )
-        off += n_mode_bytes
-        coeff_raw, off = _unpack_chunk(payload, off)
-        outlier_raw, off = _unpack_chunk(payload, off)
-        huff_raw, off = _unpack_chunk(payload, off)
-
+        block, n_blocks, reg_mask, off = _read_layout(payload, shape, abs_bound)
         core_block = tuple(s for s in block if s > 1)
+        reg_idx = np.flatnonzero(reg_mask)
+        lor_idx = np.flatnonzero(~reg_mask)
+        coeff_raw, off = unpack_chunk(
+            payload, off, "sz2", reg_idx.size * (len(core_block) + 1) * 4
+        )
+        outlier_raw, off = unpack_chunk(payload, off, "sz2")
+        huff_raw, off = unpack_chunk(payload, off, "sz2")
+        if len(outlier_raw) % 8:
+            raise DecompressionError("sz2 outlier pool is not whole float64 values")
+
         coeffs = np.frombuffer(coeff_raw, dtype=np.float32).reshape(
-            n_reg, len(core_block) + 1
+            reg_idx.size, len(core_block) + 1
         )
         outliers = np.frombuffer(outlier_raw, dtype=np.float64)
         flat_codes = huffman_decode(huff_raw)
+        if flat_codes.size != n_blocks * math.prod(core_block):
+            raise DecompressionError(
+                f"sz2 stream holds {flat_codes.size} codes for {n_blocks} blocks"
+            )
         codes = flat_codes.reshape((n_blocks,) + core_block)
 
         # Global escape-slot map (flattened block-major order).
@@ -171,8 +190,6 @@ class SZ2(Compressor):
 
         quantizer = LinearQuantizer(abs_bound)
         recon = np.zeros(codes.shape, dtype=np.float64)
-        reg_idx = np.flatnonzero(reg_mask)
-        lor_idx = np.flatnonzero(~reg_mask)
         if reg_idx.size:
             pred = regression_predict(coeffs, core_block)
             width = 2.0 * abs_bound

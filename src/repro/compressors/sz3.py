@@ -10,37 +10,16 @@ quantization symbols, DEFLATE-compressed, plus the escape pool.
 from __future__ import annotations
 
 import struct
-import zlib
 
 import numpy as np
 
 from repro.compressors.base import Compressor, register_compressor
+from repro.compressors.deflate import pack_chunk, unpack_chunk
 from repro.compressors.huffman import huffman_decode, huffman_encode
 from repro.compressors.interpolation import interp_decode, interp_encode
 from repro.errors import DecompressionError
 
 __all__ = ["SZ3"]
-
-_ZLIB_LEVEL = 6
-
-
-def _pack_chunk(raw: bytes) -> bytes:
-    comp = zlib.compress(raw, _ZLIB_LEVEL)
-    return struct.pack("<QQ", len(comp), len(raw)) + comp
-
-
-def _unpack_chunk(data: bytes, off: int) -> tuple[bytes, int]:
-    if len(data) < off + 16:
-        raise DecompressionError("sz3 stream truncated in chunk header")
-    clen, rlen = struct.unpack_from("<QQ", data, off)
-    off += 16
-    if len(data) < off + clen:
-        raise DecompressionError("sz3 stream truncated in chunk body")
-    raw = zlib.decompress(data[off : off + clen])
-    if len(raw) != rlen:
-        raise DecompressionError("sz3 chunk length mismatch after inflate")
-    return raw, off + clen
-
 
 @register_compressor
 class SZ3(Compressor):
@@ -60,19 +39,22 @@ class SZ3(Compressor):
         parts = [
             struct.pack("<II", len(modes), anchors.size),
             mode_bytes,
-            _pack_chunk(anchors.astype(np.float64).tobytes()),
-            _pack_chunk(outliers.astype(np.float64).tobytes()),
-            _pack_chunk(huffman_encode(codes)),
+            pack_chunk(anchors.astype(np.float64).tobytes()),
+            pack_chunk(outliers.astype(np.float64).tobytes()),
+            pack_chunk(huffman_encode(codes)),
         ]
         return b"".join(parts)
 
     def _decompress_impl(
         self, payload: bytes, shape: tuple[int, ...], abs_bound: float
     ) -> np.ndarray:
-        off = 0
-        n_modes, n_anchor = struct.unpack_from("<II", payload, off)
-        off += 8
+        if len(payload) < 8:
+            raise DecompressionError("sz3 stream truncated in payload header")
+        n_modes, n_anchor = struct.unpack_from("<II", payload, 0)
+        off = 8
         n_mode_bytes = -(-n_modes // 8)
+        if len(payload) < off + n_mode_bytes:
+            raise DecompressionError("sz3 stream truncated in level modes")
         modes = (
             np.unpackbits(
                 np.frombuffer(payload, dtype=np.uint8, count=n_mode_bytes, offset=off)
@@ -81,9 +63,9 @@ class SZ3(Compressor):
             .tolist()
         )
         off += n_mode_bytes
-        anchor_raw, off = _unpack_chunk(payload, off)
-        outlier_raw, off = _unpack_chunk(payload, off)
-        huff_raw, off = _unpack_chunk(payload, off)
+        anchor_raw, off = unpack_chunk(payload, off, "sz3")
+        outlier_raw, off = unpack_chunk(payload, off, "sz3")
+        huff_raw, off = unpack_chunk(payload, off, "sz3")
         anchors = np.frombuffer(anchor_raw, dtype=np.float64)
         if anchors.size != n_anchor:
             raise DecompressionError("sz3 anchor count mismatch")

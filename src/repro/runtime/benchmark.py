@@ -3,10 +3,11 @@
 The figure benches simulate testbed *energies*; this module measures the
 actual wall-clock speed of the hot entropy/bitstream kernels that decide
 whether compression repays its cost — Huffman encode/decode, variable-width
-bit packing/unpacking, and the ZFP bitplane codec.  Inputs are representative
-symbol distributions: quantizer output streams derived from the synthetic
-CESM/NYX/HACC fields (tiled to a stable working size), plus a seeded 1M-symbol
-synthetic quantizer stream.
+bit packing/unpacking — and of the ZFP and SZ2 codecs end to end.  Inputs
+are representative symbol distributions: quantizer output streams derived
+from the synthetic CESM/NYX/HACC fields (tiled to a stable working size),
+plus a seeded 1M-symbol synthetic quantizer stream; the codecs run on the
+fields themselves.
 
 Results are written to ``BENCH_kernels.json`` (repo root by default) with
 per-kernel throughput in MB/s and symbols/s.  Each run folds the previous
@@ -133,20 +134,22 @@ def _prep_unpack_bits(inp: KernelInputs):
     return (lambda: unpack_bits(packed, widths)), values.size, values.nbytes
 
 
-def _prep_zfp_compress(inp: KernelInputs):
-    if inp.field is None:
-        return None
-    comp = get_compressor("zfp")
-    field = inp.field
-    return (lambda: comp.compress(field, inp.rel_bound)), field.size, field.nbytes
+def _codec_kernel(codec: str, direction: str):
+    """Prepare a whole-codec round-trip half on the dataset's float field."""
 
+    def prepare(inp: KernelInputs):
+        if inp.field is None:
+            return None
+        comp = get_compressor(codec)
+        field = inp.field
+        if direction == "compress":
+            fn = lambda: comp.compress(field, inp.rel_bound)  # noqa: E731
+        else:
+            blob = comp.compress(field, inp.rel_bound).data
+            fn = lambda: comp.decompress(blob)  # noqa: E731
+        return fn, field.size, field.nbytes
 
-def _prep_zfp_decompress(inp: KernelInputs):
-    if inp.field is None:
-        return None
-    comp = get_compressor("zfp")
-    blob = comp.compress(inp.field, inp.rel_bound).data
-    return (lambda: comp.decompress(blob)), inp.field.size, inp.field.nbytes
+    return prepare
 
 
 KERNELS: tuple[KernelSpec, ...] = (
@@ -154,8 +157,10 @@ KERNELS: tuple[KernelSpec, ...] = (
     KernelSpec("huffman_decode", _prep_huffman_decode),
     KernelSpec("pack_bits", _prep_pack_bits),
     KernelSpec("unpack_bits", _prep_unpack_bits),
-    KernelSpec("zfp_compress", _prep_zfp_compress),
-    KernelSpec("zfp_decompress", _prep_zfp_decompress),
+    KernelSpec("zfp_compress", _codec_kernel("zfp", "compress")),
+    KernelSpec("zfp_decompress", _codec_kernel("zfp", "decompress")),
+    KernelSpec("sz2_compress", _codec_kernel("sz2", "compress")),
+    KernelSpec("sz2_decompress", _codec_kernel("sz2", "decompress")),
 )
 
 

@@ -1,10 +1,14 @@
 """Per-EBLC behaviour beyond the shared contract (see test_error_bounds_property)."""
 
+import struct
+import threading
+
 import numpy as np
 import pytest
 
 from repro import compress, decompress
 from repro.compressors import SZ2, SZ3, QoZ, SZx, ZFP, get_compressor
+from repro.compressors.base import Compressor
 from repro.errors import CompressionError, DecompressionError
 from repro.metrics import check_error_bound, psnr
 
@@ -80,6 +84,132 @@ class TestSZ2:
     def test_4d_blocks(self, field_4d):
         buf = SZ2().compress(field_4d, 1e-3)
         check_error_bound(field_4d, SZ2().decompress(buf), 1e-3)
+
+
+def _sz2_outcome(data, seconds=5.0):
+    """Decode ``data`` on a daemon thread; return the array or the raised
+    exception, failing if the call does not return within ``seconds``."""
+    outcome = []
+
+    def target():
+        try:
+            with np.errstate(all="ignore"):
+                outcome.append(SZ2().decompress(data))
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            outcome.append(exc)
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"decode did not return within {seconds} s"
+    return outcome[0]
+
+
+def _assert_sz2_rejected_or_declared(data, label):
+    got = _sz2_outcome(data)
+    if isinstance(got, BaseException):
+        assert isinstance(got, DecompressionError), f"{label}: {got!r}"
+        return
+    _, shape, dtype, *_ = Compressor._unpack_header(data)
+    assert got.shape == shape and got.dtype == dtype, label
+
+
+def _sz2_walk(shape, seed):
+    walk = np.random.default_rng(seed).standard_normal(shape)
+    for axis in range(len(shape)):
+        walk = np.cumsum(walk, axis=axis)
+    return walk
+
+
+SZ2_CORRUPT_CASES = {
+    "walk_3d": (_sz2_walk((12, 10, 9), 11), 1e-3),
+    "plane_escapes_2d": (
+        np.add.outer(np.arange(20.0), 0.5 * np.arange(18.0))
+        + np.where(np.arange(360).reshape(20, 18) % 37 == 0, 1e4, 0.0),
+        1e-9,
+    ),
+    "walk_1d": (_sz2_walk((300,), 12), 1e-4),
+}
+
+
+class TestSZ2CorruptStreams:
+    """A truncated or corrupted SZ2 stream raises ``DecompressionError`` or
+    decodes to its declared shape and dtype, within a wall bound."""
+
+    @pytest.mark.parametrize("name", sorted(SZ2_CORRUPT_CASES))
+    def test_every_truncation(self, name):
+        arr, rel = SZ2_CORRUPT_CASES[name]
+        stream = SZ2().compress(arr, rel).data
+        for cut in range(len(stream)):
+            _assert_sz2_rejected_or_declared(stream[:cut], f"{name}[:{cut}]")
+
+    @pytest.mark.parametrize("name", sorted(SZ2_CORRUPT_CASES))
+    def test_seeded_bit_flips(self, name):
+        arr, rel = SZ2_CORRUPT_CASES[name]
+        stream = SZ2().compress(arr, rel).data
+        rng = np.random.default_rng(20261017)
+        for bit in rng.integers(0, 8 * len(stream), size=250):
+            corrupt = bytearray(stream)
+            corrupt[bit // 8] ^= 1 << (bit % 8)
+            _assert_sz2_rejected_or_declared(bytes(corrupt), f"{name} flip {bit}")
+
+    @pytest.fixture
+    def parts(self):
+        arr, rel = SZ2_CORRUPT_CASES["plane_escapes_2d"]
+        stream = SZ2().compress(arr, rel).data
+        payload = Compressor._unpack_header(stream)[-1]
+        header = stream[: len(stream) - len(payload)]
+        # rank, two block sides, n_blocks, n_reg, then the mode bytes
+        rank, b0, b1, n_blocks, n_reg = struct.unpack_from("<BHHQQ", payload)
+        assert (rank, b0, b1) == (2, 16, 16) and n_reg > 0
+        return header, payload
+
+    def _rejected(self, data, needle):
+        exc = _sz2_outcome(data)
+        assert isinstance(exc, DecompressionError), repr(exc)
+        assert needle in str(exc)
+
+    def test_huge_block_count(self, parts):
+        header, payload = parts
+        body = payload[:5] + struct.pack("<Q", 91625968984) + payload[13:]
+        self._rejected(header + body, "blocks")
+
+    def test_regression_count_against_modes(self, parts):
+        header, payload = parts
+        (n_reg,) = struct.unpack_from("<Q", payload, 13)
+        for bad in (n_reg - 1, n_reg + 1, 2**60):
+            body = payload[:13] + struct.pack("<Q", bad) + payload[21:]
+            self._rejected(header + body, "regression")
+
+    def test_block_rank_and_sides(self, parts):
+        header, payload = parts
+        self._rejected(header + b"\x03" + payload[1:], "rank")
+        side = struct.pack("<H", 8)
+        self._rejected(header + payload[:1] + side + payload[3:], "block")
+
+    def test_coefficient_chunk_length(self, parts):
+        header, payload = parts
+        off = 21 + 1  # payload header, then one mode byte for 4 blocks
+        clen, rlen = struct.unpack_from("<QQ", payload, off)
+        body = payload[:off] + struct.pack("<QQ", clen, rlen + 4) + payload[off + 16 :]
+        self._rejected(header + body, "raw bytes")
+
+    def test_truncated_payload_header(self, parts):
+        header, payload = parts
+        for cut in range(21):
+            self._rejected(header + payload[:cut], "sz2")
+
+    def test_deflate_failure_is_typed(self, parts):
+        header, payload = parts
+        off = 22 + 16  # first chunk body
+        flipped = bytes(b ^ 0xFF for b in payload[off : off + 4])
+        body = payload[:off] + flipped + payload[off + 4 :]
+        self._rejected(header + body, "inflate")
+
+    def test_nonpositive_error_bound(self, parts):
+        header, payload = parts
+        for bound in (0.0, -1.0, float("nan")):
+            self._rejected(header[:-8] + struct.pack("<d", bound) + payload, "bound")
 
 
 class TestSZ3:

@@ -1,11 +1,23 @@
 """Canonical Huffman codec: roundtrips, compactness, malformed streams."""
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compressors.huffman import HuffmanCodec, huffman_decode, huffman_encode
+from repro.compressors.huffman import (
+    MAX_CODE_LENGTH,
+    PEEK_BITS,
+    HuffmanCodec,
+    _build_peek_table,
+    _canonical_codes,
+    _code_lengths,
+    _kraft,
+    huffman_decode,
+    huffman_encode,
+)
 from repro.errors import DecompressionError
 
 
@@ -108,3 +120,124 @@ class TestCodecObject:
     def test_deterministic(self):
         syms = np.array([3, 1, 4, 1, 5, 9, 2, 6] * 10, dtype=np.int64)
         assert huffman_encode(syms) == huffman_encode(syms)
+
+
+# -- reference equivalence -----------------------------------------------------
+
+
+def _reference_code_lengths(freqs):
+    """The leaf-list ``_code_lengths`` the parent-pointer version replaced,
+    kept verbatim: every merge copies both leaf lists and bumps each leaf."""
+    present = np.flatnonzero(freqs)
+    lengths = np.zeros(freqs.size, dtype=np.int64)
+    if present.size == 0:
+        return lengths
+    if present.size == 1:
+        lengths[present[0]] = 1
+        return lengths
+
+    # Heap items: (freq, tiebreak, leaf symbols under this node)
+    heap = [(int(freqs[s]), int(s), [int(s)]) for s in present]
+    heapq.heapify(heap)
+    tiebreak = int(freqs.size)
+    while len(heap) > 1:
+        fa, _, la = heapq.heappop(heap)
+        fb, _, lb = heapq.heappop(heap)
+        for s in la:
+            lengths[s] += 1
+        for s in lb:
+            lengths[s] += 1
+        heapq.heappush(heap, (fa + fb, tiebreak, la + lb))
+        tiebreak += 1
+
+    # Limit code lengths (defensive; extremely skewed inputs only).
+    if lengths.max() > MAX_CODE_LENGTH:
+        lengths = np.minimum(lengths, MAX_CODE_LENGTH)
+        # Repair Kraft inequality by lengthening the shortest codes.
+        while _kraft(lengths) > 1.0:
+            cand = np.flatnonzero((lengths > 0) & (lengths < MAX_CODE_LENGTH))
+            shortest = cand[np.argmin(lengths[cand])]
+            lengths[shortest] += 1
+    return lengths
+
+
+def _reference_peek_table(sorted_lens, codes):
+    """The per-length scatter ``_build_peek_table`` used before, verbatim."""
+    table_idx = np.full(1 << PEEK_BITS, -1, dtype=np.int32)
+    table_len = np.zeros(1 << PEEK_BITS, dtype=np.int8)
+    for ln in np.unique(sorted_lens):
+        ln = int(ln)
+        if ln <= 0 or ln > PEEK_BITS:
+            continue
+        sel = np.flatnonzero(sorted_lens == ln)
+        span = 1 << (PEEK_BITS - ln)
+        base = (codes[sel].astype(np.int64) << (PEEK_BITS - ln))[:, None]
+        idx = (base + np.arange(span, dtype=np.int64)[None, :]).ravel()
+        table_idx[idx] = np.repeat(sel.astype(np.int32), span)
+        table_len[idx] = ln
+    return table_idx, table_len
+
+
+def _fibonacci(n):
+    fib = [1, 1]
+    while len(fib) < n:
+        fib.append(fib[-1] + fib[-2])
+    return np.array(fib[:n], dtype=np.int64)
+
+
+def _assert_same_tables(freqs):
+    lengths = _code_lengths(freqs)
+    expected = _reference_code_lengths(freqs)
+    assert lengths.dtype == expected.dtype
+    assert lengths.tobytes() == expected.tobytes()
+    present = np.flatnonzero(lengths)
+    if present.size < 2:
+        return
+    _, sorted_lens, codes = _canonical_codes(np.arange(present.size), lengths[present])
+    idx, ln = _build_peek_table(sorted_lens)
+    ref_idx, ref_ln = _reference_peek_table(sorted_lens, codes)
+    assert idx.tobytes() == ref_idx.tobytes()
+    assert ln.tobytes() == ref_ln.tobytes()
+
+
+class TestReferenceEquivalence:
+    """Parent-pointer code lengths and the one-``repeat`` peek table equal
+    the leaf-list and per-length references on the same frequencies."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(0), st.integers(1, 4), st.integers(1, 2**40)
+            ),
+            min_size=1,
+            max_size=600,
+        ).map(lambda xs: np.array(xs, dtype=np.int64))
+    )
+    def test_random_frequencies(self, freqs):
+        _assert_same_tables(freqs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 60), st.integers(0, 2**32 - 1))
+    def test_fibonacci_alphabets(self, depth, seed):
+        freqs = _fibonacci(depth)
+        freqs = freqs[np.random.default_rng(seed).permutation(depth)]
+        _assert_same_tables(freqs)
+
+    def test_deeper_than_max_code_length(self):
+        freqs = _fibonacci(MAX_CODE_LENGTH + 12)
+        # The unlimited tree is deeper than the cap; the limiter must kick in.
+        assert _reference_code_lengths(freqs).max() == MAX_CODE_LENGTH
+        _assert_same_tables(freqs)
+        _assert_same_tables(np.concatenate([np.zeros(5, np.int64), freqs[::-1]]))
+
+    def test_equal_frequencies_and_ties(self):
+        for freqs in (np.ones(257, np.int64), np.full(4096, 7, np.int64),
+                      np.array([3, 3, 3, 1, 1, 2, 2, 0, 6], np.int64)):
+            _assert_same_tables(freqs)
+
+    def test_peek_table_with_long_codes(self):
+        freqs = 2 ** np.arange(20, dtype=np.int64)
+        lengths = _code_lengths(freqs)
+        assert lengths.max() > PEEK_BITS
+        _assert_same_tables(freqs)

@@ -2,7 +2,7 @@
 
 ``tests/fixtures/kernel_streams.npz`` was captured from the original
 per-symbol/per-bit implementations (see ``tools/gen_kernel_fixtures.py``).
-These tests assert that the vectorized Huffman, bit-packing, and ZFP kernels
+These tests assert that the vectorized Huffman, bit-packing, ZFP and SZ2 kernels
 still *produce* byte-identical streams (forward compatibility) and still
 *decode* the frozen streams to the original arrays (backward compatibility) —
 including the empty, single-symbol, and longer-than-``PEEK_BITS`` alphabets.
@@ -122,6 +122,74 @@ class TestZFPFrozenStreams:
         for name, digest in ZFP_DECODED_SHA256.items():
             recon = comp.decompress(frozen[f"zfp/{name}/blob"].tobytes())
             assert recon.dtype == np.float64, name
+            assert hashlib.sha256(recon.tobytes()).hexdigest() == digest, name
+
+
+#: sha256 of each frozen SZ2 stream's decoded array, captured with the
+#: raster-order Lorenzo walk and the leaf-list Huffman code lengths.
+SZ2_DECODED_SHA256 = {
+    "escapes_2d": "211d2754a62c8f28eb09113ee57af36698d1b8680c557a8920d2705f52a06129",
+    "escapes_3d": "1ad442b995fe825cc265efb658e5a3aff96143dee76a8ef0a52d037d39606609",
+    "field_4d_f32": "a1a39b356674c1bdc60c9fa37185e618739c0a5ad118ab41b2a185c62d48aa97",
+    "many_blocks_3d_f32": (
+        "a58cf575829193516390a699d7359ec92b5dbe8a471233dc44bf4875d635b62b"
+    ),
+    "noisy_2d_f32": "593920cb9bc7a6e9669c25df76b2aacf2e0b1f5bc75a4da63f78b01c158e8845",
+    "nonfinite_1d": "a5920fc12502fa7aa2c4e6679479d56dce09438de515f8b7805893d984cb75cf",
+    "nonfinite_2d": "784c3dd91bc360d4a6231c10b31832f8b34572ba3ecce2b3083f7cd438fb655d",
+    "nonfinite_3d": "5c65105cd8d52f3324b66d9f0fc910e283f2937d25b624ebbef3f611d93352e6",
+    "nonfinite_4d": "d9859c6190fa2692207aa0bf332bd5da8e7fa5edb9e9882cd0c0d295568adf95",
+    "ramp_1d_one_block": (
+        "0f858612eccc13dc5bee41dfcd9d280074539b84149b1f11ef2c598bfca6a85b"
+    ),
+    "smooth_3d": "b49515008b2ce109506988174d221d4a00274a1301ede416d6df3fce436106da",
+    "walk_1d_f32": "6d1013787b8ca36329b25be65740256cb1f8078926c5729fc9b2a2a601c615ff",
+}
+
+
+class TestSZ2FrozenStreams:
+    """SZ2 streams: ``rel_bound`` cases go through the public API; the
+    non-finite ``abs_bound`` cases pin the codec payload directly."""
+
+    def test_covers_required_regimes(self, frozen):
+        cases = _cases(frozen, "sz2")
+        assert sorted(SZ2_DECODED_SHA256) == cases
+        ranks = {frozen[f"sz2/{name}/input"].ndim for name in cases}
+        dtypes = {frozen[f"sz2/{name}/input"].dtype for name in cases}
+        assert ranks == {1, 2, 3, 4}
+        assert dtypes == {np.dtype(np.float32), np.dtype(np.float64)}
+        nonfinite = frozen["sz2/nonfinite_3d/input"]
+        assert np.isnan(nonfinite).any() and np.isinf(nonfinite).any()
+
+    def test_compress_byte_identical(self, frozen):
+        comp = get_compressor("sz2")
+        for name in _cases(frozen, "sz2"):
+            arr = frozen[f"sz2/{name}/input"]
+            expected = frozen[f"sz2/{name}/blob"].tobytes()
+            if f"sz2/{name}/rel_bound" in frozen.files:
+                rel = float(frozen[f"sz2/{name}/rel_bound"][0])
+                assert comp.compress(arr, rel).data == expected, name
+            else:
+                abs_bound = float(frozen[f"sz2/{name}/abs_bound"][0])
+                with np.errstate(all="ignore"):
+                    assert comp._compress_impl(arr, abs_bound) == expected, name
+
+    def test_decompress_frozen_streams_pinned(self, frozen):
+        comp = get_compressor("sz2")
+        for name, digest in SZ2_DECODED_SHA256.items():
+            arr = frozen[f"sz2/{name}/input"]
+            blob = frozen[f"sz2/{name}/blob"].tobytes()
+            if f"sz2/{name}/rel_bound" in frozen.files:
+                recon = comp.decompress(blob)
+                rel = float(frozen[f"sz2/{name}/rel_bound"][0])
+                span = float(arr.max()) - float(arr.min())
+                err = np.abs(recon.astype(np.float64) - arr.astype(np.float64))
+                assert err.max() <= rel * span, name
+            else:
+                abs_bound = float(frozen[f"sz2/{name}/abs_bound"][0])
+                with np.errstate(all="ignore"):
+                    recon = comp._decompress_impl(blob, arr.shape, abs_bound)
+            assert recon.dtype == arr.dtype and recon.shape == arr.shape, name
             assert hashlib.sha256(recon.tobytes()).hexdigest() == digest, name
 
 

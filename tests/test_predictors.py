@@ -1,15 +1,18 @@
 """SZ2 predictors: Lorenzo encode/decode symmetry and regression fits."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compressors.predictors import (
+    _LORENZO_TERMS,
     estimate_lorenzo_error,
     lorenzo_decode_blocks,
     lorenzo_encode_blocks,
     regression_fit,
     regression_predict,
 )
-from repro.compressors.quantizer import LinearQuantizer
+from repro.compressors.quantizer import LinearQuantizer, zigzag_decode
 
 
 def _decode_slots(codes):
@@ -86,3 +89,155 @@ class TestSelectionEstimate:
         ).mean()
         assert estimate_lorenzo_error(walk)[0] < reg_err_walk + 1.0
         assert est_plane[0] >= 0.0
+
+
+# -- reference equivalence -----------------------------------------------------
+
+
+#: The stencil table as it was written out by hand for ranks 1-3.
+_HAND_WRITTEN_TERMS = {
+    1: [((1,), +1.0)],
+    2: [((1, 0), +1.0), ((0, 1), +1.0), ((1, 1), -1.0)],
+    3: [
+        ((1, 0, 0), +1.0),
+        ((0, 1, 0), +1.0),
+        ((0, 0, 1), +1.0),
+        ((1, 1, 0), -1.0),
+        ((1, 0, 1), -1.0),
+        ((0, 1, 1), -1.0),
+        ((1, 1, 1), +1.0),
+    ],
+}
+
+
+def _block_positions(block):
+    """Raster-order in-block multi-indices."""
+    return list(np.ndindex(*block))
+
+
+def _reference_encode(blocks, quantizer):
+    """The raster Lorenzo walk the hyperplane walk replaced, kept verbatim:
+    one quantize call per in-block position."""
+    block = blocks.shape[1:]
+    ndim = len(block)
+    terms = _LORENZO_TERMS[ndim]
+    codes = np.zeros_like(blocks, dtype=np.int64)
+    recon = np.zeros_like(blocks, dtype=np.float64)
+    for pos in _block_positions(block):
+        pred = np.zeros(blocks.shape[0], dtype=np.float64)
+        for offset, sign in terms:
+            nb = tuple(p - o for p, o in zip(pos, offset))
+            if any(c < 0 for c in nb):
+                continue
+            pred += sign * recon[(slice(None),) + nb]
+        col = blocks[(slice(None),) + pos]
+        q = quantizer.quantize(col, pred)
+        codes[(slice(None),) + pos] = q.codes
+        recon[(slice(None),) + pos] = q.recon
+    return codes, recon, codes == 0
+
+
+def _reference_decode(codes, outlier_values, outlier_slots, quantizer):
+    """Raster-order decode, verbatim from before the hyperplane walk."""
+    block = codes.shape[1:]
+    ndim = len(block)
+    terms = _LORENZO_TERMS[ndim]
+    width = 2.0 * quantizer.abs_bound
+    recon = np.zeros(codes.shape, dtype=np.float64)
+    for pos in _block_positions(block):
+        pred = np.zeros(codes.shape[0], dtype=np.float64)
+        for offset, sign in terms:
+            nb = tuple(p - o for p, o in zip(pos, offset))
+            if any(c < 0 for c in nb):
+                continue
+            pred += sign * recon[(slice(None),) + nb]
+        code_col = codes[(slice(None),) + pos]
+        signed = zigzag_decode(np.maximum(code_col - 1, 0))
+        vals = pred + signed.astype(np.float64) * width
+        slots = outlier_slots[(slice(None),) + pos]
+        esc = code_col == 0
+        if esc.any():
+            vals = np.where(esc, outlier_values[np.maximum(slots, 0)], vals)
+        recon[(slice(None),) + pos] = vals
+    return recon
+
+
+#: Bit patterns the walk must carry through untouched: signed zeros,
+#: infinities, NaNs with distinct payloads (quiet, negative, signalling),
+#: the largest finite and the smallest subnormal values.
+_SPECIAL_BITS = np.array(
+    [
+        0x0000000000000000, 0x8000000000000000,
+        0x7FF0000000000000, 0xFFF0000000000000,
+        0x7FF8000000000000, 0xFFF8000000000001,
+        0x7FF4000000000123, 0x7FEFFFFFFFFFFFFF,
+        0xFFEFFFFFFFFFFFFF, 0x0000000000000001,
+    ],
+    dtype=np.uint64,
+)
+
+
+@st.composite
+def _adversarial_blocks(draw):
+    ndim = draw(st.integers(1, 4))
+    side_max = {1: 40, 2: 10, 3: 6, 4: 4}[ndim]
+    sides = st.lists(st.integers(1, side_max), min_size=ndim, max_size=ndim)
+    block = tuple(draw(sides))
+    n_blocks = draw(st.one_of(st.integers(1, 40), st.integers(1, 5000)))
+    n_blocks = min(n_blocks, max(1, 200_000 // int(np.prod(block))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n_blocks,) + block
+    kind = draw(st.sampled_from(["walk", "noise", "huge", "zeros"]))
+    if kind == "walk":
+        values = np.cumsum(rng.standard_normal(shape), axis=1)
+    elif kind == "noise":
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9)
+    elif kind == "huge":
+        values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(250, 308, shape)
+    else:
+        values = np.zeros(shape)
+        values[rng.random(shape) < 0.5] = -0.0
+    density = draw(st.sampled_from([0.0, 0.001, 0.05, 0.5]))
+    hit = rng.random(shape) < density
+    specials = rng.choice(_SPECIAL_BITS, int(hit.sum())).view(np.float64)
+    values[hit] = specials
+    bound = draw(st.sampled_from([1e-12, 1e-3, 0.5, 1e3, 1e300]))
+    return values, LinearQuantizer(bound)
+
+
+class TestHyperplaneMatchesRasterWalk:
+    """The hyperplane walk is bit-identical to the raster walk: codes are
+    equal and recon/decode bytes match, so ±0.0 and NaN payloads count."""
+
+    def test_stencil_table_matches_hand_written_ranks(self):
+        for ndim, terms in _HAND_WRITTEN_TERMS.items():
+            assert _LORENZO_TERMS[ndim] == terms
+
+    @settings(max_examples=60, deadline=None)
+    @given(_adversarial_blocks())
+    def test_encode_and_decode_match_reference(self, case):
+        values, quantizer = case
+        with np.errstate(all="ignore"):
+            codes, recon, mask = lorenzo_encode_blocks(values, quantizer)
+            ref_codes, ref_recon, ref_mask = _reference_encode(values, quantizer)
+            assert codes.shape == ref_codes.shape
+            assert (codes == ref_codes).all()
+            assert (mask == ref_mask).all()
+            assert recon.tobytes() == ref_recon.tobytes()
+
+            outliers = values.reshape(-1)[codes.reshape(-1) == 0]
+            slots = _decode_slots(codes)
+            decoded = lorenzo_decode_blocks(codes, outliers, slots, quantizer)
+            expected = _reference_decode(codes, outliers, slots, quantizer)
+        assert decoded.shape == values.shape
+        assert decoded.tobytes() == expected.tobytes()
+
+    def test_sz2_block_shapes_at_scale(self, rng):
+        q = LinearQuantizer(1e-3)
+        for block in [(128,), (16, 16), (6, 6, 6)]:
+            values = np.cumsum(rng.standard_normal((3000,) + block), axis=1)
+            values[:, 0] = 0.0
+            values[::7, -1] = -0.0
+            codes, recon, _ = lorenzo_encode_blocks(values, q)
+            ref_codes, ref_recon, _ = _reference_encode(values, q)
+            assert (codes == ref_codes).all() and recon.tobytes() == ref_recon.tobytes()

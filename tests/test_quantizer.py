@@ -92,3 +92,85 @@ class TestQuantizer:
         assert ok.all()
         recon = q.dequantize(res.codes, np.zeros_like(values), res.outliers)
         np.testing.assert_array_equal(recon, res.recon)
+
+
+# -- reference equivalence -----------------------------------------------------
+
+
+def _reference_zigzag_encode(signed):
+    signed = signed.astype(np.int64)
+    return np.where(signed >= 0, 2 * signed, -2 * signed - 1).astype(np.int64)
+
+
+def _reference_zigzag_decode(unsigned):
+    unsigned = unsigned.astype(np.int64)
+    return np.where(unsigned % 2 == 0, unsigned // 2, -(unsigned + 1) // 2).astype(
+        np.int64
+    )
+
+
+def _reference_quantize(quantizer, values, predictions):
+    """``LinearQuantizer.quantize`` before the bit-trick zig-zag and the
+    ``quantize_codes`` split, kept verbatim."""
+    values = np.asarray(values, dtype=np.float64)
+    predictions = np.asarray(predictions, dtype=np.float64)
+    width = 2.0 * quantizer.abs_bound
+    residual = values - predictions
+    with np.errstate(invalid="ignore", over="ignore"):
+        raw = np.rint(residual / width)
+    finite = np.isfinite(raw) & np.isfinite(predictions)
+    raw = np.where(finite, raw, 0.0)
+    raw = np.clip(raw, -(2**62), 2**62)
+    signed = raw.astype(np.int64)
+    recon = predictions + signed.astype(np.float64) * width
+    folded = _reference_zigzag_encode(signed) + 1
+    within = (
+        finite
+        & (np.abs(recon - values) <= quantizer.abs_bound * (1 + 1e-12))
+        & (folded < quantizer.max_code)
+    )
+    codes = np.where(within, folded, 0).astype(np.int64)
+    outliers = values[~within].astype(np.float64)
+    recon = np.where(within, recon, values)
+    return codes, outliers, recon
+
+
+_EDGE_BITS = np.array(
+    [0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+     0x7FF8000000000000, 0xFFF8000000000001, 0x7FF4000000000123,
+     0x7FEFFFFFFFFFFFFF, 0x0000000000000001, 0x43D0000000000000],
+    dtype=np.uint64,
+)
+
+
+class TestMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=64))
+    def test_zigzag_over_all_int64(self, xs):
+        x = np.array(xs + [-(2**63), 2**63 - 1, -(2**62), 2**62], dtype=np.int64)
+        with np.errstate(over="ignore"):
+            assert zigzag_encode(x).tobytes() == _reference_zigzag_encode(x).tobytes()
+        assert zigzag_decode(x).tobytes() == _reference_zigzag_decode(x).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1e-300, 1e-12, 1e-3, 1.0, 1e3, 1e300]),
+        st.sampled_from([0.0, 0.05, 0.5]),
+    )
+    def test_quantize_bytes(self, seed, bound, density):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-300, 300)
+        values = rng.standard_normal(200) * scale
+        noise = rng.standard_normal(200) * bound * 10.0 ** rng.integers(-2, 8)
+        predictions = values + noise
+        for arr in (values, predictions):
+            hit = rng.random(arr.size) < density
+            arr[hit] = rng.choice(_EDGE_BITS, int(hit.sum())).view(np.float64)
+        q = LinearQuantizer(bound, max_code=int(rng.choice([2, 1000, 65536])))
+        with np.errstate(all="ignore"):
+            got = q.quantize(values, predictions)
+            codes, outliers, recon = _reference_quantize(q, values, predictions)
+        assert got.codes.dtype == codes.dtype and (got.codes == codes).all()
+        assert got.outliers.tobytes() == outliers.tobytes()
+        assert got.recon.tobytes() == recon.tobytes()

@@ -135,11 +135,71 @@ def zfp_cases() -> dict[str, np.ndarray]:
     return cases
 
 
+def sz2_cases() -> dict[str, np.ndarray]:
+    """SZ2 streams across ranks, dtypes, escapes and 1 to ~4000 blocks.
+
+    Finite inputs go through the public ``compress`` (``rel_bound`` key).
+    Non-finite elements are refused there, so those cases pin the codec
+    payload of ``_compress_impl`` at a stored ``abs_bound`` instead: the
+    Lorenzo walk then sees NaN, ±inf and ±1e300 in its reconstruction.
+    """
+    cases: dict[str, np.ndarray] = {}
+    comp = get_compressor("sz2")
+
+    def add(name: str, arr: np.ndarray, rel_bound: float) -> None:
+        cases[f"sz2/{name}/input"] = np.ascontiguousarray(arr)
+        cases[f"sz2/{name}/rel_bound"] = np.array([rel_bound], dtype=np.float64)
+        cases[f"sz2/{name}/blob"] = _as_bytes_array(comp.compress(arr, rel_bound).data)
+
+    def add_raw(name: str, arr: np.ndarray, abs_bound: float) -> None:
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        cases[f"sz2/{name}/input"] = arr
+        cases[f"sz2/{name}/abs_bound"] = np.array([abs_bound], dtype=np.float64)
+        with np.errstate(all="ignore"):
+            blob = comp._compress_impl(arr, abs_bound)
+        cases[f"sz2/{name}/blob"] = _as_bytes_array(blob)
+
+    def smooth(shape: tuple[int, ...]) -> np.ndarray:
+        grids = np.meshgrid(*[np.linspace(0.0, 1.0, n) for n in shape], indexing="ij")
+        out = np.zeros(shape)
+        for d, g in enumerate(grids):
+            out += np.sin((3 + d) * g + d) * (1.0 + 0.5 * d)
+        return out
+
+    rng = np.random.default_rng(20261017)
+    add("ramp_1d_one_block", np.linspace(-3.0, 5.0, 100), 1e-4)
+    add("walk_1d_f32", np.cumsum(rng.standard_normal(1000)).astype(np.float32), 1e-3)
+    noisy = smooth((40, 37)) + 0.05 * rng.standard_normal((40, 37))
+    add("noisy_2d_f32", noisy.astype(np.float32), 1e-3)
+    add("smooth_3d", smooth((12, 10, 9)), 1e-3)
+    add("field_4d_f32", smooth((2, 3, 7, 8)).astype(np.float32), 1e-3)
+    # Spikes far beyond the quantizer's code range force outlier escapes.
+    spiky = smooth((13, 11, 7))
+    spikes = rng.choice(spiky.size, 40, replace=False)
+    spiky.flat[spikes] += rng.standard_normal(40) * 1e3
+    add("escapes_3d", spiky, 1e-7)
+    add("escapes_2d", rng.standard_normal((33, 20)) * 1e3, 1e-9)
+    # ~4000 blocks of 6^3, mostly Lorenzo: an integer random walk, tiled so
+    # the stored input stays small.
+    walk = np.cumsum(rng.integers(-1, 2, size=(18, 24, 24)), axis=2)
+    add("many_blocks_3d_f32", np.tile(walk, (5, 4, 4)).astype(np.float32), 1e-2)
+
+    specials = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300, -0.0, 0.0])
+    for name, shape in (("nonfinite_1d", (300,)), ("nonfinite_2d", (20, 35)),
+                        ("nonfinite_3d", (12, 10, 9)), ("nonfinite_4d", (2, 7, 6, 8))):
+        arr = smooth(shape)
+        hit = rng.choice(arr.size, 3 * specials.size, replace=False)
+        arr.flat[hit] = np.tile(specials, 3)
+        add_raw(name, arr, 1e-3)
+    return cases
+
+
 def all_cases() -> dict[str, np.ndarray]:
     cases: dict[str, np.ndarray] = {}
     cases.update(huffman_cases())
     cases.update(pack_cases())
     cases.update(zfp_cases())
+    cases.update(sz2_cases())
     return cases
 
 
