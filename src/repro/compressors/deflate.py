@@ -4,12 +4,15 @@ A chunk is a ``<QQ`` header (compressed length, raw length) followed by the
 zlib body; zlib stands in for the SZ family's Zstd stage.  Every failure to
 read one back — short header, short body, a body that does not inflate, or
 a raw length that disagrees with the header — is a
-:class:`~repro.errors.DecompressionError`.
+:class:`~repro.errors.DecompressionError`.  Inflating never produces more
+than one byte past the declared raw length, so a corrupt body cannot expand
+beyond what its header (checked by the caller's bounds) allows.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 
 from repro.errors import DecompressionError
@@ -27,12 +30,17 @@ def pack_chunk(raw: bytes) -> bytes:
 
 
 def unpack_chunk(
-    data: bytes, off: int, codec: str, raw_len: int | None = None
+    data: bytes,
+    off: int,
+    codec: str,
+    raw_len: int | None = None,
+    max_len: int | None = None,
 ) -> tuple[bytes, int]:
     """Read the chunk at ``off``; returns ``(raw bytes, offset after it)``.
 
-    ``raw_len``, when the caller knows it, is checked against the chunk
-    header before anything is inflated.
+    ``raw_len``, when the caller knows it, and ``max_len``, when it knows an
+    upper bound, are checked against the chunk header before anything is
+    inflated.
     """
     if len(data) < off + _CHUNK.size:
         raise DecompressionError(f"{codec} stream truncated in chunk header")
@@ -42,12 +50,21 @@ def unpack_chunk(
         raise DecompressionError(
             f"{codec} chunk declares {rlen} raw bytes, expected {raw_len}"
         )
+    if max_len is not None and rlen > max_len:
+        raise DecompressionError(
+            f"{codec} chunk declares {rlen} raw bytes, at most {max_len} fit"
+        )
     if len(data) < off + clen:
         raise DecompressionError(f"{codec} stream truncated in chunk body")
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(data[off : off + clen])
+        raw = inflater.decompress(
+            data[off : off + clen], min(rlen + 1, sys.maxsize)
+        )
     except zlib.error as exc:
         raise DecompressionError(f"{codec} chunk does not inflate: {exc}") from None
+    if not inflater.eof:
+        raise DecompressionError(f"{codec} chunk is truncated or overruns its length")
     if len(raw) != rlen:
         raise DecompressionError(f"{codec} chunk length mismatch after inflate")
     return raw, off + clen

@@ -34,7 +34,7 @@ import numpy as np
 from repro.compressors.bitstream import _words_from_bytes, pack_bits
 from repro.errors import DecompressionError
 
-__all__ = ["HuffmanCodec", "huffman_encode", "huffman_decode"]
+__all__ = ["HuffmanCodec", "huffman_encode", "huffman_decode", "huffman_max_bytes"]
 
 MAX_CODE_LENGTH = 32
 PEEK_BITS = 12
@@ -335,3 +335,11 @@ def huffman_encode(symbols: np.ndarray) -> bytes:
 def huffman_decode(data: bytes) -> np.ndarray:
     """Module-level convenience wrapper around :class:`HuffmanCodec`."""
     return _DEFAULT.decode(data)
+
+
+def huffman_max_bytes(n_symbols: int) -> int:
+    """Upper bound on the length of an encoded stream of ``n_symbols``
+    symbols: the header, a full symbol table (at most one entry per symbol
+    and 2**16 - 1 entries), and :data:`MAX_CODE_LENGTH` bits per symbol."""
+    n_table = min(n_symbols, 2**16 - 1)
+    return _HEADER.size + 9 * n_table + -(-n_symbols * MAX_CODE_LENGTH // 8)

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from repro.compressors.quantizer import LinearQuantizer, zigzag_decode
+from repro.compressors.quantizer import LinearQuantizer
 
 __all__ = [
     "lorenzo_encode_blocks",
@@ -90,9 +90,9 @@ def _hyperplane_plan(block: tuple[int, ...]):
 
 def _position_major(blocks: np.ndarray, dtype) -> np.ndarray:
     """``(prod(block) + 1, n_blocks)`` copy of ``blocks``; last row is zero."""
-    n_blocks = blocks.shape[0]
-    out = np.zeros((blocks[0].size + 1, n_blocks), dtype=dtype)
-    out[:-1] = blocks.reshape(n_blocks, -1).T
+    n_blocks, size = blocks.shape[0], math.prod(blocks.shape[1:])
+    out = np.zeros((size + 1, n_blocks), dtype=dtype)
+    out[:-1] = blocks.reshape(n_blocks, size).T
     return out
 
 
@@ -126,12 +126,14 @@ def lorenzo_encode_blocks(
     """
     block = blocks.shape[1:]
     signs = [sign for _, sign in _LORENZO_TERMS[len(block)]]
-    values = _position_major(blocks, np.float64)
-    codes = np.zeros_like(values, dtype=np.int64)
-    recon = np.zeros_like(values)
+    # One array holds the values and, hyperplane by hyperplane, is
+    # overwritten with the reconstruction: a step reads only its own rows'
+    # values and earlier hyperplanes' reconstruction.
+    recon = _position_major(blocks, np.float64)
+    codes = np.zeros_like(recon, dtype=np.int64)
     for pos, n_pos, neighbours in _hyperplane_plan(block):
         codes[pos], recon[pos] = quantizer.quantize_codes(
-            values[pos], _predict(recon, n_pos, neighbours, signs)
+            recon[pos], _predict(recon, n_pos, neighbours, signs)
         )
     codes = codes[:-1].T.reshape(blocks.shape)
     return codes, recon[:-1].T.reshape(blocks.shape), codes == 0
@@ -151,22 +153,32 @@ def lorenzo_decode_blocks(
     """
     block = codes.shape[1:]
     signs = [sign for _, sign in _LORENZO_TERMS[len(block)]]
-    width = 2.0 * quantizer.abs_bound
-    codes_pm = _position_major(codes, np.int64)
-    # Residuals do not depend on the walk: dequantize every element at once.
-    delta = zigzag_decode(np.maximum(codes_pm - 1, 0)).astype(np.float64) * width
-    esc = codes_pm == 0
+    folded = _position_major(codes, np.int64)
+    esc = folded == 0
     esc[-1] = False
-    exact = None
-    if esc.any():
-        slots = _position_major(outlier_slots, np.int64)
-        exact = outlier_values[np.maximum(slots, 0)]
-    recon = np.zeros_like(delta)
+    slots = _position_major(outlier_slots, np.int64) if esc.any() else None
+    # Residuals do not depend on the walk, so dequantize them all at once:
+    # zigzag_decode(max(code - 1, 0)) in place, which keeps the peak at one
+    # int64 and one float64 copy of the input.
+    folded -= 1
+    np.maximum(folded, 0, out=folded)
+    sign = np.bitwise_and(folded, 1)
+    np.negative(sign, out=sign)
+    folded >>= 1
+    folded ^= sign
+    del sign
+    # As in the encoder, one array holds the residuals and is overwritten
+    # with the reconstruction hyperplane by hyperplane.
+    recon = folded.astype(np.float64)
+    del folded
+    recon *= 2.0 * quantizer.abs_bound
     for pos, n_pos, neighbours in _hyperplane_plan(block):
         vals = _predict(recon, n_pos, neighbours, signs)
-        vals += delta[pos]
-        if exact is not None:
-            np.copyto(vals, exact[pos], where=esc[pos])
+        vals += recon[pos]
+        if slots is not None:
+            hit = esc[pos]
+            if hit.any():
+                vals[hit] = outlier_values[slots[pos][hit]]
         recon[pos] = vals
     return recon[:-1].T.reshape(codes.shape)
 

@@ -25,7 +25,11 @@ import numpy as np
 from repro.compressors.base import Compressor, register_compressor
 from repro.compressors.blocks import blockify, unblockify
 from repro.compressors.deflate import pack_chunk, unpack_chunk
-from repro.compressors.huffman import huffman_decode, huffman_encode
+from repro.compressors.huffman import (
+    huffman_decode,
+    huffman_encode,
+    huffman_max_bytes,
+)
 from repro.compressors.predictors import (
     estimate_lorenzo_error,
     lorenzo_decode_blocks,
@@ -162,11 +166,14 @@ class SZ2(Compressor):
         core_block = tuple(s for s in block if s > 1)
         reg_idx = np.flatnonzero(reg_mask)
         lor_idx = np.flatnonzero(~reg_mask)
+        n_elems = n_blocks * math.prod(core_block)
         coeff_raw, off = unpack_chunk(
             payload, off, "sz2", reg_idx.size * (len(core_block) + 1) * 4
         )
-        outlier_raw, off = unpack_chunk(payload, off, "sz2")
-        huff_raw, off = unpack_chunk(payload, off, "sz2")
+        outlier_raw, off = unpack_chunk(payload, off, "sz2", max_len=8 * n_elems)
+        huff_raw, off = unpack_chunk(
+            payload, off, "sz2", max_len=huffman_max_bytes(n_elems)
+        )
         if len(outlier_raw) % 8:
             raise DecompressionError("sz2 outlier pool is not whole float64 values")
 
@@ -175,7 +182,7 @@ class SZ2(Compressor):
         )
         outliers = np.frombuffer(outlier_raw, dtype=np.float64)
         flat_codes = huffman_decode(huff_raw)
-        if flat_codes.size != n_blocks * math.prod(core_block):
+        if flat_codes.size != n_elems:
             raise DecompressionError(
                 f"sz2 stream holds {flat_codes.size} codes for {n_blocks} blocks"
             )

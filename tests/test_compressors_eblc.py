@@ -9,6 +9,8 @@ import pytest
 from repro import compress, decompress
 from repro.compressors import SZ2, SZ3, QoZ, SZx, ZFP, get_compressor
 from repro.compressors.base import Compressor
+from repro.compressors.deflate import pack_chunk, unpack_chunk
+from repro.compressors.huffman import huffman_max_bytes
 from repro.errors import CompressionError, DecompressionError
 from repro.metrics import check_error_bound, psnr
 
@@ -210,6 +212,49 @@ class TestSZ2CorruptStreams:
         header, payload = parts
         for bound in (0.0, -1.0, float("nan")):
             self._rejected(header[:-8] + struct.pack("<d", bound) + payload, "bound")
+
+    # 4 blocks of 16x16: an outlier pool of at most 8 bytes per element, and
+    # the longest Huffman stream of that many codes.
+    @pytest.mark.parametrize(
+        "chunk, cap", [(1, 8 * 1024), (2, huffman_max_bytes(1024))]
+    )
+    def test_chunk_length_capped_before_inflate(self, parts, chunk, cap):
+        header, payload = parts
+        off = 22  # first chunk header
+        for _ in range(chunk):
+            off += 16 + struct.unpack_from("<Q", payload, off)[0]
+        clen, _ = struct.unpack_from("<QQ", payload, off)
+        for rlen, needle in ((cap, "mismatch"), (cap + 1, "at most"), (2**63, "at most")):
+            body = payload[:off] + struct.pack("<QQ", clen, rlen) + payload[off + 16 :]
+            self._rejected(header + body, needle)
+
+
+class TestDeflateChunks:
+    def test_roundtrip_and_next_offset(self):
+        raw = bytes(range(256)) * 3
+        data = b"xy" + pack_chunk(raw) + b"tail"
+        got, off = unpack_chunk(data, 2, "t", raw_len=len(raw), max_len=len(raw))
+        assert got == raw and data[off:] == b"tail"
+
+    def test_inflate_stops_past_declared_length(self):
+        chunk = bytearray(pack_chunk(bytes(10**6)))
+        struct.pack_into("<Q", chunk, 8, 10)
+        with pytest.raises(DecompressionError, match="overruns"):
+            unpack_chunk(bytes(chunk), 0, "t")
+
+    def test_unterminated_body_rejected(self):
+        chunk = pack_chunk(b"abc" * 50)
+        (clen,) = struct.unpack_from("<Q", chunk)
+        short = struct.pack("<QQ", clen - 4, 150) + chunk[16:-4]
+        with pytest.raises(DecompressionError, match="truncated"):
+            unpack_chunk(short, 0, "t")
+
+    def test_declared_length_checks(self):
+        chunk = pack_chunk(b"abc" * 50)
+        with pytest.raises(DecompressionError, match="expected 149"):
+            unpack_chunk(chunk, 0, "t", raw_len=149)
+        with pytest.raises(DecompressionError, match="at most 149"):
+            unpack_chunk(chunk, 0, "t", max_len=149)
 
 
 class TestSZ3:

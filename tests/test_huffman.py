@@ -17,6 +17,7 @@ from repro.compressors.huffman import (
     _kraft,
     huffman_decode,
     huffman_encode,
+    huffman_max_bytes,
 )
 from repro.errors import DecompressionError
 
@@ -105,6 +106,17 @@ class TestRoundtrip:
     )
     def test_roundtrip_property(self, syms):
         np.testing.assert_array_equal(huffman_decode(huffman_encode(syms)), syms)
+
+    def test_max_bytes_bounds_every_stream(self, rng):
+        deep = np.repeat(np.arange(20), _fibonacci(20))  # codes up to 19 bits
+        for syms in (
+            np.zeros(5, dtype=np.int64),
+            np.arange(2, dtype=np.int64),
+            np.arange(70000, dtype=np.int64) % 65535,
+            rng.integers(0, 2**40, 3000),
+            deep,
+        ):
+            assert len(huffman_encode(syms)) <= huffman_max_bytes(syms.size)
 
 
 class TestCodecObject:

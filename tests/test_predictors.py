@@ -53,6 +53,17 @@ class TestLorenzo:
             decoded = lorenzo_decode_blocks(codes, outliers, _decode_slots(codes), q)
             np.testing.assert_allclose(decoded, recon, atol=1e-12)
 
+    def test_zero_blocks(self):
+        q = LinearQuantizer(0.1)
+        for block in [(128,), (16, 16), (6, 6, 6), (2, 3, 4, 5)]:
+            empty = np.zeros((0,) + block)
+            codes, recon, mask = lorenzo_encode_blocks(empty, q)
+            assert codes.shape == recon.shape == mask.shape == empty.shape
+            decoded = lorenzo_decode_blocks(
+                codes, np.zeros(0), np.zeros(empty.shape, dtype=np.int64), q
+            )
+            assert decoded.shape == empty.shape
+
 
 class TestRegression:
     def test_fits_exact_plane(self):
