@@ -2,10 +2,10 @@
 
 ``tests/fixtures/kernel_streams.npz`` was captured from the original
 per-symbol/per-bit implementations (see ``tools/gen_kernel_fixtures.py``).
-These tests assert that the vectorized Huffman, bit-packing, ZFP and SZ2 kernels
-still *produce* byte-identical streams (forward compatibility) and still
-*decode* the frozen streams to the original arrays (backward compatibility) —
-including the empty, single-symbol, and longer-than-``PEEK_BITS`` alphabets.
+These tests assert that the vectorized Huffman, bit-packing, ZFP, SZ2, SZ3
+and QoZ kernels still *produce* byte-identical streams (forward
+compatibility) and still *decode* the frozen streams to the original arrays
+(backward compatibility) — including the empty, single-symbol, and longer-than-``PEEK_BITS`` alphabets.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import pathlib
+import struct
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compressors import get_compressor
+from repro.compressors.base import Compressor
 from repro.compressors.bitstream import BitReader, BitWriter, pack_bits, unpack_bits
 from repro.compressors.huffman import PEEK_BITS, huffman_decode, huffman_encode
 
@@ -187,6 +189,111 @@ class TestSZ2FrozenStreams:
                 assert err.max() <= rel * span, name
             else:
                 abs_bound = float(frozen[f"sz2/{name}/abs_bound"][0])
+                with np.errstate(all="ignore"):
+                    recon = comp._decompress_impl(blob, arr.shape, abs_bound)
+            assert recon.dtype == arr.dtype and recon.shape == arr.shape, name
+            assert hashlib.sha256(recon.tobytes()).hexdigest() == digest, name
+
+
+#: sha256 of each frozen SZ3 / QoZ stream's decoded array, captured with the
+#: ``np.ix_`` interpolation engine and the heap-built Huffman code lengths.
+INTERP_DECODED_SHA256 = {
+    "sz3": {
+        "escapes_2d": "de8dd37635fa0fbaeb4f8f923a1a24a95ee9dac82cb2fedd22179f578cf76ae2",
+        "escapes_3d": "67881ec4b44540163d144959aaa851edd0a66e64cdb7a3743bfe3b67fe2e194a",
+        "field_4d_f32": "e6b6df4ebfb289e9d1609ee617bcc4663e581668b83730d5ecea1f0434d4c6b8",
+        "noisy_2d_loose_f32": "1363c52c45714619b38e0de273cc24f66f26a752483963d43eef1e0a9c48acab",
+        "nonfinite_3d": "2bfc970b42a5206b3c27b6d58a8fd0a643310da9fbb9b7f44438caddf2106790",
+        "ramp_1d_pow2": "68314cddb1e9439cfc8777a8545eecfe514aae0fcf2dd283b201a8f69c0a6678",
+        "size1_axis_3d": "a2a7eeb09bfa9905644edf1fe4c3f97b9547c6a91976888b0b0cadc892382f85",
+        "smooth_2d_tight": "cf61fc3c1bef8c713cb4d71c0969c3b200776bb80c9851de298f2c93f292a3eb",
+        "smooth_3d": "9e18e4bdadbd0cc4df1f326c899c9971cb34a292fea944492f1a7aa7e10109bc",
+        "smooth_3d_tight_f32": "ad6ddcd2a685cbebbad9bbe817f5f5a7e18da1ec1a3825b59c1a8d795bf8aee1",
+        "walk_1d_f32": "cea8f6f4dad9142d01174b8d7e749a7fee0cd88745cf227659b8c4af6f29a625",
+        "walk_4d": "32210dfc89ebf6dd27b03457370c22ef6b818962fd2aece0ff8869a5b860a79b",
+    },
+    "qoz": {
+        "escapes_2d": "88b23c45a58a3c8650b671adb808a4337083ff6d1d9e9650b703b9200c10b800",
+        "escapes_3d": "1f816d8985b3458b335357211ec4c30f1cd0cf7a5603eea03ec2a2a227d620ea",
+        "field_4d_f32": "330c26c4b6a9228b57933dc56af5aaec36ac23047b3e2d306e0106e4657670a3",
+        "noisy_2d_loose_f32": "d7a2c9f72e444ea645a7cbd3707600bbe293d724a6496ff1a63cfa785b96be5a",
+        "nonfinite_3d": "09af411f801c81edd488cb2d39da64e8f67ebe43867e49ae3d5c29bdec46ac74",
+        "ramp_1d_pow2": "8f74668858a3fe1238bf6b80305c257c46b2d09b70073327f25187d3b0dd0581",
+        "size1_axis_3d": "d57afd88d288fbc6ad9940b2449245d08d9d6d55113e9547f799376275ecc986",
+        "smooth_2d_tight": "eecf2b091750815b459a7067624112f88761c897875c375279845c2f7fce2840",
+        "smooth_3d": "781430082a9ea41129e2e537b7419282f13129e3ade0eb3e674b6d7513b38fb0",
+        "smooth_3d_tight_f32": "b8db92df59b74fa6f27d01f54f8fa4dd188b838a5550a42244255fd429ede42d",
+        "walk_1d_f32": "06fbb6bad1ac29a1f06761fc9bd631db0dd4cf494c5e3c2cd0965325f376ab22",
+        "walk_4d": "e7c0b96febacd0d5713c7b57a9a8b0f7159456a69c78d73acfb2c27f96b56c7b",
+    },
+}
+
+
+def _interp_codec(frozen, codec, name):
+    """The compressor a frozen SZ3/QoZ case was encoded with."""
+    key = f"{codec}/{name}/params"
+    if key not in frozen.files:
+        return get_compressor(codec)
+    alpha, beta = frozen[key]
+    return get_compressor(codec, alpha=float(alpha), beta=float(beta))
+
+
+def _interp_modes(frozen, codec, name):
+    """Per-pass LINEAR/CUBIC choices stored in a frozen SZ3/QoZ stream."""
+    blob = frozen[f"{codec}/{name}/blob"].tobytes()
+    if f"{codec}/{name}/rel_bound" in frozen.files:
+        blob = Compressor._unpack_header(blob)[-1]
+    if codec == "qoz":
+        blob = blob[16:]  # alpha, beta
+    n_modes, _ = struct.unpack_from("<II", blob)
+    packed = np.frombuffer(blob, dtype=np.uint8, count=-(-n_modes // 8), offset=8)
+    return np.unpackbits(packed)[:n_modes]
+
+
+@pytest.mark.parametrize("codec", ["sz3", "qoz"])
+class TestInterpFrozenStreams:
+    """SZ3 and QoZ streams, pinned as for SZ2: ``rel_bound`` cases through
+    the public API, the non-finite ``abs_bound`` case at the codec payload."""
+
+    def test_covers_required_regimes(self, frozen, codec):
+        cases = _cases(frozen, codec)
+        assert sorted(INTERP_DECODED_SHA256[codec]) == cases
+        inputs = [frozen[f"{codec}/{name}/input"] for name in cases]
+        assert {arr.ndim for arr in inputs} == {1, 2, 3, 4}
+        assert any(1 in arr.shape for arr in inputs)
+        assert any(n & (n - 1) for arr in inputs for n in arr.shape)
+        modes = np.concatenate([_interp_modes(frozen, codec, name) for name in cases])
+        assert {0, 1} <= set(modes.tolist())
+        escaped = frozen[f"{codec}/escapes_2d/input"]
+        assert float(frozen[f"{codec}/escapes_2d/rel_bound"][0]) <= 1e-9
+        assert escaped.size > 500
+
+    def test_compress_byte_identical(self, frozen, codec):
+        for name in _cases(frozen, codec):
+            comp = _interp_codec(frozen, codec, name)
+            arr = frozen[f"{codec}/{name}/input"]
+            expected = frozen[f"{codec}/{name}/blob"].tobytes()
+            if f"{codec}/{name}/rel_bound" in frozen.files:
+                rel = float(frozen[f"{codec}/{name}/rel_bound"][0])
+                assert comp.compress(arr, rel).data == expected, name
+            else:
+                abs_bound = float(frozen[f"{codec}/{name}/abs_bound"][0])
+                with np.errstate(all="ignore"):
+                    assert comp._compress_impl(arr, abs_bound) == expected, name
+
+    def test_decompress_frozen_streams_pinned(self, frozen, codec):
+        comp = get_compressor(codec)  # QoZ reads alpha/beta from the stream
+        for name, digest in INTERP_DECODED_SHA256[codec].items():
+            arr = frozen[f"{codec}/{name}/input"]
+            blob = frozen[f"{codec}/{name}/blob"].tobytes()
+            if f"{codec}/{name}/rel_bound" in frozen.files:
+                recon = comp.decompress(blob)
+                rel = float(frozen[f"{codec}/{name}/rel_bound"][0])
+                span = float(arr.max()) - float(arr.min())
+                err = np.abs(recon.astype(np.float64) - arr.astype(np.float64))
+                assert err.max() <= rel * span, name
+            else:
+                abs_bound = float(frozen[f"{codec}/{name}/abs_bound"][0])
                 with np.errstate(all="ignore"):
                     recon = comp._decompress_impl(blob, arr.shape, abs_bound)
             assert recon.dtype == arr.dtype and recon.shape == arr.shape, name

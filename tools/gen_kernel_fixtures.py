@@ -194,12 +194,85 @@ def sz2_cases() -> dict[str, np.ndarray]:
     return cases
 
 
+def interp_cases(codec: str) -> dict[str, np.ndarray]:
+    """SZ3 or QoZ streams across ranks 1-4, odd and size-1 axes, loose and
+    tight bounds (so both LINEAR and CUBIC passes occur) and escapes.
+
+    A ``params`` key holds the QoZ ``(alpha, beta)`` of the encoder; SZ3
+    cases have none.  As for SZ2, the non-finite case pins the codec
+    payload at a stored ``abs_bound``.
+    """
+    cases: dict[str, np.ndarray] = {}
+    params = {"qoz": [(1.5, 4.0), (2.0, 8.0)]}.get(codec, [None])
+
+    def compressor(which: int):
+        pair = params[which % len(params)]
+        if pair is None:
+            return get_compressor(codec), None
+        return get_compressor(codec, alpha=pair[0], beta=pair[1]), pair
+
+    def put(name: str, arr: np.ndarray, which: int) -> None:
+        cases[f"{codec}/{name}/input"] = np.ascontiguousarray(arr)
+        _, pair = compressor(which)
+        if pair is not None:
+            cases[f"{codec}/{name}/params"] = np.array(pair, dtype=np.float64)
+
+    def add(name: str, arr: np.ndarray, rel_bound: float, which: int = 0) -> None:
+        put(name, arr, which)
+        comp, _ = compressor(which)
+        cases[f"{codec}/{name}/rel_bound"] = np.array([rel_bound], dtype=np.float64)
+        cases[f"{codec}/{name}/blob"] = _as_bytes_array(comp.compress(arr, rel_bound).data)
+
+    def add_raw(name: str, arr: np.ndarray, abs_bound: float, which: int = 0) -> None:
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        put(name, arr, which)
+        comp, _ = compressor(which)
+        cases[f"{codec}/{name}/abs_bound"] = np.array([abs_bound], dtype=np.float64)
+        with np.errstate(all="ignore"):
+            blob = comp._compress_impl(arr, abs_bound)
+        cases[f"{codec}/{name}/blob"] = _as_bytes_array(blob)
+
+    def smooth(shape: tuple[int, ...]) -> np.ndarray:
+        grids = np.meshgrid(*[np.linspace(0.0, 1.0, n) for n in shape], indexing="ij")
+        out = np.zeros(shape)
+        for d, g in enumerate(grids):
+            out += np.sin((3 + d) * g + d) * (1.0 + 0.5 * d)
+        return out
+
+    rng = np.random.default_rng({"sz3": 20261101, "qoz": 20261102}[codec])
+    add("walk_1d_f32", np.cumsum(rng.standard_normal(1000)).astype(np.float32), 1e-3)
+    add("ramp_1d_pow2", np.linspace(-3.0, 5.0, 257) ** 3, 1e-5, 1)
+    noisy = smooth((40, 37)) + 0.05 * rng.standard_normal((40, 37))
+    add("noisy_2d_loose_f32", noisy.astype(np.float32), 1e-2)
+    add("smooth_2d_tight", smooth((33, 65)), 1e-7, 1)
+    add("size1_axis_3d", smooth((1, 33, 20)), 1e-4)
+    add("smooth_3d", smooth((12, 10, 9)), 1e-3, 1)
+    add("smooth_3d_tight_f32", smooth((17, 9, 16)).astype(np.float32), 1e-6)
+    add("field_4d_f32", smooth((2, 3, 7, 8)).astype(np.float32), 1e-3)
+    add("walk_4d", np.cumsum(rng.standard_normal((3, 5, 6, 9)), axis=3), 1e-4, 1)
+    spiky = smooth((13, 11, 7))
+    spikes = rng.choice(spiky.size, 40, replace=False)
+    spiky.flat[spikes] += rng.standard_normal(40) * 1e3
+    add("escapes_3d", spiky, 1e-7)
+    add("escapes_2d", rng.standard_normal((33, 20)) * 1e3, 1e-9, 1)
+
+    arr = smooth((12, 10, 9))
+    specials = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300, -0.0, 0.0])
+    arr.flat[rng.choice(arr.size, 2 * specials.size, replace=False)] = np.tile(
+        specials, 2
+    )
+    add_raw("nonfinite_3d", arr, 1e-3)
+    return cases
+
+
 def all_cases() -> dict[str, np.ndarray]:
     cases: dict[str, np.ndarray] = {}
     cases.update(huffman_cases())
     cases.update(pack_cases())
     cases.update(zfp_cases())
     cases.update(sz2_cases())
+    cases.update(interp_cases("sz3"))
+    cases.update(interp_cases("qoz"))
     return cases
 
 
