@@ -26,7 +26,6 @@ to the original per-symbol implementation.
 
 from __future__ import annotations
 
-import heapq
 import struct
 
 import numpy as np
@@ -45,12 +44,15 @@ _HEADER = struct.Struct("<IHI")  # n_symbols_encoded, n_distinct, payload_bits
 def _code_lengths(freqs: np.ndarray) -> np.ndarray:
     """Huffman code length per symbol (0 for absent symbols).
 
-    Uses the classic heap algorithm on (frequency, tiebreak) pairs.  A leaf's
-    tiebreak is its symbol and a merged node's is ``freqs.size`` plus its
-    merge index, so every node has a distinct tiebreak that doubles as its
-    id.  Each merge records the children's parent; depths follow in one
-    pass over the merges, root first.  A single distinct symbol gets length
-    1 so the stream is still decodable.
+    Two-queue Huffman: the leaves, sorted by (frequency, symbol), form one
+    queue; merged nodes join a second queue in creation order, which is
+    also weight order.  Each merge takes the lighter front of the two, and
+    a leaf wins a weight tie.  That is exactly the pop order of a heap on
+    (frequency, id) pairs in which a leaf's id is its symbol and the k-th
+    merged node's id is ``freqs.size + k``, so the tree, and with it every
+    length, is the heap's.  Each merge records its children's parent;
+    depths follow in one pass over the merges, root first.  A single
+    distinct symbol gets length 1 so the stream is still decodable.
     """
     present = np.flatnonzero(freqs)
     lengths = np.zeros(freqs.size, dtype=np.int64)
@@ -60,24 +62,49 @@ def _code_lengths(freqs: np.ndarray) -> np.ndarray:
         lengths[present[0]] = 1
         return lengths
 
-    heap = [(int(freqs[s]), int(s)) for s in present]
-    heapq.heapify(heap)
-    parent = [0] * (freqs.size + present.size - 1)
-    tiebreak = int(freqs.size)
-    while len(heap) > 1:
-        fa, a = heapq.heappop(heap)
-        fb, b = heapq.heappop(heap)
-        parent[a] = parent[b] = tiebreak
-        heapq.heappush(heap, (fa + fb, tiebreak))
-        tiebreak += 1
+    weights = freqs[present]
+    order = np.lexsort((present, weights))
+    n = present.size
+    # A sentinel heavier than the whole tree ends each queue.
+    sentinel = int(weights.sum()) + 1
+    leaf_w = weights[order].tolist() + [sentinel]
+    node_w = [sentinel] * n
+    # Merge index that takes each sorted leaf and each merged node.
+    leaf_parent = [0] * n
+    node_parent = [0] * n
+    i = j = 0
+    lw, nw = leaf_w[0], sentinel
+    for k in range(n - 1):
+        if lw <= nw:
+            w = lw
+            leaf_parent[i] = k
+            i += 1
+            lw = leaf_w[i]
+        else:
+            w = nw
+            node_parent[j] = k
+            j += 1
+            nw = node_w[j]
+        if lw <= nw:
+            w += lw
+            leaf_parent[i] = k
+            i += 1
+            lw = leaf_w[i]
+        else:
+            w += nw
+            node_parent[j] = k
+            j += 1
+            nw = node_w[j]
+        node_w[k] = w
+        if j == k:
+            nw = w
 
-    # Merged nodes are numbered after their children, so walking them from
+    # Merged nodes are created after their children, so walking them from
     # the root down sees every parent's depth before its children's.
-    depth = [0] * len(parent)
-    for node in range(tiebreak - 2, freqs.size - 1, -1):
-        depth[node] = depth[parent[node]] + 1
-    parent = np.asarray(parent)
-    lengths[present] = np.asarray(depth)[parent[present]] + 1
+    depth = [0] * (n - 1)
+    for k in range(n - 3, -1, -1):
+        depth[k] = depth[node_parent[k]] + 1
+    lengths[present[order]] = np.asarray(depth)[leaf_parent] + 1
 
     # Limit code lengths (defensive; extremely skewed inputs only).
     if lengths.max() > MAX_CODE_LENGTH:

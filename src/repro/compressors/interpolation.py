@@ -18,16 +18,27 @@ QoZ reuses this engine with per-level error-bound tightening (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from repro.compressors.quantizer import LinearQuantizer
 
-__all__ = ["InterpolationPlan", "interp_encode", "interp_decode", "num_levels"]
+__all__ = [
+    "InterpolationPlan",
+    "anchor_count",
+    "interp_decode",
+    "interp_encode",
+    "num_levels",
+    "pass_plans",
+]
 
 LINEAR, CUBIC = 0, 1
+
+_TINY = np.finfo(np.float64).tiny
 
 
 def num_levels(shape: tuple[int, ...]) -> int:
@@ -39,85 +50,134 @@ def num_levels(shape: tuple[int, ...]) -> int:
     return levels
 
 
-@dataclass
+@dataclass(frozen=True)
 class InterpolationPlan:
-    """One (level, dimension) refinement pass of the traversal."""
+    """One (level, dimension) refinement pass of the traversal.
+
+    Every grid is a tuple of basic slices, so indexing ``recon`` with it
+    gives a strided view.  Along the active axis ``dim`` the targets sit at
+    ``h, 3h, 5h, ...`` (``h = 2**(level - 1)``); their left neighbours are
+    the grid shifted back by ``h``.  Only the first :attr:`n_right` targets
+    have a right neighbour (``h`` ahead), and only targets ``1 ..
+    n_right - 2`` have the full cubic stencil (``3h`` either side).
+    """
 
     level: int
     dim: int
-    #: Coordinate vectors of the target grid (Cartesian product via np.ix_).
-    coords: tuple[np.ndarray, ...]
+    #: The target grid and its shape.
+    target: tuple[slice, ...]
+    shape: tuple[int, ...]
+    #: Left neighbours of every target.
+    left: tuple[slice, ...]
+    #: Targets with a right neighbour (a prefix along ``dim``), those
+    #: neighbours, and the prefix's left neighbours.
+    n_right: int
+    head: tuple[slice, ...]
+    right: tuple[slice, ...]
+    #: Cubic interior of the target grid and its four stencil points.
+    interior: tuple[slice, ...]
+    stencil: tuple[tuple[slice, ...], ...]
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
 
 
-def _passes(shape: tuple[int, ...], levels: int):
-    """Deterministic traversal shared by encoder and decoder."""
+def _on_axis(grid: list[slice], d: int, first: int, count: int, step: int):
+    """``grid`` with axis ``d`` replaced by ``count`` points from ``first``."""
+    out = list(grid)
+    out[d] = slice(first, first + (count - 1) * step + 1, step)
+    return tuple(out)
+
+
+@lru_cache(maxsize=128)
+def pass_plans(shape: tuple[int, ...]) -> tuple[InterpolationPlan, ...]:
+    """Deterministic traversal shared by encoder and decoder, per shape."""
     ndim = len(shape)
     plans: list[InterpolationPlan] = []
-    for level in range(levels, 0, -1):
+    for level in range(num_levels(shape), 0, -1):
         stride = 1 << level
         h = stride >> 1
         for d in range(ndim):
-            coords = []
-            empty = False
-            for k in range(ndim):
-                n = shape[k]
-                if k < d:
-                    c = np.arange(0, n, h, dtype=np.int64)
-                elif k == d:
-                    c = np.arange(h, n, stride, dtype=np.int64)
-                else:
-                    c = np.arange(0, n, stride, dtype=np.int64)
-                if c.size == 0:
-                    empty = True
-                    break
-                coords.append(c)
-            if not empty:
-                plans.append(InterpolationPlan(level, d, tuple(coords)))
-    return plans
+            n = shape[d]
+            count = len(range(h, n, stride))
+            # Axes before ``d`` are already refined to spacing h; the
+            # others are still at spacing 2h.
+            steps = [h if k < d else stride for k in range(ndim)]
+            grid = [slice(0, shape[k], steps[k]) for k in range(ndim)]
+            tshape = tuple(
+                count if k == d else -(-shape[k] // steps[k]) for k in range(ndim)
+            )
+            if 0 in tshape:
+                continue
+            n_right = (n - 1) // stride
+            n_inner = max(n_right - 2, 0)
+            local = [slice(None)] * ndim
+            plans.append(
+                InterpolationPlan(
+                    level=level,
+                    dim=d,
+                    target=_on_axis(grid, d, h, count, stride),
+                    shape=tshape,
+                    left=_on_axis(grid, d, 0, count, stride),
+                    n_right=n_right,
+                    head=_on_axis(local, d, 0, n_right, 1),
+                    right=_on_axis(grid, d, stride, n_right, stride),
+                    interior=_on_axis(local, d, 1, n_inner, 1),
+                    stencil=tuple(
+                        _on_axis(grid, d, first, n_inner, stride)
+                        for first in (0, stride, 2 * stride, 3 * stride)
+                    ),
+                )
+            )
+    return tuple(plans)
 
 
-def _axis_shape(ndim: int, d: int, n: int) -> tuple[int, ...]:
-    """Broadcast shape placing ``n`` on axis ``d``."""
-    s = [1] * ndim
-    s[d] = n
-    return tuple(s)
+def _anchor_grid(shape: tuple[int, ...]) -> tuple[slice, ...]:
+    stride = 1 << num_levels(shape)
+    return tuple(slice(0, n, stride) for n in shape)
+
+
+def anchor_count(shape: tuple[int, ...]) -> int:
+    """Number of exactly stored anchor points for ``shape``."""
+    stride = 1 << num_levels(shape)
+    return math.prod(-(-n // stride) for n in shape)
 
 
 def _predict(
-    recon: np.ndarray, plan: InterpolationPlan, mode: int, h: int
+    recon: np.ndarray,
+    plan: InterpolationPlan,
+    mode: int,
+    h: int,
+    linear: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Interpolate the target grid of ``plan`` from reconstructed values."""
-    d = plan.dim
-    ndim = recon.ndim
-    n_d = recon.shape[d]
-    cd = plan.coords[d]
+    """Interpolate the target grid of ``plan`` from reconstructed values.
 
-    def grid(shift_coord: np.ndarray) -> np.ndarray:
-        cs = list(plan.coords)
-        cs[d] = shift_coord
-        return recon[np.ix_(*cs)]
-
-    left = grid(cd - h)
-    right_ok = cd + h < n_d
-    right = grid(np.where(right_ok, cd + h, cd - h))
-    ok = right_ok.reshape(_axis_shape(ndim, d, cd.size))
-    linear = np.where(ok, 0.5 * (left + right), left)
-    if mode == LINEAR:
+    ``linear``, when given, is the LINEAR prediction of the same pass; a
+    CUBIC prediction then starts from a copy of it instead of rebuilding it.
+    """
+    if linear is None:
+        linear = recon[plan.left].copy()
+        if plan.n_right:
+            head = linear[plan.head]
+            np.add(head, recon[plan.right], out=head)
+            head *= 0.5
+        if mode == LINEAR:
+            return linear
+        cubic = linear
+    elif mode == LINEAR:
         return linear
-
-    cubic_ok = (cd - 3 * h >= 0) & (cd + 3 * h < n_d)
-    if not cubic_ok.any():
-        return linear
-    far_left = grid(np.where(cubic_ok, cd - 3 * h, cd - h))
-    far_right = grid(np.where(cubic_ok, cd + 3 * h, cd - h))
-    cubic = (-far_left + 9.0 * left + 9.0 * right - far_right) / 16.0
-    okc = cubic_ok.reshape(_axis_shape(ndim, d, cd.size))
-    return np.where(okc & ok, cubic, linear)
+    else:
+        cubic = linear.copy()
+    if plan.n_right > 2:
+        far_left, left, right, far_right = (recon[s] for s in plan.stencil)
+        cubic[plan.interior] = (-far_left + 9.0 * left + 9.0 * right - far_right) / 16.0
+    return cubic
 
 
-def _anchor_coords(shape: tuple[int, ...], levels: int):
-    stride = 1 << levels
-    return tuple(np.arange(0, n, stride, dtype=np.int64) for n in shape)
+def _quantizer(abs_bound, level_bound, level: int) -> LinearQuantizer:
+    eb = abs_bound if level_bound is None else min(abs_bound, level_bound(level))
+    return LinearQuantizer(max(eb, _TINY))
 
 
 def interp_encode(
@@ -151,32 +211,29 @@ def interp_encode(
         The decoder-visible reconstruction.
     """
     shape = values.shape
-    levels = num_levels(shape)
     recon = np.zeros_like(values, dtype=np.float64)
-    a_coords = _anchor_coords(shape, levels)
-    anchors = values[np.ix_(*a_coords)].astype(np.float64).copy()
-    recon[np.ix_(*a_coords)] = anchors
+    a_grid = _anchor_grid(shape)
+    anchors = values[a_grid].astype(np.float64)
+    recon[a_grid] = anchors
 
     modes: list[int] = []
     code_parts: list[np.ndarray] = []
     outlier_parts: list[np.ndarray] = []
-    for plan in _passes(shape, levels):
+    for plan in pass_plans(shape):
         h = 1 << (plan.level - 1)
-        eb = abs_bound if level_bound is None else min(abs_bound, level_bound(plan.level))
-        eb = max(eb, np.finfo(np.float64).tiny)
-        quantizer = LinearQuantizer(eb)
-        target = values[np.ix_(*plan.coords)]
+        target = values[plan.target]
 
+        # The trial errors sum over the whole pass, as the mode bit records.
         pred_lin = _predict(recon, plan, LINEAR, h)
-        pred_cub = _predict(recon, plan, CUBIC, h)
+        pred_cub = _predict(recon, plan, CUBIC, h, pred_lin)
         err_lin = float(np.abs(target - pred_lin).sum())
         err_cub = float(np.abs(target - pred_cub).sum())
         mode = CUBIC if err_cub < err_lin else LINEAR
-        pred = pred_cub if mode == CUBIC else pred_lin
         modes.append(mode)
 
-        q = quantizer.quantize(target, pred)
-        recon[np.ix_(*plan.coords)] = q.recon
+        quantizer = _quantizer(abs_bound, level_bound, plan.level)
+        q = quantizer.quantize(target, pred_cub if mode == CUBIC else pred_lin)
+        recon[plan.target] = q.recon
         code_parts.append(q.codes.ravel())
         outlier_parts.append(q.outliers)
 
@@ -199,34 +256,30 @@ def interp_decode(
     level_bound: Callable[[int], float] | None = None,
 ) -> np.ndarray:
     """Replay :func:`interp_encode`'s traversal to reconstruct the array."""
-    levels = num_levels(shape)
-    recon = np.zeros(shape, dtype=np.float64)
-    a_coords = _anchor_coords(shape, levels)
-    a_shape = tuple(c.size for c in a_coords)
-    recon[np.ix_(*a_coords)] = np.asarray(anchors, dtype=np.float64).reshape(a_shape)
-
-    code_pos = 0
-    out_pos = 0
-    plans = _passes(shape, levels)
+    plans = pass_plans(shape)
     if len(modes) != len(plans):
         raise ValueError(
             f"interpolation mode list length {len(modes)} != {len(plans)} passes"
         )
+    recon = np.zeros(shape, dtype=np.float64)
+    a_grid = _anchor_grid(shape)
+    a_view = recon[a_grid]
+    a_view[...] = np.asarray(anchors, dtype=np.float64).reshape(a_view.shape)
+
+    code_pos = 0
+    out_pos = 0
     for plan, mode in zip(plans, modes):
         h = 1 << (plan.level - 1)
-        eb = abs_bound if level_bound is None else min(abs_bound, level_bound(plan.level))
-        eb = max(eb, np.finfo(np.float64).tiny)
-        quantizer = LinearQuantizer(eb)
-        tshape = tuple(c.size for c in plan.coords)
-        n = int(np.prod(tshape))
-        sub_codes = codes[code_pos : code_pos + n].reshape(tshape)
+        n = plan.size
+        sub_codes = codes[code_pos : code_pos + n].reshape(plan.shape)
         code_pos += n
         n_esc = int((sub_codes == 0).sum())
         sub_out = outliers[out_pos : out_pos + n_esc]
         out_pos += n_esc
 
         pred = _predict(recon, plan, mode, h)
-        recon[np.ix_(*plan.coords)] = quantizer.dequantize(sub_codes, pred, sub_out)
+        quantizer = _quantizer(abs_bound, level_bound, plan.level)
+        recon[plan.target] = quantizer.dequantize(sub_codes, pred, sub_out)
     if code_pos != codes.size:
         raise ValueError("interpolation code stream length mismatch")
     return recon

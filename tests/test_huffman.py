@@ -138,8 +138,9 @@ class TestCodecObject:
 
 
 def _reference_code_lengths(freqs):
-    """The leaf-list ``_code_lengths`` the parent-pointer version replaced,
-    kept verbatim: every merge copies both leaf lists and bumps each leaf."""
+    """The heap-based ``_code_lengths`` the two-queue merge replaced, in its
+    original leaf-list form: a heap on (frequency, id) pairs in which every
+    merge copies both leaf lists and bumps each leaf."""
     present = np.flatnonzero(freqs)
     lengths = np.zeros(freqs.size, dtype=np.int64)
     if present.size == 0:
@@ -213,8 +214,8 @@ def _assert_same_tables(freqs):
 
 
 class TestReferenceEquivalence:
-    """Parent-pointer code lengths and the one-``repeat`` peek table equal
-    the leaf-list and per-length references on the same frequencies."""
+    """Two-queue code lengths and the one-``repeat`` peek table equal the
+    heap and per-length references on the same frequencies."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -227,6 +228,16 @@ class TestReferenceEquivalence:
         ).map(lambda xs: np.array(xs, dtype=np.int64))
     )
     def test_random_frequencies(self, freqs):
+        _assert_same_tables(freqs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0, 1, 1, 2, 3, 4, 6, 8]), min_size=1, max_size=300)
+        .map(lambda xs: np.array(xs, dtype=np.int64))
+    )
+    def test_tie_heavy_frequencies(self, freqs):
+        # Few distinct weights, many of them sums of others: merged nodes
+        # keep tying with leaves, where the leaf must win as in the heap.
         _assert_same_tables(freqs)
 
     @settings(max_examples=30, deadline=None)

@@ -5,7 +5,8 @@ per-symbol/per-bit implementations (see ``tools/gen_kernel_fixtures.py``).
 These tests assert that the vectorized Huffman, bit-packing, ZFP, SZ2, SZ3
 and QoZ kernels still *produce* byte-identical streams (forward
 compatibility) and still *decode* the frozen streams to the original arrays
-(backward compatibility) — including the empty, single-symbol, and longer-than-``PEEK_BITS`` alphabets.
+(backward compatibility) — including the empty, single-symbol, and
+longer-than-``PEEK_BITS`` alphabets.
 """
 
 from __future__ import annotations
