@@ -223,11 +223,19 @@ class HuffmanCodec:
             )
         )
 
-    def decode(self, data: bytes) -> np.ndarray:
-        """Decode a stream produced by :meth:`encode` (returns ``int64``)."""
+    def decode(self, data: bytes, n_symbols: int | None = None) -> np.ndarray:
+        """Decode a stream produced by :meth:`encode` (returns ``int64``).
+
+        ``n_symbols``, when the caller knows it, is checked against the
+        header's symbol count before anything is sized from it.
+        """
         if len(data) < _HEADER.size:
             raise DecompressionError("huffman stream too short for header")
         n, n_distinct, payload_bits = _HEADER.unpack_from(data, 0)
+        if n_symbols is not None and n != n_symbols:
+            raise DecompressionError(
+                f"huffman stream holds {n} symbols, expected {n_symbols}"
+            )
         if n == 0:
             return np.zeros(0, dtype=np.int64)
         off = _HEADER.size
@@ -359,9 +367,9 @@ def huffman_encode(symbols: np.ndarray) -> bytes:
     return _DEFAULT.encode(symbols)
 
 
-def huffman_decode(data: bytes) -> np.ndarray:
+def huffman_decode(data: bytes, n_symbols: int | None = None) -> np.ndarray:
     """Module-level convenience wrapper around :class:`HuffmanCodec`."""
-    return _DEFAULT.decode(data)
+    return _DEFAULT.decode(data, n_symbols)
 
 
 def huffman_max_bytes(n_symbols: int) -> int:

@@ -17,15 +17,20 @@ QoZ builds on SZ3's interpolation engine with two changes we reproduce:
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
 from repro.compressors.base import CompressedBuffer, register_compressor
 from repro.compressors.sz3 import SZ3
-from repro.errors import CompressionError
+from repro.errors import CompressionError, DecompressionError
 
 __all__ = ["QoZ"]
+
+
+def _valid_params(alpha: float, beta: float) -> bool:
+    return all(math.isfinite(p) and p >= 1.0 for p in (alpha, beta))
 
 
 @register_compressor
@@ -35,8 +40,8 @@ class QoZ(SZ3):
     name = "qoz"
 
     def __init__(self, alpha: float = 1.5, beta: float = 4.0):
-        if alpha < 1.0 or beta < 1.0:
-            raise CompressionError("qoz requires alpha >= 1 and beta >= 1")
+        if not _valid_params(alpha, beta):
+            raise CompressionError("qoz requires finite alpha >= 1 and beta >= 1")
         self.alpha = float(alpha)
         self.beta = float(beta)
 
@@ -56,7 +61,14 @@ class QoZ(SZ3):
     def _decompress_impl(
         self, payload: bytes, shape: tuple[int, ...], abs_bound: float
     ) -> np.ndarray:
+        if len(payload) < 16:
+            raise DecompressionError("qoz stream truncated in alpha/beta")
         alpha, beta = struct.unpack_from("<dd", payload, 0)
+        if not _valid_params(alpha, beta):
+            raise DecompressionError(
+                f"qoz stream stores alpha={alpha!r}, beta={beta!r}; both must "
+                "be finite and >= 1"
+            )
         # Decode with the *stored* parameters, not the instance's.
         saved = self.alpha, self.beta
         try:

@@ -181,11 +181,7 @@ class SZ2(Compressor):
             reg_idx.size, len(core_block) + 1
         )
         outliers = np.frombuffer(outlier_raw, dtype=np.float64)
-        flat_codes = huffman_decode(huff_raw)
-        if flat_codes.size != n_elems:
-            raise DecompressionError(
-                f"sz2 stream holds {flat_codes.size} codes for {n_blocks} blocks"
-            )
+        flat_codes = huffman_decode(huff_raw, n_elems)
         codes = flat_codes.reshape((n_blocks,) + core_block)
 
         # Global escape-slot map (flattened block-major order).

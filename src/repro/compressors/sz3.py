@@ -9,17 +9,28 @@ quantization symbols, DEFLATE-compressed, plus the escape pool.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
 from repro.compressors.base import Compressor, register_compressor
 from repro.compressors.deflate import pack_chunk, unpack_chunk
-from repro.compressors.huffman import huffman_decode, huffman_encode
-from repro.compressors.interpolation import interp_decode, interp_encode
+from repro.compressors.huffman import (
+    huffman_decode,
+    huffman_encode,
+    huffman_max_bytes,
+)
+from repro.compressors.interpolation import (
+    anchor_count,
+    interp_decode,
+    interp_encode,
+    pass_plans,
+)
 from repro.errors import DecompressionError
 
 __all__ = ["SZ3"]
+
 
 @register_compressor
 class SZ3(Compressor):
@@ -48,9 +59,24 @@ class SZ3(Compressor):
     def _decompress_impl(
         self, payload: bytes, shape: tuple[int, ...], abs_bound: float
     ) -> np.ndarray:
+        if not shape:
+            raise DecompressionError("sz3 cannot decode a rank-0 shape")
         if len(payload) < 8:
             raise DecompressionError("sz3 stream truncated in payload header")
+        # Every count in the header is checked against the stream's shape
+        # before anything is sized from it.
         n_modes, n_anchor = struct.unpack_from("<II", payload, 0)
+        n_passes = len(pass_plans(shape))
+        if n_modes != n_passes:
+            raise DecompressionError(
+                f"sz3 stream declares {n_modes} passes; shape {shape} has {n_passes}"
+            )
+        if n_anchor != anchor_count(shape):
+            raise DecompressionError(
+                f"sz3 stream declares {n_anchor} anchors; shape {shape} has "
+                f"{anchor_count(shape)}"
+            )
+        n_codes = math.prod(shape) - n_anchor
         off = 8
         n_mode_bytes = -(-n_modes // 8)
         if len(payload) < off + n_mode_bytes:
@@ -63,14 +89,18 @@ class SZ3(Compressor):
             .tolist()
         )
         off += n_mode_bytes
-        anchor_raw, off = unpack_chunk(payload, off, "sz3")
-        outlier_raw, off = unpack_chunk(payload, off, "sz3")
-        huff_raw, off = unpack_chunk(payload, off, "sz3")
+        anchor_raw, off = unpack_chunk(payload, off, "sz3", 8 * n_anchor)
+        outlier_raw, off = unpack_chunk(payload, off, "sz3", max_len=8 * n_codes)
+        huff_raw, off = unpack_chunk(
+            payload, off, "sz3", max_len=huffman_max_bytes(n_codes)
+        )
+        if len(outlier_raw) % 8:
+            raise DecompressionError("sz3 outlier pool is not whole float64 values")
         anchors = np.frombuffer(anchor_raw, dtype=np.float64)
-        if anchors.size != n_anchor:
-            raise DecompressionError("sz3 anchor count mismatch")
         outliers = np.frombuffer(outlier_raw, dtype=np.float64)
-        codes = huffman_decode(huff_raw)
+        codes = huffman_decode(huff_raw, n_codes)
+        if int(np.count_nonzero(codes == 0)) != outliers.size:
+            raise DecompressionError("sz3 outlier pool size mismatch")
         return interp_decode(
             shape,
             abs_bound,

@@ -88,15 +88,16 @@ class TestSZ2:
         check_error_bound(field_4d, SZ2().decompress(buf), 1e-3)
 
 
-def _sz2_outcome(data, seconds=5.0):
-    """Decode ``data`` on a daemon thread; return the array or the raised
-    exception, failing if the call does not return within ``seconds``."""
+def _decode_outcome(data, codec="sz2", seconds=5.0):
+    """Decode ``data`` with ``codec`` on a daemon thread; return the array or
+    the raised exception, failing if the call does not return within
+    ``seconds``."""
     outcome = []
 
     def target():
         try:
             with np.errstate(all="ignore"):
-                outcome.append(SZ2().decompress(data))
+                outcome.append(get_compressor(codec).decompress(data))
         except BaseException as exc:  # noqa: BLE001 - handed to the test
             outcome.append(exc)
 
@@ -107,8 +108,8 @@ def _sz2_outcome(data, seconds=5.0):
     return outcome[0]
 
 
-def _assert_sz2_rejected_or_declared(data, label):
-    got = _sz2_outcome(data)
+def _assert_rejected_or_declared(data, label, codec="sz2"):
+    got = _decode_outcome(data, codec)
     if isinstance(got, BaseException):
         assert isinstance(got, DecompressionError), f"{label}: {got!r}"
         return
@@ -116,7 +117,7 @@ def _assert_sz2_rejected_or_declared(data, label):
     assert got.shape == shape and got.dtype == dtype, label
 
 
-def _sz2_walk(shape, seed):
+def _walk(shape, seed):
     walk = np.random.default_rng(seed).standard_normal(shape)
     for axis in range(len(shape)):
         walk = np.cumsum(walk, axis=axis)
@@ -124,13 +125,13 @@ def _sz2_walk(shape, seed):
 
 
 SZ2_CORRUPT_CASES = {
-    "walk_3d": (_sz2_walk((12, 10, 9), 11), 1e-3),
+    "walk_3d": (_walk((12, 10, 9), 11), 1e-3),
     "plane_escapes_2d": (
         np.add.outer(np.arange(20.0), 0.5 * np.arange(18.0))
         + np.where(np.arange(360).reshape(20, 18) % 37 == 0, 1e4, 0.0),
         1e-9,
     ),
-    "walk_1d": (_sz2_walk((300,), 12), 1e-4),
+    "walk_1d": (_walk((300,), 12), 1e-4),
 }
 
 
@@ -143,7 +144,7 @@ class TestSZ2CorruptStreams:
         arr, rel = SZ2_CORRUPT_CASES[name]
         stream = SZ2().compress(arr, rel).data
         for cut in range(len(stream)):
-            _assert_sz2_rejected_or_declared(stream[:cut], f"{name}[:{cut}]")
+            _assert_rejected_or_declared(stream[:cut], f"{name}[:{cut}]")
 
     @pytest.mark.parametrize("name", sorted(SZ2_CORRUPT_CASES))
     def test_seeded_bit_flips(self, name):
@@ -153,7 +154,7 @@ class TestSZ2CorruptStreams:
         for bit in rng.integers(0, 8 * len(stream), size=250):
             corrupt = bytearray(stream)
             corrupt[bit // 8] ^= 1 << (bit % 8)
-            _assert_sz2_rejected_or_declared(bytes(corrupt), f"{name} flip {bit}")
+            _assert_rejected_or_declared(bytes(corrupt), f"{name} flip {bit}")
 
     @pytest.fixture
     def parts(self):
@@ -167,7 +168,7 @@ class TestSZ2CorruptStreams:
         return header, payload
 
     def _rejected(self, data, needle):
-        exc = _sz2_outcome(data)
+        exc = _decode_outcome(data)
         assert isinstance(exc, DecompressionError), repr(exc)
         assert needle in str(exc)
 
@@ -286,14 +287,137 @@ class TestQoZ:
         np.testing.assert_array_equal(rec, enc.decompress(buf))
 
     def test_invalid_params(self):
-        with pytest.raises(CompressionError):
-            QoZ(alpha=0.5)
+        for alpha, beta in ((0.5, 4.0), (1.5, 0.0), (np.nan, 4.0), (1.5, np.inf)):
+            with pytest.raises(CompressionError):
+                QoZ(alpha=alpha, beta=beta)
+
+    def test_stored_params_checked(self):
+        stream = QoZ().compress(_walk((9, 8), 5), 1e-3).data
+        payload = Compressor._unpack_header(stream)[-1]
+        header = stream[: len(stream) - len(payload)]
+        for cut in range(16):
+            with pytest.raises(DecompressionError, match="alpha"):
+                QoZ().decompress(header + payload[:cut])
+        for alpha, beta in ((np.nan, 4.0), (1.5, np.inf), (0.5, 4.0), (1.5, -1.0)):
+            bad = header + struct.pack("<dd", alpha, beta) + payload[16:]
+            with pytest.raises(DecompressionError, match="alpha"):
+                QoZ().decompress(bad)
 
     def test_compress_to_psnr(self, smooth_3d):
         buf, achieved = QoZ().compress_to_psnr(np.array(smooth_3d), 70.0)
         assert achieved >= 70.0
         rec = QoZ().decompress(buf)
         assert psnr(smooth_3d, rec) >= 70.0
+
+
+INTERP_CORRUPT_CASES = {
+    "walk_3d": (_walk((12, 10, 9), 21), 1e-3),
+    "escapes_2d": (
+        np.add.outer(np.arange(20.0), 0.5 * np.arange(18.0))
+        + np.where(np.arange(360).reshape(20, 18) % 7 == 0, 1e4, 0.0),
+        1e-9,
+    ),
+}
+
+
+@pytest.mark.parametrize("codec", ["sz3", "qoz"])
+class TestInterpCorruptStreams:
+    """A truncated or corrupted SZ3/QoZ stream raises ``DecompressionError``
+    or decodes to its declared shape and dtype, within a wall bound."""
+
+    @pytest.mark.parametrize("name", sorted(INTERP_CORRUPT_CASES))
+    def test_every_truncation(self, codec, name):
+        arr, rel = INTERP_CORRUPT_CASES[name]
+        stream = get_compressor(codec).compress(arr, rel).data
+        for cut in range(len(stream)):
+            _assert_rejected_or_declared(stream[:cut], f"{name}[:{cut}]", codec)
+
+    @pytest.mark.parametrize("name", sorted(INTERP_CORRUPT_CASES))
+    def test_seeded_bit_flips(self, codec, name):
+        arr, rel = INTERP_CORRUPT_CASES[name]
+        stream = get_compressor(codec).compress(arr, rel).data
+        rng = np.random.default_rng(20261017)
+        for bit in rng.integers(0, 8 * len(stream), size=250):
+            corrupt = bytearray(stream)
+            corrupt[bit // 8] ^= 1 << (bit % 8)
+            _assert_rejected_or_declared(bytes(corrupt), f"{name} flip {bit}", codec)
+
+    @pytest.fixture
+    def parts(self, codec):
+        """(framing header, QoZ alpha/beta prefix, SZ3 body, chunk offsets)
+        of the 3-D walk stream; the body starts with ``<II`` n_modes,
+        n_anchor and one mode byte for its 12 passes."""
+        arr, rel = INTERP_CORRUPT_CASES["walk_3d"]
+        stream = get_compressor(codec).compress(arr, rel).data
+        payload = Compressor._unpack_header(stream)[-1]
+        header = stream[: len(stream) - len(payload)]
+        prefix = payload[:16] if codec == "qoz" else b""
+        body = payload[len(prefix) :]
+        assert struct.unpack_from("<II", body) == (12, 1)
+        offsets = [8 + 2]
+        for _ in range(2):
+            offsets.append(offsets[-1] + 16 + struct.unpack_from("<Q", body, offsets[-1])[0])
+        return header, prefix, body, offsets
+
+    def _rejected(self, codec, data, needle):
+        exc = _decode_outcome(data, codec)
+        assert isinstance(exc, DecompressionError), repr(exc)
+        assert needle in str(exc), str(exc)
+
+    def test_huge_declared_shape(self, codec, parts):
+        header, prefix, body, _ = parts
+        shape_off = 4 + 1 + len(codec) + 1 + 2
+        for bad, needle in ((2**56 + 12, "passes"), (2**40, "passes"),
+                            (13, "symbols")):
+            huge = header[:shape_off] + struct.pack("<Q", bad) + header[shape_off + 8 :]
+            self._rejected(codec, huge + prefix + body, needle)
+        rank0 = bytearray(header[:shape_off])
+        rank0[-1] = 0
+        self._rejected(codec, bytes(rank0) + header[shape_off + 24 :] + prefix + body,
+                       "rank-0")
+
+    def test_mode_and_anchor_counts(self, codec, parts):
+        header, prefix, body, _ = parts
+        for n_modes, n_anchor, needle in ((11, 1, "passes"), (13, 1, "passes"),
+                                          (2**32 - 1, 1, "passes"),
+                                          (12, 0, "anchors"), (12, 2, "anchors")):
+            bad = struct.pack("<II", n_modes, n_anchor) + body[8:]
+            self._rejected(codec, header + prefix + bad, needle)
+
+    @pytest.mark.parametrize(
+        "chunk, cap, needle",
+        [(0, 8, "expected 8"), (1, 8 * 1079, "at most"),
+         (2, huffman_max_bytes(1079), "at most")],
+    )
+    def test_chunk_lengths_capped_before_inflate(self, codec, parts, chunk, cap,
+                                                 needle):
+        header, prefix, body, offsets = parts
+        off = offsets[chunk]
+        clen, _ = struct.unpack_from("<QQ", body, off)
+        for rlen in (cap + 1, 2**63):
+            bad = body[:off] + struct.pack("<QQ", clen, rlen) + body[off + 16 :]
+            self._rejected(codec, header + prefix + bad, needle)
+
+    def _repacked(self, body, offsets, chunk, raw):
+        off = offsets[chunk]
+        clen = struct.unpack_from("<Q", body, off)[0]
+        return body[:off] + pack_chunk(raw) + body[off + 16 + clen :]
+
+    def test_huffman_symbol_count(self, codec, parts):
+        header, prefix, body, offsets = parts
+        off = offsets[2]
+        raw, _ = unpack_chunk(body, off, "t")
+        for n in (1078, 1080, 2**32 - 1):
+            bad = self._repacked(body, offsets, 2, struct.pack("<I", n) + raw[4:])
+            self._rejected(codec, header + prefix + bad, "symbols")
+
+    def test_outlier_pool_size(self, codec, parts):
+        header, prefix, body, offsets = parts
+        for raw, needle in ((bytes(8), "outlier pool size"),
+                            (bytes(7), "whole float64")):
+            bad = self._repacked(body, offsets, 1, raw)
+            self._rejected(codec, header + prefix + bad, needle)
+
 
 
 class TestZFP:
