@@ -15,11 +15,15 @@ from repro.data import generate
 
 
 def _encode_with_forced_mode(data, eb, forced):
-    """Re-run the engine with _predict forced to one interpolator."""
+    """Re-run the engine with _predict forced to one interpolator.
+
+    The encoder calls ``_predict`` once per trial mode, the CUBIC trial
+    with the LINEAR prediction as an optional fifth argument.
+    """
     original = interp._predict
 
-    def patched(recon, plan, mode, h):
-        return original(recon, plan, forced, h)
+    def patched(recon, plan, mode, h, *linear):
+        return original(recon, plan, forced, h, *linear)
 
     interp._predict = patched
     try:
@@ -43,6 +47,9 @@ def test_ablation_interpolation_order(benchmark, emit):
         return dyn_payload, lin, cub, cubic_share
 
     dyn, lin, cub, cubic_share = run_once(benchmark, build)
+    # Forcing goes through the `_predict` seam; if the encoder stopped
+    # calling it, both forced runs would silently repeat the dynamic one.
+    assert lin != cub, "forced-mode patch of interp._predict had no effect"
     rows = [
         ["dynamic (SZ3)", f"{data.nbytes / dyn:.2f}", f"{cubic_share * 100:.0f}% cubic passes"],
         ["fixed linear", f"{data.nbytes / lin:.2f}", ""],

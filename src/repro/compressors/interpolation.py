@@ -69,12 +69,13 @@ class InterpolationPlan:
     shape: tuple[int, ...]
     #: Left neighbours of every target.
     left: tuple[slice, ...]
-    #: Targets with a right neighbour (a prefix along ``dim``), those
-    #: neighbours, and the prefix's left neighbours.
+    #: How many targets have a right neighbour, that prefix along ``dim``
+    #: (indexing the target grid), and their right neighbours.
     n_right: int
     head: tuple[slice, ...]
     right: tuple[slice, ...]
-    #: Cubic interior of the target grid and its four stencil points.
+    #: The cubic interior (indexing the target grid) and its stencil: far
+    #: left, left, right and far right neighbours.
     interior: tuple[slice, ...]
     stencil: tuple[tuple[slice, ...], ...]
 
@@ -86,7 +87,7 @@ class InterpolationPlan:
 def _on_axis(grid: list[slice], d: int, first: int, count: int, step: int):
     """``grid`` with axis ``d`` replaced by ``count`` points from ``first``."""
     out = list(grid)
-    out[d] = slice(first, first + (count - 1) * step + 1, step)
+    out[d] = slice(first, first + (count - 1) * step + 1 if count else first, step)
     return tuple(out)
 
 
@@ -155,23 +156,20 @@ def _predict(
 
     ``linear``, when given, is the LINEAR prediction of the same pass; a
     CUBIC prediction then starts from a copy of it instead of rebuilding it.
+    Without a cubic interior the CUBIC prediction is the LINEAR one.
     """
-    if linear is None:
+    fresh = linear is None
+    if fresh:
         linear = recon[plan.left].copy()
         if plan.n_right:
             head = linear[plan.head]
             np.add(head, recon[plan.right], out=head)
             head *= 0.5
-        if mode == LINEAR:
-            return linear
-        cubic = linear
-    elif mode == LINEAR:
+    if mode == LINEAR or plan.n_right < 3:
         return linear
-    else:
-        cubic = linear.copy()
-    if plan.n_right > 2:
-        far_left, left, right, far_right = (recon[s] for s in plan.stencil)
-        cubic[plan.interior] = (-far_left + 9.0 * left + 9.0 * right - far_right) / 16.0
+    cubic = linear if fresh else linear.copy()
+    far_left, left, right, far_right = (recon[s] for s in plan.stencil)
+    cubic[plan.interior] = (-far_left + 9.0 * left + 9.0 * right - far_right) / 16.0
     return cubic
 
 
@@ -227,7 +225,9 @@ def interp_encode(
         pred_lin = _predict(recon, plan, LINEAR, h)
         pred_cub = _predict(recon, plan, CUBIC, h, pred_lin)
         err_lin = float(np.abs(target - pred_lin).sum())
-        err_cub = float(np.abs(target - pred_cub).sum())
+        err_cub = (
+            err_lin if pred_cub is pred_lin else float(np.abs(target - pred_cub).sum())
+        )
         mode = CUBIC if err_cub < err_lin else LINEAR
         modes.append(mode)
 

@@ -161,6 +161,10 @@ KERNELS: tuple[KernelSpec, ...] = (
     KernelSpec("zfp_decompress", _codec_kernel("zfp", "decompress")),
     KernelSpec("sz2_compress", _codec_kernel("sz2", "compress")),
     KernelSpec("sz2_decompress", _codec_kernel("sz2", "decompress")),
+    KernelSpec("sz3_compress", _codec_kernel("sz3", "compress")),
+    KernelSpec("sz3_decompress", _codec_kernel("sz3", "decompress")),
+    KernelSpec("qoz_compress", _codec_kernel("qoz", "compress")),
+    KernelSpec("qoz_decompress", _codec_kernel("qoz", "decompress")),
 )
 
 
