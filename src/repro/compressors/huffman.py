@@ -3,9 +3,10 @@
 The SZ family entropy-codes quantization indices with Huffman before a final
 DEFLATE pass.  This module implements a canonical Huffman code:
 
-- tree construction with a heap over symbol frequencies that records one
-  parent pointer per merge; code lengths are the leaves' depths, found in
-  one root-first pass over the merges (linear in the alphabet),
+- tree construction by the two-queue merge (leaves sorted by frequency,
+  merged nodes queued in creation order), recording one parent pointer per
+  merge; code lengths are the leaves' depths, found in one root-first pass
+  over the merges (linear in the alphabet after the sort),
 - code lengths limited to :data:`MAX_CODE_LENGTH` via the standard
   length-limiting adjustment (rarely triggered for quantization data),
 - a compact header storing only the symbol list and code lengths,
@@ -19,9 +20,10 @@ DEFLATE pass.  This module implements a canonical Huffman code:
   array.
 
 Both directions are O(n) NumPy passes over the symbols (decode adds a
-log₂(n) factor for the pointer doubling); the only Python loop is the
-per-merge heap step over the distinct symbols.  The byte format is identical
-to the original per-symbol implementation.
+log₂(n) factor for the pointer doubling).  The Python loops run over the
+distinct symbols only: one step per merge and one per merged node's depth,
+plus one iteration per distinct code length when assigning canonical codes.
+The byte format is identical to the original per-symbol implementation.
 """
 
 from __future__ import annotations
