@@ -79,10 +79,6 @@ class InterpolationPlan:
     interior: tuple[slice, ...]
     stencil: tuple[tuple[slice, ...], ...]
 
-    @property
-    def size(self) -> int:
-        return math.prod(self.shape)
-
 
 def _on_axis(grid: list[slice], d: int, first: int, count: int, step: int):
     """``grid`` with axis ``d`` replaced by ``count`` points from ``first``."""
@@ -270,7 +266,7 @@ def interp_decode(
     out_pos = 0
     for plan, mode in zip(plans, modes):
         h = 1 << (plan.level - 1)
-        n = plan.size
+        n = math.prod(plan.shape)
         sub_codes = codes[code_pos : code_pos + n].reshape(plan.shape)
         code_pos += n
         n_esc = int((sub_codes == 0).sum())
