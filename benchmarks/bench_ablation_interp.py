@@ -18,12 +18,12 @@ def _encode_with_forced_mode(data, eb, forced):
     """Re-run the engine with _predict forced to one interpolator.
 
     The encoder calls ``_predict`` once per trial mode, the CUBIC trial
-    with the LINEAR prediction as an optional fifth argument.
+    with the LINEAR prediction as an optional fourth argument.
     """
     original = interp._predict
 
-    def patched(recon, plan, mode, h, *linear):
-        return original(recon, plan, forced, h, *linear)
+    def patched(recon, plan, mode, *linear):
+        return original(recon, plan, forced, *linear)
 
     interp._predict = patched
     try:

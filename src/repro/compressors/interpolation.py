@@ -145,7 +145,6 @@ def _predict(
     recon: np.ndarray,
     plan: InterpolationPlan,
     mode: int,
-    h: int,
     linear: np.ndarray | None = None,
 ) -> np.ndarray:
     """Interpolate the target grid of ``plan`` from reconstructed values.
@@ -214,12 +213,11 @@ def interp_encode(
     code_parts: list[np.ndarray] = []
     outlier_parts: list[np.ndarray] = []
     for plan in pass_plans(shape):
-        h = 1 << (plan.level - 1)
         target = values[plan.target]
 
         # The trial errors sum over the whole pass, as the mode bit records.
-        pred_lin = _predict(recon, plan, LINEAR, h)
-        pred_cub = _predict(recon, plan, CUBIC, h, pred_lin)
+        pred_lin = _predict(recon, plan, LINEAR)
+        pred_cub = _predict(recon, plan, CUBIC, pred_lin)
         err_lin = float(np.abs(target - pred_lin).sum())
         err_cub = (
             err_lin if pred_cub is pred_lin else float(np.abs(target - pred_cub).sum())
@@ -265,7 +263,6 @@ def interp_decode(
     code_pos = 0
     out_pos = 0
     for plan, mode in zip(plans, modes):
-        h = 1 << (plan.level - 1)
         n = math.prod(plan.shape)
         sub_codes = codes[code_pos : code_pos + n].reshape(plan.shape)
         code_pos += n
@@ -273,7 +270,7 @@ def interp_decode(
         sub_out = outliers[out_pos : out_pos + n_esc]
         out_pos += n_esc
 
-        pred = _predict(recon, plan, mode, h)
+        pred = _predict(recon, plan, mode)
         quantizer = _quantizer(abs_bound, level_bound, plan.level)
         recon[plan.target] = quantizer.dequantize(sub_codes, pred, sub_out)
     if code_pos != codes.size:
