@@ -71,10 +71,9 @@ class SZ3(Compressor):
             raise DecompressionError(
                 f"sz3 stream declares {n_modes} passes; shape {shape} has {n_passes}"
             )
-        if n_anchor != anchor_count(shape):
+        if n_anchor != (expected := anchor_count(shape)):
             raise DecompressionError(
-                f"sz3 stream declares {n_anchor} anchors; shape {shape} has "
-                f"{anchor_count(shape)}"
+                f"sz3 stream declares {n_anchor} anchors; shape {shape} has {expected}"
             )
         n_codes = math.prod(shape) - n_anchor
         off = 8

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.compressors import get_compressor
 from repro.compressors.base import Compressor
 from repro.compressors.bitstream import BitReader, BitWriter, pack_bits, unpack_bits
+from repro.compressors.deflate import unpack_chunk
 from repro.compressors.huffman import PEEK_BITS, huffman_decode, huffman_encode
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "kernel_streams.npz"
@@ -239,16 +240,20 @@ def _interp_codec(frozen, codec, name):
     return get_compressor(codec, alpha=float(alpha), beta=float(beta))
 
 
-def _interp_modes(frozen, codec, name):
-    """Per-pass LINEAR/CUBIC choices stored in a frozen SZ3/QoZ stream."""
+def _interp_layout(frozen, codec, name):
+    """Per-pass LINEAR/CUBIC choices and escape count of a frozen SZ3/QoZ
+    stream."""
     blob = frozen[f"{codec}/{name}/blob"].tobytes()
     if f"{codec}/{name}/rel_bound" in frozen.files:
         blob = Compressor._unpack_header(blob)[-1]
     if codec == "qoz":
         blob = blob[16:]  # alpha, beta
     n_modes, _ = struct.unpack_from("<II", blob)
-    packed = np.frombuffer(blob, dtype=np.uint8, count=-(-n_modes // 8), offset=8)
-    return np.unpackbits(packed)[:n_modes]
+    n_mode_bytes = -(-n_modes // 8)
+    packed = np.frombuffer(blob, dtype=np.uint8, count=n_mode_bytes, offset=8)
+    _, off = unpack_chunk(blob, 8 + n_mode_bytes, codec)  # anchors
+    outliers, _ = unpack_chunk(blob, off, codec)
+    return np.unpackbits(packed)[:n_modes], len(outliers) // 8
 
 
 @pytest.mark.parametrize("codec", ["sz3", "qoz"])
@@ -263,11 +268,11 @@ class TestInterpFrozenStreams:
         assert {arr.ndim for arr in inputs} == {1, 2, 3, 4}
         assert any(1 in arr.shape for arr in inputs)
         assert any(n & (n - 1) for arr in inputs for n in arr.shape)
-        modes = np.concatenate([_interp_modes(frozen, codec, name) for name in cases])
+        layouts = [_interp_layout(frozen, codec, name) for name in cases]
+        modes = np.concatenate([modes for modes, _ in layouts])
         assert {0, 1} <= set(modes.tolist())
-        escaped = frozen[f"{codec}/escapes_2d/input"]
-        assert float(frozen[f"{codec}/escapes_2d/rel_bound"][0]) <= 1e-9
-        assert escaped.size > 500
+        n_escaped = _interp_layout(frozen, codec, "escapes_2d")[1]
+        assert n_escaped > 0.9 * frozen[f"{codec}/escapes_2d/input"].size
 
     def test_compress_byte_identical(self, frozen, codec):
         for name in _cases(frozen, codec):
