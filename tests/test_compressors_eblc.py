@@ -356,7 +356,8 @@ class TestInterpCorruptStreams:
         assert struct.unpack_from("<II", body) == (12, 1)
         offsets = [8 + 2]
         for _ in range(2):
-            offsets.append(offsets[-1] + 16 + struct.unpack_from("<Q", body, offsets[-1])[0])
+            (clen,) = struct.unpack_from("<Q", body, offsets[-1])
+            offsets.append(offsets[-1] + 16 + clen)
         return header, prefix, body, offsets
 
     def _rejected(self, codec, data, needle):
