@@ -46,6 +46,14 @@ def _as_bytes_array(blob: bytes) -> np.ndarray:
     return np.frombuffer(blob, dtype=np.uint8)
 
 
+def _smooth(shape: tuple[int, ...]) -> np.ndarray:
+    grids = np.meshgrid(*[np.linspace(0.0, 1.0, n) for n in shape], indexing="ij")
+    out = np.zeros(shape)
+    for d, g in enumerate(grids):
+        out += np.sin((3 + d) * g + d) * (1.0 + 0.5 * d)
+    return out
+
+
 def huffman_cases() -> dict[str, np.ndarray]:
     rng = np.random.default_rng(20260729)
     cases: dict[str, np.ndarray] = {}
@@ -159,22 +167,15 @@ def sz2_cases() -> dict[str, np.ndarray]:
             blob = comp._compress_impl(arr, abs_bound)
         cases[f"sz2/{name}/blob"] = _as_bytes_array(blob)
 
-    def smooth(shape: tuple[int, ...]) -> np.ndarray:
-        grids = np.meshgrid(*[np.linspace(0.0, 1.0, n) for n in shape], indexing="ij")
-        out = np.zeros(shape)
-        for d, g in enumerate(grids):
-            out += np.sin((3 + d) * g + d) * (1.0 + 0.5 * d)
-        return out
-
     rng = np.random.default_rng(20261017)
     add("ramp_1d_one_block", np.linspace(-3.0, 5.0, 100), 1e-4)
     add("walk_1d_f32", np.cumsum(rng.standard_normal(1000)).astype(np.float32), 1e-3)
-    noisy = smooth((40, 37)) + 0.05 * rng.standard_normal((40, 37))
+    noisy = _smooth((40, 37)) + 0.05 * rng.standard_normal((40, 37))
     add("noisy_2d_f32", noisy.astype(np.float32), 1e-3)
-    add("smooth_3d", smooth((12, 10, 9)), 1e-3)
-    add("field_4d_f32", smooth((2, 3, 7, 8)).astype(np.float32), 1e-3)
+    add("smooth_3d", _smooth((12, 10, 9)), 1e-3)
+    add("field_4d_f32", _smooth((2, 3, 7, 8)).astype(np.float32), 1e-3)
     # Spikes far beyond the quantizer's code range force outlier escapes.
-    spiky = smooth((13, 11, 7))
+    spiky = _smooth((13, 11, 7))
     spikes = rng.choice(spiky.size, 40, replace=False)
     spiky.flat[spikes] += rng.standard_normal(40) * 1e3
     add("escapes_3d", spiky, 1e-7)
@@ -187,7 +188,7 @@ def sz2_cases() -> dict[str, np.ndarray]:
     specials = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300, -0.0, 0.0])
     for name, shape in (("nonfinite_1d", (300,)), ("nonfinite_2d", (20, 35)),
                         ("nonfinite_3d", (12, 10, 9)), ("nonfinite_4d", (2, 7, 6, 8))):
-        arr = smooth(shape)
+        arr = _smooth(shape)
         hit = rng.choice(arr.size, 3 * specials.size, replace=False)
         arr.flat[hit] = np.tile(specials, 3)
         add_raw(name, arr, 1e-3)
@@ -205,63 +206,46 @@ def interp_cases(codec: str) -> dict[str, np.ndarray]:
     cases: dict[str, np.ndarray] = {}
     params = {"qoz": [(1.5, 4.0), (2.0, 8.0)]}.get(codec, [None])
 
-    def compressor(which: int):
+    def add(name: str, arr: np.ndarray, bound: float, which: int = 0,
+            raw: bool = False) -> None:
+        key = f"{codec}/{name}"
         pair = params[which % len(params)]
-        if pair is None:
-            return get_compressor(codec), None
-        return get_compressor(codec, alpha=pair[0], beta=pair[1]), pair
-
-    def put(name: str, arr: np.ndarray, which: int) -> None:
-        cases[f"{codec}/{name}/input"] = np.ascontiguousarray(arr)
-        _, pair = compressor(which)
+        comp = get_compressor(codec, **dict(zip(("alpha", "beta"), pair or ())))
+        arr = np.ascontiguousarray(arr)
+        cases[f"{key}/input"] = arr
         if pair is not None:
-            cases[f"{codec}/{name}/params"] = np.array(pair, dtype=np.float64)
-
-    def add(name: str, arr: np.ndarray, rel_bound: float, which: int = 0) -> None:
-        put(name, arr, which)
-        comp, _ = compressor(which)
-        cases[f"{codec}/{name}/rel_bound"] = np.array([rel_bound], dtype=np.float64)
-        cases[f"{codec}/{name}/blob"] = _as_bytes_array(comp.compress(arr, rel_bound).data)
-
-    def add_raw(name: str, arr: np.ndarray, abs_bound: float, which: int = 0) -> None:
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
-        put(name, arr, which)
-        comp, _ = compressor(which)
-        cases[f"{codec}/{name}/abs_bound"] = np.array([abs_bound], dtype=np.float64)
-        with np.errstate(all="ignore"):
-            blob = comp._compress_impl(arr, abs_bound)
-        cases[f"{codec}/{name}/blob"] = _as_bytes_array(blob)
-
-    def smooth(shape: tuple[int, ...]) -> np.ndarray:
-        grids = np.meshgrid(*[np.linspace(0.0, 1.0, n) for n in shape], indexing="ij")
-        out = np.zeros(shape)
-        for d, g in enumerate(grids):
-            out += np.sin((3 + d) * g + d) * (1.0 + 0.5 * d)
-        return out
+            cases[f"{key}/params"] = np.array(pair, dtype=np.float64)
+        cases[f"{key}/{'abs' if raw else 'rel'}_bound"] = np.array([bound])
+        if raw:
+            with np.errstate(all="ignore"):
+                blob = comp._compress_impl(arr, bound)
+        else:
+            blob = comp.compress(arr, bound).data
+        cases[f"{key}/blob"] = _as_bytes_array(blob)
 
     rng = np.random.default_rng({"sz3": 20261101, "qoz": 20261102}[codec])
     add("walk_1d_f32", np.cumsum(rng.standard_normal(1000)).astype(np.float32), 1e-3)
     add("ramp_1d_pow2", np.linspace(-3.0, 5.0, 257) ** 3, 1e-5, 1)
-    noisy = smooth((40, 37)) + 0.05 * rng.standard_normal((40, 37))
+    noisy = _smooth((40, 37)) + 0.05 * rng.standard_normal((40, 37))
     add("noisy_2d_loose_f32", noisy.astype(np.float32), 1e-2)
-    add("smooth_2d_tight", smooth((33, 65)), 1e-7, 1)
-    add("size1_axis_3d", smooth((1, 33, 20)), 1e-4)
-    add("smooth_3d", smooth((12, 10, 9)), 1e-3, 1)
-    add("smooth_3d_tight_f32", smooth((17, 9, 16)).astype(np.float32), 1e-6)
-    add("field_4d_f32", smooth((2, 3, 7, 8)).astype(np.float32), 1e-3)
+    add("smooth_2d_tight", _smooth((33, 65)), 1e-7, 1)
+    add("size1_axis_3d", _smooth((1, 33, 20)), 1e-4)
+    add("smooth_3d", _smooth((12, 10, 9)), 1e-3, 1)
+    add("smooth_3d_tight_f32", _smooth((17, 9, 16)).astype(np.float32), 1e-6)
+    add("field_4d_f32", _smooth((2, 3, 7, 8)).astype(np.float32), 1e-3)
     add("walk_4d", np.cumsum(rng.standard_normal((3, 5, 6, 9)), axis=3), 1e-4, 1)
-    spiky = smooth((13, 11, 7))
+    spiky = _smooth((13, 11, 7))
     spikes = rng.choice(spiky.size, 40, replace=False)
     spiky.flat[spikes] += rng.standard_normal(40) * 1e3
     add("escapes_3d", spiky, 1e-7)
     add("escapes_2d", rng.standard_normal((33, 20)) * 1e3, 1e-9, 1)
 
-    arr = smooth((12, 10, 9))
+    arr = _smooth((12, 10, 9))
     specials = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300, -0.0, 0.0])
     arr.flat[rng.choice(arr.size, 2 * specials.size, replace=False)] = np.tile(
         specials, 2
     )
-    add_raw("nonfinite_3d", arr, 1e-3)
+    add("nonfinite_3d", arr, 1e-3, raw=True)
     return cases
 
 
