@@ -33,6 +33,7 @@ __all__ = [
     "interp_decode",
     "interp_encode",
     "num_levels",
+    "num_passes",
     "pass_plans",
 ]
 
@@ -128,6 +129,17 @@ def pass_plans(shape: tuple[int, ...]) -> tuple[InterpolationPlan, ...]:
                 )
             )
     return tuple(plans)
+
+
+def num_passes(shape: tuple[int, ...]) -> int:
+    """``len(pass_plans(shape))`` without building the plans, whose size
+    grows with the square of the rank: a pass exists when its active axis
+    is longer than ``h`` and no axis is empty."""
+    if 0 in shape:
+        return 0
+    return sum(
+        n > (1 << (level - 1)) for level in range(1, num_levels(shape) + 1) for n in shape
+    )
 
 
 def _anchor_grid(shape: tuple[int, ...]) -> tuple[slice, ...]:

@@ -25,7 +25,7 @@ from repro.compressors.interpolation import (
     anchor_count,
     interp_decode,
     interp_encode,
-    pass_plans,
+    num_passes,
 )
 from repro.errors import DecompressionError
 
@@ -66,7 +66,7 @@ class SZ3(Compressor):
         # Every count in the header is checked against the stream's shape
         # before anything is sized from it.
         n_modes, n_anchor = struct.unpack_from("<II", payload, 0)
-        n_passes = len(pass_plans(shape))
+        n_passes = num_passes(shape)
         if n_modes != n_passes:
             raise DecompressionError(
                 f"sz3 stream declares {n_modes} passes; shape {shape} has {n_passes}"

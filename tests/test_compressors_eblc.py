@@ -377,6 +377,20 @@ class TestInterpCorruptStreams:
         self._rejected(codec, bytes(rank0) + header[shape_off + 24 :] + prefix + body,
                        "rank-0")
 
+    def test_high_declared_rank(self, codec):
+        # A flip in the rank byte turns later bytes into a long shape; the
+        # pass count is checked without building a plan per (level, axis).
+        arr = _walk((40, 30, 20), 3)
+        stream = get_compressor(codec).compress(arr, 1e-4).data
+        ndim_off = 4 + 1 + len(codec) + 1 + 1
+        assert stream[ndim_off] == 3
+        for ndim in (35, 67, 131, 255):
+            if ndim_off + 1 + 8 * ndim + 16 > len(stream):
+                continue
+            corrupt = bytearray(stream)
+            corrupt[ndim_off] = ndim
+            _assert_rejected_or_declared(bytes(corrupt), f"rank {ndim}", codec)
+
     def test_mode_and_anchor_counts(self, codec, parts):
         header, prefix, body, _ = parts
         for n_modes, n_anchor, needle in ((11, 1, "passes"), (13, 1, "passes"),

@@ -14,6 +14,7 @@ from repro.compressors.interpolation import (
     interp_decode,
     interp_encode,
     num_levels,
+    num_passes,
     pass_plans,
 )
 from repro.compressors.quantizer import LinearQuantizer
@@ -279,6 +280,11 @@ class TestReferenceEquivalence:
         values.flat[[3, 40, 77, 100]] = [np.nan, np.inf, -np.inf, 1e300]
         with np.errstate(all="ignore"):
             _assert_same_as_reference(values, 1e-2, None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=5))
+    def test_pass_count_without_plans(self, shape):
+        assert num_passes(tuple(shape)) == len(pass_plans(tuple(shape)))
 
     def test_plans_cover_every_point_once(self):
         shape = (5, 1, 9, 6)
