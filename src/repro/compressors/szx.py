@@ -16,6 +16,7 @@ the cost of lower ratios (paper Table III / Fig. 8).
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -84,37 +85,48 @@ class SZx(Compressor):
     def _decompress_impl(
         self, payload: bytes, shape: tuple[int, ...], abs_bound: float
     ) -> np.ndarray:
+        # Every count the payload declares is checked against the stream
+        # shape and the payload length before anything is sized from it.
+        if len(payload) < 24:
+            raise DecompressionError("truncated szx payload header")
         n, n_blocks, code_len = struct.unpack_from("<QQQ", payload, 0)
-        off = 24
+        if n != math.prod(shape) or n_blocks != -(-n // BLOCK_ELEMS):
+            raise DecompressionError(
+                f"szx payload declares {n} elements in {n_blocks} blocks; "
+                f"the stream shape {shape} holds {math.prod(shape)}"
+            )
         n_flag_bytes = -(-n_blocks // 8)
-        const_mask = (
-            np.unpackbits(
-                np.frombuffer(payload, dtype=np.uint8, count=n_flag_bytes, offset=off)
-            )[:n_blocks]
-            .astype(bool)
-        )
-        off += n_flag_bytes
-        nc_idx = np.flatnonzero(~const_mask)
-        m = np.frombuffer(payload, dtype=np.uint8, count=nc_idx.size, offset=off).astype(
-            np.int64
-        )
+        off = 24 + n_flag_bytes
+        if len(payload) < off + 8 * n_blocks:
+            raise DecompressionError("truncated szx block table")
+        flags = np.frombuffer(payload, dtype=np.uint8, count=n_flag_bytes, offset=24)
+        nc_idx = np.flatnonzero(np.unpackbits(flags)[:n_blocks] == 0)
+        expected = off + nc_idx.size + 8 * n_blocks + code_len
+        if len(payload) != expected:
+            raise DecompressionError(
+                f"szx payload holds {len(payload)} bytes; its header declares "
+                f"{expected}"
+            )
+        m = np.frombuffer(payload, dtype=np.uint8, count=nc_idx.size, offset=off)
+        m = m.astype(np.int64)
         off += nc_idx.size
+        if m.size and (m.min() < 1 or m.max() > 64):
+            raise DecompressionError("szx bit widths must be in 1..64")
+        code_bytes = BLOCK_ELEMS * int(m.sum()) // 8
+        if code_len != code_bytes:
+            raise DecompressionError(
+                f"szx code chunk holds {code_len} bytes; the block bit widths "
+                f"need {code_bytes}"
+            )
         center = np.frombuffer(payload, dtype=np.float64, count=n_blocks, offset=off)
-        off += 8 * n_blocks
-        codes_raw = payload[off : off + code_len]
+        codes_raw = payload[off + 8 * n_blocks :]
 
-        out = np.empty((n_blocks, BLOCK_ELEMS), dtype=np.float64)
-        out[:] = center[:, None]
+        out = np.repeat(center[:, None], BLOCK_ELEMS, axis=1)
         if nc_idx.size:
             elem_widths = np.repeat(m, BLOCK_ELEMS)
-            stored = unpack_bits(codes_raw, elem_widths).reshape(
-                nc_idx.size, BLOCK_ELEMS
-            )
+            stored = unpack_bits(codes_raw, elem_widths).reshape(-1, BLOCK_ELEMS)
             offset = (np.int64(1) << (m - 1))[:, None]
             k = stored.astype(np.int64) - offset
             width = 2.0 * abs_bound
             out[nc_idx] = center[nc_idx, None] + k.astype(np.float64) * width
-        flat = out.reshape(-1)[:n]
-        if flat.size != int(np.prod(shape)):
-            raise DecompressionError("szx element count mismatch")
-        return flat.reshape(shape)
+        return out.reshape(-1)[:n].reshape(shape)

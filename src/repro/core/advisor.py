@@ -1,6 +1,9 @@
 """Compression advisors: the paper's "framework for informed decisions".
 
-Two layers answer the title question at different fidelities:
+Four advisors answer the title question at different fidelities.  Each
+prices its candidates from one sweep kind over one (testbed, CPU, I/O
+library) scenario, and the two (codec, bound) searches rank candidates
+through one objective table:
 
 - :class:`Advisor` evaluates the (codec, bound) grid at the nominal clock
   through :class:`~repro.core.tradeoff.TradeoffAnalyzer` and recommends the
@@ -47,7 +50,23 @@ __all__ = [
     "pareto_frontier",
 ]
 
-_OBJECTIVES = ("energy", "ratio", "time")
+#: How each objective ranks candidates: the winner has the smallest key.
+#: Ties on the objective break toward fewer joules, then the faster clock.
+#: Not compressing has ratio 1.0, so under "ratio" any feasible codec wins.
+_OBJECTIVE_KEYS = {
+    "energy": lambda p: (p.total_energy_j, p.total_time_s, -p.freq_ghz),
+    "time": lambda p: (p.total_time_s, p.total_energy_j),
+    "ratio": lambda p: (-p.ratio, p.total_energy_j, -p.freq_ghz),
+}
+
+
+def _objective_key(objective: str):
+    """The ranking key for ``objective``; an unknown objective raises."""
+    if objective not in _OBJECTIVE_KEYS:
+        raise ConfigurationError(
+            f"objective must be one of {tuple(_OBJECTIVE_KEYS)}, got {objective!r}"
+        )
+    return _OBJECTIVE_KEYS[objective]
 
 
 @dataclass(frozen=True)
@@ -94,65 +113,45 @@ class Advisor:
         overrides ``codecs``/``bounds``: ``lossy`` pins both, ``auto``
         filters the bound grid to its quality floor.
         """
-        if objective not in _OBJECTIVES:
-            raise ConfigurationError(
-                f"objective must be one of {_OBJECTIVES}, got {objective!r}"
-            )
-        if compression:
-            from repro.dataset.spec import advisor_grid_from_spec
-
-            codecs, bounds = advisor_grid_from_spec(compression, codecs, bounds)
+        key = _objective_key(objective)
         records = self.analyzer.evaluate(
-            dataset, codecs=codecs, bounds=bounds, psnr_min_db=psnr_min_db
+            dataset,
+            codecs=codecs,
+            bounds=bounds,
+            psnr_min_db=psnr_min_db,
+            compression=compression,
         )
-        feasible = [r for r in records if r.conditions.quality_acceptable]
-        if require_time_benefit:
-            feasible = [
-                r
-                for r in feasible
-                if r.conditions.time_beneficial and r.conditions.energy_beneficial
-            ]
-        else:
-            feasible = [r for r in feasible if r.conditions.energy_beneficial]
-        if not feasible:
-            return Recommendation(
-                plan=None,
-                objective=objective,
-                psnr_min_db=psnr_min_db,
-                rationale=(
-                    "No (codec, bound) choice met the quality floor while "
-                    "beating uncompressed I/O in energy"
-                    + (" and time" if require_time_benefit else "")
-                    + "; write the data uncompressed (Eq. 3-5 infeasible)."
-                ),
-                record=None,
-                alternatives=tuple(records),
-            )
-        if objective == "energy":
-            best = min(feasible, key=lambda r: r.pipeline_energy_j)
-        elif objective == "time":
-            best = min(
-                feasible,
-                key=lambda r: r.conditions.compress_time_s
-                + r.conditions.write_time_compressed_s,
+        feasible = [
+            r
+            for r in records
+            if r.conditions.quality_acceptable
+            and r.conditions.energy_beneficial
+            and (r.conditions.time_beneficial or not require_time_benefit)
+        ]
+        best = min(feasible, key=key) if feasible else None
+        if best is None:
+            rationale = (
+                "No (codec, bound) choice met the quality floor while "
+                "beating uncompressed I/O in energy"
+                + (" and time" if require_time_benefit else "")
+                + "; write the data uncompressed (Eq. 3-5 infeasible)."
             )
         else:
-            best = max(feasible, key=lambda r: r.ratio)
-        rationale = (
-            f"{best.plan} meets PSNR >= {psnr_min_db:.0f} dB "
-            f"({best.psnr_db:.1f} dB) with ratio {best.ratio:.1f}x, saving "
-            f"{best.conditions.net_energy_saving_j:.0f} J and "
-            f"{best.conditions.net_time_saving_s:.2f} s versus uncompressed "
-            f"I/O through {best.io_library} (objective: {objective})."
-        )
-        others = tuple(r for r in feasible if r is not best)
+            rationale = (
+                f"{best.plan} meets PSNR >= {psnr_min_db:.0f} dB "
+                f"({best.psnr_db:.1f} dB) with ratio {best.ratio:.1f}x, saving "
+                f"{best.conditions.net_energy_saving_j:.0f} J and "
+                f"{best.conditions.net_time_saving_s:.2f} s versus uncompressed "
+                f"I/O through {best.io_library} (objective: {objective})."
+            )
+        others = records if best is None else [r for r in feasible if r is not best]
         return Recommendation(
-            plan=best.plan,
+            plan=best.plan if best else None,
             objective=objective,
             psnr_min_db=psnr_min_db,
             rationale=rationale,
             record=best,
-            alternatives=others,
+            alternatives=tuple(others),
         )
 
 
@@ -261,16 +260,8 @@ class CheckpointAdvice:
     rationale: str
 
 
-class DalyAdvisor:
-    """Failure-aware compress-or-not: search (codec × bound) checkpointed
-    lifetimes at a given MTTF and compare against uncompressed checkpoints.
-
-    The decisive quantity is the closed-form expected lifetime energy: a
-    smaller checkpoint shrinks both the per-checkpoint cost *and* — through
-    the shorter Daly interval — the expected rework per failure, which is
-    why compression can be energy-optimal here even when the single-write
-    Eq. 4 criterion says it is not.
-    """
+class _ScenarioAdvisor:
+    """One (testbed, CPU, I/O library) scenario and the sweeps run over it."""
 
     def __init__(self, testbed=None, cpu_name: str = "plat8160", io_library: str = "hdf5"):
         if testbed is None:
@@ -280,6 +271,32 @@ class DalyAdvisor:
         self.testbed = testbed
         self.cpu_name = cpu_name
         self.io_library = io_library
+
+    def _sweep(self, kind: str, dataset: str, compression: str | None = None, **axes):
+        """Run one ``kind`` grid for ``dataset``, uncompressed baseline
+        included; ``compression`` narrows the codec/bound axes exactly as it
+        does for any sweep."""
+        return self.testbed.run_sweep(
+            kind,
+            datasets=(dataset,),
+            io_libraries=(self.io_library,),
+            cpus=(self.cpu_name,),
+            include_baseline=True,
+            compression=compression or "",
+            **axes,
+        )
+
+
+class DalyAdvisor(_ScenarioAdvisor):
+    """Failure-aware compress-or-not: search (codec × bound) checkpointed
+    lifetimes at a given MTTF and compare against uncompressed checkpoints.
+
+    The decisive quantity is the closed-form expected lifetime energy: a
+    smaller checkpoint shrinks both the per-checkpoint cost *and* — through
+    the shorter Daly interval — the expected rework per failure, which is
+    why compression can be energy-optimal here even when the single-write
+    Eq. 4 criterion says it is not.
+    """
 
     def advise(
         self,
@@ -302,18 +319,13 @@ class DalyAdvisor:
         ``compression`` overrides ``codecs``/``bounds`` from a spec string
         (see :meth:`Advisor.recommend`).
         """
-        if compression:
-            from repro.dataset.spec import advisor_grid_from_spec
-
-            codecs, bounds = advisor_grid_from_spec(compression, codecs, bounds)
-        points = self.testbed.run_sweep(
+        points = self._sweep(
             "checkpoint",
-            datasets=(dataset,),
+            dataset,
+            compression,
             codecs=codecs,
             bounds=bounds,
             mttfs=(mttf_s,),
-            io_libraries=(self.io_library,),
-            cpus=(self.cpu_name,),
             work_s=work_s,
             interval=interval,
             n_nodes=n_nodes,
@@ -321,48 +333,30 @@ class DalyAdvisor:
             downtime_s=downtime_s,
             n_chunks=n_chunks,
             overlap=overlap,
-            include_baseline=True,
         )
         baseline = next(p for p in points if p.codec is None)
         feasible = [p for p in points if p.psnr_db >= psnr_min_db]
         chosen = min(
             feasible, key=lambda p: (p.expected_energy_j, p.expected_makespan_s)
         )
-        codec_pts = [p for p in feasible if p.codec is not None]
-        best_codec = (
-            min(codec_pts, key=lambda p: p.expected_energy_j) if codec_pts else None
+        best_codec_j = min(
+            (p.expected_energy_j for p in feasible if p.codec is not None),
+            default=baseline.expected_energy_j,
         )
-        flip_margin = (
-            baseline.expected_energy_j - best_codec.expected_energy_j
-            if best_codec is not None
-            else 0.0
-        )
+        flip_margin = baseline.expected_energy_j - best_codec_j
 
-        # The single-write verdict on the same grid: does the best
-        # quality-feasible codec beat the uncompressed write in energy
-        # (Eq. 4) for one write, before failures enter the picture?
-        single_write_compress = False
-        base_io = self.testbed.engine.evaluate(
-            "io_point",
-            dataset=dataset,
-            codec=None,
-            rel_bound=None,
-            io_library=self.io_library,
-            cpu_name=self.cpu_name,
-        )
-        for p in codec_pts:
-            io = self.testbed.engine.evaluate(
-                "io_point",
-                dataset=dataset,
-                codec=p.codec,
-                rel_bound=p.rel_bound,
-                io_library=self.io_library,
-                cpu_name=self.cpu_name,
-            )
-            if io.total_energy_j < base_io.total_energy_j:
-                single_write_compress = True
-                break
-
+        # The paper's single-write verdict (Eq. 4) on the same grid, before
+        # failures enter the picture.
+        single_write_compress = Advisor(
+            TradeoffAnalyzer(self.testbed, self.cpu_name, self.io_library)
+        ).recommend(
+            dataset,
+            psnr_min_db=psnr_min_db,
+            codecs=codecs,
+            bounds=bounds,
+            require_time_benefit=False,
+            compression=compression,
+        ).should_compress
         compress = chosen.codec is not None
         flips = compress != single_write_compress
         e_save = baseline.expected_energy_j - chosen.expected_energy_j
@@ -461,31 +455,13 @@ class ClusterAdvice:
     rationale: str
 
 
-class ClusterAdvisor:
+class ClusterAdvisor(_ScenarioAdvisor):
     """Search every per-tenant compression mix of a shared-PFS scenario.
 
     Built on the ``cluster`` experiment kind, so every evaluated mix is a
     content-addressed, memoized grid point — re-advising a scenario after
     one mix changes only recomputes the new assignments.
     """
-
-    def __init__(self, testbed=None, cpu_name: str = "plat8160", io_library: str = "hdf5"):
-        if testbed is None:
-            from repro.core.experiments import Testbed
-
-            testbed = Testbed()
-        self.testbed = testbed
-        self.cpu_name = cpu_name
-        self.io_library = io_library
-
-    def _evaluate(self, dataset: str, scenario_text: str):
-        return self.testbed.engine.evaluate(
-            "cluster_point",
-            dataset=dataset,
-            scenario=scenario_text,
-            io_library=self.io_library,
-            cpu_name=self.cpu_name,
-        )
 
     def advise(self, dataset: str, scenario: str) -> ClusterAdvice:
         """Emit a :class:`ClusterAdvice` for one scenario on one machine.
@@ -496,7 +472,7 @@ class ClusterAdvisor:
         """
         from dataclasses import replace
 
-        import repro.cluster.kind  # noqa: F401  (registers `cluster_point`)
+        import repro.cluster.kind  # noqa: F401  (registers the `cluster` kind)
         from repro.cluster.scheduler import (
             ClusterSpec,
             compression_mixes,
@@ -504,14 +480,18 @@ class ClusterAdvisor:
             parse_scenario,
         )
 
+        def solve(spec):
+            return self._sweep("cluster", dataset, scenario=format_scenario(spec))[0]
+
         base = parse_scenario(scenario)
         canonical = format_scenario(base)
-        evaluated = []
-        for mix_spec in compression_mixes(base):
-            result = self._evaluate(dataset, format_scenario(mix_spec))
-            assignment = tuple((j.name, j.codec) for j in mix_spec.jobs)
-            evaluated.append((assignment, result))
-        evaluated.sort(key=lambda pair: (pair[1].total_energy_j, pair[1].makespan_s))
+        evaluated = sorted(
+            (
+                (tuple((j.name, j.codec) for j in mix.jobs), solve(mix))
+                for mix in compression_mixes(base)
+            ),
+            key=lambda pair: (pair[1].total_energy_j, pair[1].makespan_s),
+        )
 
         all_assignment = tuple((j.name, j.codec) for j in base.jobs)
         none_assignment = tuple((j.name, None) for j in base.jobs)
@@ -524,13 +504,12 @@ class ClusterAdvisor:
         # cluster (submit time zeroed — alone, the queue is empty anyway),
         # summed over tenants.  Contention is the only thing that differs.
         def dedicated_total(jobs) -> float:
-            total = 0.0
-            for job in jobs:
-                solo = ClusterSpec(
-                    n_nodes=base.n_nodes, jobs=(replace(job, submit_s=0.0),)
-                )
-                total += self._evaluate(dataset, format_scenario(solo)).total_energy_j
-            return total
+            return sum(
+                solve(
+                    ClusterSpec(n_nodes=base.n_nodes, jobs=(replace(j, submit_s=0.0),))
+                ).total_energy_j
+                for j in jobs
+            )
 
         dedicated_all = dedicated_total(base.jobs)
         dedicated_none = dedicated_total(replace(j, codec=None) for j in base.jobs)
@@ -587,29 +566,8 @@ class ClusterAdvisor:
         )
 
 
-class DvfsAdvisor:
+class DvfsAdvisor(_ScenarioAdvisor):
     """Search (frequency × codec × rel_bound) for the energy-optimal plan."""
-
-    def __init__(self, testbed=None, cpu_name: str = "plat8160", io_library: str = "hdf5"):
-        if testbed is None:
-            from repro.core.experiments import Testbed
-
-            testbed = Testbed()
-        self.testbed = testbed
-        self.cpu_name = cpu_name
-        self.io_library = io_library
-
-    def _grid(self, dataset, codecs, bounds, freqs):
-        return self.testbed.run_sweep(
-            "dvfs",
-            datasets=(dataset,),
-            codecs=codecs,
-            bounds=bounds,
-            freqs=freqs,
-            io_libraries=(self.io_library,),
-            cpus=(self.cpu_name,),
-            include_baseline=True,
-        )
 
     def _race_vs_steady(
         self, family, idle_power_w: float, chosen
@@ -660,57 +618,27 @@ class DvfsAdvisor:
         from repro.energy.cpus import get_cpu
         from repro.energy.power import PowerModel
 
-        if objective not in _OBJECTIVES:
-            raise ConfigurationError(
-                f"objective must be one of {_OBJECTIVES}, got {objective!r}"
-            )
-        if compression:
-            from repro.dataset.spec import advisor_grid_from_spec
-
-            codecs, bounds = advisor_grid_from_spec(compression, codecs, bounds)
+        key = _objective_key(objective)
         cpu = get_cpu(self.cpu_name)
-        points = self._grid(dataset, codecs, bounds, freqs)
-        baseline_nom = self.testbed.engine.evaluate(
-            "dvfs_point",
-            dataset=dataset,
-            codec=None,
-            rel_bound=None,
-            freq_ghz=cpu.fnom_ghz,
-            io_library=self.io_library,
-            cpu_name=self.cpu_name,
+        points = self._sweep(
+            "dvfs", dataset, compression, codecs=codecs, bounds=bounds, freqs=freqs
         )
+        baseline_nom = self._sweep("dvfs", dataset, codecs=(), freqs=(cpu.fnom_ghz,))[0]
         quality_ok = [p for p in points if p.psnr_db >= psnr_min_db]
-        feasible = quality_ok
-        if require_time_benefit:
-            # Strict inequalities, matching Eq. 3/4 in formulation.py.
-            feasible = [
-                p
-                for p in quality_ok
-                if p.codec is None
-                or (
-                    p.total_time_s < baseline_nom.total_time_s
-                    and p.total_energy_j < baseline_nom.total_energy_j
-                )
-            ]
-        if not feasible:  # the uncompressed baseline (psnr = inf) is always in
-            raise ConfigurationError(
-                "DVFS grid produced no quality-feasible points; "
-                "was include_baseline disabled upstream?"
+        # The baseline (psnr = inf) always passes; under the strict criterion
+        # codec points must beat it (strict inequalities, as in Eq. 3/4).
+        feasible = [
+            p
+            for p in quality_ok
+            if p.codec is None
+            or not require_time_benefit
+            or (
+                p.total_time_s < baseline_nom.total_time_s
+                and p.total_energy_j < baseline_nom.total_energy_j
             )
+        ]
         frontier = pareto_frontier(feasible)
-        if objective == "time":
-            chosen = min(
-                feasible, key=lambda p: (p.total_time_s, p.total_energy_j)
-            )
-        elif objective == "ratio":
-            # Not compressing has ratio 1.0, so any feasible codec point wins.
-            chosen = max(
-                feasible, key=lambda p: (p.ratio, -p.total_energy_j, p.freq_ghz)
-            )
-        else:
-            chosen = min(
-                feasible, key=lambda p: (p.total_energy_j, p.total_time_s, -p.freq_ghz)
-            )
+        chosen = min(feasible, key=key)
         # The race/steady policies are defined over the chosen configuration's
         # *whole* frequency family — from quality_ok, not the strict-time
         # filter, which would drop slow-clock members and silently redefine

@@ -1,13 +1,16 @@
 """Grid trade-off analysis: evaluate Eq. 3-5 over (codec, bound) choices.
 
-:class:`TradeoffAnalyzer` runs the testbed over a grid and attaches the
-Section-III benefit conditions to every point, versus the uncompressed
-baseline through the same I/O library.  This is the machinery behind
-Figs. 8/9 (ratio/PSNR vs energy) and behind the advisor's recommendation.
+:class:`TradeoffAnalyzer` prices every (codec, bound) write of one dataset
+and attaches the Section-III benefit conditions to it, versus the
+uncompressed write through the same I/O library.  This is what the plain
+:class:`~repro.core.advisor.Advisor` recommends from.
 
-The grid itself is evaluated through the :mod:`repro.runtime` sweep engine:
-the serial and I/O points (and the uncompressed baseline every record is
-judged against) land in the engine's memoizing result store, so re-running
+Both sides of Eq. 3-5 come from one ``dvfs`` sweep pinned at the CPU's
+nominal clock, which prices exactly what the ``io`` kind prices: the whole
+snapshot is compressed and written, so the compress cost and the write it
+shrinks are charged on the same data.  The sweep runs through the
+:mod:`repro.runtime` engine, so the points (and the baseline every record is
+judged against) land in the memoizing result store: re-running
 ``evaluate`` over a warm store — or asking the advisor about the same grid
 twice — performs zero new testbed evaluations.
 """
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 
 from repro.core.experiments import Testbed
 from repro.core.formulation import BenefitConditions, CompressionPlan
+from repro.energy.cpus import get_cpu
 from repro.runtime.engine import SweepEngine
 from repro.runtime.spec import SweepSpec
 
@@ -26,28 +30,28 @@ __all__ = ["TradeoffRecord", "TradeoffAnalyzer"]
 
 @dataclass(frozen=True)
 class TradeoffRecord:
-    """One evaluated grid point."""
+    """One evaluated grid point: a compress-and-write at the nominal clock."""
 
     dataset: str
     plan: CompressionPlan
     io_library: str
     cpu: str
+    freq_ghz: float
     ratio: float
     psnr_db: float
     compress_energy_j: float
-    decompress_energy_j: float
     write_energy_j: float
     conditions: BenefitConditions
 
     @property
-    def total_codec_energy_j(self) -> float:
-        """Compression + decompression energy (the Figs. 8/9 y-axis)."""
-        return self.compress_energy_j + self.decompress_energy_j
-
-    @property
-    def pipeline_energy_j(self) -> float:
+    def total_energy_j(self) -> float:
         """Compress + write energy (the Eq. 4 left-hand side)."""
         return self.compress_energy_j + self.write_energy_j
+
+    @property
+    def total_time_s(self) -> float:
+        """Compress + write time (the Eq. 3 left-hand side)."""
+        return self.conditions.compress_time_s + self.conditions.write_time_compressed_s
 
 
 class TradeoffAnalyzer:
@@ -73,58 +77,47 @@ class TradeoffAnalyzer:
         codecs=("sz2", "sz3", "zfp", "qoz", "szx"),
         bounds=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5),
         psnr_min_db: float = 60.0,
+        compression: str | None = None,
     ) -> list[TradeoffRecord]:
-        """Run the grid; every record carries its Eq. 3-5 verdicts."""
-        serial_points = self.engine.run(
+        """Run the grid; every record carries its Eq. 3-5 verdicts.
+
+        ``compression`` (a spec string, see :mod:`repro.dataset.spec`)
+        narrows ``codecs``/``bounds`` exactly as it does for any sweep.
+        """
+        baseline, *points = self.engine.run(
             SweepSpec(
-                kind="serial",
-                datasets=(dataset,),
-                codecs=codecs,
-                bounds=bounds,
-                cpus=(self.cpu_name,),
-            )
-        )
-        io_points = self.engine.run(
-            SweepSpec(
-                kind="io",
+                kind="dvfs",
                 datasets=(dataset,),
                 codecs=codecs,
                 bounds=bounds,
                 cpus=(self.cpu_name,),
                 io_libraries=(self.io_library,),
+                freqs=(get_cpu(self.cpu_name).fnom_ghz,),
                 include_baseline=True,
+                compression=compression or "",
             )
         )
-        baseline = io_points[0]
-        serial_by = {(p.codec, p.rel_bound): p for p in serial_points}
-        io_by = {(p.codec, p.rel_bound): p for p in io_points[1:]}
-        out = []
-        for codec in codecs:
-            for eps in bounds:
-                sp = serial_by[(codec, float(eps))]
-                iop = io_by[(codec, float(eps))]
-                conditions = BenefitConditions(
-                    compress_time_s=sp.compress_time_s,
-                    write_time_compressed_s=iop.write_time_s,
+        return [
+            TradeoffRecord(
+                dataset=dataset,
+                plan=CompressionPlan(p.codec, p.rel_bound),
+                io_library=self.io_library,
+                cpu=self.cpu_name,
+                freq_ghz=p.freq_ghz,
+                ratio=p.ratio,
+                psnr_db=p.psnr_db,
+                compress_energy_j=p.compress_energy_j,
+                write_energy_j=p.write_energy_j,
+                conditions=BenefitConditions(
+                    compress_time_s=p.compress_time_s,
+                    write_time_compressed_s=p.write_time_s,
                     write_time_orig_s=baseline.write_time_s,
-                    compress_energy_j=sp.compress_energy_j,
-                    write_energy_compressed_j=iop.write_energy_j,
+                    compress_energy_j=p.compress_energy_j,
+                    write_energy_compressed_j=p.write_energy_j,
                     write_energy_orig_j=baseline.write_energy_j,
-                    psnr_db=sp.roundtrip.psnr_db,
+                    psnr_db=p.psnr_db,
                     psnr_min_db=psnr_min_db,
-                )
-                out.append(
-                    TradeoffRecord(
-                        dataset=dataset,
-                        plan=CompressionPlan(codec, eps),
-                        io_library=self.io_library,
-                        cpu=self.cpu_name,
-                        ratio=sp.roundtrip.ratio,
-                        psnr_db=sp.roundtrip.psnr_db,
-                        compress_energy_j=sp.compress_energy_j,
-                        decompress_energy_j=sp.decompress_energy_j,
-                        write_energy_j=iop.write_energy_j,
-                        conditions=conditions,
-                    )
-                )
-        return out
+                ),
+            )
+            for p in points
+        ]

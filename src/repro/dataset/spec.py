@@ -48,7 +48,6 @@ __all__ = [
     "DEFAULT_LOSSLESS_CODEC",
     "DEFAULT_AUTO_FLOOR",
     "sweep_axes_from_spec",
-    "advisor_grid_from_spec",
 ]
 
 MODES = ("lossless", "lossy", "auto")
@@ -411,35 +410,3 @@ def sweep_axes_from_spec(spec, kind: str) -> dict:
     # the quality floor (a coarser bound can only miss the floor).
     return {"auto_floor": spec.bound}
 
-
-def advisor_grid_from_spec(
-    compression: str, codecs: tuple[str, ...], bounds: tuple[float, ...]
-) -> tuple[tuple[str, ...], tuple[float, ...]]:
-    """(codecs, bounds) an advisor should search under a compression spec.
-
-    ``lossy`` pins both axes; ``auto`` keeps the caller's codec grid and
-    filters the bound grid to the quality floor (keeping the floor itself
-    when the grid has nothing at or under it).
-    """
-    spec = parse_compression(compression)
-    if isinstance(spec, CompressionMap):
-        raise ConfigurationError(
-            f"advisors answer one variable at a time; per-variable map "
-            f"{spec.format()!r} does not apply"
-        )
-    spec.validate()
-    if spec.mode == "lossless":
-        raise ConfigurationError(
-            f"compression spec {spec.format()!r}: advisors search the "
-            "error-bounded (codec, bound) space; lossless storage has no "
-            "bound axis"
-        )
-    if spec.bound_mode == "abs":
-        raise ConfigurationError(
-            f"compression spec {spec.format()!r}: advisors take value-range "
-            "relative ('rel') bounds"
-        )
-    if spec.mode == "lossy":
-        return (spec.codec,), (spec.bound,)
-    kept = tuple(b for b in bounds if b <= spec.bound)
-    return tuple(codecs), kept or (spec.bound,)

@@ -485,3 +485,85 @@ class TestSZx:
         rec = SZx().decompress(buf)
         assert rec.shape == (1000,)
         check_error_bound(data, rec, 1e-2)
+
+
+SZX_CORRUPT_CASES = {
+    "walk_3d": (_walk((12, 10, 9), 31), 1e-3),
+    "const_and_ramp_1d": (
+        np.concatenate([np.full(300, 5.0), np.linspace(0.0, 50.0, 340)]),
+        1e-2,
+    ),
+}
+
+
+class TestSZxCorruptStreams:
+    """A truncated or corrupted SZx stream raises ``DecompressionError`` or
+    decodes to its declared shape and dtype, within a wall bound."""
+
+    @pytest.mark.parametrize("name", sorted(SZX_CORRUPT_CASES))
+    def test_every_truncation(self, name):
+        arr, rel = SZX_CORRUPT_CASES[name]
+        stream = SZx().compress(arr, rel).data
+        for cut in range(len(stream)):
+            _assert_rejected_or_declared(stream[:cut], f"{name}[:{cut}]", "szx")
+
+    @pytest.mark.parametrize("name", sorted(SZX_CORRUPT_CASES))
+    def test_seeded_bit_flips(self, name):
+        arr, rel = SZX_CORRUPT_CASES[name]
+        stream = SZx().compress(arr, rel).data
+        rng = np.random.default_rng(20261017)
+        for bit in rng.integers(0, 8 * len(stream), size=250):
+            corrupt = bytearray(stream)
+            corrupt[bit // 8] ^= 1 << (bit % 8)
+            _assert_rejected_or_declared(bytes(corrupt), f"{name} flip {bit}", "szx")
+
+    @pytest.fixture
+    def parts(self):
+        """(framing header, payload) of the 3-D walk stream: 1080 elements
+        in 9 blocks, none constant at this bound."""
+        arr, rel = SZX_CORRUPT_CASES["walk_3d"]
+        stream = SZx().compress(arr, rel).data
+        payload = Compressor._unpack_header(stream)[-1]
+        assert struct.unpack_from("<QQ", payload) == (1080, 9)
+        assert payload[24:26] == b"\x00\x00"
+        return stream[: len(stream) - len(payload)], payload
+
+    def _rejected(self, data, needle):
+        exc = _decode_outcome(data, "szx")
+        assert isinstance(exc, DecompressionError), repr(exc)
+        assert needle in str(exc), str(exc)
+
+    def test_counts_against_shape(self, parts):
+        header, payload = parts
+        for n, n_blocks in ((1079, 9), (1081, 9), (2**60, 2**53), (1080, 8),
+                            (1080, 10)):
+            body = struct.pack("<QQ", n, n_blocks) + payload[16:]
+            self._rejected(header + body, "declares")
+
+    def test_bit_widths(self, parts):
+        header, payload = parts
+        for width in (0, 65, 255):
+            body = payload[:26] + bytes([width]) + payload[27:]
+            self._rejected(header + body, "bit widths")
+
+    def test_code_length(self, parts):
+        header, payload = parts
+        (code_len,) = struct.unpack_from("<Q", payload, 16)
+        for bad in (code_len - 1, code_len + 1, 2**63):
+            body = payload[:16] + struct.pack("<Q", bad) + payload[24:]
+            self._rejected(header + body, "bytes")
+        # One spare code byte, declared: the payload length agrees, so the
+        # block bit widths must catch it.
+        body = payload[:16] + struct.pack("<Q", code_len + 1) + payload[24:]
+        self._rejected(header + body + bytes(1), "bit widths need")
+
+    def test_truncated_payload_header(self, parts):
+        header, payload = parts
+        for cut in range(24):
+            self._rejected(header + payload[:cut], "szx")
+
+    def test_flag_flip_changes_width_table(self, parts):
+        header, payload = parts
+        body = bytearray(payload)
+        body[24] ^= 0x80  # first block now claims to be constant
+        self._rejected(header + bytes(body), "holds")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Advisor, Testbed, TradeoffAnalyzer
+from repro.core.advisor import DalyAdvisor
 from repro.core.extrapolation import (
     devices_needed,
     device_reduction,
@@ -12,6 +13,7 @@ from repro.core.extrapolation import (
 )
 from repro.core.formulation import BenefitConditions, CompressionPlan
 from repro.core.report import format_series, format_stacked_bars, format_table, si
+from repro.data.registry import dataset_names
 from repro.errors import ConfigurationError
 from repro.iolib.devices import get_device
 
@@ -125,6 +127,51 @@ class TestAdvisor:
         advisor = Advisor(TradeoffAnalyzer(tiny_testbed))
         with pytest.raises(ConfigurationError):
             advisor.recommend("nyx", objective="vibes")
+
+
+class TestOneGrid:
+    """The plain advisor prices compress and write on the same data.
+
+    s3d is profiled on one field of eleven, so a compress cost taken from
+    the ``serial`` kind sits next to the write of the whole snapshot; every
+    Eq. 3-5 input must come from the write path the ``io`` kind prices.
+    """
+
+    GRID = dict(codecs=("szx", "zfp", "sz3"), bounds=(1e-1, 1e-3))
+
+    @pytest.mark.parametrize("dataset", dataset_names())
+    def test_conditions_match_io_kind(self, tiny_testbed, dataset):
+        analyzer = TradeoffAnalyzer(
+            tiny_testbed, cpu_name="plat8160", io_library="netcdf"
+        )
+        records = analyzer.evaluate(dataset, psnr_min_db=50.0, **self.GRID)
+        io = tiny_testbed.run_sweep(
+            "io", datasets=(dataset,), cpus=("plat8160",),
+            io_libraries=("netcdf",), include_baseline=True, **self.GRID,
+        )
+        base, by = io[0], {(p.codec, p.rel_bound): p for p in io[1:]}
+        assert len(records) == len(by)
+        for r in records:
+            p = by[(r.plan.codec, r.plan.rel_bound)]
+            c = r.conditions
+            assert c.compress_time_s == p.compress_time_s, r.plan
+            assert c.compress_energy_j == p.compress_energy_j, r.plan
+            assert c.write_time_compressed_s == p.write_time_s, r.plan
+            assert c.write_energy_compressed_j == p.write_energy_j, r.plan
+            assert c.write_time_orig_s == base.write_time_s
+            assert c.write_energy_orig_j == base.write_energy_j
+
+    @pytest.mark.parametrize("dataset", dataset_names())
+    @pytest.mark.parametrize("io_library", ["hdf5", "netcdf"])
+    def test_single_write_verdicts_agree(self, tiny_testbed, dataset, io_library):
+        scenario = dict(cpu_name="plat8160", io_library=io_library)
+        rec = Advisor(TradeoffAnalyzer(tiny_testbed, **scenario)).recommend(
+            dataset, psnr_min_db=50.0, require_time_benefit=False, **self.GRID
+        )
+        daly = DalyAdvisor(tiny_testbed, **scenario).advise(
+            dataset, psnr_min_db=50.0, **self.GRID
+        )
+        assert rec.should_compress == daly.single_write_compress
 
 
 class TestExtrapolation:

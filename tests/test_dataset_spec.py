@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.advisor import Advisor, DalyAdvisor, DvfsAdvisor
+from repro.core.experiments import Testbed
+from repro.core.tradeoff import TradeoffAnalyzer
 from repro.dataset.spec import (
     CompressionMap,
     CompressionSpec,
-    advisor_grid_from_spec,
     parse_compression,
     sweep_axes_from_spec,
 )
@@ -160,22 +162,64 @@ class TestGridDerivation:
         with pytest.raises(ConfigurationError, match="'dataset' kind"):
             sweep_axes_from_spec(CompressionSpec.parse("lossy,sz3,abs,1e-3"), "io")
 
-    def test_advisor_auto_filters_bounds_to_floor(self):
-        codecs, bounds = advisor_grid_from_spec(
-            "auto,rel,1e-3", ("sz3", "zfp"), (1e-1, 1e-2, 1e-3, 1e-4)
-        )
-        assert codecs == ("sz3", "zfp")
-        assert bounds == (1e-3, 1e-4)
+    # The advisors narrow their search exactly as a sweep does: each one
+    # hands ``compression`` to the SweepSpec it runs.
 
-    def test_advisor_auto_keeps_floor_when_grid_is_coarser(self):
-        _, bounds = advisor_grid_from_spec("auto,rel,1e-6", ("sz3",), (1e-1,))
-        assert bounds == (1e-6,)
+    def test_advisor_auto_filters_bounds_to_floor(self, advisors, searched):
+        for name, advise in advisors.items():
+            grids = searched(
+                advise,
+                compression="auto,rel,1e-3",
+                codecs=("sz3", "zfp"),
+                bounds=(1e-1, 1e-2, 1e-3, 1e-4),
+            )
+            assert grids == {(("sz3", "zfp"), (1e-3, 1e-4))}, name
 
-    def test_advisor_rejects_map_and_lossless(self):
-        with pytest.raises(ConfigurationError):
-            advisor_grid_from_spec("a:lossless;auto", ("sz3",), (1e-3,))
-        with pytest.raises(ConfigurationError):
-            advisor_grid_from_spec("lossless", ("sz3",), (1e-3,))
+    def test_advisor_auto_keeps_floor_when_grid_is_coarser(self, advisors, searched):
+        for name, advise in advisors.items():
+            grids = searched(
+                advise, compression="auto,rel,1e-6", codecs=("sz3",), bounds=(1e-1,)
+            )
+            assert grids == {(("sz3",), (1e-6,))}, name
+
+    def test_advisor_rejects_map_and_lossless(self, advisors):
+        for advise in advisors.values():
+            with pytest.raises(ConfigurationError):
+                advise(compression="a:lossless;auto", codecs=("sz3",), bounds=(1e-3,))
+            with pytest.raises(ConfigurationError):
+                advise(compression="lossless", codecs=("sz3",), bounds=(1e-3,))
+
+
+@pytest.fixture(scope="module")
+def advisors():
+    """Every (codec, bound) advisor, asked about tiny-scale cesm."""
+    tb = Testbed(scale="tiny")
+    return {
+        "Advisor": lambda **kw: Advisor(TradeoffAnalyzer(tb)).recommend("cesm", **kw),
+        "DvfsAdvisor": lambda **kw: DvfsAdvisor(tb).advise("cesm", **kw),
+        "DalyAdvisor": lambda **kw: DalyAdvisor(tb).advise("cesm", **kw),
+    }
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """Call an advisor; return the (codecs, bounds) grids its sweeps ran."""
+    from repro.runtime.engine import SweepEngine
+
+    def run(advise, **kwargs):
+        grids = set()
+        real_run = SweepEngine.run
+
+        def spy(engine, spec):
+            if spec.codecs:  # a baseline-only sweep searches no grid
+                grids.add((spec.codecs, spec.bounds))
+            return real_run(engine, spec)
+
+        monkeypatch.setattr(SweepEngine, "run", spy)
+        advise(**kwargs)
+        return grids
+
+    return run
 
 
 # -- the round-trip property ---------------------------------------------------

@@ -458,11 +458,22 @@ class TestTradeoffAnalyzerMemoization:
         assert analyzer.engine.stats.computed == computed_after_first
         assert second == first
 
-    def test_shares_serial_points_with_testbed_sweeps(self, tiny_testbed):
+    def test_shares_points_with_nominal_clock_dvfs_sweep(self, tiny_testbed):
+        from repro.energy.cpus import get_cpu
+
         engine = SweepEngine(testbed=tiny_testbed, store=ResultStore())
-        engine.run(SweepSpec(kind="serial", **SMALL))
-        baseline = engine.stats.computed
         analyzer = TradeoffAnalyzer(tiny_testbed, engine=engine)
+        engine.run(
+            SweepSpec(
+                kind="dvfs",
+                cpus=(analyzer.cpu_name,),
+                io_libraries=(analyzer.io_library,),
+                freqs=(get_cpu(analyzer.cpu_name).fnom_ghz,),
+                **SMALL,
+            )
+        )
+        baseline = engine.stats.computed
+        assert baseline == 5  # 4 grid points + the uncompressed baseline
         analyzer.evaluate("cesm", codecs=SMALL["codecs"], bounds=SMALL["bounds"])
-        # Only the I/O points (4 + baseline) are new; serial points all hit.
-        assert engine.stats.computed == baseline + 5
+        # The analyzer's grid *is* that sweep: every point hits the store.
+        assert engine.stats.computed == baseline
