@@ -14,17 +14,13 @@ the advisor search cannot silently flip a verdict.
 Run from the repo root::
 
     PYTHONPATH=src python tools/gen_advisor_pins.py
-    PYTHONPATH=src python tools/gen_advisor_pins.py --check
 
 Only regenerate after an *intentional* change to what an advisor answers;
-the diff of the JSON file is then part of the review.  ``--check`` writes
-nothing: it recomputes every entry and exits 1 if any differs from the
-committed file, or if an entry was added or removed.
+the diff of the JSON file is then part of the review.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import pathlib
 import sys
@@ -170,33 +166,8 @@ def load() -> dict[str, dict]:
     return json.loads(FIXTURE_PATH.read_text())["pins"]
 
 
-def check(pins: dict[str, dict]) -> int:
-    """Exit status of comparing ``pins`` with the committed fixture file."""
-    frozen = load()
-    differ = sorted(
-        key
-        for key in set(pins) | set(frozen)
-        if pins.get(key) != frozen.get(key)
-    )
-    for key in differ:
-        print(f"differs from {FIXTURE_PATH.name}: {key}")
-    if differ:
-        return 1
-    print(f"{FIXTURE_PATH.name}: all {len(pins)} advisor answers match")
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="compare recomputed answers with the committed file; write nothing",
-    )
-    args = parser.parse_args(argv)
+def main() -> int:
     pins = collect()
-    if args.check:
-        return check(pins)
     FIXTURE_PATH.parent.mkdir(parents=True, exist_ok=True)
     doc = {"version": 1, "scale": "tiny", "cpu": CPU, "pins": pins}
     FIXTURE_PATH.write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
