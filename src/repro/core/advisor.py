@@ -1,9 +1,8 @@
 """Compression advisors: the paper's "framework for informed decisions".
 
 Four advisors answer the title question at different fidelities.  Each
-prices its candidates from one sweep kind over one (testbed, CPU, I/O
-library) scenario, and the two (codec, bound) searches rank candidates
-through one objective table:
+prices candidates from one sweep kind, and the two (codec, bound)
+searches rank them through one objective table:
 
 - :class:`Advisor` evaluates the (codec, bound) grid at the nominal clock
   through :class:`~repro.core.tradeoff.TradeoffAnalyzer` and recommends the

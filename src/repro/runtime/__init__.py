@@ -17,9 +17,8 @@ evaluated:
 - :mod:`~repro.runtime.benchmark` — the kernel benchmark harness behind
   ``repro bench kernels`` and ``BENCH_kernels.json`` (perf trajectory).
 
-Every ``Testbed`` sweep driver and every advisor delegate here (the
-``TradeoffAnalyzer`` grid is a nominal-clock ``dvfs`` sweep), so repeated
-points across figures and advisors are computed exactly once per store.
+Every ``Testbed`` sweep driver and every advisor (``TradeoffAnalyzer``
+included) delegate here, so repeated points are computed once per store.
 See ``docs/user-guide/sweeps.md`` for a guided tour.
 """
 
