@@ -1013,11 +1013,22 @@ class Testbed:
         threads: int = 1,
     ):
         """Ad-hoc measurement for user arrays: real compression + modeled energy."""
-        comp = get_compressor(codec)
-        buf = comp.compress(np.ascontiguousarray(data), rel_bound)
+        buf = get_compressor(codec).compress(np.ascontiguousarray(data), rel_bound)
+        return buf, self.compression_energy(
+            codec, data.nbytes, rel_bound, cpu_name=cpu_name, threads=threads
+        )
+
+    def compression_energy(
+        self,
+        codec: str,
+        nbytes: int,
+        rel_bound: float,
+        cpu_name: str = "plat8160",
+        threads: int = 1,
+    ):
+        """Modeled energy report of compressing ``nbytes`` with ``codec``."""
         cpu = get_cpu(cpu_name)
         t = self.throughput.runtime(
-            codec, "compress", data.nbytes, rel_bound, cpu, threads=threads
+            codec, "compress", nbytes, rel_bound, cpu, threads=threads
         )
-        report = self._meter(cpu).measure_compute(t, threads)
-        return buf, report
+        return self._meter(cpu).measure_compute(t, threads)

@@ -8,14 +8,19 @@ The enstools-style entry point the ROADMAP asks for::
     report = write(ds, "out.h5", compression="temp:lossy,sz3,abs,1e-3;auto")
     back = read("out.h5")          # bit-exact vs the written reconstructions
 
-``write`` resolves the compression spec per variable (``auto`` through the
-:class:`~repro.dataset.tuner.AutoTuner`), compresses each variable with the
-self-describing codec streams from :mod:`repro.compressors`, and packs the
-opaque streams into a registered I/O container (HDF5-like or NetCDF-like).
-``read`` needs no flags: the container magic picks the library, the stream
-headers pick the codecs.  Reading back gives exactly the arrays a consumer
-of the file would see — for lossless variables the original bits, for lossy
-ones the reconstruction the chosen spec guarantees.
+``write`` hands the compression spec to
+:meth:`~repro.dataset.tuner.AutoTuner.tune`, which resolves it per
+variable (``auto`` by a grid search) and compresses each stored stream —
+the whole variable, or each of its ``n_chunks`` leading-axis chunks —
+exactly once, measuring quality from those same streams.  ``write`` packs
+the opaque, self-describing codec streams into a registered I/O container
+(HDF5-like or NetCDF-like).  ``read`` needs no flags: the container magic
+picks the library, the stream headers pick the codecs.  Reading back gives
+exactly the arrays a consumer of the file would see — for lossless
+variables the original bits, for lossy ones the reconstruction the chosen
+spec guarantees — and a truncated or corrupt file raises
+:class:`~repro.errors.IOModelError` or
+:class:`~repro.errors.DecompressionError`.
 """
 
 from __future__ import annotations
@@ -27,11 +32,10 @@ import numpy as np
 from repro.compressors import get_compressor
 from repro.compressors.base import Compressor
 from repro.dataset.containers import Dataset, Variable
-from repro.dataset.spec import CompressionMap, parse_compression
+from repro.dataset.spec import parse_compression
 from repro.dataset.tuner import AutoTuner, TuningReport
-from repro.errors import ConfigurationError, IOModelError
+from repro.errors import ConfigurationError, DecompressionError, IOModelError
 from repro.iolib import get_io_library
-from repro.iolib.pipeline import chunk_array
 
 __all__ = ["write", "read", "WriteReport"]
 
@@ -84,27 +88,23 @@ def write(
     parsed.validate()
     if tuner is None:
         tuner = AutoTuner(testbed=testbed)
-    tuning = tuner.tune(dataset, parsed)
+    tuning = tuner.tune(dataset, parsed, n_chunks=n_chunks)
 
     streams: dict[str, bytes] = {}
     attrs: dict[str, str] = {_ORDER_ATTR: ",".join(dataset.names)}
     for key, value in dataset.attrs.items():
         attrs[f"user/{key}"] = str(value)
     for variable in dataset:
-        entry = tuning.for_variable(variable.name)
-        comp = get_compressor(entry.codec)
-        chunks = (
-            chunk_array(variable.data, n_chunks) if n_chunks > 1 else [variable.data]
-        )
-        if len(chunks) > 1:
-            for i, chunk in enumerate(chunks):
-                buf = comp.compress(np.ascontiguousarray(chunk), entry.rel_bound)
-                streams[f"{variable.name}/{i:05d}"] = buf.data
-            attrs[f"{_CHUNKS_PREFIX}{variable.name}"] = str(len(chunks))
+        pieces = tuning.streams[variable.name]
+        if len(pieces) > 1:
+            for i, stream in enumerate(pieces):
+                streams[f"{variable.name}/{i:05d}"] = stream
+            attrs[f"{_CHUNKS_PREFIX}{variable.name}"] = str(len(pieces))
         else:
-            buf = comp.compress(variable.data, entry.rel_bound)
-            streams[variable.name] = buf.data
-        attrs[f"{_SPEC_PREFIX}{variable.name}"] = entry.resolved
+            streams[variable.name] = pieces[0]
+        attrs[f"{_SPEC_PREFIX}{variable.name}"] = tuning.for_variable(
+            variable.name
+        ).resolved
         if variable.source is not None:
             attrs[f"{_SOURCE_PREFIX}{variable.name}"] = (
                 f"{variable.source}:{variable.scale}"
@@ -138,6 +138,38 @@ def _sniff_library(blob: bytes):
     )
 
 
+def _decode(stream) -> np.ndarray:
+    """One member: a self-describing codec stream, or a stored array."""
+    if not isinstance(stream, (bytes, bytearray)):
+        return np.asarray(stream)  # stored uncompressed
+    codec, *_ = Compressor._unpack_header(bytes(stream))
+    try:
+        comp = get_compressor(codec)
+    except KeyError:
+        raise DecompressionError(f"stream names unknown codec {codec!r}") from None
+    return comp.decompress(bytes(stream))
+
+
+def _variable_data(members: dict, attrs: dict, var_name: str) -> np.ndarray:
+    """Decode one variable: its whole member, or its chunks stacked on
+    the leading axis when a ``chunks/<var>`` attr declares them."""
+    declared = attrs.get(f"{_CHUNKS_PREFIX}{var_name}", "0")
+    if not declared.isdecimal() or int(declared) > len(members):
+        raise IOModelError(f"malformed chunk count {declared!r} for {var_name!r}")
+    n_chunks = int(declared)
+    keys = [f"{var_name}/{i:05d}" for i in range(n_chunks)] or [var_name]
+    missing = [key for key in keys if key not in members]
+    if missing:
+        raise IOModelError(f"container has no member {missing[0]!r}")
+    parts = [_decode(members[key]) for key in keys]
+    if not n_chunks:
+        return parts[0]
+    stackable = {(p.dtype, p.shape[1:]) for p in parts}
+    if len(stackable) > 1 or min(p.ndim for p in parts) == 0:
+        raise IOModelError(f"chunks of {var_name!r} do not stack on axis 0")
+    return np.concatenate(parts, axis=0)
+
+
 def read(path, io_library: str | None = None) -> Dataset:
     """Read a container written by :func:`write` back into a Dataset.
 
@@ -151,13 +183,6 @@ def read(path, io_library: str | None = None) -> Dataset:
     else:
         name, unpacked = _sniff_library(blob)
     members, attrs = unpacked
-
-    def _decode(stream) -> np.ndarray:
-        if not isinstance(stream, (bytes, bytearray)):
-            return np.asarray(stream)  # stored uncompressed
-        codec, *_ = Compressor._unpack_header(bytes(stream))
-        return get_compressor(codec).decompress(bytes(stream))
-
     order = [n for n in attrs.get(_ORDER_ATTR, "").split(",") if n]
     if not order:  # tolerate containers from other writers
         order = sorted(
@@ -165,23 +190,18 @@ def read(path, io_library: str | None = None) -> Dataset:
         )
     variables = []
     for var_name in order:
-        n_chunks = int(attrs.get(f"{_CHUNKS_PREFIX}{var_name}", "0"))
-        if n_chunks:
-            parts = [
-                _decode(members[f"{var_name}/{i:05d}"]) for i in range(n_chunks)
-            ]
-            data = np.concatenate(parts, axis=0)
-        else:
-            data = _decode(members[var_name])
         source, _, scale = attrs.get(f"{_SOURCE_PREFIX}{var_name}", "").partition(":")
-        variables.append(
-            Variable(
-                name=var_name,
-                data=data,
-                source=source or None,
-                scale=scale or None,
+        try:
+            variables.append(
+                Variable(
+                    name=var_name,
+                    data=_variable_data(members, attrs, var_name),
+                    source=source or None,
+                    scale=scale or None,
+                )
             )
-        )
+        except ConfigurationError as exc:
+            raise IOModelError(f"malformed variable in {path}: {exc}") from None
     user_attrs = {
         key[len("user/"):]: value
         for key, value in attrs.items()
@@ -192,4 +212,7 @@ def read(path, io_library: str | None = None) -> Dataset:
         spec = attrs.get(f"{_SPEC_PREFIX}{var_name}")
         if spec:
             user_attrs[f"spec/{var_name}"] = spec
-    return Dataset(variables=tuple(variables), attrs=user_attrs)
+    try:
+        return Dataset(variables=tuple(variables), attrs=user_attrs)
+    except ConfigurationError as exc:
+        raise IOModelError(f"malformed dataset in {path}: {exc}") from None

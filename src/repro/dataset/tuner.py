@@ -10,16 +10,20 @@ sweep is nearly free); ad-hoc arrays are compressed for real.
 
 The result is a :class:`TuningReport` of per-variable
 :class:`VariableTuning` entries — each carrying the resolved concrete spec
-string the façade then writes with, the measured quality, and the
-candidate count, so a tune is auditable rather than a black box.
+string, the measured quality, and the candidate count, so a tune is
+auditable rather than a black box — plus the codec streams the façade
+stores.  Each stream is compressed once: an explicit spec on an ad-hoc
+array measures quality from the very streams it stores, and an ``auto``
+search keeps its winner's stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.compressors import get_compressor
 from repro.dataset.containers import Dataset, Variable
 from repro.dataset.spec import (
     CompressionMap,
@@ -27,6 +31,7 @@ from repro.dataset.spec import (
     parse_compression,
 )
 from repro.errors import CompressionError, ConfigurationError
+from repro.iolib.pipeline import chunk_array
 from repro.metrics.error import max_rel_error, value_range
 
 __all__ = ["AutoTuner", "TuningReport", "VariableTuning"]
@@ -61,6 +66,10 @@ class TuningReport:
     """Per-variable tuning outcomes, in dataset variable order."""
 
     entries: tuple[VariableTuning, ...]
+    #: Per variable, the codec streams to store: one per leading-axis chunk.
+    streams: dict[str, tuple[bytes, ...]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def __iter__(self):
         return iter(self.entries)
@@ -110,13 +119,28 @@ class AutoTuner:
 
     # -- candidate measurement -------------------------------------------------
 
-    def _measure(self, variable: Variable, codec: str, rel_bound: float):
-        """(max_rel_err, ratio, cost_energy_j) for one candidate.
+    @staticmethod
+    def _compress(
+        variable: Variable, codec: str, rel_bound: float, n_chunks: int
+    ) -> tuple[bytes, ...]:
+        """The streams stored for ``variable``: one compress of each
+        leading-axis chunk, or of the whole array when ``n_chunks`` is 1."""
+        data = variable.data
+        pieces = chunk_array(data, n_chunks) if n_chunks > 1 else [data]
+        comp = get_compressor(codec)
+        return tuple(comp.compress(piece, rel_bound).data for piece in pieces)
+
+    def _measure(
+        self, variable: Variable, codec: str, rel_bound: float, n_chunks: int = 1
+    ):
+        """(max_rel_err, ratio, cost_energy_j, streams) for one candidate.
 
         Catalogue variables go through the testbed's memoized roundtrip and
         io-point paths (grid identity matches the sweep kinds, so a prior
-        ``repro sweep`` already paid for them); ad-hoc arrays compress for
-        real with modeled compression energy as the cost.
+        ``repro sweep`` already paid for them) and return no streams.
+        Ad-hoc arrays compress their ``n_chunks`` pieces for real, once;
+        quality comes from decompressing those same streams, and the cost
+        is the modeled compression energy of the whole variable.
         """
         if variable.source is not None and variable.scale == self.testbed.scale:
             rt = self.testbed.roundtrip(variable.source, codec, rel_bound)
@@ -127,52 +151,23 @@ class AutoTuner:
                 io_library=self.io_library,
                 cpu_name=self.cpu_name,
             )
-            return rt.max_rel_err, rt.ratio, io.total_energy_j
-        from repro.compressors import get_compressor
-
-        buf, report = self.testbed.measure_compression(
-            codec, variable.data, rel_bound, cpu_name=self.cpu_name
+            return rt.max_rel_err, rt.ratio, io.total_energy_j, None
+        streams = self._compress(variable, codec, rel_bound, n_chunks)
+        comp = get_compressor(codec)
+        parts = [comp.decompress(stream) for stream in streams]
+        recon = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+        report = self.testbed.compression_energy(
+            codec, variable.nbytes, rel_bound, cpu_name=self.cpu_name
         )
-        recon = get_compressor(codec).decompress(buf.data)
-        return max_rel_error(variable.data, recon), buf.ratio, report.energy_j
+        ratio = variable.nbytes / max(1, sum(len(s) for s in streams))
+        return max_rel_error(variable.data, recon), ratio, report.energy_j, streams
 
     # -- resolution -------------------------------------------------------------
 
-    def tune_variable(
-        self, variable: Variable, spec: CompressionSpec
-    ) -> VariableTuning:
-        """Resolve one spec for one variable (explicit specs pass through)."""
-        spec.validate()
-        if spec.mode == "lossless":
-            err, ratio, cost = self._measure(variable, spec.codec, 0.0)
-            return VariableTuning(
-                variable=variable.name,
-                requested=spec.canonical,
-                resolved=_resolved_string(spec.codec, 0.0),
-                codec=spec.codec,
-                rel_bound=0.0,
-                floor=None,
-                max_rel_err=err,
-                ratio=ratio,
-                cost_energy_j=cost,
-                candidates=1,
-            )
-        if spec.mode == "lossy":
-            rel = spec.rel_bound_for(value_range(variable.data))
-            err, ratio, cost = self._measure(variable, spec.codec, rel)
-            return VariableTuning(
-                variable=variable.name,
-                requested=spec.canonical,
-                resolved=_resolved_string(spec.codec, rel),
-                codec=spec.codec,
-                rel_bound=rel,
-                floor=None,
-                max_rel_err=err,
-                ratio=ratio,
-                cost_energy_j=cost,
-                candidates=1,
-            )
-        # auto: search (codec, bound) candidates at or under the floor.
+    def _search(self, variable: Variable, spec: CompressionSpec):
+        """An ``auto`` spec's grid search on the whole variable; returns
+        ``(floor, candidates, (codec, bound, err, ratio, cost, streams))``
+        of the cheapest candidate meeting the floor."""
         floor = spec.rel_bound_for(value_range(variable.data))
         candidate_bounds = tuple(b for b in self.bounds if b <= floor) or (floor,)
         best = None
@@ -180,7 +175,7 @@ class AutoTuner:
         for codec in self.codecs:
             for bound in candidate_bounds:
                 try:
-                    err, ratio, cost = self._measure(variable, codec, bound)
+                    err, ratio, cost, streams = self._measure(variable, codec, bound)
                 except (CompressionError, ConfigurationError):
                     continue  # codec can't take this variable; not a candidate
                 examined += 1
@@ -190,7 +185,7 @@ class AutoTuner:
                 # then stable (codec, bound) order.
                 key = (cost, -ratio, codec, bound)
                 if best is None or key < best[0]:
-                    best = (key, codec, bound, err, ratio, cost)
+                    best = (key, codec, bound, err, ratio, cost, streams)
         if best is None:
             raise ConfigurationError(
                 f"auto-tuning {variable.name!r}: no (codec, bound) candidate "
@@ -198,8 +193,30 @@ class AutoTuner:
                 f"floor {floor:g} (codecs {self.codecs}, bounds "
                 f"{candidate_bounds})"
             )
-        _, codec, bound, err, ratio, cost = best
-        return VariableTuning(
+        return floor, examined, best[1:]
+
+    def _resolve(
+        self, variable: Variable, spec: CompressionSpec, n_chunks: int
+    ) -> tuple[VariableTuning, tuple[bytes, ...]]:
+        """Resolve one spec for one variable; returns the tuning entry and
+        the streams to store (explicit specs pass through)."""
+        spec.validate()
+        if spec.is_auto:
+            floor, candidates, winner = self._search(variable, spec)
+            codec, bound, err, ratio, cost, streams = winner
+            if n_chunks > 1:
+                streams = None  # the search measured the whole variable
+        else:
+            floor, candidates, codec = None, 1, spec.codec
+            bound = (
+                0.0
+                if spec.is_lossless
+                else spec.rel_bound_for(value_range(variable.data))
+            )
+            err, ratio, cost, streams = self._measure(variable, codec, bound, n_chunks)
+        if streams is None:
+            streams = self._compress(variable, codec, bound, n_chunks)
+        entry = VariableTuning(
             variable=variable.name,
             requested=spec.canonical,
             resolved=_resolved_string(codec, bound),
@@ -209,18 +226,25 @@ class AutoTuner:
             max_rel_err=err,
             ratio=ratio,
             cost_energy_j=cost,
-            candidates=examined,
+            candidates=candidates,
         )
+        return entry, streams
 
-    def tune(self, dataset: Dataset, compression) -> TuningReport:
-        """Resolve a spec string (or parsed spec/map) for a whole dataset."""
+    def tune(self, dataset: Dataset, compression, n_chunks: int = 1) -> TuningReport:
+        """Resolve a spec string (or parsed spec/map) for a whole dataset.
+
+        The report carries, per variable, the streams to store: the whole
+        variable, or its ``n_chunks`` leading-axis chunks.
+        """
         if isinstance(compression, str):
             compression = parse_compression(compression)
         entries = []
+        streams = {}
         for variable in dataset:
             if isinstance(compression, CompressionMap):
                 spec = compression.spec_for(variable.name)
             else:
                 spec = compression
-            entries.append(self.tune_variable(variable, spec))
-        return TuningReport(entries=tuple(entries))
+            entry, streams[variable.name] = self._resolve(variable, spec, n_chunks)
+            entries.append(entry)
+        return TuningReport(entries=tuple(entries), streams=streams)

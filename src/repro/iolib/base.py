@@ -20,6 +20,7 @@ PFS with smaller unaligned records, and touches the header on every define.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -63,7 +64,22 @@ class IOLibrary:
         raise NotImplementedError
 
     def unpack(self, blob: bytes) -> tuple[dict[str, np.ndarray | bytes], dict]:
-        """Parse container bytes back into ``(datasets, attrs)``."""
+        """Parse container bytes back into ``(datasets, attrs)``.
+
+        A truncated or corrupt container raises :class:`IOModelError`: the
+        raw errors parsing provokes (short reads, bad utf-8 names, unknown
+        type codes, data that does not fill its declared shape) included.
+        """
+        try:
+            return self._unpack(blob)
+        except (struct.error, ValueError, KeyError, IndexError) as exc:
+            raise IOModelError(
+                f"truncated or corrupt {self.name} container "
+                f"({type(exc).__name__}: {exc})"
+            ) from None
+
+    def _unpack(self, blob: bytes) -> tuple[dict[str, np.ndarray | bytes], dict]:
+        """Format-specific parse behind :meth:`unpack`."""
         raise NotImplementedError
 
     def write_file(self, path, datasets, attrs=None) -> int:

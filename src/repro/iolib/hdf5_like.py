@@ -58,6 +58,16 @@ def _unpack_attrs(blob: bytes, off: int) -> tuple[dict, int]:
     return attrs, off
 
 
+def _take(blob: bytes, off: int, size: int, name: str) -> bytes:
+    """The ``size`` data bytes of member ``name`` at ``off``."""
+    data = blob[off : off + size]
+    if len(data) != size:
+        raise IOModelError(
+            f"member {name!r} declares {size} bytes, {len(data)} remain"
+        )
+    return data
+
+
 @register_io_library
 class HDF5Like(IOLibrary):
     """Little-endian contiguous container; the efficient library of Fig. 11."""
@@ -94,7 +104,7 @@ class HDF5Like(IOLibrary):
                 parts.append(data)
         return b"".join(parts)
 
-    def unpack(self, blob: bytes):
+    def _unpack(self, blob: bytes):
         if blob[: len(_MAGIC)] != _MAGIC:
             raise IOModelError("not an RH5 container (bad magic)")
         off = len(_MAGIC)
@@ -114,7 +124,7 @@ class HDF5Like(IOLibrary):
             if kind == b"O":
                 dlen, crc = struct.unpack_from("<QI", blob, off)
                 off += 12
-                data = blob[off : off + dlen]
+                data = _take(blob, off, dlen, dsname)
                 off += dlen
                 if zlib.crc32(data) != crc:
                     raise IOModelError(f"checksum mismatch in object {dsname!r}")
@@ -128,7 +138,7 @@ class HDF5Like(IOLibrary):
                 off += 8 * ndim
                 dlen, crc = struct.unpack_from("<QI", blob, off)
                 off += 12
-                data = blob[off : off + dlen]
+                data = _take(blob, off, dlen, dsname)
                 off += dlen
                 if zlib.crc32(data) != crc:
                     raise IOModelError(f"checksum mismatch in dataset {dsname!r}")

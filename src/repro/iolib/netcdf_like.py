@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import IOModelError
 from repro.iolib.base import IOLibrary, WriteCostModel, register_io_library
-from repro.iolib.hdf5_like import _pack_attrs, _unpack_attrs
+from repro.iolib.hdf5_like import _pack_attrs, _take, _unpack_attrs
 
 __all__ = ["NetCDFLike"]
 
@@ -65,7 +65,7 @@ class NetCDFLike(IOLibrary):
             parts.append(data)
         return b"".join(parts)
 
-    def unpack(self, blob: bytes):
+    def _unpack(self, blob: bytes):
         if blob[: len(_MAGIC)] != _MAGIC:
             raise IOModelError("not an RNC container (bad magic)")
         off = len(_MAGIC)
@@ -86,7 +86,7 @@ class NetCDFLike(IOLibrary):
             off += 4 * ndim
             (vsize,) = struct.unpack_from("<Q", blob, off)
             off += 8
-            data = blob[off : off + vsize]
+            data = _take(blob, off, vsize, dsname)
             off += vsize
             dtype = np.dtype(_DTYPES[typecode]).newbyteorder(">")
             arr = np.frombuffer(data, dtype=dtype).reshape(shape)

@@ -6,11 +6,14 @@ meets each declared quality floor.
 """
 
 import json
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.compressors import get_compressor
+from repro.compressors.base import Compressor
 from repro.core.experiments import Testbed
 from repro.dataset import (
     AutoTuner,
@@ -20,8 +23,12 @@ from repro.dataset import (
     read,
     write,
 )
-from repro.errors import ConfigurationError
+from repro.dataset.facade import _sniff_library
+from repro.errors import ConfigurationError, DecompressionError, IOModelError
+from repro.iolib import get_io_library
+from repro.iolib.pipeline import chunk_array
 from repro.metrics.error import max_rel_error
+from repro.obs import tracing
 
 TESTBED = Testbed(scale="tiny")
 
@@ -260,3 +267,243 @@ class TestDatasetKind:
         from repro.data.registry import generate
 
         assert max_rel_error(generate("cesm", "tiny"), recon) <= 1e-3 + 1e-9
+
+
+# -- compress once ------------------------------------------------------------
+
+EBLCS = ("sz2", "sz3", "qoz", "zfp", "szx")
+
+
+def _walk(shape, seed):
+    walk = np.random.default_rng(seed).standard_normal(shape)
+    for axis in range(len(shape)):
+        walk = np.cumsum(walk, axis=axis)
+    return walk
+
+
+#: Ad-hoc fields (no catalogue provenance), so the tuner compresses them.
+ADHOC = Dataset.from_arrays({
+    "walk": _walk((16, 10, 9), 3),
+    "line": _walk((400,), 4).astype(np.float32),
+})
+
+
+def _stored(path) -> dict[str, list[bytes]]:
+    """Each variable's stored streams, in chunk order."""
+    _, (members, attrs) = _sniff_library(path.read_bytes())
+    out = {}
+    for name in attrs["__variables__"].split(","):
+        n = int(attrs.get(f"chunks/{name}", "0"))
+        keys = [f"{name}/{i:05d}" for i in range(n)] or [name]
+        out[name] = [bytes(members[key]) for key in keys]
+    return out
+
+
+def _codec_spans(tracer) -> Counter:
+    return Counter(
+        s.name for s in tracer.spans
+        if s.name.startswith(("compress:", "decompress:"))
+    )
+
+
+class TestCompressOnce:
+    """A façade write compresses each stored stream once, and measures its
+    quality by decompressing that same stream once."""
+
+    @pytest.mark.parametrize("n_chunks", (1, 4))
+    @pytest.mark.parametrize("codec", EBLCS)
+    def test_one_compress_and_decompress_per_stream(self, codec, n_chunks,
+                                                     tmp_path):
+        path = tmp_path / "once.h5"
+        with tracing() as tracer:
+            report = write(ADHOC, path, f"lossy,{codec},rel,1e-3",
+                           n_chunks=n_chunks, testbed=TESTBED)
+        stored = _stored(path)
+        n_streams = sum(len(streams) for streams in stored.values())
+        assert n_streams == len(ADHOC) * n_chunks
+        assert _codec_spans(tracer) == {
+            f"compress:{codec}": n_streams, f"decompress:{codec}": n_streams,
+        }
+        comp = get_compressor(codec)
+        for var in ADHOC:
+            rel = report.tuning.for_variable(var.name).rel_bound
+            pieces = chunk_array(var.data, n_chunks) if n_chunks > 1 else [var.data]
+            assert stored[var.name] == [comp.compress(p, rel).data for p in pieces]
+            assert report.tuning.streams[var.name] == tuple(stored[var.name])
+
+    @pytest.mark.parametrize("spec", ["lossy,sz3,rel,1e-3", "lossless,zstd"])
+    def test_unchunked_report_is_the_plain_tune(self, spec, tmp_path):
+        report = write(ADHOC, tmp_path / "one.nc", spec, io_library="netcdf",
+                       testbed=TESTBED)
+        assert report.tuning == AutoTuner(testbed=TESTBED).tune(ADHOC, spec)
+
+    @pytest.mark.parametrize("codec", ("sz3", "zfp"))
+    def test_chunked_report_describes_stored_streams(self, codec, tmp_path):
+        path = tmp_path / "chunked.h5"
+        report = write(ADHOC, path, f"lossy,{codec},rel,1e-3", n_chunks=4,
+                       testbed=TESTBED)
+        stored, back = _stored(path), read(path)
+        for var in ADHOC:
+            entry = report.tuning.for_variable(var.name)
+            total = sum(len(stream) for stream in stored[var.name])
+            assert entry.ratio == var.nbytes / total
+            assert entry.max_rel_err == max_rel_error(var.data,
+                                                      back[var.name].data)
+
+    def test_auto_stores_the_winners_stream(self, tmp_path):
+        path = tmp_path / "auto.h5"
+        tuner = AutoTuner(testbed=TESTBED, codecs=("sz3", "szx", "zfp"),
+                          bounds=(1e-2, 1e-3))
+        with tracing() as tracer:
+            report = write(ADHOC, path, "auto,rel,1e-2", tuner=tuner)
+        spans = _codec_spans(tracer)
+        # One compress and one decompress per examined candidate; nothing
+        # is compressed again for the file.
+        examined = sum(entry.candidates for entry in report.tuning)
+        assert examined == len(ADHOC) * 6
+        assert sum(n for name, n in spans.items()
+                   if name.startswith("compress:")) == examined
+        assert sum(n for name, n in spans.items()
+                   if name.startswith("decompress:")) == examined
+        assert report.tuning == tuner.tune(ADHOC, "auto,rel,1e-2")
+        stored = _stored(path)
+        for entry in report.tuning:
+            comp = get_compressor(entry.codec)
+            expect = comp.compress(ADHOC[entry.variable].data, entry.rel_bound)
+            assert stored[entry.variable] == [expect.data]
+
+    def test_auto_chunked_compresses_the_winners_chunks_once(self, tmp_path):
+        tuner = AutoTuner(testbed=TESTBED, codecs=("sz3", "szx"),
+                          bounds=(1e-2,))
+        with tracing() as tracer:
+            report = write(ADHOC, tmp_path / "auto.nc", "auto,rel,1e-2",
+                           io_library="netcdf", n_chunks=4, tuner=tuner)
+        compresses = sum(n for name, n in _codec_spans(tracer).items()
+                         if name.startswith("compress:"))
+        assert compresses == len(ADHOC) * (2 + 4)
+        assert report.tuning == tuner.tune(ADHOC, "auto,rel,1e-2")
+
+
+# -- hostile containers --------------------------------------------------------
+
+
+def _read_outcome(path, seconds=5.0):
+    """``read(path)`` on a daemon thread; returns the dataset or the raised
+    exception, failing if the call does not return within ``seconds``."""
+    outcome = []
+
+    def target():
+        try:
+            with np.errstate(all="ignore"):
+                outcome.append(read(path))
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            outcome.append(exc)
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"read did not return within {seconds} s"
+    return outcome[0]
+
+
+def _assert_rejected_or_declared(path, label):
+    """A corrupt file raises a typed error, or reads back as the variables
+    its container and stream headers declare."""
+    got = _read_outcome(path)
+    if isinstance(got, BaseException):
+        assert isinstance(got, (IOModelError, DecompressionError)), (
+            f"{label}: {got!r}"
+        )
+        return
+    lib = get_io_library(got.attrs["io_library"])
+    members, attrs = lib.unpack(path.read_bytes())
+    order = [n for n in attrs.get("__variables__", "").split(",") if n]
+    assert list(got.names) == (
+        order or sorted({key.partition("/")[0] for key in members})
+    ), label
+    for var in got:
+        n = int(attrs.get(f"chunks/{var.name}", "0"))
+        keys = [f"{var.name}/{i:05d}" for i in range(n)] or [var.name]
+        heads = [Compressor._unpack_header(bytes(members[k])) for k in keys]
+        shape = heads[0][1]
+        if n:
+            shape = (sum(h[1][0] for h in heads),) + shape[1:]
+        assert var.data.shape == shape and var.data.dtype == heads[0][2], label
+
+
+#: A float64 3-D field under sz3 and a float32 1-D field under szx.
+CORRUPT_DS = Dataset.from_arrays({
+    "walk": _walk((8, 6, 5), 11),
+    "line": _walk((120,), 12).astype(np.float32),
+}, attrs={"origin": "battery"})
+CORRUPT_SPEC = "walk:lossy,sz3,rel,1e-3;lossy,szx,rel,1e-3"
+CORRUPT_CASES = [(lib, n) for lib in ("hdf5", "netcdf") for n in (1, 3)]
+
+
+class TestCorruptContainers:
+    """Every truncation and 300 seeded bit flips of a façade file: each
+    read raises ``IOModelError``/``DecompressionError`` or returns the
+    declared names, shapes and dtypes, within a wall bound."""
+
+    @pytest.fixture(params=CORRUPT_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+    def written(self, request, tmp_path):
+        lib, n_chunks = request.param
+        path = tmp_path / "good"
+        write(CORRUPT_DS, path, CORRUPT_SPEC, io_library=lib,
+              n_chunks=n_chunks, testbed=TESTBED)
+        return path.read_bytes(), tmp_path / "bad"
+
+    def test_every_truncation(self, written):
+        blob, bad = written
+        for cut in range(len(blob)):
+            bad.write_bytes(blob[:cut])
+            _assert_rejected_or_declared(bad, f"[:{cut}]")
+
+    def test_seeded_bit_flips(self, written):
+        blob, bad = written
+        rng = np.random.default_rng(20261017)
+        for bit in rng.integers(0, 8 * len(blob), size=300):
+            corrupt = bytearray(blob)
+            corrupt[bit // 8] ^= 1 << (bit % 8)
+            bad.write_bytes(bytes(corrupt))
+            _assert_rejected_or_declared(bad, f"flip {bit}")
+
+
+class TestReadMalformed:
+    """Containers that parse but do not hold what their attrs declare."""
+
+    STREAM = get_compressor("szx").compress(_walk((6, 4), 5), 1e-3).data
+
+    def _read(self, tmp_path, members, attrs):
+        path = tmp_path / "crafted.h5"
+        get_io_library("hdf5").write_file(path, members, attrs)
+        return read(path)
+
+    def test_missing_member(self, tmp_path):
+        with pytest.raises(IOModelError, match="no member 'x'"):
+            self._read(tmp_path, {"y": self.STREAM}, {"__variables__": "x"})
+        with pytest.raises(IOModelError, match="no member 'x/00001'"):
+            self._read(tmp_path, {"x/00000": self.STREAM, "y": self.STREAM},
+                       {"__variables__": "x", "chunks/x": "2"})
+
+    @pytest.mark.parametrize("count", ["two", "-1", "1e3", "", "3"])
+    def test_malformed_chunk_count(self, tmp_path, count):
+        members = {"x/00000": self.STREAM, "x/00001": self.STREAM}
+        with pytest.raises(IOModelError, match="malformed chunk count"):
+            self._read(tmp_path, members,
+                       {"__variables__": "x", "chunks/x": count})
+
+    def test_chunks_that_do_not_stack(self, tmp_path):
+        other = get_compressor("szx").compress(_walk((6, 5), 5), 1e-3).data
+        with pytest.raises(IOModelError, match="do not stack"):
+            self._read(tmp_path, {"x/00000": self.STREAM, "x/00001": other},
+                       {"__variables__": "x", "chunks/x": "2"})
+
+    def test_unknown_codec_and_bad_names(self, tmp_path):
+        renamed = self.STREAM.replace(b"szx", b"zzz", 1)
+        with pytest.raises(DecompressionError, match="unknown codec 'zzz'"):
+            self._read(tmp_path, {"x": renamed}, {"__variables__": "x"})
+        with pytest.raises(IOModelError, match="invalid variable name"):
+            self._read(tmp_path, {"a b": self.STREAM}, {"__variables__": "a b"})
+        with pytest.raises(IOModelError, match="duplicate"):
+            self._read(tmp_path, {"x": self.STREAM}, {"__variables__": "x,x"})

@@ -60,6 +60,34 @@ class TestContainers:
         with pytest.raises(IOModelError):
             NetCDFLike().unpack(b"garbage" * 4)
 
+    @pytest.mark.parametrize("libname", ["hdf5", "netcdf"])
+    def test_every_truncation_is_typed(self, libname, rng):
+        lib = get_io_library(libname)
+        blob = lib.pack(
+            {"rho": rng.standard_normal((3, 4)), "stream": bytes(range(40))},
+            {"unit": "kg/m^3"},
+        )
+        for cut in range(len(blob)):
+            with pytest.raises(IOModelError):
+                lib.unpack(blob[:cut])
+
+    def test_netcdf_bad_typecode_and_shape(self):
+        lib = NetCDFLike()
+        blob = lib.pack({"x": np.zeros((2, 3), dtype=np.float32)})
+        at = blob.index(b"\x01\x00x") + 3  # typecode after the name
+        assert blob[at : at + 1] == b"f"
+        with pytest.raises(IOModelError, match="KeyError"):
+            lib.unpack(blob[:at] + b"F" + blob[at + 1 :])
+        # Shape (2, 3) -> (2, 7): the 24 data bytes no longer fill it.
+        with pytest.raises(IOModelError, match="ValueError"):
+            lib.unpack(blob[: at + 6] + b"\x07" + blob[at + 7 :])
+
+    def test_hdf5_bad_utf8_name(self):
+        blob = bytearray(HDF5Like().pack({"x": b"abc"}))
+        blob[blob.index(b"\x01\x00x") + 2] = 0xFF
+        with pytest.raises(IOModelError, match="UnicodeDecodeError"):
+            HDF5Like().unpack(bytes(blob))
+
     def test_netcdf_is_big_endian_on_disk(self):
         """The classic-format byte swap: the RNC payload differs from memory."""
         data = np.array([1.0, 2.0], dtype=np.float32)
