@@ -58,3 +58,16 @@ def test_kernel_pfs_solver(benchmark):
     sizes = r.uniform(1e7, 1e9, 512)
     finish = benchmark(fair_share_schedule, arrivals, sizes, 1000.0, 4000.0)
     assert np.all(np.isfinite(finish))
+
+
+@pytest.mark.parametrize("ranks", (56, 112, 224))
+def test_kernel_pfs_solver_tenants(benchmark, ranks):
+    """The input the cluster solve serves: 300 tenants, each a run of
+    ``ranks`` identical flows (one size, one arrival per tenant)."""
+    from repro.iolib.pfs import fair_share_schedule
+
+    r = np.random.default_rng(1)
+    arrivals = np.repeat(np.sort(r.uniform(0, 600, 300)), ranks)
+    sizes = np.repeat(r.uniform(1e7, 1e9, 300), ranks)
+    finish = benchmark(fair_share_schedule, arrivals, sizes, 1000.0, 4000.0)
+    assert np.all(finish >= arrivals)

@@ -630,9 +630,16 @@ def simulate_cluster(
     open_latency = campaign.io.cost.open_latency_s
     names = [st.spec.name for st in states]
 
+    tenant_ranks = np.array([st.spec.ranks for st in states])
+    offsets = np.cumsum(tenant_ranks) - tenant_ranks  # each tenant's first flow
+    # Every tenant's rank flows, in tenant order: one run of equal flows
+    # per tenant, which the fair-share solver collapses into one class.
+    sizes = np.repeat(
+        np.array([st.out_bytes for st in states], dtype=np.float64),
+        tenant_ranks,
+    )
     drains = {st.spec.name: st.dedicated_drain_s for st in states}
     prev_starts: dict[str, float] | None = None
-    finish_slices: dict[str, np.ndarray] = {}
     starts: dict[str, float] = {}
     arrivals: dict[str, float] = {}
     backfilled: dict[str, bool] = {}
@@ -641,27 +648,13 @@ def simulate_cluster(
         starts, arrivals, backfilled = _run_schedule(spec, states, drains)
         # One cluster-wide fair-share solve: every tenant's rank flows,
         # staggered by when the schedule actually released them.
-        sizes = np.concatenate(
-            [
-                np.full(st.spec.ranks, st.out_bytes, dtype=np.float64)
-                for st in states
-            ]
-        )
-        arrive = np.concatenate(
-            [np.full(st.spec.ranks, arrivals[st.spec.name]) for st in states]
-        )
+        arrive = np.repeat(np.array([arrivals[n] for n in names]), tenant_ranks)
         finish = campaign.pfs.concurrent_write_times(
             sizes, efficiency=eff, arrivals=arrive
         )
         finish = finish + open_latency
-        offset = 0
-        new_drains: dict[str, float] = {}
-        for st in states:
-            sl = finish[offset : offset + st.spec.ranks]
-            finish_slices[st.spec.name] = sl
-            new_drains[st.spec.name] = float(sl.max()) - arrivals[st.spec.name]
-            offset += st.spec.ranks
-        drains = new_drains
+        ends = np.maximum.reduceat(finish, offsets).tolist()
+        drains = {n: end - arrivals[n] for n, end in zip(names, ends)}
         tracer = active_tracer()
         if tracer is not None:
             # One virtual span per fixed-point pass, covering the schedule
@@ -683,10 +676,10 @@ def simulate_cluster(
         )
 
     outcomes = []
-    for st in states:
+    for st, offset, end in zip(states, offsets.tolist(), ends):
         name = st.spec.name
         t0 = arrivals[name]
-        finishes = finish_slices[name]
+        finishes = finish[offset : offset + st.spec.ranks]
         cost = campaign.io.cost
 
         def node_energy(ranks: int, st=st, t0=t0, finishes=finishes):
@@ -755,8 +748,8 @@ def simulate_cluster(
                 t_serialize=st.t_serialize,
                 out_bytes=st.out_bytes,
                 t0=t0,
-                finish_s=float(finishes.max()),
-                write_time_s=st.t_serialize + (float(finishes.max()) - t0),
+                finish_s=end,
+                write_time_s=st.t_serialize + (end - t0),
                 dedicated_write_time_s=st.t_serialize + st.dedicated_drain_s,
                 compress_energy_j=compress_j,
                 write_energy_j=write_j,

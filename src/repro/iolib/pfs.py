@@ -12,13 +12,15 @@ The PFS is modeled at the level that determines the paper's I/O results:
   storage backends.
 
 :func:`fair_share_schedule` is an exact event-driven solver for that fluid
-model; :class:`PFSModel` packages it with the single-stream cost helpers the
-experiment drivers use.  The aggregate saturation is what produces Fig. 12's
-jump in uncompressed write energy at 512 cores.
+model, working on runs of equal flows (a cluster tenant's ranks) rather than
+on single flows; :class:`PFSModel` packages it with the single-stream cost
+helpers the experiment drivers use.  The aggregate saturation is what
+produces Fig. 12's jump in uncompressed write energy at 512 cores.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +41,10 @@ def fair_share_schedule(
     Parameters
     ----------
     arrivals, sizes_bytes:
-        Per-flow start time (s) and size (bytes).
+        Per-flow start time (s) and size (bytes): 1-D, finite, sizes
+        non-negative.
     per_flow_cap_mbps / aggregate_cap_mbps:
-        Individual and shared capacity in MB/s.
+        Individual and shared capacity in MB/s, positive and finite.
 
     Returns
     -------
@@ -51,59 +54,91 @@ def fair_share_schedule(
     interval the rate of each active flow is constant:
     ``min(per_flow_cap, aggregate / n_active)`` — with a homogeneous per-flow
     cap, max-min fairness reduces to exactly this.
+
+    Raises :class:`~repro.errors.ConfigurationError` for misaligned, non-1-D
+    or non-finite inputs, negative sizes and non-positive or non-finite caps.
     """
     arrivals = np.asarray(arrivals, dtype=np.float64)
     sizes = np.asarray(sizes_bytes, dtype=np.float64) / 1e6  # MB
+    if arrivals.ndim != 1 or sizes.ndim != 1:
+        raise ConfigurationError("arrivals and sizes must be 1-D")
     if arrivals.shape != sizes.shape:
         raise ConfigurationError("arrivals and sizes must align")
-    if per_flow_cap_mbps <= 0 or aggregate_cap_mbps <= 0:
-        raise ConfigurationError("capacities must be positive")
+    if not (np.isfinite(arrivals).all() and np.isfinite(sizes).all()):
+        raise ConfigurationError("arrivals and sizes must be finite")
+    if (sizes < 0).any():
+        raise ConfigurationError("sizes must be non-negative")
+    if not all(
+        math.isfinite(cap) and cap > 0
+        for cap in (per_flow_cap_mbps, aggregate_cap_mbps)
+    ):
+        raise ConfigurationError("capacities must be positive and finite")
     n = arrivals.size
-    finish = np.full(n, np.inf)
-    remaining = sizes.copy()
+    if not n:
+        return np.empty(0)
+    arrivals = np.ascontiguousarray(arrivals)  # for the bit view below
+
+    # Flow classes: each run of consecutive flows with bit-equal (arrival,
+    # size) — all ranks of one cluster tenant — is solved as one entry
+    # weighted by its run length.  Such flows are admitted together and go
+    # through exactly the same float operations in a per-flow solve, so
+    # their shared finish time is bit-identical to it; solver cost scales
+    # with the number of runs, not of flows.
+    run_start = np.empty(n, dtype=bool)
+    run_start[0] = True
+    a_bits, s_bits = arrivals.view(np.uint64), sizes.view(np.uint64)
+    np.not_equal(a_bits[1:], a_bits[:-1], out=run_start[1:])
+    run_start[1:] |= s_bits[1:] != s_bits[:-1]
+    heads = np.flatnonzero(run_start)
+    weights = None  # every class a single flow: counts are count_nonzero
+    if heads.size < n:
+        weights = np.diff(heads, append=n)
+        arrivals, sizes = arrivals[heads], sizes[heads]
+    m = arrivals.size
+    finish = np.full(m, np.inf)
+    remaining = sizes  # a fresh array: consumed in place
     order = np.argsort(arrivals, kind="stable")
+    # Python lists for the admission walk: indexing them is cheaper than
+    # indexing numpy arrays one scalar at a time, and the floats are the
+    # same doubles.
+    due = arrivals[order].tolist()
+    order = order.tolist()
     next_arrival = 0  # index into `order`
-    # The active set is a boolean mask so the per-event work (progress
-    # subtraction, minimum remaining, completion harvest) runs as whole-array
-    # numpy ops.  This is the cluster hot path: thousands of tenant flows
-    # share one solve, and the previous per-flow Python lists made each
-    # event O(n) interpreter work plus O(n) `list.remove` calls.  The float
-    # arithmetic per flow is unchanged (the same ``x - rate * dt`` per
-    # element), so finish times are bit-identical to the scalar solver.
-    active = np.zeros(n, dtype=bool)
-    n_active = 0
-    t = float(arrivals[order[0]]) if n else 0.0
+    # The active set is a boolean mask over classes, so the per-event work
+    # (progress subtraction, minimum remaining, completion harvest) runs as
+    # whole-array numpy ops.  The float arithmetic per class is the
+    # per-flow solver's (the same ``x - rate * dt`` per element).
+    active = np.zeros(m, dtype=bool)
+    n_active = 0  # flows, not classes: the fair share divides by flows
+    t = due[0]
 
     guard = 0
-    while next_arrival < n or n_active:
+    while next_arrival < m or n_active:
         guard += 1
         if guard > 10 * n + 100:
             raise SimulationError("fair-share solver failed to converge")
-        # Admit all flows that have arrived by t.  Zero-byte flows need no
+        # Admit all classes that have arrived by t.  Zero-byte flows need no
         # bandwidth: they complete at their arrival instant instead of
         # entering the active set (where each one would force a zero-length
         # solver step and burn guard iterations).
-        while next_arrival < n and arrivals[order[next_arrival]] <= t + 1e-12:
-            idx = int(order[next_arrival])
+        while next_arrival < m and due[next_arrival] <= t + 1e-12:
+            idx = order[next_arrival]
             next_arrival += 1
             if remaining[idx] <= 1e-9:
-                finish[idx] = float(arrivals[idx])
+                finish[idx] = arrivals[idx]
             else:
                 active[idx] = True
-                n_active += 1
+                n_active += 1 if weights is None else int(weights[idx])
         if not n_active:
-            if next_arrival >= n:
+            if next_arrival >= m:
                 break
-            t = float(arrivals[order[next_arrival]])
+            t = due[next_arrival]
             continue
         rate = min(per_flow_cap_mbps, aggregate_cap_mbps / n_active)
         # Time to the next event: earliest completion or next arrival.
-        dt_complete = float(remaining[active].min()) / rate
-        dt_arrival = (
-            float(arrivals[order[next_arrival]]) - t
-            if next_arrival < n
-            else np.inf
-        )
+        low = float(remaining[active].min())
+        dt_complete = low / rate
+        dt_arrival = due[next_arrival] - t if next_arrival < m else np.inf
         # A completion that coincides with an arrival is one positive step to
         # the shared event time; the next iteration admits the arrival.  Both
         # candidate steps are strictly positive — active flows have bytes left
@@ -112,15 +147,21 @@ def fair_share_schedule(
         dt = min(dt_complete, dt_arrival)
         if dt <= 0:
             raise SimulationError("non-positive time step in fair-share solver")
-        remaining[active] -= rate * dt
+        step = rate * dt
+        np.subtract(remaining, step, out=remaining, where=active)
         t += dt
-        done = active & (remaining <= 1e-9)
-        n_done = int(np.count_nonzero(done))
-        if n_done:
+        # Rounded subtraction is monotone, so the smallest remainder after
+        # the step is ``low - step``: harvest only when some class is done.
+        if low - step <= 1e-9:
+            done = active & (remaining <= 1e-9)
             finish[done] = t
             active &= ~done
-            n_active -= n_done
-    return finish
+            n_active -= (
+                int(np.count_nonzero(done))
+                if weights is None
+                else int(weights[done].sum())
+            )
+    return finish if weights is None else np.repeat(finish, weights)
 
 
 @dataclass(frozen=True)

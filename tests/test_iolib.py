@@ -1,5 +1,7 @@
 """I/O stack: container roundtrips, PFS fair sharing, cost calibration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from repro.iolib import (
     get_io_library,
 )
 from repro.iolib.devices import DEVICES, get_device
-from repro.errors import ConfigurationError, IOModelError
+from repro.errors import ConfigurationError, IOModelError, SimulationError
 
 
 class TestContainers:
@@ -156,6 +158,50 @@ class TestFairShare:
             fair_share_schedule(np.zeros(2), np.zeros(3), 1.0, 1.0)
         with pytest.raises(ConfigurationError):
             fair_share_schedule(np.zeros(1), np.ones(1), 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "arrivals, sizes, caps, match",
+        [
+            (np.zeros((2, 2)), np.ones((2, 2)), (1.0, 1.0), "1-D"),
+            (np.float64(0.0), np.float64(1.0), (1.0, 1.0), "1-D"),
+            (np.array([0.0, np.nan]), np.ones(2), (1.0, 1.0), "finite"),
+            (np.array([0.0, np.inf]), np.ones(2), (1.0, 1.0), "finite"),
+            (np.array([-np.inf, 0.0]), np.ones(2), (1.0, 1.0), "finite"),
+            (np.zeros(2), np.array([1.0, np.nan]), (1.0, 1.0), "finite"),
+            (np.zeros(2), np.array([np.inf, 1.0]), (1.0, 1.0), "finite"),
+            (np.zeros(2), np.array([1e6, -1.0]), (1.0, 1.0), "non-negative"),
+            (np.zeros(1), np.ones(1), (np.inf, 1.0), "finite"),
+            (np.zeros(1), np.ones(1), (1.0, np.inf), "finite"),
+            (np.zeros(1), np.ones(1), (np.nan, 1.0), "finite"),
+            (np.zeros(1), np.ones(1), (1.0, -2.0), "positive"),
+        ],
+    )
+    def test_bad_inputs_raise_typed_before_solving(self, arrivals, sizes, caps, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(ConfigurationError, match=match):
+                fair_share_schedule(arrivals, sizes, *caps)
+
+    def test_empty_input(self):
+        finish = fair_share_schedule(np.zeros(0), np.zeros(0), 1.0, 1.0)
+        assert finish.shape == (0,) and finish.dtype == np.float64
+
+    def test_tenant_runs_share_one_finish(self):
+        """Two tenants of equal rank flows: each run finishes together, and
+        the 300 flows divide the aggregate as 300 flows, not as 2 classes."""
+        arrivals = np.repeat([0.0, 1.0], [100, 200])
+        sizes = np.repeat([1e8, 5e7], [100, 200])
+        finish = fair_share_schedule(arrivals, sizes, 100.0, 1000.0)
+        assert len(set(finish[:100].tolist())) == 1
+        assert len(set(finish[100:].tolist())) == 1
+        # t < 1: 100 flows at 10 MB/s each move 10 of 100 MB.  Then 300
+        # flows at 3.33 MB/s: the 50 MB flows finish first, at 1 + 15 s,
+        # the first tenant moving 50 more; 40 MB left at 10 MB/s.
+        assert finish[100] == pytest.approx(16.0)
+        assert finish[0] == pytest.approx(20.0)
+        np.testing.assert_array_equal(
+            finish, reference_fair_share_schedule(arrivals, sizes, 100.0, 1000.0)
+        )
 
     def test_unsorted_arrivals_equal_sorted(self):
         """Flow order in the input arrays must not matter: the schedule of a
@@ -357,3 +403,137 @@ class TestFairShareProperties:
             twin_arrivals, twin_sizes * 1e6, per_flow, aggregate
         )
         assert finish[i] == pytest.approx(finish[-1], rel=1e-12, abs=1e-12)
+
+
+# -- flow classes: bit-identity against the per-flow reference solver --------
+#
+# ``fair_share_schedule`` solves each run of consecutive flows with equal
+# (arrival, size) as one weighted class.  The per-flow solver it replaced is
+# kept here as the reference; the class solver must return its finish times
+# bit for bit, on inputs built from runs of identical flows (the cluster's
+# tenants), shuffled so runs break apart, with zero-byte flows and with
+# completions landing exactly on arrivals.
+
+
+def reference_fair_share_schedule(arrivals, sizes_bytes, per_flow_cap_mbps,
+                                  aggregate_cap_mbps):
+    """The per-flow event-driven solver: every flow its own mask entry."""
+    arrivals = np.asarray(arrivals, dtype=np.float64)
+    sizes = np.asarray(sizes_bytes, dtype=np.float64) / 1e6  # MB
+    if arrivals.shape != sizes.shape:
+        raise ConfigurationError("arrivals and sizes must align")
+    if per_flow_cap_mbps <= 0 or aggregate_cap_mbps <= 0:
+        raise ConfigurationError("capacities must be positive")
+    n = arrivals.size
+    finish = np.full(n, np.inf)
+    remaining = sizes.copy()
+    order = np.argsort(arrivals, kind="stable")
+    next_arrival = 0
+    active = np.zeros(n, dtype=bool)
+    n_active = 0
+    t = float(arrivals[order[0]]) if n else 0.0
+
+    guard = 0
+    while next_arrival < n or n_active:
+        guard += 1
+        if guard > 10 * n + 100:
+            raise SimulationError("fair-share solver failed to converge")
+        while next_arrival < n and arrivals[order[next_arrival]] <= t + 1e-12:
+            idx = int(order[next_arrival])
+            next_arrival += 1
+            if remaining[idx] <= 1e-9:
+                finish[idx] = float(arrivals[idx])
+            else:
+                active[idx] = True
+                n_active += 1
+        if not n_active:
+            if next_arrival >= n:
+                break
+            t = float(arrivals[order[next_arrival]])
+            continue
+        rate = min(per_flow_cap_mbps, aggregate_cap_mbps / n_active)
+        dt_complete = float(remaining[active].min()) / rate
+        dt_arrival = (
+            float(arrivals[order[next_arrival]]) - t
+            if next_arrival < n
+            else np.inf
+        )
+        dt = min(dt_complete, dt_arrival)
+        if dt <= 0:
+            raise SimulationError("non-positive time step in fair-share solver")
+        remaining[active] -= rate * dt
+        t += dt
+        done = active & (remaining <= 1e-9)
+        n_done = int(np.count_nonzero(done))
+        if n_done:
+            finish[done] = t
+            active &= ~done
+            n_active -= n_done
+    return finish
+
+
+@st.composite
+def _flow_run_cases(draw):
+    """Runs of identical flows, optionally shuffled.
+
+    On the exact grid (half-second arrivals, 50 MB multiples, power-of-two
+    caps) completions land exactly on later arrivals; off it, arrivals and
+    sizes are arbitrary floats.
+    """
+    k = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        arrivals = [draw(st.integers(0, 8)) * 0.5 for _ in range(k)]
+        sizes_mb = [draw(st.integers(0, 4)) * 50.0 for _ in range(k)]
+        per_flow = draw(st.sampled_from([25.0, 50.0, 100.0, 200.0]))
+        aggregate = draw(st.sampled_from([100.0, 200.0, 400.0, 800.0]))
+    else:
+        arrivals = [draw(st.floats(0.0, 60.0)) for _ in range(k)]
+        sizes_mb = [
+            draw(st.one_of(st.just(0.0), st.floats(0.1, 2000.0)))
+            for _ in range(k)
+        ]
+        per_flow = draw(st.floats(50.0, 1500.0))
+        aggregate = draw(st.floats(100.0, 6000.0))
+    runs = [draw(st.integers(1, 12)) for _ in range(k)]
+    arrivals = np.repeat(arrivals, runs)
+    sizes = np.repeat(sizes_mb, runs) * 1e6
+    if draw(st.booleans()):
+        perm = np.array(draw(st.permutations(range(arrivals.size))))
+        arrivals, sizes = arrivals[perm], sizes[perm]
+    return arrivals, sizes, per_flow, aggregate
+
+
+class TestFairShareClasses:
+    @settings(max_examples=300, deadline=None)
+    @given(_flow_run_cases())
+    def test_class_solver_equals_per_flow_reference(self, case):
+        finish = fair_share_schedule(*case)
+        expected = reference_fair_share_schedule(*case)
+        assert finish.dtype == expected.dtype
+        assert finish.tobytes() == expected.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(_fair_share_cases())
+    def test_distinct_flows_equal_per_flow_reference(self, case):
+        arrivals, sizes_mb, per_flow, aggregate = case
+        args = (arrivals, sizes_mb * 1e6, per_flow, aggregate)
+        assert (fair_share_schedule(*args).tobytes()
+                == reference_fair_share_schedule(*args).tobytes())
+
+    def test_completion_coincides_with_next_tenant_arrival(self):
+        # Tenant a's 4 flows of 50 MB drain at 200 MB/s in exactly 1 s, the
+        # instant tenant b's 8 flows arrive; b then has the link alone.
+        arrivals = np.repeat([0.0, 1.0], [4, 8])
+        sizes = np.repeat([5e7, 2.5e7], [4, 8])
+        finish = fair_share_schedule(arrivals, sizes, 100.0, 200.0)
+        np.testing.assert_array_equal(finish, np.repeat([1.0, 2.0], [4, 8]))
+        assert finish.tobytes() == reference_fair_share_schedule(
+            arrivals, sizes, 100.0, 200.0
+        ).tobytes()
+
+    def test_negative_zero_arrival_keeps_its_sign(self):
+        # Runs are split on the bits of an arrival, so a zero-byte flow
+        # arriving at -0.0 finishes at -0.0 as in the per-flow solve.
+        arrivals = np.array([0.0, -0.0, -0.0])
+        finish = fair_share_schedule(arrivals, np.zeros(3), 1.0, 1.0)
+        assert finish.tobytes() == arrivals.tobytes()

@@ -7,6 +7,10 @@ schedule must be deterministic, and the registry plumbing (store keys,
 nested-record round-trips, schema gates) must hold for the cluster kind.
 """
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -21,7 +25,7 @@ from repro.cluster import (
 )
 from repro.energy import get_cpu
 from repro.errors import ConfigurationError
-from repro.iolib import PFSModel, get_io_library
+from repro.iolib import PFSModel, get_io_library, pfs
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +335,76 @@ class TestScheduler:
             j.t0 for j in timeline.jobs
         )
         assert window >= total_mb / (campaign.pfs.aggregate_bw_mbps * eff) - 1e-9
+
+
+class TestClassSolverOracle:
+    """The cluster solve through the flow-class fair-share solver equals, bit
+    for bit, the same solve through the per-flow reference solver."""
+
+    @staticmethod
+    def _seeded(seed: int, n: int = 24) -> ClusterSpec:
+        # More demand than nodes, mixed widths and compute phases, so
+        # tenants queue and narrow ones backfill; a quarter run a
+        # checkpoint/failure lifecycle.
+        rng = np.random.default_rng(seed)
+        mix = ("szx", "sz3", "zfp", None)
+        jobs = tuple(
+            JobSpec(
+                name=f"t{i}",
+                ranks=int(rng.choice((24, 48, 96, 144))),
+                codec=mix[int(rng.integers(len(mix)))],
+                submit_s=float(i * rng.uniform(0.0, 2.0)),
+                work_s=float(rng.uniform(1.0, 40.0)),
+                mttf_s=14400.0 if i % 4 == 0 else math.inf,
+                seed=i,
+            )
+            for i in range(n)
+        )
+        return ClusterSpec(n_nodes=6, jobs=jobs)
+
+    @staticmethod
+    def _solve_both(spec, campaign, monkeypatch):
+        from test_iolib import reference_fair_share_schedule
+
+        ratios = {j.name: 4.0 + len(j.name) for j in spec.jobs if j.codec}
+        fast = simulate_cluster(spec, campaign, ratios)
+        monkeypatch.setattr(
+            pfs, "fair_share_schedule", reference_fair_share_schedule
+        )
+        return fast, simulate_cluster(spec, campaign, ratios)
+
+    @staticmethod
+    def _assert_equal(fast, ref):
+        assert fast.iterations == ref.iterations
+        assert fast.makespan_s == ref.makespan_s
+        for a, b in zip(fast.jobs, ref.jobs, strict=True):
+            for field in dataclasses.fields(a):
+                assert getattr(a, field.name) == getattr(b, field.name), (
+                    a.spec.name, field.name
+                )
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_seeded_multi_tenant_timeline(self, campaign, monkeypatch, seed):
+        spec = self._seeded(seed)
+        fast, ref = self._solve_both(spec, campaign, monkeypatch)
+        self._assert_equal(fast, ref)
+        assert any(j.start_s > j.submit_s for j in fast.jobs)  # queued
+        assert any(j.backfilled for j in fast.jobs)
+        assert any(j.lifecycle is not None for j in fast.jobs)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "nodes=2; a=ranks:48,work:300; b=ranks:96,submit:1; "
+            "c=ranks:48,submit:2,work:10",
+            "nodes=4; a=ranks:96,codec:szx,work:900,mttf:14400,seed:3; "
+            "b=ranks:48,codec:none,submit:5; c=ranks:48,submit:9,work:60",
+            "nodes=22; a=ranks:512,codec:szx; b=ranks:512,codec:none,submit:1",
+        ],
+    )
+    def test_scenario_timeline(self, campaign, monkeypatch, text):
+        fast, ref = self._solve_both(parse_scenario(text), campaign, monkeypatch)
+        self._assert_equal(fast, ref)
 
 
 class TestLifecycle:
