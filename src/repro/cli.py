@@ -5,16 +5,20 @@ Usage (after ``pip install -e .``)::
     python -m repro compress INPUT.npy OUTPUT.rpz --codec sz3 --rel-bound 1e-3
     python -m repro decompress OUTPUT.rpz RECON.npy
     python -m repro inspect OUTPUT.rpz
-    python -m repro advise --dataset cesm --psnr-min 60 --io hdf5
+    python -m repro advise --dataset cesm --psnr-min 60 [--dvfs | --checkpoint]
     python -m repro sweep --kind serial --datasets cesm --codecs sz3,szx
-    python -m repro datasets
-    python -m repro cpus
+    python -m repro dataset write|read|tune ...
+    python -m repro cluster run|advise --scenario 'nodes=8; a=ranks:96,codec:szx'
+    python -m repro bench kernels --quick
+    python -m repro trace summarize TRACE.json
+    python -m repro datasets | cpus | codecs
 
 Arrays are exchanged as ``.npy`` files; compressed streams carry their own
 codec/geometry header, so ``decompress`` and ``inspect`` need no flags.
-``sweep`` runs a declarative experiment grid through the parallel,
-memoizing :mod:`repro.runtime` engine; every subcommand's flags are
-documented in ``docs/cli.md``.
+``sweep``, ``dataset tune`` and ``cluster run`` evaluate a declarative
+experiment grid through the memoizing :mod:`repro.runtime` engine, and every
+flag naming a grid axis comes from the registry's axis table.  Each
+subcommand's flags are documented in ``docs/cli.md``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -41,6 +46,75 @@ _TRACE_HELP = (
     "(Perfetto-loadable) by default, a JSONL span log when PATH ends in "
     ".jsonl (see docs/user-guide/observability.md)"
 )
+
+#: Every flag that names a SweepSpec axis, keyed by flag.
+_AXES = {axis.flag: axis for axis in registry.SWEEP_AXES if axis.flag}
+
+#: One-value spellings of list axes: ``--io hdf5`` fills ``io_libraries``.
+_SINGULAR = {"--dataset": "--datasets", "--cpu": "--cpus", "--io": "--io-libraries"}
+
+#: The other flags several subcommands share, each declared once here.
+_SHARED = {
+    "--dataset": dict(default="cesm", help="catalogue dataset (`repro datasets`)"),
+    "--cpu": dict(default="plat8160", help="Table-I CPU name (`repro cpus`)"),
+    "--io": dict(default="hdf5", choices=("hdf5", "netcdf"), help="I/O library"),
+    "--scale": dict(
+        default="test",
+        choices=("tiny", "test", "bench"),
+        help="synthetic data scale for the real compression measurements",
+    ),
+    "--json": dict(
+        action="store_true",
+        help="print the results as JSON (record arrays end with a __meta__ "
+        "element carrying engine/store stats)",
+    ),
+    "--trace": dict(default=None, metavar="PATH", help=_TRACE_HELP),
+}
+
+
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _add_flags(parser, *flags, required=(), **defaults) -> None:
+    """Add shared and registry-axis ``flags`` to ``parser``.
+
+    ``defaults`` overrides a flag's default by its dest; a dest listed in
+    ``required`` must be given on the command line.
+    """
+    for flag in flags:
+        axis = _AXES.get(flag)
+        if axis is None:
+            kw = dict(_SHARED[flag])
+        elif axis.parse in ("invert", "flag"):
+            kw = dict(action="store_true", help=axis.help)
+        else:
+            kw = dict(type={"float": float, "int": int}.get(axis.parse),
+                      default=axis.default, help=axis.help)
+        dest = _dest(flag)
+        if dest in defaults:
+            kw["default"] = defaults[dest]
+        if dest in required:
+            kw.update(required=True, default=None)
+        parser.add_argument(flag, **kw)
+
+
+def _axis_values(args, *fields) -> dict:
+    """SweepSpec values of the axis flags ``args`` carries (only ``fields``
+    when named), each converted by :func:`registry.axis_spec_value`."""
+    flags = [*_AXES.items(), *((f, _AXES[a]) for f, a in _SINGULAR.items())]
+    return {
+        axis.field: registry.axis_spec_value(axis, getattr(args, _dest(flag)))
+        for flag, axis in flags
+        if hasattr(args, _dest(flag)) and (not fields or axis.field in fields)
+    }
+
+
+def _command(sub, name: str, func, **kw) -> argparse.ArgumentParser:
+    """Add subcommand ``name`` dispatching to ``func``."""
+    parser = sub.add_parser(name, **kw)
+    parser.set_defaults(func=func)
+    return parser
 
 
 @contextmanager
@@ -90,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compress", help="compress a .npy array")
+    p = _command(sub, "compress", _cmd_compress, help="compress a .npy array")
     p.add_argument("input", help="input .npy file (float32/float64)")
     p.add_argument("output", help="output compressed stream")
     p.add_argument("--codec", default="sz3", choices=available_compressors())
@@ -101,20 +175,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="value-range relative error bound (ignored for lossless codecs)",
     )
 
-    p = sub.add_parser("decompress", help="reconstruct a compressed stream")
+    p = _command(sub, "decompress", _cmd_decompress,
+                 help="reconstruct a compressed stream")
     p.add_argument("input", help="compressed stream produced by `repro compress`")
     p.add_argument("output", help="output .npy file")
 
-    p = sub.add_parser("inspect", help="print a compressed stream's metadata")
+    p = _command(sub, "inspect", _cmd_inspect,
+                 help="print a compressed stream's metadata")
     p.add_argument("input", help="compressed stream")
 
-    p = sub.add_parser(
-        "advise", help="recommend a (codec, bound) for a dataset (Section III)"
-    )
-    p.add_argument("--dataset", default="cesm")
+    p = _command(sub, "advise", _cmd_advise,
+                 help="recommend a (codec, bound) for a dataset (Section III)")
+    _add_flags(p, "--dataset", "--io", "--cpu", "--scale", "--codecs", "--bounds",
+               "--compression", compression=None)
     p.add_argument("--psnr-min", type=float, default=60.0)
-    p.add_argument("--io", default="hdf5", choices=("hdf5", "netcdf"))
-    p.add_argument("--cpu", default="plat8160")
     p.add_argument(
         "--objective", default="energy", choices=("energy", "ratio", "time")
     )
@@ -124,40 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="also require the Eq. 3 time benefit (paper's strict criterion)",
     )
     p.add_argument(
-        "--scale",
-        default="test",
-        choices=("tiny", "test", "bench"),
-        help="synthetic data scale used for the real compression measurements",
-    )
-    p.add_argument(
-        "--codecs",
-        default="sz2,sz3,zfp,qoz,szx",
-        help="comma-separated codec grid the advisor searches",
-    )
-    p.add_argument(
-        "--bounds",
-        default="1e-1,1e-2,1e-3,1e-4,1e-5",
-        help="comma-separated REL error-bound grid the advisor searches",
-    )
-    p.add_argument(
-        "--compression",
-        default=None,
-        help="compression-spec string overriding --codecs/--bounds: "
-        "'lossy,<codec>,rel,<bound>' pins both, 'auto,rel,<floor>' caps "
-        "the bound grid at the quality floor (see docs/user-guide/datasets.md)",
-    )
-    p.add_argument(
         "--dvfs",
         action="store_true",
         help="search the (frequency x codec x bound) space and emit the "
         "energy-optimal compress-or-not advice with its Pareto frontier",
     )
-    p.add_argument(
-        "--freqs",
-        default="",
-        help="comma-separated core frequencies in GHz for --dvfs "
-        "(default: the CPU's canonical DVFS ladder)",
-    )
+    _add_flags(p, "--freqs")
     p.add_argument(
         "--checkpoint",
         action="store_true",
@@ -170,39 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=86400.0,
         help="--checkpoint: per-node MTTF in seconds (default: one day)",
     )
-    p.add_argument(
-        "--n-nodes",
-        type=int,
-        default=16,
-        help="--checkpoint: allocation width (system MTTF = --mttf / nodes)",
-    )
-    p.add_argument(
-        "--work",
-        type=float,
-        default=3600.0,
-        help="--checkpoint: failure-free compute seconds per lifetime",
-    )
-    p.add_argument(
-        "--interval",
-        default="daly",
-        help="--checkpoint: 'daly', 'young', or an explicit interval in "
-        "seconds between checkpoints",
-    )
-    p.add_argument(
-        "--downtime",
-        type=float,
-        default=60.0,
-        help="--checkpoint: node outage seconds per failure (idle power)",
-    )
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="--checkpoint: failure-history seed for the simulated records",
-    )
+    _add_flags(p, "--n-nodes", "--work", "--interval", "--downtime", "--seed",
+               n_nodes=16)
 
-    p = sub.add_parser(
+    p = _command(
+        sub,
         "sweep",
+        _cmd_sweep,
         help="run an experiment grid through the parallel, memoizing engine",
         description="Expand a declarative sweep spec into (dataset, codec, "
         "bound, CPU, I/O library) grid points, evaluate them — serially or "
@@ -219,18 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment kind, looked up in the runtime registry "
         f"(registered: {', '.join(registry.kind_names())})",
     )
-    # The grid-axis flags are generated from the registry: exactly the axes
-    # some registered experiment kind consumes, in the canonical order.  A
-    # plugin kind's axes appear here automatically on registration.
-    for axis in registry.cli_axes():
-        if axis.parse in ("invert", "flag"):
-            p.add_argument(axis.flag, action="store_true", help=axis.help)
-        elif axis.parse == "float":
-            p.add_argument(axis.flag, type=float, default=axis.default, help=axis.help)
-        elif axis.parse == "int":
-            p.add_argument(axis.flag, type=int, default=axis.default, help=axis.help)
-        else:
-            p.add_argument(axis.flag, default=axis.default, help=axis.help)
+    # Exactly the axes some registered kind consumes, in the canonical
+    # order: a plugin kind's axes appear here automatically on registration.
+    _add_flags(p, *(axis.flag for axis in registry.cli_axes()))
     p.add_argument(
         "--executor",
         default="serial",
@@ -271,28 +282,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="when a point exhausts its attempts: re-raise (default) or "
         "keep sweeping and report it as a structured failure",
     )
-    p.add_argument(
-        "--scale",
-        default="test",
-        choices=("tiny", "test", "bench"),
-        help="synthetic data scale for the real compression measurements",
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit records as a JSON array instead of a table "
-        "(with a trailing __meta__ element carrying engine/store stats)",
-    )
+    _add_flags(p, "--scale", "--json")
     p.add_argument(
         "--progress",
         action="store_true",
         help="render a live progress line (done/total, cache-hit/retry/"
         "failed tallies) on stderr while the sweep runs",
     )
-    p.add_argument("--trace", default=None, metavar="PATH", help=_TRACE_HELP)
+    _add_flags(p, "--trace")
 
-    p = sub.add_parser(
+    p = _command(
+        sub,
         "bench",
+        _cmd_bench,
         help="run repository micro-benchmarks (kernel perf trajectory)",
         description="Time the hot entropy/bitstream kernels on representative "
         "quantizer-code streams, write BENCH_kernels.json, and report the "
@@ -325,119 +327,61 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail (exit 1) if any kernel runs more than PCT%% slower than "
         "the previous run at equal input size",
     )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="also print the result document as JSON on stdout",
-    )
-    p.add_argument("--trace", default=None, metavar="PATH", help=_TRACE_HELP)
+    _add_flags(p, "--json", "--trace")
 
-    p = sub.add_parser(
+    dsub = sub.add_parser(
         "dataset",
         help="write/read/tune datasets through the compression facade",
         description="The enstools-style facade: resolve a compression-spec "
         "string per variable (auto specs search the sweep grid), write the "
         "compressed container, read it back bit-exactly, or just report the "
         "tuning as `dataset`-kind records.",
-    )
-    dsub = p.add_subparsers(dest="dataset_command", required=True)
-    common = dict(
-        datasets=("--datasets", dict(
-            default="cesm",
-            help="comma-separated catalogue names (one variable each)")),
-        compression=("--compression", dict(
-            default="auto,rel,1e-3",
-            help="compression spec or per-variable map, e.g. "
-            "'cesm:lossy,sz3,rel,1e-3;auto' (see docs/user-guide/datasets.md)")),
-        io=("--io", dict(default="hdf5", choices=("hdf5", "netcdf"))),
-        cpu=("--cpu", dict(default="max9480")),
-        scale=("--scale", dict(
-            default="test", choices=("tiny", "test", "bench"),
-            help="synthetic data scale")),
-        codecs=("--codecs", dict(
-            default="sz2,sz3,zfp,qoz,szx",
-            help="codec grid an 'auto' spec searches")),
-        bounds=("--bounds", dict(
-            default="1e-1,1e-2,1e-3,1e-4,1e-5",
-            help="REL bound grid an 'auto' spec searches")),
-    )
-
-    w = dsub.add_parser("write", help="compress per spec and write a container")
-    w.add_argument("output", help="container file to write")
-    for key in ("datasets", "compression", "io", "scale", "codecs", "bounds"):
-        flag, kw = common[key]
-        w.add_argument(flag, **kw)
-    w.add_argument("--n-chunks", type=int, default=1,
-                   help="store each variable as this many leading-axis chunks")
-    w.add_argument("--trace", default=None, metavar="PATH", help=_TRACE_HELP)
-
-    r = dsub.add_parser("read", help="read a facade container back")
-    r.add_argument("input", help="container file written by `repro dataset write`")
-    r.add_argument("--out-dir", default=None,
+    ).add_subparsers(dest="dataset_command", required=True)
+    facade = ("--datasets", "--compression", "--io", "--scale", "--codecs", "--bounds")
+    facade_defaults = dict(datasets="cesm", compression="auto,rel,1e-3")
+    p = _command(dsub, "write", _cmd_dataset_write,
+                 help="compress per spec and write a container")
+    p.add_argument("output", help="container file to write")
+    _add_flags(p, *facade, "--n-chunks", "--trace", **facade_defaults, n_chunks=1)
+    p = _command(dsub, "read", _cmd_dataset_read, help="read a facade container back")
+    p.add_argument("input", help="container file written by `repro dataset write`")
+    p.add_argument("--out-dir", default=None,
                    help="also dump each variable as OUT_DIR/<name>.npy")
+    p = _command(dsub, "tune", _cmd_dataset_tune,
+                 help="resolve specs against the sweep grid (dataset-kind records)")
+    _add_flags(p, *facade, "--cpu", "--json", "--trace", **facade_defaults,
+               cpu="max9480")
 
-    t = dsub.add_parser(
-        "tune",
-        help="resolve specs against the sweep grid (dataset-kind records)",
-    )
-    for key in ("datasets", "compression", "io", "cpu", "scale", "codecs",
-                "bounds"):
-        flag, kw = common[key]
-        t.add_argument(flag, **kw)
-    t.add_argument("--json", action="store_true",
-                   help="emit the records as a JSON array instead of a table")
-    t.add_argument("--trace", default=None, metavar="PATH", help=_TRACE_HELP)
-
-    p = sub.add_parser(
+    csub = sub.add_parser(
         "cluster",
         help="multi-tenant cluster scenarios (shared-PFS write contention)",
         description="Simulate a declarative multi-tenant scenario — "
         "FIFO+backfill scheduling, per-tenant checkpoint lifecycles, and "
         "one cluster-wide fair-share PFS solve — or search every "
         "per-tenant compression mix for the machine-wide energy optimum.",
-    )
-    csub = p.add_subparsers(dest="cluster_command", required=True)
-    cluster_common = (
-        ("--scenario", dict(
-            required=True,
-            help="scenario string, e.g. 'nodes=8; a=ranks:96,codec:szx; "
-            "b=ranks:96,codec:none' (grammar: docs/user-guide/cluster.md)")),
-        ("--dataset", dict(
-            default="nyx",
-            help="catalogue dataset every tenant writes (Fig. 12 payload)")),
-        ("--cpu", dict(default="plat8160")),
-        ("--io", dict(default="hdf5", choices=("hdf5", "netcdf"))),
-        ("--scale", dict(
-            default="test", choices=("tiny", "test", "bench"),
-            help="synthetic data scale for the compression measurements")),
-    )
-    cr = csub.add_parser("run", help="simulate one scenario end to end")
-    for flag, kw in cluster_common:
-        cr.add_argument(flag, **kw)
-    cr.add_argument("--json", action="store_true",
-                    help="emit the ClusterResult records as a JSON array")
-    cr.add_argument("--trace", default=None, metavar="PATH", help=_TRACE_HELP)
-    ca = csub.add_parser(
-        "advise",
-        help="search per-tenant compression mixes for the energy optimum",
-    )
-    for flag, kw in cluster_common:
-        ca.add_argument(flag, **kw)
+    ).add_subparsers(dest="cluster_command", required=True)
+    scenario = ("--scenario", "--dataset", "--cpu", "--io", "--scale")
+    p = _command(csub, "run", _cmd_cluster_run, help="simulate one scenario end to end")
+    _add_flags(p, *scenario, "--json", "--trace", required=("scenario",),
+               dataset="nyx")
+    p = _command(csub, "advise", partial(_cmd_advise, mode="cluster"),
+                 help="search per-tenant compression mixes for the energy optimum")
+    _add_flags(p, *scenario, required=("scenario",), dataset="nyx")
 
-    p = sub.add_parser(
+    tsub = sub.add_parser(
         "trace",
         help="inspect trace files written by --trace",
         description="Work with the observability traces the --trace flag "
         "writes: summarize renders per-track span counts, busy time, and "
         "recorded metrics for either export format.",
-    )
-    tsub = p.add_subparsers(dest="trace_command", required=True)
-    ts = tsub.add_parser("summarize", help="print a per-track summary table")
-    ts.add_argument("input", help="trace file (Chrome JSON or JSONL span log)")
+    ).add_subparsers(dest="trace_command", required=True)
+    p = _command(tsub, "summarize", _cmd_trace_summarize,
+                 help="print a per-track summary table")
+    p.add_argument("input", help="trace file (Chrome JSON or JSONL span log)")
 
-    sub.add_parser("datasets", help="list the dataset catalogue (Table II)")
-    sub.add_parser("cpus", help="list the CPU catalogue (Table I)")
-    sub.add_parser("codecs", help="list registered compressors")
+    _command(sub, "datasets", _cmd_datasets, help="list the dataset catalogue (Table II)")
+    _command(sub, "cpus", _cmd_cpus, help="list the CPU catalogue (Table I)")
+    _command(sub, "codecs", _cmd_codecs, help="list registered compressors")
     return parser
 
 
@@ -490,62 +434,42 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _cmd_advise(args) -> int:
+# -- advisors: one search each, one command body ------------------------------
+
+
+def _advise_plain(testbed, args):
+    """The Section-III advisor: the Eq. 3-5 verdicts of the chosen plan."""
     from repro.core.advisor import Advisor
-    from repro.core.experiments import Testbed
     from repro.core.tradeoff import TradeoffAnalyzer
 
-    if args.dvfs and args.checkpoint:
-        print("--dvfs and --checkpoint are separate advisors; pick one",
-              file=sys.stderr)
-        return 2
-    if args.dvfs:
-        return _cmd_advise_dvfs(args)
-    if args.checkpoint:
-        return _cmd_advise_checkpoint(args)
-    analyzer = TradeoffAnalyzer(
-        Testbed(scale=args.scale), cpu_name=args.cpu, io_library=args.io
-    )
-    rec = Advisor(analyzer).recommend(
+    rec = Advisor(TradeoffAnalyzer(testbed, args.cpu, args.io)).recommend(
         args.dataset,
         psnr_min_db=args.psnr_min,
         objective=args.objective,
-        codecs=_csv_arg(args.codecs),
-        bounds=tuple(float(b) for b in _csv_arg(args.bounds)),
         require_time_benefit=args.strict_time,
-        compression=args.compression,
+        **_axis_values(args, "codecs", "bounds", "compression"),
     )
-    print(rec.rationale)
-    if rec.should_compress:
-        c = rec.record.conditions
-        print(
-            f"  Eq.3 time: {c.time_beneficial}  Eq.4 energy: {c.energy_beneficial}  "
-            f"Eq.5 quality: {c.quality_acceptable}"
-        )
-        return 0
-    return 1
+    if not rec.should_compress:
+        return rec, False, None
+    c = rec.record.conditions
+    return rec, True, (
+        f"  Eq.3 time: {c.time_beneficial}  Eq.4 energy: {c.energy_beneficial}  "
+        f"Eq.5 quality: {c.quality_acceptable}"
+    )
 
 
-def _cmd_advise_dvfs(args) -> int:
-    """`repro advise --dvfs`: the frequency-aware compress-or-not advisor."""
+def _advise_dvfs(testbed, args):
+    """``--dvfs``: the time/energy Pareto frontier over (frequency, codec,
+    bound); the race/steady verdict is part of the rationale."""
     from repro.core.advisor import DvfsAdvisor
-    from repro.core.experiments import Testbed
 
-    freqs = tuple(float(f) for f in args.freqs.split(",") if f)
-    advisor = DvfsAdvisor(
-        Testbed(scale=args.scale), cpu_name=args.cpu, io_library=args.io
-    )
-    advice = advisor.advise(
+    advice = DvfsAdvisor(testbed, args.cpu, args.io).advise(
         args.dataset,
         psnr_min_db=args.psnr_min,
-        codecs=_csv_arg(args.codecs),
-        bounds=tuple(float(b) for b in _csv_arg(args.bounds)),
-        freqs=freqs,
         objective=args.objective,
         require_time_benefit=args.strict_time,
-        compression=args.compression,
+        **_axis_values(args, "codecs", "bounds", "compression", "freqs"),
     )
-    print(advice.rationale)
     rows = [
         [
             f"{p.freq_ghz:.2f}",
@@ -557,51 +481,24 @@ def _cmd_advise_dvfs(args) -> int:
         ]
         for p in advice.pareto
     ]
-    print(
-        format_table(
-            ["f [GHz]", "codec", "REL", "t [s]", "E [J]", "ratio"],
-            rows,
-            title="time/energy Pareto frontier (fastest first)",
-        )
+    return advice, advice.compress, format_table(
+        ["f [GHz]", "codec", "REL", "t [s]", "E [J]", "ratio"],
+        rows,
+        title="time/energy Pareto frontier (fastest first)",
     )
-    # The race/steady/chosen-deadline verdict is part of advice.rationale,
-    # printed above — no second formatting of the same numbers here.
-    return 0 if advice.compress else 1
 
 
-def _csv_arg(text: str) -> tuple[str, ...]:
-    """Split a comma-separated flag, dropping empty items."""
-    return tuple(part for part in text.split(",") if part)
-
-
-def _interval_arg(text: str):
-    """Parse a checkpoint interval flag: a policy name or seconds."""
-    return text if text in ("daly", "young") else float(text)
-
-
-def _cmd_advise_checkpoint(args) -> int:
-    """`repro advise --checkpoint`: the failure-aware Daly advisor."""
+def _advise_checkpoint(testbed, args):
+    """``--checkpoint``: checkpointed lifetimes, cheapest expected energy first."""
     from repro.core.advisor import DalyAdvisor
-    from repro.core.experiments import Testbed
 
-    advisor = DalyAdvisor(
-        Testbed(scale=args.scale), cpu_name=args.cpu, io_library=args.io
-    )
-    advice = advisor.advise(
+    advice = DalyAdvisor(testbed, args.cpu, args.io).advise(
         args.dataset,
         mttf_s=args.mttf,
-        n_nodes=args.n_nodes,
-        work_s=args.work,
         psnr_min_db=args.psnr_min,
-        codecs=_csv_arg(args.codecs),
-        bounds=tuple(float(b) for b in _csv_arg(args.bounds)),
-        interval=_interval_arg(args.interval),
-        seed=args.seed,
-        downtime_s=args.downtime,
-        compression=args.compression,
+        **_axis_values(args, "codecs", "bounds", "compression", "n_nodes",
+                       "work_s", "interval", "seed", "downtime_s"),
     )
-    print(advice.rationale)
-    ranked = sorted(advice.candidates, key=lambda p: p.expected_energy_j)
     rows = [
         [
             p.codec or "original",
@@ -614,36 +511,72 @@ def _cmd_advise_checkpoint(args) -> int:
             f"{p.total_energy_j:.0f}",
             p.n_failures,
         ]
-        for p in ranked
+        for p in sorted(advice.candidates, key=lambda p: p.expected_energy_j)
     ]
-    print(
-        format_table(
-            ["codec", "REL", "tau [s]", "ckpts", "E[T] [s]", "E[J]",
-             "sim T [s]", "sim J", "fails"],
-            rows,
-            title="checkpointed lifetimes, cheapest expected energy first "
-            f"(seed {args.seed})",
-        )
+    return advice, advice.compress, format_table(
+        ["codec", "REL", "tau [s]", "ckpts", "E[T] [s]", "E[J]",
+         "sim T [s]", "sim J", "fails"],
+        rows,
+        title="checkpointed lifetimes, cheapest expected energy first "
+        f"(seed {args.seed})",
     )
-    return 0 if advice.compress else 1
 
 
-def _sweep_table(records, kind_name: str | None = None) -> str:
-    """Render engine records via the kind's registered table renderer.
+def _advise_cluster(testbed, args):
+    """`repro cluster advise`: every per-tenant compression mix, cheapest
+    machine-wide first."""
+    from repro.core.advisor import ClusterAdvisor
 
-    Without a ``kind_name`` (or for a kind that declares no table) the
-    renderer is matched by record class; a plugin with neither gets a
-    generic one-column repr table.
+    advice = ClusterAdvisor(testbed, args.cpu, args.io).advise(
+        args.dataset, args.scenario
+    )
+    rows = [
+        [
+            "+".join(codec or "none" for _, codec in mix),
+            f"{res.makespan_s:.2f}",
+            f"{res.max_stretch:.2f}",
+            f"{res.total_energy_j:.1f}",
+        ]
+        for mix, res in advice.mixes
+    ]
+    return advice, advice.compress, format_table(
+        ["mix", "makespan [s]", "stretch", "E [J]"],
+        rows,
+        title="per-tenant compression mixes, cheapest machine-wide first",
+    )
+
+
+_ADVISORS = {
+    "plain": _advise_plain,
+    "dvfs": _advise_dvfs,
+    "checkpoint": _advise_checkpoint,
+    "cluster": _advise_cluster,
+}
+
+
+def _cmd_advise(args, mode: str | None = None) -> int:
+    """Run one advisor: print its rationale and table; exit 0 when the
+    advice is to compress, 1 when it is not.
+
+    `repro advise` picks the mode from ``--dvfs``/``--checkpoint``;
+    `repro cluster advise` passes ``mode="cluster"``.
     """
-    if kind_name is not None:
-        kind = registry.get_kind(kind_name)
-        if kind.table is not None:
-            return kind.table(records)
-    name = type(records[0]).__name__
-    for kind in registry.all_kinds():
-        if kind.table is not None and kind.record == name:
-            return kind.table(records)
-    return format_table(["record"], [[repr(r)] for r in records])
+    from repro.core.experiments import Testbed
+
+    if mode is None:
+        if args.dvfs and args.checkpoint:
+            print("--dvfs and --checkpoint are separate advisors; pick one",
+                  file=sys.stderr)
+            return 2
+        mode = "dvfs" if args.dvfs else "checkpoint" if args.checkpoint else "plain"
+    advice, compress, table = _ADVISORS[mode](Testbed(scale=args.scale), args)
+    print(advice.rationale)
+    if table is not None:
+        print(table)
+    return 0 if compress else 1
+
+
+# -- engine-backed commands: one run-and-render body --------------------------
 
 
 def _failure_table(failures) -> str:
@@ -665,57 +598,47 @@ def _failure_table(failures) -> str:
     )
 
 
-def _cmd_sweep(args) -> int:
-    import json as _json
+def _run_spec(args, spec, *, executor="serial", workers=None, cache_dir=None,
+              resume=False, retries=0, timeout=None, on_error="raise",
+              progress=False) -> int:
+    """Evaluate ``spec`` through the sweep engine and print the outcome.
+
+    The keywords are `repro sweep`'s engine flags; their defaults are the
+    serial, uncached run of `dataset tune` and `cluster run`.  Prints strict
+    JSON ending in a ``__meta__`` stats element, or the kind's table, any
+    failure table and a stats line.  Exits 1 on an empty grid or a failed
+    point.
+    """
+    import json
 
     from repro.core.experiments import Testbed
+    from repro.obs import ProgressPrinter, TracerBridge, compose
     from repro.runtime.engine import SweepEngine
     from repro.runtime.faults import FailedPoint, RetryPolicy, SweepManifest, sweep_id
-    from repro.runtime.spec import SweepSpec
     from repro.runtime.store import ResultStore, testbed_fingerprint
 
-    if args.resume and not args.cache_dir:
-        print("--resume needs --cache-dir: the manifest lives next to the "
-              "cache entries", file=sys.stderr)
-        return 2
-    if args.spec:
-        with open(args.spec) as fh:
-            spec = SweepSpec.from_json(fh.read())
-    else:
-        # Every registry axis flag maps straight onto its SweepSpec field;
-        # the spec itself rejects an unknown --kind (naming the known ones)
-        # and runs the kind's registered validation.
-        axes = {
-            axis.field: registry.axis_spec_value(axis, getattr(args, axis.dest))
-            for axis in registry.cli_axes()
-        }
-        spec = SweepSpec(kind=args.kind, **axes)
     testbed = Testbed(scale=args.scale)
-    if args.resume:
-        progress = SweepManifest.progress(
-            args.cache_dir, sweep_id(spec, testbed_fingerprint(testbed))
+    if resume:
+        done = SweepManifest.progress(
+            cache_dir, sweep_id(spec, testbed_fingerprint(testbed))
         )
-        if progress is None:
+        if done is None:
             print("no manifest for this sweep yet; starting fresh",
                   file=sys.stderr)
         else:
-            print(f"resuming: {progress[0]}/{progress[1]} unique points "
+            print(f"resuming: {done[0]}/{done[1]} unique points "
                   "already complete", file=sys.stderr)
     with _maybe_tracing(args.trace) as tracer:
-        from repro.obs import ProgressPrinter, TracerBridge, compose
-
         engine = SweepEngine(
             testbed=testbed,
-            store=ResultStore(cache_dir=args.cache_dir),
-            executor=args.executor,
-            max_workers=args.workers,
-            retry_policy=RetryPolicy(
-                max_attempts=args.retries + 1, timeout_s=args.timeout
-            ),
-            on_error=args.on_error,
+            store=ResultStore(cache_dir=cache_dir),
+            executor=executor,
+            max_workers=workers,
+            retry_policy=RetryPolicy(max_attempts=retries + 1, timeout_s=timeout),
+            on_error=on_error,
             on_event=compose(
                 TracerBridge(tracer) if tracer is not None else None,
-                ProgressPrinter() if args.progress else None,
+                ProgressPrinter() if progress else None,
             ),
         )
         results = engine.run(spec)
@@ -739,14 +662,16 @@ def _cmd_sweep(args) -> int:
             "__meta__": {
                 "engine": engine.stats.snapshot(),
                 "store": engine.store.stats,
-                "executor": args.executor,
+                "executor": executor,
                 "kind": spec.kind,
             }
         })
-        print(_json.dumps(wire, indent=2))
+        print(json.dumps(wire, indent=2))
     else:
         if records:
-            print(_sweep_table(records, kind_name=spec.kind))
+            table = registry.get_kind(spec.kind).table
+            print(table(records) if table is not None else
+                  format_table(["record"], [[repr(r)] for r in records]))
         if failures:
             print(_failure_table(failures))
         stats = engine.store.stats
@@ -755,9 +680,52 @@ def _cmd_sweep(args) -> int:
             f"{engine.stats.cache_hits} cached "
             f"(memory {stats['memory_hits']}, disk {stats['disk_hits']}), "
             f"{engine.stats.retries} retries, {len(failures)} failed "
-            f"via {args.executor} executor"
+            f"via {executor} executor"
         )
     return 1 if failures else 0
+
+
+def _spec(args, kind: str):
+    """The ``kind`` grid that the command's axis flags declare."""
+    from repro.runtime.spec import SweepSpec
+
+    # The spec rejects an unknown kind (naming the known ones) and runs the
+    # kind's registered validation.
+    return SweepSpec(kind=kind, **_axis_values(args))
+
+
+def _cmd_sweep(args) -> int:
+    if args.resume and not args.cache_dir:
+        print("--resume needs --cache-dir: the manifest lives next to the "
+              "cache entries", file=sys.stderr)
+        return 2
+    if args.spec:
+        from repro.runtime.spec import SweepSpec
+
+        with open(args.spec) as fh:
+            spec = SweepSpec.from_json(fh.read())
+    else:
+        spec = _spec(args, args.kind)
+    return _run_spec(
+        args,
+        spec,
+        executor=args.executor,
+        workers=args.workers,
+        cache_dir=args.cache_dir,
+        resume=args.resume,
+        retries=args.retries,
+        timeout=args.timeout,
+        on_error=args.on_error,
+        progress=args.progress,
+    )
+
+
+def _cmd_dataset_tune(args) -> int:
+    return _run_spec(args, _spec(args, "dataset"))
+
+
+def _cmd_cluster_run(args) -> int:
+    return _run_spec(args, _spec(args, "cluster"))
 
 
 def _cmd_bench(args) -> int:
@@ -818,11 +786,12 @@ def _cmd_dataset_write(args) -> int:
     from repro.core.experiments import Testbed
     from repro.dataset import AutoTuner, Dataset, write
 
-    ds = Dataset.from_catalog(_csv_arg(args.datasets), scale=args.scale)
+    axes = _axis_values(args)
+    ds = Dataset.from_catalog(axes["datasets"], scale=args.scale)
     tuner = AutoTuner(
         testbed=Testbed(scale=args.scale),
-        codecs=_csv_arg(args.codecs),
-        bounds=tuple(float(b) for b in _csv_arg(args.bounds)),
+        codecs=axes["codecs"],
+        bounds=axes["bounds"],
         io_library=args.io,
     )
     with _maybe_tracing(args.trace):
@@ -875,136 +844,6 @@ def _cmd_dataset_read(args) -> int:
     return 0
 
 
-def _cmd_dataset_tune(args) -> int:
-    import json as _json
-
-    from repro.core.experiments import Testbed
-    from repro.runtime.engine import SweepEngine
-    from repro.runtime.spec import SweepSpec
-    from repro.runtime.store import ResultStore
-
-    spec = SweepSpec(
-        kind="dataset",
-        datasets=_csv_arg(args.datasets),
-        codecs=_csv_arg(args.codecs),
-        bounds=tuple(float(b) for b in _csv_arg(args.bounds)),
-        cpus=(args.cpu,),
-        io_libraries=(args.io,),
-        compression=args.compression,
-    )
-    engine = SweepEngine(
-        testbed=Testbed(scale=args.scale), store=ResultStore(), executor="serial"
-    )
-    with _maybe_tracing(args.trace):
-        records = engine.run(spec)
-    if args.json:
-        print(_json.dumps(registry.to_wire(records), indent=2))
-    else:
-        print(_sweep_table(records, kind_name="dataset"))
-    return 0
-
-
-def _cmd_dataset(args) -> int:
-    return {
-        "write": _cmd_dataset_write,
-        "read": _cmd_dataset_read,
-        "tune": _cmd_dataset_tune,
-    }[args.dataset_command](args)
-
-
-def _tenant_table(result) -> str:
-    """Per-tenant schedule/write/energy detail of one ClusterResult."""
-    rows = [
-        [
-            t.name,
-            str(t.ranks),
-            str(t.nodes),
-            t.codec or "none",
-            f"{t.submit_s:g}",
-            f"{t.start_s:.2f}",
-            "yes" if t.backfilled else "-",
-            f"{t.pre_s:.1f}",
-            f"{t.write_time_s:.2f}",
-            f"{t.stretch:.2f}",
-            str(t.n_failures),
-            f"{t.total_energy_j:.1f}",
-        ]
-        for t in result.tenants
-    ]
-    return format_table(
-        ["job", "ranks", "nodes", "codec", "submit", "start", "bf",
-         "pre [s]", "write [s]", "stretch", "fails", "E [J]"],
-        rows,
-        title=f"tenants of '{result.scenario}' "
-        f"(makespan {result.makespan_s:.2f} s, "
-        f"{result.iterations} fixed-point pass(es))",
-    )
-
-
-def _cmd_cluster_run(args) -> int:
-    import json as _json
-
-    from repro.core.experiments import Testbed
-    from repro.runtime.engine import SweepEngine
-    from repro.runtime.spec import SweepSpec
-    from repro.runtime.store import ResultStore
-
-    spec = SweepSpec(
-        kind="cluster",
-        datasets=_csv_arg(args.dataset),
-        cpus=(args.cpu,),
-        io_libraries=(args.io,),
-        scenario=args.scenario,
-    )
-    engine = SweepEngine(
-        testbed=Testbed(scale=args.scale), store=ResultStore(), executor="serial"
-    )
-    with _maybe_tracing(args.trace):
-        records = engine.run(spec)
-    if args.json:
-        print(_json.dumps(registry.to_wire(records), indent=2))
-        return 0
-    print(_sweep_table(records, kind_name="cluster"))
-    for record in records:
-        print(_tenant_table(record))
-    return 0
-
-
-def _cmd_cluster_advise(args) -> int:
-    from repro.core.advisor import ClusterAdvisor
-    from repro.core.experiments import Testbed
-
-    advisor = ClusterAdvisor(
-        Testbed(scale=args.scale), cpu_name=args.cpu, io_library=args.io
-    )
-    advice = advisor.advise(args.dataset, args.scenario)
-    print(advice.rationale)
-    rows = [
-        [
-            "+".join(codec or "none" for _, codec in mix),
-            f"{res.makespan_s:.2f}",
-            f"{res.max_stretch:.2f}",
-            f"{res.total_energy_j:.1f}",
-        ]
-        for mix, res in advice.mixes
-    ]
-    print(
-        format_table(
-            ["mix", "makespan [s]", "stretch", "E [J]"],
-            rows,
-            title="per-tenant compression mixes, cheapest machine-wide first",
-        )
-    )
-    return 0 if advice.compress else 1
-
-
-def _cmd_cluster(args) -> int:
-    return {
-        "run": _cmd_cluster_run,
-        "advise": _cmd_cluster_advise,
-    }[args.cluster_command](args)
-
-
 def _cmd_trace_summarize(args) -> int:
     from repro.obs import load_trace, summarize
 
@@ -1018,12 +857,6 @@ def _cmd_trace_summarize(args) -> int:
         return 0
     print(summarize(spans, metrics), end="")
     return 0
-
-
-def _cmd_trace(args) -> int:
-    return {
-        "summarize": _cmd_trace_summarize,
-    }[args.trace_command](args)
 
 
 def _cmd_datasets(args) -> int:
@@ -1065,26 +898,10 @@ def _cmd_codecs(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "compress": _cmd_compress,
-    "decompress": _cmd_decompress,
-    "inspect": _cmd_inspect,
-    "advise": _cmd_advise,
-    "dataset": _cmd_dataset,
-    "cluster": _cmd_cluster,
-    "sweep": _cmd_sweep,
-    "bench": _cmd_bench,
-    "trace": _cmd_trace,
-    "datasets": _cmd_datasets,
-    "cpus": _cmd_cpus,
-    "codecs": _cmd_codecs,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point used by ``python -m repro``."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

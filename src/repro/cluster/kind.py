@@ -198,30 +198,61 @@ def _evaluate_cluster_point(
     )
 
 
-def _table_cluster(records) -> str:
+def _tenant_table(result) -> str:
+    """Per-tenant schedule/write/energy detail of one ClusterResult."""
     from repro.core.report import format_table
 
-    rows = []
-    for r in records:
-        mix = "+".join(t.codec or "none" for t in r.tenants)
-        rows.append(
-            [
-                r.dataset,
-                r.cpu,
-                str(r.n_nodes),
-                str(r.n_jobs),
-                mix,
-                f"{r.makespan_s:.2f}",
-                f"{r.max_stretch:.2f}",
-                f"{r.total_energy_j:.1f}",
-            ]
-        )
+    rows = [
+        [
+            t.name,
+            str(t.ranks),
+            str(t.nodes),
+            t.codec or "none",
+            f"{t.submit_s:g}",
+            f"{t.start_s:.2f}",
+            "yes" if t.backfilled else "-",
+            f"{t.pre_s:.1f}",
+            f"{t.write_time_s:.2f}",
+            f"{t.stretch:.2f}",
+            str(t.n_failures),
+            f"{t.total_energy_j:.1f}",
+        ]
+        for t in result.tenants
+    ]
     return format_table(
+        ["job", "ranks", "nodes", "codec", "submit", "start", "bf",
+         "pre [s]", "write [s]", "stretch", "fails", "E [J]"],
+        rows,
+        title=f"tenants of '{result.scenario}' "
+        f"(makespan {result.makespan_s:.2f} s, "
+        f"{result.iterations} fixed-point pass(es))",
+    )
+
+
+def _table_cluster(records) -> str:
+    """One summary row per scenario, then each scenario's tenant table."""
+    from repro.core.report import format_table
+
+    rows = [
+        [
+            r.dataset,
+            r.cpu,
+            str(r.n_nodes),
+            str(r.n_jobs),
+            "+".join(t.codec or "none" for t in r.tenants),
+            f"{r.makespan_s:.2f}",
+            f"{r.max_stretch:.2f}",
+            f"{r.total_energy_j:.1f}",
+        ]
+        for r in records
+    ]
+    summary = format_table(
         ["dataset", "cpu", "nodes", "jobs", "mix", "makespan [s]",
          "stretch", "E [J]"],
         rows,
         title="cluster scenarios (shared-PFS multi-tenant)",
     )
+    return "\n".join([summary, *map(_tenant_table, records)])
 
 
 def _invariants_cluster(records) -> list:
