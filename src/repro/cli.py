@@ -50,8 +50,14 @@ _TRACE_HELP = (
 #: Every flag that names a SweepSpec axis, keyed by flag.
 _AXES = {axis.flag: axis for axis in registry.SWEEP_AXES if axis.flag}
 
-#: One-value spellings of list axes: ``--io hdf5`` fills ``io_libraries``.
-_SINGULAR = {"--dataset": "--datasets", "--cpu": "--cpus", "--io": "--io-libraries"}
+#: Every flag whose value fills a SweepSpec axis: the axis flags plus the
+#: one-value spellings (``--io hdf5`` fills ``io_libraries``).
+_SPEC_FLAGS = {
+    **_AXES,
+    "--dataset": _AXES["--datasets"],
+    "--cpu": _AXES["--cpus"],
+    "--io": _AXES["--io-libraries"],
+}
 
 #: The other flags several subcommands share, each declared once here.
 _SHARED = {
@@ -65,8 +71,8 @@ _SHARED = {
     ),
     "--json": dict(
         action="store_true",
-        help="print the results as JSON (record arrays end with a __meta__ "
-        "element carrying engine/store stats)",
+        help="print the results as JSON; record arrays end with a __meta__ "
+        "element carrying engine/store stats",
     ),
     "--trace": dict(default=None, metavar="PATH", help=_TRACE_HELP),
 }
@@ -102,10 +108,9 @@ def _add_flags(parser, *flags, required=(), **defaults) -> None:
 def _axis_values(args, *fields) -> dict:
     """SweepSpec values of the axis flags ``args`` carries (only ``fields``
     when named), each converted by :func:`registry.axis_spec_value`."""
-    flags = [*_AXES.items(), *((f, _AXES[a]) for f, a in _SINGULAR.items())]
     return {
         axis.field: registry.axis_spec_value(axis, getattr(args, _dest(flag)))
-        for flag, axis in flags
+        for flag, axis in _SPEC_FLAGS.items()
         if hasattr(args, _dest(flag)) and (not fields or axis.field in fields)
     }
 

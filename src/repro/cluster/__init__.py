@@ -10,7 +10,6 @@ driver behind Fig. 12; each of its points is a one-tenant
 
 from repro.cluster.events import EventLoop, Process
 from repro.cluster.node import NodeModel
-from repro.cluster.mpi import SimComm
 from repro.cluster.campaign import CampaignResult, MultiNodeCampaign
 from repro.cluster.scheduler import (
     ClusterSpec,
@@ -32,7 +31,6 @@ __all__ = [
     "EventLoop",
     "Process",
     "NodeModel",
-    "SimComm",
     "CampaignResult",
     "MultiNodeCampaign",
     "JobSpec",

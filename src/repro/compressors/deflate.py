@@ -1,12 +1,15 @@
-"""DEFLATE-framed chunks: the final lossless stage of the SZ2 and SZ3 streams.
+"""DEFLATE: the final lossless stage of the SZ2/SZ3 streams and the
+lossless baselines.
 
 A chunk is a ``<QQ`` header (compressed length, raw length) followed by the
-zlib body; zlib stands in for the SZ family's Zstd stage.  Every failure to
-read one back — short header, short body, a body that does not inflate, or
-a raw length that disagrees with the header — is a
-:class:`~repro.errors.DecompressionError`.  Inflating never produces more
-than one byte past the declared raw length, so a corrupt body cannot expand
-beyond what its header (checked by the caller's bounds) allows.
+zlib body; zlib stands in for the SZ family's Zstd stage.  The zstd, blosc
+and fpzip stand-ins keep their own framing and inflate through
+:func:`inflate`.  Every failure to read a body back — short header, short
+body, a body that does not inflate, or a raw length that disagrees with the
+declared one — is a :class:`~repro.errors.DecompressionError`.  Inflating
+never produces more than one byte past the declared raw length, so a
+corrupt body cannot expand beyond what its header (checked by the caller's
+bounds) allows.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import zlib
 
 from repro.errors import DecompressionError
 
-__all__ = ["pack_chunk", "unpack_chunk"]
+__all__ = ["inflate", "pack_chunk", "unpack_chunk"]
 
 _LEVEL = 6
 _CHUNK = struct.Struct("<QQ")
@@ -56,15 +59,18 @@ def unpack_chunk(
         )
     if len(data) < off + clen:
         raise DecompressionError(f"{codec} stream truncated in chunk body")
+    return inflate(data[off : off + clen], rlen, codec), off + clen
+
+
+def inflate(body: bytes, raw_len: int, codec: str) -> bytes:
+    """Inflate a zlib ``body`` that must hold exactly ``raw_len`` bytes."""
     inflater = zlib.decompressobj()
     try:
-        raw = inflater.decompress(
-            data[off : off + clen], min(rlen + 1, sys.maxsize)
-        )
+        raw = inflater.decompress(body, min(raw_len + 1, sys.maxsize))
     except zlib.error as exc:
         raise DecompressionError(f"{codec} chunk does not inflate: {exc}") from None
     if not inflater.eof:
         raise DecompressionError(f"{codec} chunk is truncated or overruns its length")
-    if len(raw) != rlen:
+    if len(raw) != raw_len:
         raise DecompressionError(f"{codec} chunk length mismatch after inflate")
-    return raw, off + clen
+    return raw

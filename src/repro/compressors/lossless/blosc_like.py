@@ -8,12 +8,14 @@ internal codec.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
 import numpy as np
 
 from repro.compressors.base import Compressor, register_compressor
+from repro.compressors.deflate import inflate
 from repro.errors import DecompressionError
 
 __all__ = ["BloscLike"]
@@ -48,18 +50,30 @@ class BloscLike(Compressor):
     def _decompress_impl(
         self, payload: bytes, shape: tuple[int, ...], abs_bound: float
     ) -> np.ndarray:
+        if len(payload) < 13:
+            raise DecompressionError("blosc-like frame truncated in its header")
         total, itemsize, n_chunks = struct.unpack_from("<QBI", payload, 0)
+        n = math.prod(shape)
+        if itemsize not in (4, 8) or total != n * itemsize:
+            raise DecompressionError(
+                f"blosc-like frame declares {total} bytes of {itemsize}-byte "
+                f"elements for {n} elements"
+            )
+        if n_chunks != -(-total // _BLOCK_BYTES):
+            raise DecompressionError(
+                f"blosc-like frame declares {n_chunks} blocks for {total} bytes"
+            )
         off = 13
         parts = []
-        for _ in range(n_chunks):
+        for start in range(0, total, _BLOCK_BYTES):
+            if len(payload) < off + 4:
+                raise DecompressionError("blosc-like frame truncated in a block header")
             (clen,) = struct.unpack_from("<I", payload, off)
             off += 4
-            parts.append(zlib.decompress(payload[off : off + clen]))
+            block = min(_BLOCK_BYTES, total - start)
+            parts.append(inflate(payload[off : off + clen], block, self.name))
             off += clen
         shuffled = b"".join(parts)
-        if len(shuffled) != total:
-            raise DecompressionError("blosc-like shuffled length mismatch")
-        n = total // itemsize
         planes = np.frombuffer(shuffled, dtype=np.uint8).reshape(itemsize, n)
         raw = np.ascontiguousarray(planes.T).reshape(-1)
         dtype = np.float32 if itemsize == 4 else np.float64

@@ -12,6 +12,7 @@ the regime Figure 1 reports for lossless floats.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -75,16 +76,29 @@ class FPC(Compressor):
     def _decompress_impl(
         self, payload: bytes, shape: tuple[int, ...], abs_bound: float
     ) -> np.ndarray:
+        if len(payload) < 17:
+            raise DecompressionError("fpc frame truncated in its header")
         n, itemsize = struct.unpack_from("<QB", payload, 0)
         (lzb_len,) = struct.unpack_from("<Q", payload, 9)
         off = 17
         width_field = 3 if itemsize == 4 else 4
+        if n != math.prod(shape) or itemsize not in (4, 8):
+            raise DecompressionError(
+                f"fpc frame declares {n} {itemsize}-byte elements for shape {shape}"
+            )
+        if lzb_len != -(-n * width_field // 8) or len(payload) < off + lzb_len:
+            raise DecompressionError(
+                f"fpc frame declares {lzb_len} leading-zero bytes for {n} "
+                f"elements in a {len(payload)}-byte payload"
+            )
         lzb_bits = np.unpackbits(
             np.frombuffer(payload, dtype=np.uint8, count=lzb_len, offset=off)
         )[: n * width_field].reshape(n, width_field)
         shifts = np.arange(width_field - 1, -1, -1)
         lzb = (lzb_bits.astype(np.int64) << shifts).sum(axis=1)
         off += lzb_len
+        if (lzb > itemsize).any():
+            raise DecompressionError("fpc leading-zero count exceeds the element size")
         body_bytes = itemsize - lzb
         widths = 8 * body_bytes
         xored = unpack_bits(payload[off:], widths)
@@ -93,6 +107,4 @@ class FPC(Compressor):
             out = flat.astype(np.uint32).view(np.float32)
         else:
             out = flat.view(np.float64)
-        if out.size != int(np.prod(shape)):
-            raise DecompressionError("fpc element count mismatch")
         return out.reshape(shape)

@@ -10,12 +10,14 @@ prediction, zig-zag folding, and byte-plane DEFLATE of the residual stream
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
 import numpy as np
 
 from repro.compressors.base import Compressor, register_compressor
+from repro.compressors.deflate import inflate
 from repro.errors import DecompressionError
 
 __all__ = ["FpzipLike"]
@@ -76,10 +78,15 @@ class FpzipLike(Compressor):
     def _decompress_impl(
         self, payload: bytes, shape: tuple[int, ...], abs_bound: float
     ) -> np.ndarray:
+        if len(payload) < 9:
+            raise DecompressionError("fpzip-like frame truncated in its header")
         n, itemsize = struct.unpack_from("<QB", payload, 0)
-        raw = zlib.decompress(payload[9:])
-        if len(raw) != 8 * n:
-            raise DecompressionError("fpzip-like residual length mismatch")
+        if n != math.prod(shape) or itemsize not in (4, 8):
+            raise DecompressionError(
+                f"fpzip-like frame declares {n} {itemsize}-byte elements "
+                f"for shape {shape}"
+            )
+        raw = inflate(payload[9:], 8 * n, self.name)
         planes = np.frombuffer(raw, dtype=np.uint8).reshape(8, n)
         folded = np.ascontiguousarray(planes.T).reshape(-1).view(np.uint64)
         resid = _unzigzag64(folded)

@@ -8,12 +8,14 @@ which is all Figure 1 asks of it.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
 import numpy as np
 
 from repro.compressors.base import Compressor, register_compressor
+from repro.compressors.deflate import inflate
 from repro.errors import DecompressionError
 
 __all__ = ["ZstdLike"]
@@ -39,11 +41,14 @@ class ZstdLike(Compressor):
     def _decompress_impl(
         self, payload: bytes, shape: tuple[int, ...], abs_bound: float
     ) -> np.ndarray:
+        if len(payload) < 8:
+            raise DecompressionError("zstd-like frame truncated in its header")
         (rlen,) = struct.unpack_from("<Q", payload, 0)
-        raw = zlib.decompress(payload[8:])
-        if len(raw) != rlen:
-            raise DecompressionError("zstd-like frame length mismatch")
-        n = int(np.prod(shape))
-        itemsize = rlen // max(n, 1)
-        dtype = np.float32 if itemsize == 4 else np.float64
+        n = math.prod(shape)
+        if rlen not in (4 * n, 8 * n):
+            raise DecompressionError(
+                f"zstd-like frame declares {rlen} bytes for {n} elements"
+            )
+        raw = inflate(payload[8:], rlen, self.name)
+        dtype = np.float32 if rlen == 4 * n else np.float64
         return np.frombuffer(raw, dtype=dtype).reshape(shape)

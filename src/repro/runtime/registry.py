@@ -119,7 +119,8 @@ SWEEP_AXES: tuple[CliAxis, ...] = (
     CliAxis("include_baseline", "--no-baseline", "invert", False,
             "io/read/pipeline kinds: skip the uncompressed baseline points"),
     CliAxis("n_chunks", "--n-chunks", "int", 8,
-            "pipeline kind: chunks streamed through the compress-write pipeline"),
+            "leading-axis chunks per variable (pipeline and checkpoint kinds "
+            "stream them through the compress-write pipeline)"),
     CliAxis("overlap", "--no-overlap", "invert", False,
             "pipeline kind: disable stage overlap (sequential control run)"),
     CliAxis("freqs", "--freqs", "csv_float", "",

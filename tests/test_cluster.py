@@ -1,9 +1,9 @@
-"""Cluster simulation: event loop determinism, ranks, campaign physics."""
+"""Cluster simulation: event loop determinism, node energy, campaign physics."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import EventLoop, MultiNodeCampaign, NodeModel, SimComm
+from repro.cluster import EventLoop, MultiNodeCampaign, NodeModel
 from repro.energy import get_cpu
 from repro.errors import ConfigurationError, SimulationError
 from repro.iolib import PFSModel, get_io_library
@@ -138,35 +138,6 @@ class TestEventLoop:
         p = loop.spawn(plain())
         loop.run()
         assert p.finished and p.result is None
-
-
-class TestSimComm:
-    def test_barrier_releases_all_at_last_arrival(self):
-        loop = EventLoop()
-        comm = SimComm(loop, 4)
-        release = {}
-
-        def body(rank, comm):
-            yield rank * 1.0  # staggered arrivals
-            yield comm.barrier()
-            release[rank] = loop.now
-
-        comm.run_ranks(body)
-        assert all(t == pytest.approx(3.0) for t in release.values())
-
-    def test_finish_times_reported(self):
-        loop = EventLoop()
-        comm = SimComm(loop, 3)
-
-        def body(rank, comm):
-            yield (rank + 1) * 2.0
-
-        times = comm.run_ranks(body)
-        assert times == {0: 2.0, 1: 4.0, 2: 6.0}
-
-    def test_size_validation(self):
-        with pytest.raises(SimulationError):
-            SimComm(EventLoop(), 0)
 
 
 class TestNodeModel:

@@ -437,7 +437,12 @@ CORRUPT_DS = Dataset.from_arrays({
     "line": _walk((120,), 12).astype(np.float32),
 }, attrs={"origin": "battery"})
 CORRUPT_SPEC = "walk:lossy,sz3,rel,1e-3;lossy,szx,rel,1e-3"
-CORRUPT_CASES = [(lib, n) for lib in ("hdf5", "netcdf") for n in (1, 3)]
+CORRUPT_CASES = {
+    f"{lib}-{n}": (lib, n, CORRUPT_SPEC) for lib in ("hdf5", "netcdf") for n in (1, 3)
+}
+# netcdf members carry no checksum, so flips reach the lossless decoders.
+CORRUPT_CASES["netcdf-1-lossless"] = ("netcdf", 1, "walk:lossless,blosc;lossless,fpzip")
+CORRUPT_CASES["netcdf-3-lossless"] = ("netcdf", 3, "walk:lossless,zstd;lossless,fpc")
 
 
 class TestCorruptContainers:
@@ -445,11 +450,11 @@ class TestCorruptContainers:
     read raises ``IOModelError``/``DecompressionError`` or returns the
     declared names, shapes and dtypes, within a wall bound."""
 
-    @pytest.fixture(params=CORRUPT_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+    @pytest.fixture(params=sorted(CORRUPT_CASES))
     def written(self, request, tmp_path):
-        lib, n_chunks = request.param
+        lib, n_chunks, spec = CORRUPT_CASES[request.param]
         path = tmp_path / "good"
-        write(CORRUPT_DS, path, CORRUPT_SPEC, io_library=lib,
+        write(CORRUPT_DS, path, spec, io_library=lib,
               n_chunks=n_chunks, testbed=TESTBED)
         return path.read_bytes(), tmp_path / "bad"
 
