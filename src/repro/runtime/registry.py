@@ -103,11 +103,11 @@ class CliAxis:
 #: from this table (restricted to the axes some registered kind consumes).
 SWEEP_AXES: tuple[CliAxis, ...] = (
     CliAxis("datasets", "--datasets", "csv_str", "cesm,hacc,nyx,s3d",
-            "comma-separated"),
+            "comma-separated catalogue dataset names"),
     CliAxis("codecs", "--codecs", "csv_str", "sz2,sz3,zfp,qoz,szx",
-            "comma-separated"),
+            "comma-separated codec grid"),
     CliAxis("bounds", "--bounds", "csv_float", "1e-1,1e-2,1e-3,1e-4,1e-5",
-            "comma-separated REL error bounds"),
+            "comma-separated REL error-bound grid"),
     CliAxis("cpus", "--cpus", "csv_str", "max9480",
             "comma-separated Table-I names"),
     CliAxis("io_libraries", "--io-libraries", "csv_str", "hdf5,netcdf",
