@@ -71,3 +71,68 @@ def test_kernel_pfs_solver_tenants(benchmark, ranks):
     sizes = np.repeat(r.uniform(1e7, 1e9, 300), ranks)
     finish = benchmark(fair_share_schedule, arrivals, sizes, 1000.0, 4000.0)
     assert np.all(finish >= arrivals)
+
+
+def test_kernel_node_energy(benchmark):
+    """Node-energy metering of every tenant of one seeded 300-tenant solve,
+    through ``costs.accumulate_nodes`` as the cluster solve meters them."""
+    from repro.cluster import costs
+    from repro.cluster.campaign import MultiNodeCampaign
+    from repro.cluster.scheduler import ClusterSpec, JobSpec, simulate_cluster
+    from repro.energy import get_cpu
+    from repro.iolib import PFSModel, get_io_library
+
+    campaign = MultiNodeCampaign(
+        cpu=get_cpu("max9480"),
+        pfs=PFSModel(),
+        io_library=get_io_library("hdf5"),
+        payload_nbytes=90 * 10**6,
+        complexity=0.48,
+    )
+    ratios = {"szx": 7.3, "sz3": 20.0, "zfp": 5.0, None: 1.0}
+    codecs = tuple(ratios)
+    r = np.random.default_rng(1)
+    jobs = tuple(
+        JobSpec(
+            name=f"t{i}",
+            ranks=int(r.choice((56, 112, 224))),
+            codec=codecs[i % len(codecs)],
+            submit_s=float(2.0 * (i + r.uniform())),
+            work_s=float(r.uniform(2.0, 10.0)),
+        )
+        for i in range(300)
+    )
+    timeline = simulate_cluster(
+        ClusterSpec(n_nodes=150, jobs=jobs),
+        campaign,
+        {j.name: ratios[j.codec] for j in jobs if j.codec},
+    )
+    transfer_activity = campaign.io.cost.transfer_activity
+
+    def meter_tenants():
+        out = []
+        for job in timeline.jobs:
+            # The class solver finishes every rank of a tenant together.
+            finishes = np.full(job.spec.ranks, job.finish_s)
+
+            def node_energy(ranks, job=job, finishes=finishes):
+                return costs.stepped_node_energy(
+                    campaign.cpu,
+                    ranks=ranks,
+                    t_comp=job.t_comp,
+                    t_serialize=job.t_serialize,
+                    t0=job.t0,
+                    finishes=finishes[:ranks],
+                    transfer_activity=transfer_activity,
+                    sample_interval=campaign.sample_interval,
+                )
+
+            out.append(
+                costs.accumulate_nodes(
+                    job.nodes, job.ranks_per_node, job.rem, node_energy
+                )
+            )
+        return out
+
+    joules = benchmark(meter_tenants)
+    assert joules == [(j.compress_energy_j, j.write_energy_j) for j in timeline.jobs]

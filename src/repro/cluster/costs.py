@@ -39,15 +39,18 @@ def drain_phases(
     node sustains I/O activity proportional to ``k`` (serialization /
     progress threads), decaying to idle as flows finish.  ``finishes`` are
     the absolute completion times of this node's flows; ``t0`` is when the
-    transfers entered the PFS.
+    transfers entered the PFS.  Ranks finishing together step the profile
+    once, so only the distinct finish times are walked, each with the
+    number of ranks done before it.
     """
+    ends, done = np.unique(np.sort(finishes), return_index=True)
     phases: list[PhaseTuple] = []
     prev = t0
-    for k, tf in enumerate(np.sort(finishes)):
-        seg = float(tf) - prev
+    for tf, k in zip(ends.tolist(), done.tolist()):
+        seg = tf - prev
         if seg > 1e-9:
             phases.append((seg, ranks - k, transfer_activity, "write"))
-            prev = float(tf)
+            prev = tf
     return phases
 
 

@@ -8,10 +8,12 @@ components (compression vs write) for Fig. 12's stacked bars.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.energy.cpus import CPUSpec
 from repro.energy.measurement import EnergyMeter, Phase
+from repro.errors import ConfigurationError
 
 __all__ = ["NodeModel", "NodeEnergy"]
 
@@ -42,8 +44,10 @@ class NodeModel:
         self, duration_s: float, active_cores: int, activity: float, label: str
     ) -> None:
         """Append a constant-load segment to the node's timeline."""
-        if duration_s < 0:
-            raise ValueError("phase duration must be non-negative")
+        if not (math.isfinite(duration_s) and duration_s >= 0):
+            raise ConfigurationError(
+                f"phase duration must be finite and non-negative, got {duration_s!r}"
+            )
         if duration_s == 0:
             return
         self._phases.append(

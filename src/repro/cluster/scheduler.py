@@ -409,6 +409,9 @@ def _prepare_jobs(
 ) -> list[_JobState]:
     """Price every job's schedule-independent quantities once."""
     states: list[_JobState] = []
+    # Dedicated drains per tenant class: jobs with equal (ranks, out_bytes,
+    # cpu_s) put the same flows on the PFS, so one solve prices them all.
+    drains: dict[tuple[int, int, float], float] = {}
     for job in spec.jobs:
         nodes, rpn, rem = campaign._topology(job.ranks)
         if nodes > spec.n_nodes:
@@ -433,13 +436,16 @@ def _prepare_jobs(
         # Dedicated write drain: this job's flows alone on the PFS, arriving
         # at the same relative time they would in the schedule.  Seeds the
         # fixed point and prices the backfill walltime estimate.
-        solo = campaign.pfs.concurrent_write_times(
-            np.full(job.ranks, out_bytes, dtype=np.float64),
-            efficiency=campaign.io.cost.bandwidth_efficiency,
-            arrivals=np.full(job.ranks, cpu_s),
-        )
-        solo = solo + campaign.io.cost.open_latency_s
-        dedicated_drain = float(solo.max()) - cpu_s
+        key = (job.ranks, out_bytes, cpu_s)
+        if key not in drains:
+            solo = campaign.pfs.concurrent_write_times(
+                np.full(job.ranks, out_bytes, dtype=np.float64),
+                efficiency=campaign.io.cost.bandwidth_efficiency,
+                arrivals=np.full(job.ranks, cpu_s),
+            )
+            solo = solo + campaign.io.cost.open_latency_s
+            drains[key] = float(solo.max()) - cpu_s
+        dedicated_drain = drains[key]
 
         lifecycle = None
         pre_s = job.work_s

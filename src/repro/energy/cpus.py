@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import FrequencyRangeError
+
 __all__ = ["CPUSpec", "CPUS", "get_cpu", "PAPER_CPUS"]
 
 
@@ -67,7 +69,7 @@ class CPUSpec:
         """Check a frequency lies in the DVFS envelope; returns it as float."""
         f = float(freq_ghz)
         if not self.fmin_ghz <= f <= self.fmax_ghz:
-            raise ValueError(
+            raise FrequencyRangeError(
                 f"{self.name}: freq {f} GHz outside DVFS range "
                 f"[{self.fmin_ghz}, {self.fmax_ghz}]"
             )

@@ -2,9 +2,15 @@
 
 :class:`EnergyMeter` is what the experiment drivers use: describe a workload
 as :class:`Phase` segments (duration, active cores, CPU activity), and the
-meter plays them through a fresh :class:`~repro.energy.rapl.SimulatedRapl`
-sampled by a :class:`~repro.energy.papi.PapiPowercapMonitor`, returning an
+meter samples them as a :class:`~repro.energy.papi.PapiPowercapMonitor`
+over a fresh :class:`~repro.energy.rapl.SimulatedRapl` would, returning an
 :class:`EnergyReport` with the discrete-sampled energy the paper reports.
+
+The meter builds neither simulator: each phase goes through the same
+:func:`~repro.energy.papi.tick_split` and
+:func:`~repro.energy.rapl.integrate_phase` the simulators use, on bare
+counters starting at zero, so every report is bit-identical to playing the
+window through them.
 """
 
 from __future__ import annotations
@@ -13,9 +19,9 @@ import math
 from dataclasses import dataclass
 
 from repro.energy.cpus import CPUSpec
-from repro.energy.papi import PapiPowercapMonitor, check_sample_interval
+from repro.energy.papi import check_sample_interval, tick_split
 from repro.energy.power import PowerModel
-from repro.energy.rapl import SimulatedRapl
+from repro.energy.rapl import DEFAULT_MAX_ENERGY_RANGE_UJ, integrate_phase
 from repro.errors import ConfigurationError
 
 __all__ = ["Phase", "Interval", "compose_phases", "EnergyReport", "EnergyMeter"]
@@ -149,27 +155,38 @@ class EnergyMeter:
         self.sample_interval = sample_interval
         self.freq_ghz = freq_ghz
         self.power_model = PowerModel(cpu, alpha=alpha, freq_ghz=freq_ghz)
+        self._ranges = (DEFAULT_MAX_ENERGY_RANGE_UJ,) * cpu.sockets
 
     def measure(self, phases: list[Phase]) -> EnergyReport:
-        """Run the phases on a fresh node and return the energy report."""
-        rapl = SimulatedRapl(self.cpu, self.power_model)
-        monitor = PapiPowercapMonitor(rapl, sample_interval=self.sample_interval)
-        before = rapl.read_uj()
-        monitor.start()
+        """Sample the phases over one window from zeroed counters."""
+        interval = self.sample_interval
+        counters = [0] * self.cpu.sockets
+        now = 0.0
+        n_samples = 1  # the start snapshot
         for ph in phases:
-            monitor.run_phase(ph.duration_s, ph.active_cores, ph.activity)
-        total = monitor.stop()
-        after = rapl.read_uj()
-        zones = tuple(
-            # Per-zone deltas (wrap-aware) for Eq. 6 style reporting.
-            rapl.zones[i].delta(before[i], after[i], rapl.zones[i].max_energy_range_uj)
-            for i in range(len(rapl.zones))
-        )
+            ticks, tail = tick_split(ph.duration_s, interval)
+            if ticks or tail:
+                _, now = integrate_phase(
+                    self.power_model,
+                    counters,
+                    self._ranges,
+                    now,
+                    interval,
+                    ph.active_cores,
+                    ph.activity,
+                    ticks,
+                    tail,
+                )
+                n_samples += ticks + (tail > 0)
+        # Counters start at zero, so each reading is its zone's wrap-aware
+        # delta over the window (Eq. 6 per zone); a window past the wrap
+        # range loses whole wraps, as one hardware delta does.
+        zones = tuple(reading / 1e6 for reading in counters)
         return EnergyReport(
-            runtime_s=monitor.elapsed,
-            energy_j=total,
+            runtime_s=now,
+            energy_j=sum(zones),
             zone_energies_j=zones,
-            n_samples=monitor.n_samples,
+            n_samples=n_samples,
         )
 
     def measure_compute(

@@ -50,8 +50,13 @@ def tick_split(duration: float, interval: float) -> tuple[int, float]:
     The polling loop steps ``min(interval, remaining)`` and subtracts it
     while ``remaining > 1e-12``: it takes ``ticks`` full steps of
     ``interval``, then one ``tail`` step if ``tail > 0``.  Both come from the
-    exact float sequence of ``remaining``, walked in bounded chunks.
+    exact float sequence of ``remaining``, walked in bounded chunks.  A
+    non-finite or negative ``duration`` raises ``ConfigurationError``.
     """
+    if not math.isfinite(duration):
+        raise ConfigurationError(f"phase duration must be finite, got {duration!r}")
+    if duration < 0:
+        raise ConfigurationError("phase duration must be non-negative")
     stop = max(interval, PHANTOM_FLOOR)
     if duration <= stop:
         return 0, (float(duration) if duration > PHANTOM_FLOOR else 0.0)
@@ -126,10 +131,6 @@ class PapiPowercapMonitor:
         """Advance one workload phase, sampling at the configured interval."""
         if not self._started:
             raise ConfigurationError("monitor not started")
-        if not math.isfinite(duration):
-            raise ConfigurationError(f"phase duration must be finite, got {duration!r}")
-        if duration < 0:
-            raise ConfigurationError("phase duration must be non-negative")
         ticks, tail = tick_split(duration, self.sample_interval)
         if not (ticks or tail):
             return

@@ -44,10 +44,7 @@ class PowerModel:
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigurationError("alpha must be in (0, 1]")
         if self.freq_ghz is not None:
-            try:
-                self.cpu.validate_freq(self.freq_ghz)
-            except ValueError as exc:
-                raise ConfigurationError(str(exc)) from None
+            self.cpu.validate_freq(self.freq_ghz)
 
     def freq_scale(self, freq_ghz: float | None = None) -> float:
         """Dynamic-power multiplier ``(f / fnom)^vf_gamma`` (exactly 1.0 at

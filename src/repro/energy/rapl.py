@@ -12,12 +12,15 @@ ticks is integrated in closed form: every tick deposits the same integer
 microjoule quantum, the counter moves by ``n`` quanta modulo the wrap range,
 and the clock is the exact sequential float sum of the tick lengths
 (:func:`step_sequence`), bit-identical to advancing one tick at a time.
+:func:`integrate_phase` is the one copy of those quantum, wrap and clock
+rules: :meth:`SimulatedRapl.advance` runs it on its zones, and
+:class:`~repro.energy.measurement.EnergyMeter` runs it on bare counters.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -25,7 +28,13 @@ from repro.energy.cpus import CPUSpec
 from repro.energy.power import PowerModel
 from repro.errors import ConfigurationError
 
-__all__ = ["RaplZone", "SimulatedRapl", "step_sequence"]
+__all__ = [
+    "RaplZone",
+    "SimulatedRapl",
+    "counter_after",
+    "integrate_phase",
+    "step_sequence",
+]
 
 #: powercap's typical wrap range (~262 kJ) — kept so wrap handling is honest.
 DEFAULT_MAX_ENERGY_RANGE_UJ = 262_143_328_850
@@ -66,6 +75,56 @@ def step_sequence(
         n = STEP_CHUNK
 
 
+def counter_after(start_uj: int, joules: float, times: int, max_range: int) -> int:
+    """The reading ``times`` deposits of ``joules`` move ``start_uj`` to.
+
+    Each deposit adds ``round(joules * 1e6)`` whole microjoules and the
+    counter wraps at ``max_range``, as the hardware does.
+    """
+    if joules < 0:
+        raise ConfigurationError("cannot deposit negative energy")
+    return (start_uj + times * round(joules * 1e6)) % max_range
+
+
+def integrate_phase(
+    power: PowerModel,
+    counters: list[int],
+    ranges: Sequence[int],
+    now: float,
+    dt: float,
+    active_cores: int,
+    activity: float,
+    ticks: int,
+    tail: float,
+) -> tuple[tuple[float, ...], float]:
+    """Integrate ``ticks`` steps of ``dt`` seconds, then one ``tail`` step
+    if positive, all at one constant load level.
+
+    ``counters[p]`` is package ``p``'s reading; it takes the per-step
+    quantum ``ticks`` times plus the tail quantum, wrapping at
+    ``ranges[p]``, and is updated in place.  The clock ``now`` takes the
+    same float additions as stepping one tick at a time.  Returns each
+    package's power (W) and the clock after the phase.
+    """
+    if not (math.isfinite(dt) and math.isfinite(tail)):
+        raise ConfigurationError("time step must be finite")
+    if dt < 0 or tail < 0 or ticks < 0:
+        raise ConfigurationError("cannot advance time backwards")
+    watts = tuple(
+        power.package_power(p, active_cores, activity) for p in range(len(counters))
+    )
+    for p, (w, max_range) in enumerate(zip(watts, ranges)):
+        reading = counter_after(counters[p], w * dt, ticks, max_range)
+        if tail > 0:
+            reading = counter_after(reading, w * tail, 1, max_range)
+        counters[p] = reading
+    for chunk in step_sequence(np.add, now, dt, ticks):
+        now = float(chunk[-1])
+    if tail > 0:
+        now += tail
+    return watts, now
+
+
 class RaplZone:
     """One package-level energy counter zone."""
 
@@ -82,14 +141,8 @@ class RaplZone:
         return self._energy_uj
 
     def counter_after(self, start_uj: int, joules: float, times: int = 1) -> int:
-        """The reading ``times`` deposits of ``joules`` move ``start_uj`` to.
-
-        Each deposit adds ``round(joules * 1e6)`` whole microjoules and the
-        counter wraps at ``max_energy_range_uj``, as the hardware does.
-        """
-        if joules < 0:
-            raise ConfigurationError("cannot deposit negative energy")
-        return (start_uj + times * round(joules * 1e6)) % self.max_energy_range_uj
+        """:func:`counter_after` at this zone's wrap range."""
+        return counter_after(start_uj, joules, times, self.max_energy_range_uj)
 
     def deposit(self, joules: float, times: int = 1) -> None:
         """Accumulate ``times`` equal deposits of ``joules`` (from the clock)."""
@@ -131,28 +184,24 @@ class SimulatedRapl:
         tail: float = 0.0,
     ) -> tuple[float, ...]:
         """Advance the clock ``ticks`` steps of ``dt`` seconds, then one
-        ``tail`` step if positive, all at one constant load level.
-
-        Each zone deposits the per-step quantum ``ticks`` times plus the
-        tail quantum, and the clock takes the same float additions as
-        stepping one tick at a time.  Returns each package's power (W).
+        ``tail`` step if positive, all at one constant load level
+        (:func:`integrate_phase` on the zone counters).  Returns each
+        package's power (W).
         """
-        if not (math.isfinite(dt) and math.isfinite(tail)):
-            raise ConfigurationError("time step must be finite")
-        if dt < 0 or tail < 0 or ticks < 0:
-            raise ConfigurationError("cannot advance time backwards")
-        watts = tuple(
-            self.power.package_power(p, active_cores, activity)
-            for p in range(len(self.zones))
+        counters = self.read_uj()
+        watts, self._now = integrate_phase(
+            self.power,
+            counters,
+            [z.max_energy_range_uj for z in self.zones],
+            self._now,
+            dt,
+            active_cores,
+            activity,
+            ticks,
+            tail,
         )
-        for w, zone in zip(watts, self.zones):
-            zone.deposit(w * dt, ticks)
-            if tail > 0:
-                zone.deposit(w * tail)
-        for chunk in step_sequence(np.add, self._now, dt, ticks):
-            self._now = float(chunk[-1])
-        if tail > 0:
-            self._now += tail
+        for zone, reading in zip(self.zones, counters):
+            zone._energy_uj = reading
         return watts
 
     def read_uj(self) -> list[int]:

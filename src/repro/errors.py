@@ -50,6 +50,14 @@ class ConfigurationError(ReproError):
     """An experiment or model was configured with invalid parameters."""
 
 
+class FrequencyRangeError(ConfigurationError, ValueError):
+    """A DVFS clock lies outside a CPU's frequency envelope.
+
+    Also a :class:`ValueError`, which is what the envelope check raised
+    before it joined this hierarchy.
+    """
+
+
 class BenchmarkRegression(ReproError):
     """A kernel benchmark ran slower than the allowed regression budget.
 

@@ -829,16 +829,13 @@ def _expand_dvfs(spec) -> list:
 
 def _validate_dvfs(spec) -> None:
     # An out-of-range clock must fail at construction, naming the CPU and
-    # its DVFS range — not per grid point as a retryable ValueError.
+    # its DVFS range — not per grid point.
     from repro.energy.cpus import get_cpu
 
     for name in spec.cpus if spec.freqs else ():
         cpu = get_cpu(name)
         for f in spec.freqs:
-            try:
-                cpu.validate_freq(f)
-            except ValueError as exc:
-                raise ConfigurationError(str(exc)) from None
+            cpu.validate_freq(f)
 
 
 def _expand_checkpoint(spec) -> list:

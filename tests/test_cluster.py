@@ -156,6 +156,66 @@ class TestNodeModel:
         node.add_phase(0.0, 4, 1.0, "x")
         assert node.measure().total_j == 0.0
 
+    @pytest.mark.parametrize(
+        "duration", [-1.0, float("nan"), float("inf"), float("-inf")], ids=repr
+    )
+    def test_bad_duration_rejected_when_added(self, duration):
+        node = NodeModel(get_cpu("plat8160"))
+        with pytest.raises(ConfigurationError, match="duration"):
+            node.add_phase(duration, 4, 1.0, "x")
+        assert node.measure().total_j == 0.0
+
+
+def reference_drain_phases(t0, finishes, ranks, transfer_activity):
+    """The stepped drain profile walked one rank at a time."""
+    phases = []
+    prev = t0
+    for k, tf in enumerate(np.sort(finishes)):
+        seg = float(tf) - prev
+        if seg > 1e-9:
+            phases.append((seg, ranks - k, transfer_activity, "write"))
+            prev = float(tf)
+    return phases
+
+
+class TestDrainPhases:
+    """``drain_phases`` walks distinct finish times, as the per-rank loop
+    it replaced did rank by rank."""
+
+    def test_equals_per_rank_loop(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.cluster.costs import drain_phases
+
+        # Finish times on a coarse grid (ties) plus offsets below, at and
+        # just above the 1e-9 segment floor.
+        offsets = st.sampled_from([0.0, 2e-10, 5e-10, 1e-9, 1.5e-9, 3e-9, 0.01])
+        finish = st.builds(
+            lambda base, off: 1.0 + 0.25 * base + off, st.integers(0, 6), offsets
+        )
+
+        @settings(max_examples=300, deadline=None)
+        @given(
+            st.lists(finish, min_size=0, max_size=40),
+            st.sampled_from([0.0, 1.0, 1.0 + 5e-10, 1.3]),
+            st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False),
+        )
+        def check(finishes, t0, activity):
+            arr = np.array(finishes, dtype=np.float64)
+            ranks = max(len(finishes), 1)
+            assert drain_phases(t0, arr, ranks, activity) == reference_drain_phases(
+                t0, arr, ranks, activity
+            )
+
+        check()
+
+    def test_one_segment_for_a_tenant_finishing_together(self):
+        from repro.cluster.costs import drain_phases
+
+        phases = drain_phases(0.5, np.full(224, 2.75), 224, 0.3)
+        assert phases == [(2.25, 224, 0.3, "write")]
+
 
 class TestCampaign:
     @pytest.fixture(scope="class")

@@ -11,8 +11,8 @@ from repro.energy import (
     SimulatedRapl,
     get_cpu,
 )
-from repro.energy.cpus import PAPER_CPUS
-from repro.energy.measurement import Phase
+from repro.energy.cpus import PAPER_CPUS, CPUSpec
+from repro.energy.measurement import EnergyReport, Phase
 from repro.energy.rapl import RaplZone
 from repro.errors import ConfigurationError
 
@@ -83,6 +83,14 @@ class TestPowerModel:
             pm.node_power(1, activity=2.0)
         with pytest.raises(ConfigurationError):
             PowerModel(get_cpu("plat8160"), alpha=0.0)
+
+    @pytest.mark.parametrize("freq", [0.1, 99.0])
+    def test_per_call_freq_outside_envelope_is_typed(self, freq):
+        pm = PowerModel(get_cpu("plat8160"))
+        with pytest.raises(ConfigurationError, match="outside DVFS range"):
+            pm.package_power(0, 4, freq_ghz=freq)
+        with pytest.raises(ConfigurationError, match="outside DVFS range"):
+            pm.node_power(4, freq_ghz=freq)
 
 
 class TestRapl:
@@ -559,6 +567,13 @@ class TestSamplerGuards:
         )
         assert isinstance(exc, ConfigurationError)
 
+    @pytest.mark.parametrize("duration", NON_FINITE + [-0.01], ids=repr)
+    def test_tick_split_rejects_bad_duration(self, duration):
+        from repro.energy.papi import tick_split
+
+        exc = _raises_within(5.0, lambda: tick_split(duration, 0.01))
+        assert isinstance(exc, ConfigurationError)
+
     def test_interval_below_float_resolution_rejected(self):
         mon = PapiPowercapMonitor(SimulatedRapl(get_cpu("plat8160")), 1e-300)
         mon.start()
@@ -631,3 +646,124 @@ class TestExactPins:
             sample_interval=0.02,
         )
         assert repr(joules) == "(116.88923, 415.48042)"
+
+
+# -- the meter without the simulators -----------------------------------------
+
+
+def reference_measure(meter, phases):
+    """``EnergyMeter.measure`` played through the simulators: a fresh
+    :class:`SimulatedRapl` sampled by a :class:`PapiPowercapMonitor`."""
+    rapl = SimulatedRapl(meter.cpu, meter.power_model)
+    monitor = PapiPowercapMonitor(rapl, sample_interval=meter.sample_interval)
+    before = rapl.read_uj()
+    monitor.start()
+    for ph in phases:
+        monitor.run_phase(ph.duration_s, ph.active_cores, ph.activity)
+    total = monitor.stop()
+    after = rapl.read_uj()
+    zones = tuple(
+        rapl.zones[i].delta(before[i], after[i], rapl.zones[i].max_energy_range_uj)
+        for i in range(len(rapl.zones))
+    )
+    return EnergyReport(
+        runtime_s=monitor.elapsed,
+        energy_j=total,
+        zone_energies_j=zones,
+        n_samples=monitor.n_samples,
+    )
+
+
+#: A one-socket node beside the catalogue's two- and four-socket ones.
+ONE_SOCKET = CPUSpec(
+    name="uni16",
+    model="one-socket test node",
+    codename="-",
+    system="-",
+    cores=16,
+    sockets=1,
+    tdp_w=125.0,
+    idle_w=30.0,
+    speed=1.0,
+    ram="-",
+    year=2020,
+)
+METER_CPUS = [get_cpu(name) for name in sorted(CPUS)] + [ONE_SOCKET]
+
+
+def _meter_windows(long_s=0.0):
+    """(meter, phases): every meter CPU, nominal or DVFS-pinned, with
+    multi-phase windows of zero, sub-floor, tick-multiple and tailed phases
+    (plus phases up to ``long_s`` seconds when it is positive)."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def window(draw):
+        cpu = draw(st.sampled_from(METER_CPUS))
+        interval = draw(st.sampled_from(INTERVALS))
+        freq = draw(st.one_of(st.none(), st.sampled_from(cpu.freq_ladder())))
+        durations = _durations(interval)
+        if long_s:
+            durations = st.one_of(durations, st.floats(90.0, long_s))
+        phase = st.builds(
+            Phase,
+            durations,
+            st.integers(0, cpu.cores),
+            st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False),
+        )
+        meter = EnergyMeter(cpu, sample_interval=interval, freq_ghz=freq)
+        return meter, draw(st.lists(phase, min_size=0, max_size=5))
+
+    return window()
+
+
+class TestMeterWithoutSimulators:
+    """``EnergyMeter`` integrates its windows without building the
+    simulators, bit-identically to playing them through RAPL + PAPI
+    (report equality compares every field with ``==``)."""
+
+    def test_measure_equals_simulator_walk(self):
+        from hypothesis import given, settings
+
+        @settings(max_examples=300, deadline=None)
+        @given(_meter_windows())
+        def check(window):
+            meter, phases = window
+            assert meter.measure(phases) == reference_measure(meter, phases)
+
+        check()
+
+    def test_measure_split_equals_simulator_walk(self):
+        from hypothesis import given, settings
+
+        @settings(max_examples=60, deadline=None)
+        @given(_meter_windows(long_s=260.0))
+        def check(window):
+            meter, phases = window
+            got = meter.measure_split(phases)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(EnergyMeter, "measure", reference_measure)
+                want = meter.measure_split(phases)
+            assert got == want
+
+        check()
+
+    @pytest.mark.parametrize("cpu", METER_CPUS, ids=lambda c: c.name)
+    def test_window_past_the_counter_wrap(self, cpu):
+        # 3000 s at full load deposits over the ~262 kJ wrap range per zone.
+        meter = EnergyMeter(cpu, sample_interval=0.25)
+        phases = [Phase(3000.0, cpu.cores, 1.0), Phase(0.13, 1, 0.5)]
+        report = meter.measure(phases)
+        assert report == reference_measure(meter, phases)
+        assert report.zone_energies_j[0] < cpu.tdp_w * 3000.0  # wrapped
+
+    def test_builds_no_simulator(self, monkeypatch):
+        from repro.energy import papi, rapl
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the meter built a simulator")
+
+        monkeypatch.setattr(rapl.SimulatedRapl, "__init__", refuse)
+        monkeypatch.setattr(papi.PapiPowercapMonitor, "__init__", refuse)
+        meter = EnergyMeter(get_cpu("plat8260m"))
+        assert meter.measure([Phase(0.5, 30), Phase(0.0, 2)]).n_samples == 51

@@ -407,6 +407,45 @@ class TestClassSolverOracle:
         self._assert_equal(fast, ref)
 
 
+class TestDedicatedDrainPerClass:
+    """``_prepare_jobs`` solves each tenant class's dedicated drain once."""
+
+    def test_one_solve_per_class_and_drains_unchanged(self, campaign, monkeypatch):
+        from repro.cluster.scheduler import _prepare_jobs
+
+        # No lifecycles: their restart pricing solves the PFS too.
+        seeded = TestClassSolverOracle._seeded(7)
+        spec = dataclasses.replace(
+            seeded,
+            jobs=tuple(dataclasses.replace(j, mttf_s=math.inf) for j in seeded.jobs),
+        )
+        ratios = {j.name: 4.0 + len(j.name) for j in spec.jobs if j.codec}
+        solved = []
+        original = PFSModel.concurrent_write_times
+
+        def counting(self, sizes, *args, **kwargs):
+            solved.append((len(sizes), float(sizes[0])))
+            return original(self, sizes, *args, **kwargs)
+
+        monkeypatch.setattr(PFSModel, "concurrent_write_times", counting)
+        states = _prepare_jobs(spec, campaign, ratios)
+        monkeypatch.undo()
+        classes = {(st.spec.ranks, st.out_bytes, st.cpu_s) for st in states}
+        assert len(solved) == len(classes) < len(states)
+        assert sorted(solved) == sorted((r, float(b)) for r, b, _ in classes)
+
+        cost = campaign.io.cost
+        for st in states:
+            # The per-tenant solve the memo replaced.
+            solo = campaign.pfs.concurrent_write_times(
+                np.full(st.spec.ranks, st.out_bytes, dtype=np.float64),
+                efficiency=cost.bandwidth_efficiency,
+                arrivals=np.full(st.spec.ranks, st.cpu_s),
+            )
+            solo = solo + cost.open_latency_s
+            assert st.dedicated_drain_s == float(solo.max()) - st.cpu_s
+
+
 class TestLifecycle:
     def test_failure_free_compute_is_plain_hold(self, campaign):
         spec = parse_scenario("nodes=1; a=ranks:48,work:600")
