@@ -75,7 +75,8 @@ def test_kernel_pfs_solver_tenants(benchmark, ranks):
 
 def test_kernel_node_energy(benchmark):
     """Node-energy metering of every tenant of one seeded 300-tenant solve,
-    through ``costs.accumulate_nodes`` as the cluster solve meters them."""
+    in one ``costs.measure_node_phases`` batch as the cluster solve meters
+    them."""
     from repro.cluster import costs
     from repro.cluster.campaign import MultiNodeCampaign
     from repro.cluster.scheduler import ClusterSpec, JobSpec, simulate_cluster
@@ -110,28 +111,34 @@ def test_kernel_node_energy(benchmark):
     transfer_activity = campaign.io.cost.transfer_activity
 
     def meter_tenants():
-        out = []
+        batch = []
         for job in timeline.jobs:
             # The class solver finishes every rank of a tenant together.
             finishes = np.full(job.spec.ranks, job.finish_s)
-
-            def node_energy(ranks, job=job, finishes=finishes):
-                return costs.stepped_node_energy(
-                    campaign.cpu,
-                    ranks=ranks,
-                    t_comp=job.t_comp,
-                    t_serialize=job.t_serialize,
-                    t0=job.t0,
-                    finishes=finishes[:ranks],
-                    transfer_activity=transfer_activity,
-                    sample_interval=campaign.sample_interval,
+            for ranks, _ in costs.node_classes(job.nodes, job.ranks_per_node, job.rem):
+                batch.append(
+                    costs.write_phases(
+                        ranks=ranks,
+                        t_comp=job.t_comp,
+                        t_serialize=job.t_serialize,
+                        t0=job.t0,
+                        finishes=finishes[:ranks],
+                        transfer_activity=transfer_activity,
+                    )
                 )
-
-            out.append(
-                costs.accumulate_nodes(
-                    job.nodes, job.ranks_per_node, job.rem, node_energy
-                )
+        metered = iter(
+            costs.measure_node_phases(
+                campaign.cpu, batch, sample_interval=campaign.sample_interval
             )
+        )
+        out = []
+        for job in timeline.jobs:
+            compress_j = write_j = 0.0
+            for _, count in costs.node_classes(job.nodes, job.ranks_per_node, job.rem):
+                by_label = next(metered)
+                compress_j += by_label.get("compress", 0.0) * count
+                write_j += by_label.get("write", 0.0) * count
+            out.append((compress_j, write_j))
         return out
 
     joules = benchmark(meter_tenants)

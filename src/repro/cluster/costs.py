@@ -5,21 +5,25 @@ solve behind :meth:`~repro.cluster.campaign.MultiNodeCampaign.run` — is
 priced the same way: per-rank compress + serialize work, a fair-share PFS
 drain, and per-node energy metered phase by phase.  This module holds the
 one implementation of that accounting — phase construction from completion
-times, per-node metering, and the full/partial-node topology sum.
+times, the full/partial-node topology, and the metering of every node of a
+solve in one batch (:func:`measure_node_phases`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.node import NodeModel
 from repro.energy.cpus import CPUSpec
+from repro.energy.papi import check_sample_interval, tick_splits
+from repro.energy.power import PowerModel
+from repro.energy.rapl import phase_energies
 
 __all__ = [
     "drain_phases",
+    "write_phases",
     "measure_node_phases",
     "stepped_node_energy",
-    "accumulate_nodes",
+    "node_classes",
 ]
 
 #: One workload segment handed to :func:`measure_node_phases`:
@@ -43,10 +47,15 @@ def drain_phases(
     once, so only the distinct finish times are walked, each with the
     number of ranks done before it.
     """
-    ends, done = np.unique(np.sort(finishes), return_index=True)
+    ordered = np.sort(finishes)
+    # The first rank of each run of equal finish times, and how many
+    # ranks finished before it.
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    done = np.flatnonzero(first)
     phases: list[PhaseTuple] = []
     prev = t0
-    for tf, k in zip(ends.tolist(), done.tolist()):
+    for tf, k in zip(ordered[done].tolist(), done.tolist()):
         seg = tf - prev
         if seg > 1e-9:
             phases.append((seg, ranks - k, transfer_activity, "write"))
@@ -54,24 +63,65 @@ def drain_phases(
     return phases
 
 
+def write_phases(
+    *,
+    ranks: int,
+    t_comp: float,
+    t_serialize: float,
+    t0: float,
+    finishes: np.ndarray,
+    transfer_activity: float,
+) -> list[PhaseTuple]:
+    """One node of the plain write campaign: it compresses on all ranks,
+    serializes, then drains its flows through the stepped profile of
+    :func:`drain_phases`."""
+    phases: list[PhaseTuple] = [
+        (t_comp, ranks, 1.0, "compress"),
+        (t_serialize, ranks, 1.0, "write"),
+    ]
+    phases.extend(drain_phases(t0, finishes, ranks, transfer_activity))
+    return phases
+
+
 def measure_node_phases(
     cpu: CPUSpec,
-    phases: list[PhaseTuple],
+    nodes: list[list[PhaseTuple]],
     *,
     sample_interval: float,
     freq_ghz: float | None = None,
-) -> dict[str, float]:
-    """Meter one node through ``phases``, returning joules per label.
+) -> list[dict[str, float]]:
+    """Meter every node of ``nodes`` through its phases: joules per label.
 
     Each phase is measured on its own RAPL window (the
-    :class:`~repro.cluster.node.NodeModel` convention: wrap-safe, and the
-    per-label split stays exact).  Zero-duration phases are skipped by the
-    node model itself.
+    :class:`~repro.cluster.node.NodeModel` convention, so the per-label
+    split stays exact), and all phases of all nodes go through one
+    :func:`~repro.energy.papi.tick_splits` walk and one
+    :func:`~repro.energy.rapl.phase_energies` pass.  Phases follow
+    :meth:`NodeModel.add_phase`: a bad duration raises
+    ``ConfigurationError``, zero-duration phases are dropped, and core
+    counts are clamped to the node.
     """
-    node = NodeModel(cpu, sample_interval=sample_interval, freq_ghz=freq_ghz)
-    for duration_s, cores, activity, label in phases:
-        node.add_phase(duration_s, cores, activity, label)
-    return dict(node.measure().by_label)
+    check_sample_interval(sample_interval)
+    owner = [n for n, phases in enumerate(nodes) for _ in phases]
+    flat = [ph for phases in nodes for ph in phases]
+    durations = np.array([ph[0] for ph in flat], dtype=np.float64)
+    # NaN, infinite and negative durations stay in, for tick_splits to reject.
+    keep = np.flatnonzero(durations != 0).tolist()
+    ticks, tails = tick_splits(durations[keep], sample_interval)
+    joules = phase_energies(
+        PowerModel(cpu, freq_ghz=freq_ghz),
+        sample_interval,
+        [min(flat[i][1], cpu.cores) for i in keep],
+        [flat[i][2] for i in keep],
+        ticks,
+        tails,
+    )
+    out: list[dict[str, float]] = [{} for _ in nodes]
+    for i, j in zip(keep, joules.tolist()):
+        by_label = out[owner[i]]
+        label = flat[i][3]
+        by_label[label] = by_label.get(label, 0.0) + j
+    return out
 
 
 def stepped_node_energy(
@@ -86,39 +136,31 @@ def stepped_node_energy(
     sample_interval: float,
     freq_ghz: float | None = None,
 ) -> tuple[float, float]:
-    """(compress J, write J) of one node running the plain write campaign.
-
-    The node compresses on all ranks, serializes, then drains its flows
-    through the stepped profile of :func:`drain_phases`.
-    """
-    phases: list[PhaseTuple] = [
-        (t_comp, ranks, 1.0, "compress"),
-        (t_serialize, ranks, 1.0, "write"),
-    ]
-    phases.extend(drain_phases(t0, finishes, ranks, transfer_activity))
-    by_label = measure_node_phases(
-        cpu, phases, sample_interval=sample_interval, freq_ghz=freq_ghz
+    """(compress J, write J) of one node running the plain write campaign
+    (:func:`write_phases`)."""
+    phases = write_phases(
+        ranks=ranks,
+        t_comp=t_comp,
+        t_serialize=t_serialize,
+        t0=t0,
+        finishes=finishes,
+        transfer_activity=transfer_activity,
+    )
+    (by_label,) = measure_node_phases(
+        cpu, [phases], sample_interval=sample_interval, freq_ghz=freq_ghz
     )
     return by_label.get("compress", 0.0), by_label.get("write", 0.0)
 
 
-def accumulate_nodes(nodes, rpn, rem, node_energy) -> tuple[float, float]:
-    """Sum (compress J, write J) over the allocation topology.
+def node_classes(nodes: int, rpn: int, rem: int) -> list[tuple[int, int]]:
+    """``(ranks, node count)`` of each distinct node of an allocation.
 
-    ``node_energy(ranks)`` measures one node carrying ``ranks`` ranks.
-    Full nodes are identical, so one is measured and scaled — the paper
-    sums PAPI over all nodes; the partial last node (if any) carries
-    fewer ranks/flows and is accounted separately.
+    Full nodes are identical, so one is metered and scaled — the paper sums
+    PAPI over all nodes; the partial last node (if any) carries fewer
+    ranks/flows and is accounted separately.
     """
     full_nodes = nodes - (1 if rem else 0)
-    compress_j = 0.0
-    write_j = 0.0
-    if full_nodes:
-        c, w = node_energy(rpn)
-        compress_j += c * full_nodes
-        write_j += w * full_nodes
+    classes = [(rpn, full_nodes)] if full_nodes else []
     if rem:
-        c, w = node_energy(rem)
-        compress_j += c
-        write_j += w
-    return compress_j, write_j
+        classes.append((rem, 1))
+    return classes

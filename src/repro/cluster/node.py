@@ -2,8 +2,11 @@
 
 A campaign describes each node's activity as a timeline of (interval,
 active-cores, activity) segments; :class:`NodeModel` turns that timeline
-into joules through the RAPL/PAPI stack, splitting the total into labelled
-components (compression vs write) for Fig. 12's stacked bars.
+into joules through the RAPL/PAPI sampling rules
+(:func:`~repro.energy.papi.tick_splits` and
+:func:`~repro.energy.rapl.phase_energies`, the kernel the cluster solve
+meters all its nodes with), splitting the total into labelled components
+(compression vs write) for Fig. 12's stacked bars.
 """
 
 from __future__ import annotations
@@ -12,7 +15,10 @@ import math
 from dataclasses import dataclass, field
 
 from repro.energy.cpus import CPUSpec
-from repro.energy.measurement import EnergyMeter, Phase
+from repro.energy.measurement import Phase
+from repro.energy.papi import check_sample_interval, tick_splits
+from repro.energy.power import PowerModel
+from repro.energy.rapl import clock_after, phase_energies
 from repro.errors import ConfigurationError
 
 __all__ = ["NodeModel", "NodeEnergy"]
@@ -55,14 +61,24 @@ class NodeModel:
         )
 
     def measure(self) -> NodeEnergy:
-        """Integrate the timeline into labelled joules."""
-        meter = EnergyMeter(
-            self.cpu, sample_interval=self.sample_interval, freq_ghz=self.freq_ghz
+        """Integrate the timeline into labelled joules, each phase metered
+        on its own window from zeroed counters (no wrap is lost)."""
+        interval = self.sample_interval
+        check_sample_interval(interval)
+        ticks, tails = tick_splits([ph.duration_s for ph in self._phases], interval)
+        joules = phase_energies(
+            PowerModel(self.cpu, freq_ghz=self.freq_ghz),
+            interval,
+            [ph.active_cores for ph in self._phases],
+            [ph.activity for ph in self._phases],
+            ticks,
+            tails,
         )
         by_label: dict[str, float] = {}
         runtime = 0.0
-        for ph in self._phases:
-            report = meter.measure([ph])
-            by_label[ph.label] = by_label.get(ph.label, 0.0) + report.energy_j
-            runtime += report.runtime_s
+        for ph, j, t, tail in zip(
+            self._phases, joules.tolist(), ticks.tolist(), tails.tolist()
+        ):
+            by_label[ph.label] = by_label.get(ph.label, 0.0) + j
+            runtime += clock_after(0.0, interval, t, tail)
         return NodeEnergy(by_label=by_label, runtime_s=runtime)

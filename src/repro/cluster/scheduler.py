@@ -681,63 +681,65 @@ def simulate_cluster(
             f"{MAX_FIXED_POINT_ITERATIONS} iterations"
         )
 
-    outcomes = []
-    for st, offset, end in zip(states, offsets.tolist(), ends):
-        name = st.spec.name
-        t0 = arrivals[name]
+    # Every metered node of every tenant goes into one batch: per node class
+    # (full nodes, partial last node) its write campaign and, when the
+    # tenant computes first, its lifecycle.  The lifecycle timeline is
+    # bulk-synchronous across the allocation: every node plays the same
+    # phases with its own rank count (down windows stay zero-core idle).
+    activity = campaign.io.cost.transfer_activity
+    batch: list[list[costs.PhaseTuple]] = []
+    for st, offset in zip(states, offsets.tolist()):
         finishes = finish[offset : offset + st.spec.ranks]
-        cost = campaign.io.cost
-
-        def node_energy(ranks: int, st=st, t0=t0, finishes=finishes):
+        intervals = (
+            st.lifecycle.intervals
+            if st.lifecycle is not None
+            else (Interval(0.0, st.pre_s, 1, 1.0, "compute"),)
+        )
+        for ranks, _ in costs.node_classes(st.nodes, st.rpn, st.rem):
             picked = (
                 finishes[:ranks]
                 if ranks == st.rpn
                 else finishes[st.spec.ranks - ranks :]
             )
-            return costs.stepped_node_energy(
-                campaign.cpu,
-                ranks=ranks,
-                t_comp=st.t_comp,
-                t_serialize=st.t_serialize,
-                t0=t0,
-                finishes=picked,
-                transfer_activity=cost.transfer_activity,
-                sample_interval=campaign.sample_interval,
-            )
-
-        compress_j, write_j = costs.accumulate_nodes(
-            st.nodes, st.rpn, st.rem, node_energy
-        )
-
-        lifecycle_j = 0.0
-        if st.pre_s > 0:
-            intervals = (
-                st.lifecycle.intervals
-                if st.lifecycle is not None
-                else (Interval(0.0, st.pre_s, 1, 1.0, "compute"),)
-            )
-
-            def pre_energy(ranks: int, intervals=intervals):
-                # The lifecycle timeline is bulk-synchronous across the
-                # allocation: every node plays the same phases with its own
-                # rank count (down windows stay zero-core idle).
-                phases = [
-                    (
-                        iv.end_s - iv.start_s,
-                        ranks if iv.active_cores > 0 else 0,
-                        iv.activity,
-                        iv.label,
-                    )
-                    for iv in intervals
-                ]
-                by_label = costs.measure_node_phases(
-                    campaign.cpu, phases, sample_interval=campaign.sample_interval
+            batch.append(
+                costs.write_phases(
+                    ranks=ranks,
+                    t_comp=st.t_comp,
+                    t_serialize=st.t_serialize,
+                    t0=arrivals[st.spec.name],
+                    finishes=picked,
+                    transfer_activity=activity,
                 )
-                return (sum(by_label.values()), 0.0)
-
-            lifecycle_j, _ = costs.accumulate_nodes(
-                st.nodes, st.rpn, st.rem, pre_energy
             )
+            if st.pre_s > 0:
+                batch.append(
+                    [
+                        (
+                            iv.end_s - iv.start_s,
+                            ranks if iv.active_cores > 0 else 0,
+                            iv.activity,
+                            iv.label,
+                        )
+                        for iv in intervals
+                    ]
+                )
+    metered = iter(
+        costs.measure_node_phases(
+            campaign.cpu, batch, sample_interval=campaign.sample_interval
+        )
+    )
+
+    outcomes = []
+    for st, end in zip(states, ends):
+        name = st.spec.name
+        t0 = arrivals[name]
+        compress_j = write_j = lifecycle_j = 0.0
+        for _, count in costs.node_classes(st.nodes, st.rpn, st.rem):
+            by_label = next(metered)
+            compress_j += by_label.get("compress", 0.0) * count
+            write_j += by_label.get("write", 0.0) * count
+            if st.pre_s > 0:
+                lifecycle_j += sum(next(metered).values()) * count
 
         outcomes.append(
             JobOutcome(

@@ -17,6 +17,7 @@ arrays with an absolute bound.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -38,6 +39,12 @@ _MAGIC = b"RPRC"
 _FLAG_NORMAL = 0
 _FLAG_CONSTANT = 1
 _FLAG_LOSSLESS = 2
+
+#: Most elements a constant stream (and a one-symbol Huffman stream) may
+#: declare.  Their payload cannot bound the decoded size, so this does:
+#: above every paper snapshot (S3D, 11 x 500^3 = 1.375e9), far below what a
+#: forged shape can ask for.
+MAX_DECLARED_ELEMENTS = 1 << 31
 
 _DTYPE_CODES = {"f": np.float32, "d": np.float64}
 _DTYPE_CHARS = {np.dtype(np.float32): b"f", np.dtype(np.float64): b"d"}
@@ -184,6 +191,12 @@ class Compressor:
         if flag == _FLAG_CONSTANT:
             if len(payload) < 8:
                 raise DecompressionError("truncated constant-array payload")
+            n = math.prod(shape)
+            if n > MAX_DECLARED_ELEMENTS:
+                raise DecompressionError(
+                    f"constant stream declares {n} elements, over the cap of "
+                    f"{MAX_DECLARED_ELEMENTS}"
+                )
             (value,) = struct.unpack_from("<d", payload, 0)
             return np.full(shape, value, dtype=dtype)
         if flag == _FLAG_LOSSLESS:

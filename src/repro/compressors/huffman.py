@@ -32,6 +32,7 @@ import struct
 
 import numpy as np
 
+from repro.compressors.base import MAX_DECLARED_ELEMENTS
 from repro.compressors.bitstream import _words_from_bytes, pack_bits
 from repro.errors import DecompressionError
 
@@ -257,6 +258,12 @@ class HuffmanCodec:
             )
 
         if n_distinct == 1:
+            # No payload bits bound a one-symbol stream's length.
+            if n > MAX_DECLARED_ELEMENTS:
+                raise DecompressionError(
+                    f"one-symbol huffman stream declares {n} symbols, over the "
+                    f"cap of {MAX_DECLARED_ELEMENTS}"
+                )
             return np.full(n, int(values[0]), dtype=np.int64)
 
         # Untrusted table: every symbol needs a code, and the lengths must
@@ -309,8 +316,10 @@ class HuffmanCodec:
             # Ascending-length first-match mirrors the scalar slow path.
             esc_win = win64[escapes]
             unresolved = np.ones(escapes.size, dtype=bool)
-            for ln in np.unique(sorted_lens):
-                ln = int(ln)
+            # sorted_lens is ascending, so its distinct lengths are the
+            # first of each run (np.unique would import numpy.ma).
+            starts = np.flatnonzero(np.diff(sorted_lens, prepend=-1))
+            for ln in sorted_lens[starts].tolist():
                 if ln <= PEEK_BITS or ln > MAX_CODE_LENGTH:
                     continue
                 lo = int(np.searchsorted(sorted_lens, ln, side="left"))

@@ -210,8 +210,8 @@ class EnergyMeter:
         lose a whole wrap in the single delta.  Application *lifetimes*
         (checkpointed runs spanning hours) need this variant: every phase is
         cut into sub-wrap windows, each measured on its own node, and the
-        reports are summed — the same per-segment pattern the multi-node
-        campaign's :class:`~repro.cluster.node.NodeModel` uses.
+        reports are summed.  (:class:`~repro.cluster.node.NodeModel` needs no
+        cut: it reads every tick of a phase, so it keeps every wrap.)
         """
         if not all(math.isfinite(ph.duration_s) for ph in phases):
             raise ConfigurationError("phase durations must be finite")

@@ -15,6 +15,9 @@ and the clock is the exact sequential float sum of the tick lengths
 :func:`integrate_phase` is the one copy of those quantum, wrap and clock
 rules: :meth:`SimulatedRapl.advance` runs it on its zones, and
 :class:`~repro.energy.measurement.EnergyMeter` runs it on bare counters.
+:func:`phase_energies` is its array form for phases that are each metered
+on their own from zero (the cluster's node phases): the same quanta, read
+every tick so no wrap is lost, and no clock.
 """
 
 from __future__ import annotations
@@ -31,8 +34,10 @@ from repro.errors import ConfigurationError
 __all__ = [
     "RaplZone",
     "SimulatedRapl",
+    "clock_after",
     "counter_after",
     "integrate_phase",
+    "phase_energies",
     "step_sequence",
 ]
 
@@ -118,11 +123,73 @@ def integrate_phase(
         if tail > 0:
             reading = counter_after(reading, w * tail, 1, max_range)
         counters[p] = reading
+    return watts, clock_after(now, dt, ticks, tail)
+
+
+def clock_after(now: float, dt: float, ticks: int, tail: float) -> float:
+    """The clock after ``ticks`` steps of ``dt`` and a positive ``tail``,
+    by the same float additions as stepping one tick at a time."""
     for chunk in step_sequence(np.add, now, dt, ticks):
         now = float(chunk[-1])
     if tail > 0:
         now += tail
-    return watts, now
+    return now
+
+
+def phase_energies(
+    power: PowerModel,
+    dt: float,
+    active_cores,
+    activity,
+    ticks,
+    tails,
+) -> np.ndarray:
+    """Node joules of each phase, metered on its own from zeroed counters.
+
+    Phase ``i`` takes ``ticks[i]`` steps of ``dt`` seconds, then one
+    ``tails[i]`` step if positive, at ``active_cores[i]`` and
+    ``activity[i]``.  Each package deposits the quanta of
+    :func:`integrate_phase`, ``ticks × quantum + tail quantum`` whole
+    microjoules, with no modulo: the sampler reads the counter every tick
+    and one tick deposits far less than the wrap range, so the walk never
+    loses a wrap.  Below the wrap range every result equals
+    :func:`integrate_phase` bit for bit.  Package power is computed once per
+    distinct ``(cores, activity)`` pair of the phases that take a step; a
+    total past the int64 counter raises ``ConfigurationError``.
+    """
+    if not (math.isfinite(dt) and dt >= 0):
+        raise ConfigurationError("time step must be finite and non-negative")
+    ticks = np.asarray(ticks, dtype=np.int64)
+    tails = np.asarray(tails, dtype=np.float64)
+    if (ticks < 0).any() or (tails < 0).any() or not np.isfinite(tails).all():
+        raise ConfigurationError("cannot advance time backwards")
+    sockets = power.cpu.sockets
+    stepped = (ticks > 0) | (tails > 0)
+    loads: dict[tuple[int, float], int] = {}
+    rows = [
+        loads.setdefault(load, len(loads))
+        for load, step in zip(zip(active_cores, activity), stepped.tolist())
+        if step
+    ]
+    watts = np.zeros((ticks.size, sockets))
+    if rows:
+        table = np.array(
+            [[power.package_power(p, *load) for p in range(sockets)] for load in loads]
+        )
+        watts[stepped] = table[rows]
+    quanta = np.rint(watts * dt * 1e6).astype(np.int64)
+    tail_quanta = np.rint(watts * tails[:, None] * 1e6).astype(np.int64)
+    room = (np.iinfo(np.int64).max - tail_quanta) // np.maximum(quanta, 1)
+    if (ticks[:, None] > room).any():
+        raise ConfigurationError(
+            "phase energy exceeds the int64 microjoule counter"
+        )
+    zones = (ticks[:, None] * quanta + tail_quanta) / 1e6
+    # Eq. 6 sums the zones in package order, as ``sum`` over a report does.
+    joules = zones[:, 0].copy()
+    for p in range(1, sockets):
+        joules += zones[:, p]
+    return joules
 
 
 class RaplZone:

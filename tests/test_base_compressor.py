@@ -60,6 +60,23 @@ class TestFraming:
         with pytest.raises(DecompressionError):
             get_compressor("szx").decompress(b"NOPE" + b"\x00" * 64)
 
+    @pytest.mark.parametrize("codec", ["sz3", "szx", "zfp"])
+    def test_constant_stream_declared_size_is_capped(self, codec):
+        import struct
+
+        from repro.compressors.base import MAX_DECLARED_ELEMENTS
+
+        data = get_compressor(codec).compress(np.full((4, 5), 3.25), 1e-3).data
+        shape_off = 4 + 1 + len(codec) + 1 + 2
+        for shape, ok in (((2**20, 2**20), False), ((MAX_DECLARED_ELEMENTS + 1, 1), False),
+                          ((3, 7), True)):
+            forged = data[:shape_off] + struct.pack("<2Q", *shape) + data[shape_off + 16 :]
+            if ok:
+                assert get_compressor(codec).decompress(forged).shape == shape
+            else:
+                with pytest.raises(DecompressionError, match="cap"):
+                    get_compressor(codec).decompress(forged)
+
     def test_ratio_and_bitrate(self):
         data = np.zeros((64, 64), dtype=np.float32) + 7.5
         buf = compress(data, "szx", 1e-3)

@@ -166,6 +166,116 @@ class TestNodeModel:
         assert node.measure().total_j == 0.0
 
 
+def reference_node_measure(node):
+    """``NodeModel.measure`` as it was: one ``EnergyMeter.measure`` window
+    per phase, joules summed per label in phase order (wraps at the RAPL
+    range, so it is only a reference below it)."""
+    from repro.cluster.node import NodeEnergy
+    from repro.energy import EnergyMeter
+
+    meter = EnergyMeter(
+        node.cpu, sample_interval=node.sample_interval, freq_ghz=node.freq_ghz
+    )
+    by_label: dict[str, float] = {}
+    runtime = 0.0
+    for ph in node._phases:
+        report = meter.measure([ph])
+        by_label[ph.label] = by_label.get(ph.label, 0.0) + report.energy_j
+        runtime += report.runtime_s
+    return NodeEnergy(by_label=by_label, runtime_s=runtime)
+
+
+def reference_measure_node_phases(cpu, nodes, *, sample_interval, freq_ghz=None):
+    """``costs.measure_node_phases`` one node at a time through
+    :func:`reference_node_measure`."""
+    out = []
+    for phases in nodes:
+        node = NodeModel(cpu, sample_interval=sample_interval, freq_ghz=freq_ghz)
+        for phase in phases:
+            node.add_phase(*phase)
+        out.append(dict(reference_node_measure(node).by_label))
+    return out
+
+
+def _node_batches():
+    """(cpu, interval, freq, nodes): catalogue CPUs and a one-socket node,
+    nominal or DVFS-pinned, each node a list of labelled phases including
+    zero, sub-floor and tail-only ones."""
+    from hypothesis import strategies as st
+    from test_energy import INTERVALS, METER_CPUS, _durations
+
+    @st.composite
+    def batch(draw):
+        cpu = draw(st.sampled_from(METER_CPUS))
+        interval = draw(st.sampled_from(INTERVALS + (0.0137,)))
+        freq = draw(st.one_of(st.none(), st.sampled_from(cpu.freq_ladder())))
+        phase = st.tuples(
+            _durations(interval),
+            st.integers(0, 2 * cpu.cores),  # clamped to the node
+            st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False),
+            st.sampled_from(["compress", "write", "idle"]),
+        )
+        nodes = draw(st.lists(st.lists(phase, max_size=6), max_size=5))
+        return cpu, interval, freq, nodes
+
+    return batch()
+
+
+class TestBatchMetering:
+    """``NodeModel.measure`` and ``costs.measure_node_phases`` run the
+    array kernel, bit-identically to the per-phase meter they replaced."""
+
+    def test_node_model_equals_per_phase_meter(self):
+        from hypothesis import given, settings
+
+        @settings(max_examples=200, deadline=None)
+        @given(_node_batches())
+        def check(case):
+            cpu, interval, freq, nodes = case
+            for phases in nodes:
+                node = NodeModel(cpu, sample_interval=interval, freq_ghz=freq)
+                for phase in phases:
+                    node.add_phase(*phase)
+                assert node.measure() == reference_node_measure(node)
+
+        check()
+
+    def test_batch_equals_node_by_node(self):
+        from hypothesis import given, settings
+
+        from repro.cluster.costs import measure_node_phases
+
+        @settings(max_examples=200, deadline=None)
+        @given(_node_batches())
+        def check(case):
+            cpu, interval, freq, nodes = case
+            kw = dict(sample_interval=interval, freq_ghz=freq)
+            assert measure_node_phases(cpu, nodes, **kw) == (
+                reference_measure_node_phases(cpu, nodes, **kw)
+            )
+
+        check()
+
+    @pytest.mark.parametrize(
+        "duration", [-1.0, float("nan"), float("inf"), float("-inf")], ids=repr
+    )
+    def test_bad_duration_rejected(self, duration):
+        from repro.cluster.costs import measure_node_phases
+
+        nodes = [[(0.5, 4, 1.0, "compress")], [(duration, 4, 1.0, "write")]]
+        with pytest.raises(ConfigurationError, match="duration"):
+            measure_node_phases(get_cpu("plat8160"), nodes, sample_interval=0.02)
+
+    def test_long_phase_keeps_every_wrap(self):
+        # 1200 s at full load deposits 324 kJ per zone, past the ~262 kJ
+        # wrap range; every tick is read, so no wrap is lost.
+        node = NodeModel(get_cpu("plat8160"), sample_interval=0.02)
+        node.add_phase(1200.0, 48, 1.0, "compute")
+        energy = node.measure()
+        assert energy.by_label["compute"] == pytest.approx(648_000.0, rel=1e-9)
+        assert energy.runtime_s == pytest.approx(1200.0)
+
+
 def reference_drain_phases(t0, finishes, ranks, transfer_activity):
     """The stepped drain profile walked one rank at a time."""
     phases = []

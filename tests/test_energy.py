@@ -767,3 +767,155 @@ class TestMeterWithoutSimulators:
         monkeypatch.setattr(papi.PapiPowercapMonitor, "__init__", refuse)
         meter = EnergyMeter(get_cpu("plat8260m"))
         assert meter.measure([Phase(0.5, 30), Phase(0.0, 2)]).n_samples == 51
+
+
+# -- the array kernel ----------------------------------------------------------
+
+#: Sampling intervals of the array tick split: the meter default, the
+#: cluster's, and one that is not a short binary fraction.
+SPLIT_INTERVALS = (0.01, 0.02, 0.0137)
+
+
+def _split_durations(interval):
+    """Durations at and under the phantom floor, on exact tick multiples,
+    below one interval, and at ordinary lengths."""
+    from hypothesis import strategies as st
+
+    return st.one_of(
+        _durations(interval),
+        st.sampled_from([0.0, 1e-13, FLOOR, 2 * FLOOR, interval]),
+        st.builds(lambda k: k * interval, st.integers(0, 2000)),
+        st.floats(0.0, interval, allow_nan=False, allow_infinity=False),
+    )
+
+
+class TestTickSplits:
+    """``tick_splits`` equals ``tick_split`` element by element."""
+
+    @staticmethod
+    def _assert_matches(durations, interval):
+        from repro.energy.papi import tick_split, tick_splits
+
+        ticks, tails = tick_splits(durations, interval)
+        want = [tick_split(float(d), interval) for d in durations]
+        assert list(zip(ticks.tolist(), tails.tolist())) == want
+
+    def test_equals_scalar_split(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @st.composite
+        def batch(draw):
+            interval = draw(st.sampled_from(SPLIT_INTERVALS))
+            return draw(st.lists(_split_durations(interval), max_size=60)), interval
+
+        @settings(max_examples=300, deadline=None)
+        @given(batch())
+        def check(case):
+            self._assert_matches(*case)
+
+        check()
+
+    @pytest.mark.parametrize("interval", SPLIT_INTERVALS)
+    def test_past_one_step_chunk(self, interval):
+        from repro.energy.rapl import STEP_CHUNK
+
+        long = (STEP_CHUNK + 1234) * interval
+        durations = [long, long + 0.004, 0.5, 1e-13, 3 * interval, 0.0]
+        self._assert_matches(durations, interval)
+
+    def test_more_phases_than_the_cell_budget(self):
+        from repro.energy.papi import WALK_CELLS
+
+        r = np.random.default_rng(5)
+        self._assert_matches(r.uniform(0.0, 0.3, WALK_CELLS + 7), 0.02)
+
+    def test_walk_memory_is_bounded(self):
+        import tracemalloc
+
+        from repro.energy.papi import WALK_CELLS, tick_splits
+
+        tracemalloc.start()
+        try:
+            ticks, _ = tick_splits([5000.0, 4000.0, 3000.0], 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ticks.tolist()[1] in (399_999, 400_000)
+        assert peak < 3 * WALK_CELLS * 8
+
+    @pytest.mark.parametrize("duration", NON_FINITE + [-0.01], ids=repr)
+    def test_bad_duration_rejected(self, duration):
+        from repro.energy.papi import tick_splits
+
+        exc = _raises_within(5.0, lambda: tick_splits([0.5, duration], 0.01))
+        assert isinstance(exc, ConfigurationError)
+
+    def test_interval_below_float_resolution_rejected(self):
+        from repro.energy.papi import tick_splits
+
+        exc = _raises_within(5.0, lambda: tick_splits([0.5, 1.0], 1e-300))
+        assert isinstance(exc, ConfigurationError)
+
+
+class TestPhaseEnergies:
+    def test_equals_integrate_phase_below_the_wrap(self):
+        from hypothesis import given, settings
+
+        from repro.energy.papi import tick_splits
+        from repro.energy.rapl import integrate_phase, phase_energies
+
+        @settings(max_examples=200, deadline=None)
+        @given(_meter_windows(long_s=3000.0))
+        def check(window):
+            meter, phases = window
+            ticks, tails = tick_splits([ph.duration_s for ph in phases],
+                                       meter.sample_interval)
+            got = phase_energies(
+                meter.power_model, meter.sample_interval,
+                [ph.active_cores for ph in phases], [ph.activity for ph in phases],
+                ticks, tails,
+            )
+            for ph, t, tail, joules in zip(phases, ticks.tolist(), tails.tolist(),
+                                           got.tolist()):
+                # A range no phase here reaches, so nothing wraps.
+                counters = [0] * meter.cpu.sockets
+                integrate_phase(meter.power_model, counters, [1 << 62] * len(counters),
+                                0.0, meter.sample_interval, ph.active_cores,
+                                ph.activity, t, tail)
+                assert joules == sum(c / 1e6 for c in counters)
+
+        check()
+
+    def test_keeps_every_wrap(self):
+        from repro.energy.rapl import DEFAULT_MAX_ENERGY_RANGE_UJ, phase_energies
+
+        cpu = get_cpu("plat8160")
+        (joules,) = phase_energies(PowerModel(cpu), 0.02, [cpu.cores], [1.0],
+                                   [60_000], [0.0])
+        assert joules == pytest.approx(cpu.tdp_w * cpu.sockets * 1200.0, rel=1e-12)
+        assert joules / cpu.sockets > DEFAULT_MAX_ENERGY_RANGE_UJ / 1e6
+
+    def test_power_once_per_distinct_load(self, monkeypatch):
+        from repro.energy.rapl import phase_energies
+
+        calls = []
+        original = PowerModel.package_power
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[:3])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PowerModel, "package_power", counting)
+        cpu = get_cpu("plat8260m")
+        phase_energies(PowerModel(cpu), 0.01, [4, 4, 96, 4, 7], [1.0, 1.0, 0.3, 1.0, 0.5],
+                       [3, 0, 2, 9, 0], [0.0, 0.004, 0.0, 0.001, 0.0])
+        # (7, 0.5) takes no step, so it is never priced.
+        assert len(calls) == 2 * cpu.sockets
+
+    def test_counter_overflow_is_typed(self):
+        from repro.energy.rapl import phase_energies
+
+        cpu = get_cpu("plat8160")
+        with pytest.raises(ConfigurationError, match="int64"):
+            phase_energies(PowerModel(cpu), 0.02, [cpu.cores], [1.0], [1 << 60], [0.0])

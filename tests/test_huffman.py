@@ -129,6 +129,21 @@ class TestCodecObject:
         np.testing.assert_array_equal(c.decode(blob_a), a)
         np.testing.assert_array_equal(c.decode(blob_b), b)
 
+    def test_one_symbol_declared_size_is_capped(self):
+        import struct
+
+        from repro.compressors.base import MAX_DECLARED_ELEMENTS
+
+        blob = huffman_encode(np.full(10, 7, dtype=np.int64))
+        _, n_distinct, bits = struct.unpack_from("<IHI", blob)
+        assert n_distinct == 1
+        for n in (MAX_DECLARED_ELEMENTS + 1, 2**32 - 1):
+            forged = struct.pack("<IHI", n, n_distinct, bits) + blob[10:]
+            with pytest.raises(DecompressionError, match="cap"):
+                huffman_decode(forged)
+        forged = struct.pack("<IHI", 33, n_distinct, bits) + blob[10:]
+        np.testing.assert_array_equal(huffman_decode(forged), np.full(33, 7))
+
     def test_deterministic(self):
         syms = np.array([3, 1, 4, 1, 5, 9, 2, 6] * 10, dtype=np.int64)
         assert huffman_encode(syms) == huffman_encode(syms)

@@ -407,6 +407,55 @@ class TestClassSolverOracle:
         self._assert_equal(fast, ref)
 
 
+class TestOneMeteringPass:
+    """A solve meters every node of every tenant in one
+    ``costs.measure_node_phases`` call, bit-identically to metering each
+    node on its own through the per-phase meter."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.cluster import costs
+
+        seen = []
+        original = costs.measure_node_phases
+
+        def counting(*args, **kwargs):
+            seen.append(len(args[1]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(costs, "measure_node_phases", counting)
+        monkeypatch.setattr(costs, "stepped_node_energy", None)  # never called
+        return seen
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_one_call_per_solve(self, campaign, calls, seed):
+        spec = TestClassSolverOracle._seeded(seed)
+        ratios = {j.name: 4.0 for j in spec.jobs if j.codec}
+        timeline = simulate_cluster(spec, campaign, ratios)
+        # One write node and one lifecycle node per node class.
+        classes = sum(
+            (1 + (j.pre_s > 0)) * ((j.nodes - (j.rem > 0) > 0) + (j.rem > 0))
+            for j in timeline.jobs
+        )
+        assert calls == [classes]
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_equals_node_by_node_meter(self, campaign, monkeypatch, seed):
+        from test_cluster import reference_measure_node_phases
+
+        from repro.cluster import costs
+
+        spec = TestClassSolverOracle._seeded(seed)
+        ratios = {j.name: 4.0 + len(j.name) for j in spec.jobs if j.codec}
+        batched = simulate_cluster(spec, campaign, ratios)
+        monkeypatch.setattr(
+            costs, "measure_node_phases", reference_measure_node_phases
+        )
+        TestClassSolverOracle._assert_equal(
+            batched, simulate_cluster(spec, campaign, ratios)
+        )
+
+
 class TestDedicatedDrainPerClass:
     """``_prepare_jobs`` solves each tenant class's dedicated drain once."""
 
@@ -453,6 +502,16 @@ class TestLifecycle:
         assert job.pre_s == 600.0
         assert job.lifecycle is None
         assert job.lifecycle_energy_j > 0  # compute phase still costs energy
+
+    @pytest.mark.parametrize(
+        "work, joules", [(1200, 648_000.0), (3600, 1_944_000.0)]
+    )
+    def test_compute_past_the_counter_wrap(self, campaign, work, joules):
+        # 48 cores at TDP deposit over the ~262 kJ RAPL wrap range per
+        # zone; the node meter reads every tick, so no wrap is lost.
+        spec = parse_scenario(f"nodes=1; a=ranks:48,work:{work}")
+        job = simulate_cluster(spec, campaign).jobs[0]
+        assert job.lifecycle_energy_j == pytest.approx(joules, rel=1e-9)
 
     def test_failures_stretch_the_compute_phase(self, campaign):
         spec = parse_scenario("nodes=1; a=ranks:48,work:3600,mttf:7200,seed:1")
