@@ -73,11 +73,9 @@ def test_kernel_pfs_solver_tenants(benchmark, ranks):
     assert np.all(finish >= arrivals)
 
 
-def test_kernel_node_energy(benchmark):
-    """Node-energy metering of every tenant of one seeded 300-tenant solve,
-    in one ``costs.measure_node_phases`` batch as the cluster solve meters
-    them."""
-    from repro.cluster import costs
+def _seeded_300_tenant_solve():
+    """A seeded 300-tenant cluster on 150 nodes, its campaign, its ratios
+    and its converged timeline."""
     from repro.cluster.campaign import MultiNodeCampaign
     from repro.cluster.scheduler import ClusterSpec, JobSpec, simulate_cluster
     from repro.energy import get_cpu
@@ -103,11 +101,31 @@ def test_kernel_node_energy(benchmark):
         )
         for i in range(300)
     )
-    timeline = simulate_cluster(
-        ClusterSpec(n_nodes=150, jobs=jobs),
-        campaign,
-        {j.name: ratios[j.codec] for j in jobs if j.codec},
-    )
+    spec = ClusterSpec(n_nodes=150, jobs=jobs)
+    job_ratios = {j.name: ratios[j.codec] for j in jobs if j.codec}
+    return campaign, spec, job_ratios, simulate_cluster(spec, campaign, job_ratios)
+
+
+def test_kernel_schedule_replay(benchmark):
+    """One FIFO + EASY-backfill schedule pass of a seeded 300-tenant solve,
+    on the drains it converged to: the pass reproduces the timeline."""
+    from repro.cluster.scheduler import _prepare_jobs, _run_schedule
+
+    campaign, spec, ratios, timeline = _seeded_300_tenant_solve()
+    states = _prepare_jobs(spec, campaign, ratios)
+    drains = {j.spec.name: j.finish_s - j.t0 for j in timeline.jobs}
+    starts, arrivals, _ = benchmark(_run_schedule, spec, states, drains)
+    assert starts == {j.spec.name: j.start_s for j in timeline.jobs}
+    assert arrivals == {j.spec.name: j.t0 for j in timeline.jobs}
+
+
+def test_kernel_node_energy(benchmark):
+    """Node-energy metering of every tenant of one seeded 300-tenant solve,
+    in one ``costs.measure_node_phases`` batch as the cluster solve meters
+    them."""
+    from repro.cluster import costs
+
+    campaign, _, _, timeline = _seeded_300_tenant_solve()
     transfer_activity = campaign.io.cost.transfer_activity
 
     def meter_tenants():

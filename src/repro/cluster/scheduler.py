@@ -4,9 +4,9 @@ The campaign layer prices one job on a dedicated allocation; this module
 scales it to a machine: a declarative :class:`ClusterSpec` describes the
 cluster (node count) and its tenant :class:`JobSpec` s (the model is
 proto2testbed's ``testbed.json`` — one declarative document drives the whole
-experiment topology), a FIFO + EASY-backfill scheduler runs as a generator
-process on the deterministic :class:`~repro.cluster.events.EventLoop`, and
-every tenant's output dump enters **one** cluster-wide
+experiment topology), a FIFO + EASY-backfill scheduler replays the
+allocation deterministically on a plain event heap, and every tenant's
+output dump enters **one** cluster-wide
 :func:`~repro.iolib.pfs.fair_share_schedule` solve, so concurrent writers
 contend for the same OST aggregate the paper's Fig. 12 saturates.
 
@@ -22,9 +22,10 @@ Because job start times depend on write durations (nodes free when drains
 end) while write durations depend on which jobs overlap (the global
 fair-share solve), the simulation runs a fixed-point iteration: write
 durations seed from dedicated-run estimates, each pass replays the full
-event-loop schedule and re-solves the global PFS model with the observed
-arrival times, and the loop stops when the schedule reproduces itself —
-for a single tenant that happens immediately.  A one-tenant solve is how
+schedule and re-solves the global PFS model with the observed arrival
+times, and the loop stops when the schedule reproduces itself — for a
+single tenant that happens on the second pass, which keeps the first
+pass's solve since its input is the same.  A one-tenant solve is how
 :meth:`MultiNodeCampaign.run` prices every Fig. 12 point.
 
 Scenario matrices are generated SimBricks-style — nested loops over the
@@ -35,6 +36,7 @@ documented in ``docs/user-guide/cluster.md``).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -43,7 +45,6 @@ import numpy as np
 
 from repro.cluster import costs
 from repro.cluster.campaign import MultiNodeCampaign
-from repro.cluster.events import EventLoop
 from repro.energy.measurement import Interval
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.trace import active_tracer
@@ -112,6 +113,16 @@ class JobSpec:
         object.__setattr__(self, "seed", int(self.seed))
         if self.codec is not None and not self.codec:
             object.__setattr__(self, "codec", None)
+        # The schedule replay adds these as delays and the cost model prices
+        # them: a NaN or infinite value would order the event heap wrongly
+        # or reach the PFS solver.  (An infinite MTTF is the no-failure
+        # default.)
+        for field in ("rel_bound", "submit_s", "work_s", "downtime_s"):
+            value = getattr(self, field)
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"job {self.name!r}: {field} must be finite, got {value!r}"
+                )
         if self.rel_bound <= 0:
             raise ConfigurationError(f"job {self.name!r}: rel_bound must be positive")
         if self.submit_s < 0:
@@ -395,7 +406,7 @@ class _JobState:
     t_comp: float
     t_serialize: float
     out_bytes: int
-    cpu_s: float  # t_comp + t_serialize, one event-loop delay
+    cpu_s: float  # t_comp + t_serialize, one schedule delay
     pre_s: float
     lifecycle: LifecycleStats | None
     dedicated_drain_s: float  # write drain alone on the machine (est. seed)
@@ -500,6 +511,12 @@ def _prepare_jobs(
     return states
 
 
+# Heap-entry kinds of the schedule replay: a submission, a scheduler
+# wake-up, and a job's stages in the order they follow one another, each
+# entered when the delay before it has elapsed.
+_SUBMIT, _SCHED, _GRANTED, _COMPUTED, _PREPARED, _DRAINED = range(6)
+
+
 def _run_schedule(
     cluster: ClusterSpec,
     states: list[_JobState],
@@ -509,43 +526,50 @@ def _run_schedule(
 
     ``drains`` carries each job's write-drain duration for this pass (from
     the previous global PFS solve).  Returns per-job start times, the
-    absolute PFS arrival times the event loop actually produced, and the
-    backfill flags.  Node-release times use this pass's drains; backfill
-    *reservations* use the fixed dedicated-run walltime estimates
-    (``est_s``) — like user-provided walltimes on a real machine, they may
-    be overrun under contention.
+    absolute PFS arrival times the replay produced, and the backfill flags.
+    Node-release times use this pass's drains; backfill *reservations* use
+    the fixed dedicated-run walltime estimates (``est_s``) — like
+    user-provided walltimes on a real machine, they may be overrun under
+    contention.
+
+    The replay is a heap of ``(time, seq, kind, job)`` entries: one per
+    delay a job waits through (submission, grant, compute, compress and
+    serialize, drain) and one per scheduler wake-up.  Times advance as
+    ``now + delay``, one delay at a time, and ``seq`` grows with every push,
+    so entries at equal times run in push order: submissions in job order,
+    granted jobs in grant order, and the scheduler after every entry
+    already queued for its wake-up time.
     """
-    loop = EventLoop()
-    by_name = {st.spec.name: st for st in states}
-    alloc = {name: st.nodes for name, st in by_name.items()}
-    state = {"free": cluster.n_nodes, "wake": None, "granted": 0}
+    names = [st.spec.name for st in states]
+    index = {name: i for i, name in enumerate(names)}
+    alloc = {st.spec.name: st.nodes for st in states}
+    est = {st.spec.name: st.est_s for st in states}
+    free = cluster.n_nodes
+    granted = 0
+    waiting = False  # the scheduler sleeps until a submit or a release
     queue: list[str] = []  # job names, FIFO by arrival
+    running: dict[str, float] = {}  # name -> estimated end, for reservations
     starts: dict[str, float] = {}
     arrivals: dict[str, float] = {}
     backfilled: dict[str, bool] = {}
-    grants = {st.spec.name: loop.event(f"grant:{st.spec.name}") for st in states}
-
-    def notify():
-        ev = state["wake"]
-        if ev is not None:
-            state["wake"] = None
-            ev.fire()
+    heap: list[tuple[float, int, int, int]] = []
+    seq = itertools.count()
+    now = 0.0
 
     def grant(name: str, backfill: bool):
-        state["free"] -= alloc[name]
-        state["granted"] += 1
+        nonlocal free, granted
+        free -= alloc[name]
+        granted += 1
         backfilled[name] = backfill
         # Reservation bookkeeping sees the fixed walltime estimate.
-        running[name] = loop.now + by_name[name].est_s
-        grants[name].fire()
-
-    running: dict[str, float] = {}  # name -> estimated end, for reservations
+        running[name] = now + est[name]
+        heapq.heappush(heap, (now, next(seq), _GRANTED, index[name]))
 
     def try_schedule():
         progress = True
         while progress:
             progress = False
-            while queue and alloc[queue[0]] <= state["free"]:
+            while queue and alloc[queue[0]] <= free:
                 grant(queue.pop(0), backfill=False)
                 progress = True
             if not queue:
@@ -553,7 +577,7 @@ def _run_schedule(
             head = queue[0]
             # EASY reservation: find the shadow time when the head fits,
             # accumulating releases in estimated-end order.
-            avail = state["free"]
+            avail = free
             shadow = None
             extra = 0
             for end, name in sorted((running[n], n) for n in running):
@@ -565,53 +589,61 @@ def _run_schedule(
             if shadow is None:
                 return  # nothing running frees enough (cannot happen: validated)
             for cand in queue[1:]:
-                fits_now = alloc[cand] <= state["free"]
-                harmless = (
-                    loop.now + by_name[cand].est_s <= shadow + 1e-9
-                    or alloc[cand] <= extra
-                )
+                fits_now = alloc[cand] <= free
+                harmless = now + est[cand] <= shadow + 1e-9 or alloc[cand] <= extra
                 if fits_now and harmless:
                     queue.remove(cand)
                     grant(cand, backfill=True)
                     progress = True
                     break  # re-derive the reservation with the new state
 
-    def submitter(st: _JobState):
-        if st.spec.submit_s > 0:
-            yield st.spec.submit_s
-        queue.append(st.spec.name)
-        notify()
+    def notify():
+        nonlocal waiting
+        if waiting:
+            waiting = False
+            heapq.heappush(heap, (now, next(seq), _SCHED, -1))
 
-    def job_proc(st: _JobState):
-        name = st.spec.name
-        yield grants[name]
-        starts[name] = loop.now
-        if st.pre_s > 0:
-            yield st.pre_s
-        if st.cpu_s > 0:
-            yield st.cpu_s
-        arrivals[name] = loop.now  # the flows enter the PFS here
-        drain = drains[name]
-        if drain > 0:
-            yield drain
-        state["free"] += alloc[name]
+    # Jobs submitted at t=0 are queued, in job order, before the
+    # scheduler's first entry; later submissions wait on the heap.
+    for i, st in enumerate(states):
+        if st.spec.submit_s > 0:
+            heapq.heappush(heap, (st.spec.submit_s, next(seq), _SUBMIT, i))
+        else:
+            queue.append(names[i])
+    heapq.heappush(heap, (0.0, next(seq), _SCHED, -1))
+
+    while heap:
+        now, _, kind, i = heapq.heappop(heap)
+        if kind == _SUBMIT:
+            queue.append(names[i])
+            notify()
+            continue
+        if kind == _SCHED:
+            try_schedule()
+            waiting = granted < len(states)
+            continue
+        st = states[i]
+        name = names[i]
+        if kind == _GRANTED:
+            starts[name] = now
+            if st.pre_s > 0:
+                heapq.heappush(heap, (now + st.pre_s, next(seq), _COMPUTED, i))
+                continue
+            kind = _COMPUTED
+        if kind == _COMPUTED:
+            if st.cpu_s > 0:
+                heapq.heappush(heap, (now + st.cpu_s, next(seq), _PREPARED, i))
+                continue
+            kind = _PREPARED
+        if kind == _PREPARED:
+            arrivals[name] = now  # the flows enter the PFS here
+            drain = drains[name]
+            if drain > 0:
+                heapq.heappush(heap, (now + drain, next(seq), _DRAINED, i))
+                continue
+        free += alloc[name]
         running.pop(name, None)
         notify()
-
-    def sched_proc():
-        while state["granted"] < len(states):
-            try_schedule()
-            if state["granted"] >= len(states):
-                break
-            ev = loop.event("sched:wake")
-            state["wake"] = ev
-            yield ev
-
-    for st in states:
-        loop.spawn(submitter(st), name=f"submit:{st.spec.name}")
-        loop.spawn(job_proc(st), name=f"job:{st.spec.name}")
-    loop.spawn(sched_proc(), name="scheduler")
-    loop.run()
     if len(starts) != len(states):  # pragma: no cover - defensive
         raise SimulationError("cluster schedule did not grant every job")
     return starts, arrivals, backfilled
@@ -652,15 +684,22 @@ def simulate_cluster(
 
     for iteration in range(1, MAX_FIXED_POINT_ITERATIONS + 1):
         starts, arrivals, backfilled = _run_schedule(spec, states, drains)
-        # One cluster-wide fair-share solve: every tenant's rank flows,
-        # staggered by when the schedule actually released them.
-        arrive = np.repeat(np.array([arrivals[n] for n in names]), tenant_ranks)
-        finish = campaign.pfs.concurrent_write_times(
-            sizes, efficiency=eff, arrivals=arrive
+        # Arrivals are a function of starts, so a repeated schedule would
+        # hand the PFS solve last pass's input and get last pass's finish
+        # times back bit for bit: keep those instead of solving again.
+        converged = prev_starts is not None and all(
+            starts[n] == prev_starts[n] for n in names
         )
-        finish = finish + open_latency
-        ends = np.maximum.reduceat(finish, offsets).tolist()
-        drains = {n: end - arrivals[n] for n, end in zip(names, ends)}
+        if not converged:
+            # One cluster-wide fair-share solve: every tenant's rank flows,
+            # staggered by when the schedule actually released them.
+            arrive = np.repeat(np.array([arrivals[n] for n in names]), tenant_ranks)
+            finish = campaign.pfs.concurrent_write_times(
+                sizes, efficiency=eff, arrivals=arrive
+            )
+            finish = finish + open_latency
+            ends = np.maximum.reduceat(finish, offsets).tolist()
+            drains = {n: end - arrivals[n] for n, end in zip(names, ends)}
         tracer = active_tracer()
         if tracer is not None:
             # One virtual span per fixed-point pass, covering the schedule
@@ -670,9 +709,7 @@ def simulate_cluster(
                 f"pass:{iteration}", "fixed-point", 0.0, float(finish.max()),
                 iteration=iteration,
             )
-        if prev_starts is not None and all(
-            starts[n] == prev_starts[n] for n in names
-        ):
+        if converged:
             break
         prev_starts = starts
     else:

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, find, given, settings
+from hypothesis import strategies as hst
 
 from repro.cluster import (
     ClusterSpec,
@@ -23,9 +25,125 @@ from repro.cluster import (
     scenario_matrix,
     simulate_cluster,
 )
+from repro.cluster import scheduler
+from repro.cluster.scheduler import _JobState
+from repro.cluster.events import EventLoop
 from repro.energy import get_cpu
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.iolib import PFSModel, get_io_library, pfs
+from repro.obs import tracing
+
+
+def reference_run_schedule(
+    cluster: ClusterSpec,
+    states: list[_JobState],
+    drains: dict[str, float],
+) -> tuple[dict[str, float], dict[str, float], dict[str, bool]]:
+    """The schedule pass as generator processes on the :class:`EventLoop`.
+
+    The replay ``scheduler._run_schedule`` is checked against, entry for
+    entry: same starts, PFS arrivals and backfill flags on any input.
+    """
+    loop = EventLoop()
+    by_name = {st.spec.name: st for st in states}
+    alloc = {name: st.nodes for name, st in by_name.items()}
+    state = {"free": cluster.n_nodes, "wake": None, "granted": 0}
+    queue: list[str] = []  # job names, FIFO by arrival
+    starts: dict[str, float] = {}
+    arrivals: dict[str, float] = {}
+    backfilled: dict[str, bool] = {}
+    grants = {st.spec.name: loop.event(f"grant:{st.spec.name}") for st in states}
+
+    def notify():
+        ev = state["wake"]
+        if ev is not None:
+            state["wake"] = None
+            ev.fire()
+
+    def grant(name: str, backfill: bool):
+        state["free"] -= alloc[name]
+        state["granted"] += 1
+        backfilled[name] = backfill
+        # Reservation bookkeeping sees the fixed walltime estimate.
+        running[name] = loop.now + by_name[name].est_s
+        grants[name].fire()
+
+    running: dict[str, float] = {}  # name -> estimated end, for reservations
+
+    def try_schedule():
+        progress = True
+        while progress:
+            progress = False
+            while queue and alloc[queue[0]] <= state["free"]:
+                grant(queue.pop(0), backfill=False)
+                progress = True
+            if not queue:
+                return
+            head = queue[0]
+            # EASY reservation: find the shadow time when the head fits,
+            # accumulating releases in estimated-end order.
+            avail = state["free"]
+            shadow = None
+            extra = 0
+            for end, name in sorted((running[n], n) for n in running):
+                avail += alloc[name]
+                if avail >= alloc[head]:
+                    shadow = end
+                    extra = avail - alloc[head]
+                    break
+            if shadow is None:
+                return  # nothing running frees enough (cannot happen: validated)
+            for cand in queue[1:]:
+                fits_now = alloc[cand] <= state["free"]
+                harmless = (
+                    loop.now + by_name[cand].est_s <= shadow + 1e-9
+                    or alloc[cand] <= extra
+                )
+                if fits_now and harmless:
+                    queue.remove(cand)
+                    grant(cand, backfill=True)
+                    progress = True
+                    break  # re-derive the reservation with the new state
+
+    def submitter(st: _JobState):
+        if st.spec.submit_s > 0:
+            yield st.spec.submit_s
+        queue.append(st.spec.name)
+        notify()
+
+    def job_proc(st: _JobState):
+        name = st.spec.name
+        yield grants[name]
+        starts[name] = loop.now
+        if st.pre_s > 0:
+            yield st.pre_s
+        if st.cpu_s > 0:
+            yield st.cpu_s
+        arrivals[name] = loop.now  # the flows enter the PFS here
+        drain = drains[name]
+        if drain > 0:
+            yield drain
+        state["free"] += alloc[name]
+        running.pop(name, None)
+        notify()
+
+    def sched_proc():
+        while state["granted"] < len(states):
+            try_schedule()
+            if state["granted"] >= len(states):
+                break
+            ev = loop.event("sched:wake")
+            state["wake"] = ev
+            yield ev
+
+    for st in states:
+        loop.spawn(submitter(st), name=f"submit:{st.spec.name}")
+        loop.spawn(job_proc(st), name=f"job:{st.spec.name}")
+    loop.spawn(sched_proc(), name="scheduler")
+    loop.run()
+    if len(starts) != len(states):  # pragma: no cover - defensive
+        raise SimulationError("cluster schedule did not grant every job")
+    return starts, arrivals, backfilled
 
 
 @pytest.fixture(scope="module")
@@ -120,11 +238,39 @@ class TestSpecValidation:
             dict(work_s=-5.0),
             dict(mttf_s=0.0),
             dict(downtime_s=-1.0),
+            dict(mttf_s=math.nan),
+            # Non-finite values: the schedule replay adds them as delays.
+            *(
+                {field: value}
+                for field in ("rel_bound", "submit_s", "work_s", "downtime_s")
+                for value in (math.nan, math.inf, -math.inf)
+            ),
         ],
     )
     def test_bad_job_parameters_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
+        (field,) = kwargs
+        with pytest.raises(ConfigurationError, match=f"job 'a': {field}"):
             JobSpec(name="a", ranks=8, **kwargs)
+
+    def test_infinite_mttf_is_the_default(self):
+        assert JobSpec(name="a", ranks=8, mttf_s=math.inf) == JobSpec(name="a", ranks=8)
+
+    @pytest.mark.parametrize(
+        "attr, field",
+        [
+            ("submit:nan", "submit_s"),
+            ("submit:inf", "submit_s"),
+            ("work:nan", "work_s"),
+            ("work:inf", "work_s"),
+            ("bound:nan", "rel_bound"),
+            ("downtime:nan", "downtime_s"),
+            ("downtime:inf", "downtime_s"),
+        ],
+    )
+    def test_non_finite_scenario_values_rejected(self, attr, field):
+        message = f"job 'a': {field} must be finite"
+        with pytest.raises(ConfigurationError, match=message):
+            parse_scenario(f"nodes=2; a=ranks:8,codec:szx,{attr}")
 
     def test_bad_job_names_rejected(self):
         for name in ("", "a;b", "a,b", "a=b", "a:b", "a b"):
@@ -405,6 +551,160 @@ class TestClassSolverOracle:
     def test_scenario_timeline(self, campaign, monkeypatch, text):
         fast, ref = self._solve_both(parse_scenario(text), campaign, monkeypatch)
         self._assert_equal(fast, ref)
+
+
+def _schedule(n_nodes, rows):
+    """A cluster, its job states and one pass's drains, one job per row of
+    ``(submit_s, nodes, pre_s, cpu_s, est_s, drain)``."""
+    states, drains = [], {}
+    for i, (submit_s, nodes, pre_s, cpu_s, est_s, drain) in enumerate(rows):
+        spec = JobSpec(name=f"j{i}", ranks=1, submit_s=submit_s, work_s=pre_s)
+        states.append(
+            _JobState(
+                spec=spec,
+                nodes=nodes,
+                rpn=1,
+                rem=0,
+                t_comp=cpu_s,
+                t_serialize=0.0,
+                out_bytes=1,
+                cpu_s=cpu_s,
+                pre_s=pre_s,
+                lifecycle=None,
+                dedicated_drain_s=0.0,
+                est_s=est_s,
+            )
+        )
+        drains[spec.name] = drain
+    cluster = ClusterSpec(n_nodes=n_nodes, jobs=tuple(st.spec for st in states))
+    return cluster, states, drains
+
+
+@hst.composite
+def small_schedules(draw):
+    """Integer submit times, a few shared estimates and drains, and zero
+    compute, compress and drain phases put many entries at equal times;
+    jobs may need the whole machine, and narrow ones queue behind them."""
+    n_nodes = draw(hst.integers(1, 4))
+    row = hst.tuples(
+        hst.integers(0, 4),
+        hst.one_of(hst.just(n_nodes), hst.integers(1, n_nodes)),
+        hst.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0)),
+        hst.sampled_from((0.0, 0.25, 1.0)),
+        hst.sampled_from((0.0, 1.0, 2.0, 4.0, 8.0)),
+        hst.one_of(
+            hst.sampled_from((0.0, 0.5, 1.0, 2.0)),
+            hst.floats(0.0, 5.0, allow_nan=False),
+        ),
+    )
+    return _schedule(n_nodes, draw(hst.lists(row, min_size=1, max_size=8)))
+
+
+class TestScheduleReplay:
+    """``_run_schedule`` replays the generator schedule on a plain event
+    heap: same starts, arrivals and backfill flags, ties included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(small_schedules())
+    # A release and a submission at t=1: both run before the scheduler
+    # wakes, so the whole-machine head is granted and j2 does not backfill.
+    @example(
+        _schedule(
+            3,
+            [
+                (0, 2, 0.0, 1.0, 2.0, 0.0),
+                (0, 3, 2.0, 1.0, 0.0, 0.0),
+                (1, 1, 2.0, 1.0, 1.0, 1.0),
+            ],
+        )
+    )
+    def test_equals_event_loop_schedule(self, schedule):
+        replay = scheduler._run_schedule(*schedule)
+        reference = reference_run_schedule(*schedule)
+        assert replay == reference
+        # Same processing order too: jobs granted, started and released
+        # at equal times go in the same sequence.
+        assert [list(d) for d in replay] == [list(d) for d in reference]
+
+    def test_generated_schedules_backfill_and_tie(self):
+        # The property above sees backfills and jobs granted at the same
+        # instant as a release, not only plain FIFO runs.
+        def backfills(schedule):
+            return any(reference_run_schedule(*schedule)[2].values())
+
+        def ties(schedule):
+            starts, arrivals, _ = reference_run_schedule(*schedule)
+            ends = {arrivals[n] + schedule[2][n] for n in arrivals}
+            return any(starts[n] > 0 and starts[n] in ends for n in starts)
+
+        for condition in (backfills, ties):
+            find(
+                small_schedules(),
+                condition,
+                settings=settings(
+                    max_examples=2000,
+                    derandomize=True,
+                    deadline=None,
+                    phases=(Phase.generate,),
+                ),
+            )
+
+    @pytest.mark.parametrize("seed, n", [(1, 24), (2, 24), (7, 24), (2, 300)])
+    def test_seeded_timeline_equals_event_loop(self, campaign, monkeypatch, seed, n):
+        spec = TestClassSolverOracle._seeded(seed, n)
+        ratios = {j.name: 4.0 + len(j.name) for j in spec.jobs if j.codec}
+        replay = simulate_cluster(spec, campaign, ratios)
+        monkeypatch.setattr(scheduler, "_run_schedule", reference_run_schedule)
+        TestClassSolverOracle._assert_equal(
+            replay, simulate_cluster(spec, campaign, ratios)
+        )
+        assert any(j.backfilled for j in replay.jobs)
+
+
+class TestFixedPoint:
+    """The confirming pass reuses the previous PFS solve; the pass count and
+    the iteration cap keep their meaning."""
+
+    @staticmethod
+    def _spec():
+        # No lifecycles (their restart pricing solves the PFS too); this
+        # scenario takes three passes.
+        seeded = TestClassSolverOracle._seeded(1)
+        jobs = tuple(dataclasses.replace(j, mttf_s=math.inf) for j in seeded.jobs)
+        spec = dataclasses.replace(seeded, jobs=jobs)
+        return spec, {j.name: 4.0 + len(j.name) for j in jobs if j.codec}
+
+    def test_confirming_pass_skips_the_solve(self, campaign, monkeypatch):
+        spec, ratios = self._spec()
+        states = scheduler._prepare_jobs(spec, campaign, ratios)
+        classes = len({(st.spec.ranks, st.out_bytes, st.cpu_s) for st in states})
+        solves = []
+        original = PFSModel.concurrent_write_times
+
+        def counting(self, *args, **kwargs):
+            solves.append(len(args[0]))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PFSModel, "concurrent_write_times", counting)
+        with tracing() as tracer:
+            timeline = simulate_cluster(spec, campaign, ratios)
+        assert timeline.iterations >= 3
+        assert len(solves) == timeline.iterations - 1 + classes
+        passes = [s for s in tracer.spans if s.track == "fixed-point"]
+        assert [s.name for s in passes] == [
+            f"pass:{i}" for i in range(1, timeline.iterations + 1)
+        ]
+        # The confirming pass spans the horizon of the solve it reused.
+        assert passes[-1].t1 == passes[-2].t1 == timeline.makespan_s
+
+    def test_iteration_cap(self, campaign, monkeypatch):
+        spec, ratios = self._spec()
+        iterations = simulate_cluster(spec, campaign, ratios).iterations
+        monkeypatch.setattr(scheduler, "MAX_FIXED_POINT_ITERATIONS", iterations)
+        assert simulate_cluster(spec, campaign, ratios).iterations == iterations
+        monkeypatch.setattr(scheduler, "MAX_FIXED_POINT_ITERATIONS", iterations - 1)
+        with pytest.raises(SimulationError, match="did not reach a fixed point"):
+            simulate_cluster(spec, campaign, ratios)
 
 
 class TestOneMeteringPass:
