@@ -62,15 +62,21 @@ def test_kernel_pfs_solver(benchmark):
 
 @pytest.mark.parametrize("ranks", (56, 112, 224))
 def test_kernel_pfs_solver_tenants(benchmark, ranks):
-    """The input the cluster solve serves: 300 tenants, each a run of
-    ``ranks`` identical flows (one size, one arrival per tenant)."""
+    """The input the cluster solve serves: 300 tenant classes of ``ranks``
+    identical flows each (one size, one arrival per tenant), equal bit for
+    bit to the per-flow solve of the expanded arrays."""
     from repro.iolib.pfs import fair_share_schedule
 
     r = np.random.default_rng(1)
-    arrivals = np.repeat(np.sort(r.uniform(0, 600, 300)), ranks)
-    sizes = np.repeat(r.uniform(1e7, 1e9, 300), ranks)
-    finish = benchmark(fair_share_schedule, arrivals, sizes, 1000.0, 4000.0)
+    arrivals = np.sort(r.uniform(0, 600, 300))
+    sizes = r.uniform(1e7, 1e9, 300)
+    counts = np.full(300, ranks)
+    finish = benchmark(fair_share_schedule, arrivals, sizes, 1000.0, 4000.0, counts)
     assert np.all(finish >= arrivals)
+    per_flow = fair_share_schedule(
+        np.repeat(arrivals, ranks), np.repeat(sizes, ranks), 1000.0, 4000.0
+    )
+    assert np.repeat(finish, ranks).tobytes() == per_flow.tobytes()
 
 
 def _seeded_300_tenant_solve():
@@ -131,8 +137,7 @@ def test_kernel_node_energy(benchmark):
     def meter_tenants():
         batch = []
         for job in timeline.jobs:
-            # The class solver finishes every rank of a tenant together.
-            finishes = np.full(job.spec.ranks, job.finish_s)
+            # Every rank of a tenant finishes its flow at the job's finish.
             for ranks, _ in costs.node_classes(job.nodes, job.ranks_per_node, job.rem):
                 batch.append(
                     costs.write_phases(
@@ -140,7 +145,7 @@ def test_kernel_node_energy(benchmark):
                         t_comp=job.t_comp,
                         t_serialize=job.t_serialize,
                         t0=job.t0,
-                        finishes=finishes[:ranks],
+                        finish=job.finish_s,
                         transfer_activity=transfer_activity,
                     )
                 )

@@ -181,14 +181,16 @@ class MultiNodeCampaign:
 
         Every rank fetches its last checkpoint concurrently through the
         fair-share PFS model (reads share the write fabric model — the
-        conservative choice) and then decompresses it locally.
+        conservative choice), as one class of ``n_ranks`` equal flows, and
+        then decompresses it locally.
         """
         cost = self.io.cost
-        finish = self.pfs.concurrent_write_times(
-            np.full(n_ranks, float(out_bytes)),
+        (finish,) = self.pfs.concurrent_write_times(
+            np.array([float(out_bytes)]),
             efficiency=cost.bandwidth_efficiency,
+            counts=np.array([n_ranks]),
         )
-        fetch_s = float(finish.max()) + cost.open_latency_s
+        fetch_s = float(finish) + cost.open_latency_s
         if codec is None:
             return fetch_s
         return fetch_s + self.throughput.runtime(

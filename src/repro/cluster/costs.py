@@ -69,17 +69,19 @@ def write_phases(
     t_comp: float,
     t_serialize: float,
     t0: float,
-    finishes: np.ndarray,
+    finish: float,
     transfer_activity: float,
 ) -> list[PhaseTuple]:
     """One node of the plain write campaign: it compresses on all ranks,
-    serializes, then drains its flows through the stepped profile of
-    :func:`drain_phases`."""
+    serializes, then drains its flows, which entered the PFS at ``t0`` as
+    one flow class and all complete at ``finish`` — the single segment
+    :func:`drain_phases` yields for equal finish times."""
     phases: list[PhaseTuple] = [
         (t_comp, ranks, 1.0, "compress"),
         (t_serialize, ranks, 1.0, "write"),
     ]
-    phases.extend(drain_phases(t0, finishes, ranks, transfer_activity))
+    if finish - t0 > 1e-9:
+        phases.append((finish - t0, ranks, transfer_activity, "write"))
     return phases
 
 
@@ -136,16 +138,14 @@ def stepped_node_energy(
     sample_interval: float,
     freq_ghz: float | None = None,
 ) -> tuple[float, float]:
-    """(compress J, write J) of one node running the plain write campaign
-    (:func:`write_phases`)."""
-    phases = write_phases(
-        ranks=ranks,
-        t_comp=t_comp,
-        t_serialize=t_serialize,
-        t0=t0,
-        finishes=finishes,
-        transfer_activity=transfer_activity,
-    )
+    """(compress J, write J) of one node running the plain write campaign,
+    its flows finishing at ``finishes`` (the stepped :func:`drain_phases`
+    profile)."""
+    phases: list[PhaseTuple] = [
+        (t_comp, ranks, 1.0, "compress"),
+        (t_serialize, ranks, 1.0, "write"),
+        *drain_phases(t0, finishes, ranks, transfer_activity),
+    ]
     (by_label,) = measure_node_phases(
         cpu, [phases], sample_interval=sample_interval, freq_ghz=freq_ghz
     )

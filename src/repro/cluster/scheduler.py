@@ -15,8 +15,9 @@ per-tenant checkpoint/failure lifecycle from
 :mod:`repro.workloads.lifecycle` when an MTTF is configured), compress and
 serialize the output on every rank (priced by the campaign's per-rank cost
 kernel, :meth:`~repro.cluster.campaign.MultiNodeCampaign.write_prelude`),
-then push one flow per rank into the shared PFS and hold the nodes until
-the fair-share drain completes.
+then push one flow per rank into the shared PFS — one flow class per
+tenant, whose ranks all finish together — and hold the nodes until the
+fair-share drain completes.
 
 Because job start times depend on write durations (nodes free when drains
 end) while write durations depend on which jobs overlap (the global
@@ -449,13 +450,13 @@ def _prepare_jobs(
         # fixed point and prices the backfill walltime estimate.
         key = (job.ranks, out_bytes, cpu_s)
         if key not in drains:
-            solo = campaign.pfs.concurrent_write_times(
-                np.full(job.ranks, out_bytes, dtype=np.float64),
+            (solo,) = campaign.pfs.concurrent_write_times(
+                np.array([out_bytes], dtype=np.float64),
                 efficiency=campaign.io.cost.bandwidth_efficiency,
-                arrivals=np.full(job.ranks, cpu_s),
+                arrivals=np.array([cpu_s]),
+                counts=np.array([job.ranks]),
             )
-            solo = solo + campaign.io.cost.open_latency_s
-            drains[key] = float(solo.max()) - cpu_s
+            drains[key] = float(solo + campaign.io.cost.open_latency_s) - cpu_s
         dedicated_drain = drains[key]
 
         lifecycle = None
@@ -668,14 +669,9 @@ def simulate_cluster(
     open_latency = campaign.io.cost.open_latency_s
     names = [st.spec.name for st in states]
 
+    # One flow class per tenant: its ranks push equal flows at one arrival.
     tenant_ranks = np.array([st.spec.ranks for st in states])
-    offsets = np.cumsum(tenant_ranks) - tenant_ranks  # each tenant's first flow
-    # Every tenant's rank flows, in tenant order: one run of equal flows
-    # per tenant, which the fair-share solver collapses into one class.
-    sizes = np.repeat(
-        np.array([st.out_bytes for st in states], dtype=np.float64),
-        tenant_ranks,
-    )
+    sizes = np.array([st.out_bytes for st in states], dtype=np.float64)
     drains = {st.spec.name: st.dedicated_drain_s for st in states}
     prev_starts: dict[str, float] | None = None
     starts: dict[str, float] = {}
@@ -693,12 +689,13 @@ def simulate_cluster(
         if not converged:
             # One cluster-wide fair-share solve: every tenant's rank flows,
             # staggered by when the schedule actually released them.
-            arrive = np.repeat(np.array([arrivals[n] for n in names]), tenant_ranks)
             finish = campaign.pfs.concurrent_write_times(
-                sizes, efficiency=eff, arrivals=arrive
+                sizes,
+                efficiency=eff,
+                arrivals=np.array([arrivals[n] for n in names]),
+                counts=tenant_ranks,
             )
-            finish = finish + open_latency
-            ends = np.maximum.reduceat(finish, offsets).tolist()
+            ends = (finish + open_latency).tolist()  # one finish per tenant
             drains = {n: end - arrivals[n] for n, end in zip(names, ends)}
         tracer = active_tracer()
         if tracer is not None:
@@ -706,7 +703,7 @@ def simulate_cluster(
             # horizon that pass computed — successive passes visualise the
             # solve converging.
             tracer.add_span(
-                f"pass:{iteration}", "fixed-point", 0.0, float(finish.max()),
+                f"pass:{iteration}", "fixed-point", 0.0, max(ends),
                 iteration=iteration,
             )
         if converged:
@@ -725,26 +722,20 @@ def simulate_cluster(
     # phases with its own rank count (down windows stay zero-core idle).
     activity = campaign.io.cost.transfer_activity
     batch: list[list[costs.PhaseTuple]] = []
-    for st, offset in zip(states, offsets.tolist()):
-        finishes = finish[offset : offset + st.spec.ranks]
+    for st, end in zip(states, ends):
         intervals = (
             st.lifecycle.intervals
             if st.lifecycle is not None
             else (Interval(0.0, st.pre_s, 1, 1.0, "compute"),)
         )
         for ranks, _ in costs.node_classes(st.nodes, st.rpn, st.rem):
-            picked = (
-                finishes[:ranks]
-                if ranks == st.rpn
-                else finishes[st.spec.ranks - ranks :]
-            )
             batch.append(
                 costs.write_phases(
                     ranks=ranks,
                     t_comp=st.t_comp,
                     t_serialize=st.t_serialize,
                     t0=arrivals[st.spec.name],
-                    finishes=picked,
+                    finish=end,
                     transfer_activity=activity,
                 )
             )

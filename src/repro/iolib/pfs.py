@@ -12,9 +12,10 @@ The PFS is modeled at the level that determines the paper's I/O results:
   storage backends.
 
 :func:`fair_share_schedule` is an exact event-driven solver for that fluid
-model, working on runs of equal flows (a cluster tenant's ranks) rather than
-on single flows; :class:`PFSModel` packages it with the single-stream cost
-helpers the experiment drivers use.  The aggregate saturation is what
+model, working on classes of equal flows (a cluster tenant's ranks, each
+class one entry with its flow count) rather than on single flows;
+:class:`PFSModel` packages it with the single-stream cost helpers the
+experiment drivers use.  The aggregate saturation is what
 produces Fig. 12's jump in uncompressed write energy at 512 cores.
 """
 
@@ -35,28 +36,37 @@ def fair_share_schedule(
     sizes_bytes: np.ndarray,
     per_flow_cap_mbps: float,
     aggregate_cap_mbps: float,
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Finish times of flows sharing a link, max-min fair.
+    """Finish times of flow classes sharing a link, max-min fair.
 
     Parameters
     ----------
     arrivals, sizes_bytes:
-        Per-flow start time (s) and size (bytes): 1-D, finite, sizes
-        non-negative.
+        Per-class start time (s) and per-flow size (bytes): 1-D, finite,
+        sizes non-negative.
     per_flow_cap_mbps / aggregate_cap_mbps:
         Individual and shared capacity in MB/s, positive and finite.
+    counts:
+        Flows in each class (1-D integers >= 1, aligned with ``arrivals``);
+        ``None`` means one flow per entry.
 
     Returns
     -------
-    np.ndarray of completion times (s).
+    np.ndarray of completion times (s), one per class: all flows of a class
+    are admitted together and finish together.
 
     The solver advances between events (arrivals or completions).  Within an
     interval the rate of each active flow is constant:
     ``min(per_flow_cap, aggregate / n_active)`` — with a homogeneous per-flow
-    cap, max-min fairness reduces to exactly this.
+    cap, max-min fairness reduces to exactly this.  A class of ``c`` flows
+    goes through the same float operations as each of its flows would one
+    by one, so its finish time is bit-identical to theirs in a per-flow
+    solve of the expanded arrays; solver cost scales with classes, not flows.
 
     Raises :class:`~repro.errors.ConfigurationError` for misaligned, non-1-D
-    or non-finite inputs, negative sizes and non-positive or non-finite caps.
+    or non-finite inputs, negative sizes, counts that are not integers >= 1
+    and non-positive or non-finite caps.
     """
     arrivals = np.asarray(arrivals, dtype=np.float64)
     sizes = np.asarray(sizes_bytes, dtype=np.float64) / 1e6  # MB
@@ -73,28 +83,16 @@ def fair_share_schedule(
         for cap in (per_flow_cap_mbps, aggregate_cap_mbps)
     ):
         raise ConfigurationError("capacities must be positive and finite")
-    n = arrivals.size
-    if not n:
-        return np.empty(0)
-    arrivals = np.ascontiguousarray(arrivals)  # for the bit view below
-
-    # Flow classes: each run of consecutive flows with bit-equal (arrival,
-    # size) — all ranks of one cluster tenant — is solved as one entry
-    # weighted by its run length.  Such flows are admitted together and go
-    # through exactly the same float operations in a per-flow solve, so
-    # their shared finish time is bit-identical to it; solver cost scales
-    # with the number of runs, not of flows.
-    run_start = np.empty(n, dtype=bool)
-    run_start[0] = True
-    a_bits, s_bits = arrivals.view(np.uint64), sizes.view(np.uint64)
-    np.not_equal(a_bits[1:], a_bits[:-1], out=run_start[1:])
-    run_start[1:] |= s_bits[1:] != s_bits[:-1]
-    heads = np.flatnonzero(run_start)
-    weights = None  # every class a single flow: counts are count_nonzero
-    if heads.size < n:
-        weights = np.diff(heads, append=n)
-        arrivals, sizes = arrivals[heads], sizes[heads]
+    if counts is None:
+        counts = np.ones(arrivals.shape, dtype=np.int64)
+    counts = np.asarray(counts)
+    if counts.ndim != 1 or counts.shape != arrivals.shape:
+        raise ConfigurationError("counts must be 1-D and align with arrivals")
+    if counts.size and (counts.dtype.kind not in "iu" or (counts < 1).any()):
+        raise ConfigurationError("counts must be integers >= 1")
     m = arrivals.size
+    if not m:
+        return np.empty(0)
     finish = np.full(m, np.inf)
     remaining = sizes  # a fresh array: consumed in place
     order = np.argsort(arrivals, kind="stable")
@@ -103,11 +101,11 @@ def fair_share_schedule(
     # same doubles.
     due = arrivals[order].tolist()
     order = order.tolist()
+    flows = counts.tolist()
     next_arrival = 0  # index into `order`
     # The active set is a boolean mask over classes, so the per-event work
     # (progress subtraction, minimum remaining, completion harvest) runs as
-    # whole-array numpy ops.  The float arithmetic per class is the
-    # per-flow solver's (the same ``x - rate * dt`` per element).
+    # whole-array numpy ops, the same ``x - rate * dt`` per class.
     active = np.zeros(m, dtype=bool)
     n_active = 0  # flows, not classes: the fair share divides by flows
     t = due[0]
@@ -115,7 +113,7 @@ def fair_share_schedule(
     guard = 0
     while next_arrival < m or n_active:
         guard += 1
-        if guard > 10 * n + 100:
+        if guard > 10 * m + 100:
             raise SimulationError("fair-share solver failed to converge")
         # Admit all classes that have arrived by t.  Zero-byte flows need no
         # bandwidth: they complete at their arrival instant instead of
@@ -128,7 +126,7 @@ def fair_share_schedule(
                 finish[idx] = arrivals[idx]
             else:
                 active[idx] = True
-                n_active += 1 if weights is None else int(weights[idx])
+                n_active += flows[idx]
         if not n_active:
             if next_arrival >= m:
                 break
@@ -156,12 +154,8 @@ def fair_share_schedule(
             done = active & (remaining <= 1e-9)
             finish[done] = t
             active &= ~done
-            n_active -= (
-                int(np.count_nonzero(done))
-                if weights is None
-                else int(weights[done].sum())
-            )
-    return finish if weights is None else np.repeat(finish, weights)
+            n_active -= int(counts[done].sum())
+    return finish
 
 
 @dataclass(frozen=True)
@@ -222,18 +216,20 @@ class PFSModel:
         sizes_bytes: np.ndarray,
         efficiency: float = 1.0,
         arrivals: np.ndarray | None = None,
+        counts: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Finish times for concurrent writes (fair-share fluid model)."""
+        """Finish times for concurrent writes (fair-share fluid model), one
+        per class of ``counts`` equal flows (one flow each by default)."""
         sizes_bytes = np.asarray(sizes_bytes)
         if arrivals is None:
             arrivals = np.zeros(sizes_bytes.shape)
-        finish = fair_share_schedule(
+        return fair_share_schedule(
             np.asarray(arrivals) + self.metadata_latency_s,
             sizes_bytes,
             per_flow_cap_mbps=self.stream_bw_mbps * efficiency,
             aggregate_cap_mbps=self.aggregate_bw_mbps * efficiency,
+            counts=counts,
         )
-        return finish
 
     def pipelined_write_times(
         self,

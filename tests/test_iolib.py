@@ -407,12 +407,13 @@ class TestFairShareProperties:
 
 # -- flow classes: bit-identity against the per-flow reference solver --------
 #
-# ``fair_share_schedule`` solves each run of consecutive flows with equal
-# (arrival, size) as one weighted class.  The per-flow solver it replaced is
-# kept here as the reference; the class solver must return its finish times
-# bit for bit, on inputs built from runs of identical flows (the cluster's
-# tenants), shuffled so runs break apart, with zero-byte flows and with
-# completions landing exactly on arrivals.
+# ``fair_share_schedule`` solves one entry per flow class, weighted by its
+# flow count.  The per-flow solver it replaced is kept here as the
+# reference; the class solver must return its finish times bit for bit,
+# both on per-flow input (runs of identical flows, the cluster's tenants,
+# shuffled so runs break apart) and on class input against the expansion of
+# each class into its flows, with zero-byte flows and with completions
+# landing exactly on arrivals.
 
 
 def reference_fair_share_schedule(arrivals, sizes_bytes, per_flow_cap_mbps,
@@ -503,7 +504,80 @@ def _flow_run_cases(draw):
     return arrivals, sizes, per_flow, aggregate
 
 
+@st.composite
+def _flow_class_cases(draw):
+    """Flow classes with their counts: ``(arrivals, sizes, caps..., counts)``.
+
+    Arrivals on the exact grid (with ``-0.0`` next to ``0.0``) or arbitrary
+    floats, zero-byte classes, counts of one, and neighbours that repeat
+    the previous class's arrival.
+    """
+    k = draw(st.integers(1, 8))
+    grid = draw(st.booleans())
+    if grid:
+        arrival = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+        size_mb = st.integers(0, 4).map(lambda x: x * 50.0)
+        per_flow = draw(st.sampled_from([25.0, 50.0, 100.0, 200.0]))
+        aggregate = draw(st.sampled_from([100.0, 200.0, 400.0, 800.0]))
+    else:
+        arrival = st.one_of(st.just(-0.0), st.floats(0.0, 60.0))
+        size_mb = st.one_of(st.just(0.0), st.floats(0.1, 2000.0))
+        per_flow = draw(st.floats(50.0, 1500.0))
+        aggregate = draw(st.floats(100.0, 6000.0))
+    arrivals, sizes_mb = [], []
+    for i in range(k):
+        repeat = i > 0 and draw(st.booleans())
+        arrivals.append(arrivals[-1] if repeat else draw(arrival))
+        sizes_mb.append(draw(size_mb))
+    counts = [draw(st.one_of(st.just(1), st.integers(1, 12))) for _ in range(k)]
+    return (np.array(arrivals), np.array(sizes_mb) * 1e6, per_flow, aggregate,
+            np.array(counts))
+
+
 class TestFairShareClasses:
+    @settings(max_examples=300, deadline=None)
+    @given(_flow_class_cases())
+    def test_class_counts_equal_per_flow_expansion(self, case):
+        arrivals, sizes, per_flow, aggregate, counts = case
+        finish = fair_share_schedule(arrivals, sizes, per_flow, aggregate, counts)
+        expected = reference_fair_share_schedule(
+            np.repeat(arrivals, counts), np.repeat(sizes, counts),
+            per_flow, aggregate,
+        )
+        assert finish.shape == arrivals.shape
+        assert np.repeat(finish, counts).tobytes() == expected.tobytes()
+
+    def test_counts_divide_the_aggregate_as_flows(self):
+        # Two classes of 100 and 200 flows: the same finish times as
+        # ``test_tenant_runs_share_one_finish`` solves from 300 flows.
+        finish = fair_share_schedule(
+            np.array([0.0, 1.0]), np.array([1e8, 5e7]), 100.0, 1000.0,
+            counts=np.array([100, 200]),
+        )
+        assert finish[1] == pytest.approx(16.0)
+        assert finish[0] == pytest.approx(20.0)
+
+    @pytest.mark.parametrize(
+        "counts, match",
+        [
+            (np.ones((2, 1), dtype=int), "1-D"),
+            (np.int64(2), "1-D"),
+            (np.ones(3, dtype=int), "align"),
+            (np.ones(1, dtype=int), "align"),
+            (np.array([1.0, 2.0]), "integers"),
+            (np.array([1.5, 2.0]), "integers"),
+            (np.array([True, True]), "integers"),
+            (np.array(["1", "2"]), "integers"),
+            (np.array([1, 0]), ">= 1"),
+            (np.array([-3, 2]), ">= 1"),
+        ],
+    )
+    def test_bad_counts_raise_typed(self, counts, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=match):
+                fair_share_schedule(np.zeros(2), np.ones(2), 1.0, 1.0, counts)
+
     @settings(max_examples=300, deadline=None)
     @given(_flow_run_cases())
     def test_class_solver_equals_per_flow_reference(self, case):
@@ -532,7 +606,7 @@ class TestFairShareClasses:
         ).tobytes()
 
     def test_negative_zero_arrival_keeps_its_sign(self):
-        # Runs are split on the bits of an arrival, so a zero-byte flow
+        # A zero-byte flow finishes at its own arrival's bits, so one
         # arriving at -0.0 finishes at -0.0 as in the per-flow solve.
         arrivals = np.array([0.0, -0.0, -0.0])
         finish = fair_share_schedule(arrivals, np.zeros(3), 1.0, 1.0)

@@ -512,11 +512,22 @@ class TestClassSolverOracle:
     def _solve_both(spec, campaign, monkeypatch):
         from test_iolib import reference_fair_share_schedule
 
+        def per_flow(arrivals, sizes_bytes, per_flow_cap_mbps,
+                     aggregate_cap_mbps, counts=None):
+            # Every class expanded into its rank flows for the reference;
+            # all flows of a class must finish at the same bits.
+            counts = np.ones(len(arrivals), int) if counts is None else counts
+            finish = reference_fair_share_schedule(
+                np.repeat(arrivals, counts), np.repeat(sizes_bytes, counts),
+                per_flow_cap_mbps, aggregate_cap_mbps,
+            )
+            heads = np.cumsum(counts) - counts
+            assert finish.tobytes() == np.repeat(finish[heads], counts).tobytes()
+            return finish[heads]
+
         ratios = {j.name: 4.0 + len(j.name) for j in spec.jobs if j.codec}
         fast = simulate_cluster(spec, campaign, ratios)
-        monkeypatch.setattr(
-            pfs, "fair_share_schedule", reference_fair_share_schedule
-        )
+        monkeypatch.setattr(pfs, "fair_share_schedule", per_flow)
         return fast, simulate_cluster(spec, campaign, ratios)
 
     @staticmethod
@@ -773,7 +784,9 @@ class TestDedicatedDrainPerClass:
         original = PFSModel.concurrent_write_times
 
         def counting(self, sizes, *args, **kwargs):
-            solved.append((len(sizes), float(sizes[0])))
+            # One class per solve: its flow count is the tenant's ranks.
+            (count,) = kwargs["counts"]
+            solved.append((int(count), float(sizes[0])))
             return original(self, sizes, *args, **kwargs)
 
         monkeypatch.setattr(PFSModel, "concurrent_write_times", counting)
@@ -821,6 +834,41 @@ class TestLifecycle:
         assert job.pre_s > 3600.0
         assert job.lifecycle.n_checkpoints > 0
         assert job.lifecycle_energy_j > 0
+
+    def test_restart_fetch_is_one_class(self, campaign, monkeypatch):
+        """The all-rank restart fetch is solved as one flow class, equal bit
+        for bit to the per-flow solve of every rank's fetch."""
+        spec = TestClassSolverOracle._seeded(1)
+        ratios = {j.name: 4.0 + len(j.name) for j in spec.jobs if j.codec}
+        states = [
+            st for st in scheduler._prepare_jobs(spec, campaign, ratios)
+            if st.lifecycle is not None
+        ]
+        assert {st.spec.codec is None for st in states} == {True, False}
+        original = PFSModel.concurrent_write_times
+        solved = []
+
+        def one_class(self, sizes, *args, **kwargs):
+            solved.append((len(sizes), kwargs["counts"].tolist()))
+            return original(self, sizes, *args, **kwargs)
+
+        def per_flow(self, sizes, efficiency=1.0, arrivals=None, counts=None):
+            assert arrivals is None
+            (count,) = counts
+            finish = original(self, np.repeat(sizes, count), efficiency)
+            assert len(set(finish.tolist())) == 1  # every rank together
+            return finish[:1]
+
+        for st in states:
+            job = st.spec
+            args = (job.codec, job.rel_bound, st.out_bytes, job.ranks)
+            solved.clear()
+            monkeypatch.setattr(PFSModel, "concurrent_write_times", one_class)
+            restart = campaign._restart_cost(*args)
+            assert solved == [(1, [job.ranks])]
+            monkeypatch.setattr(PFSModel, "concurrent_write_times", per_flow)
+            assert restart == campaign._restart_cost(*args)
+            monkeypatch.undo()
 
     def test_lifecycle_independent_of_queue_position(self, campaign):
         # The same seeded lifecycle runs whether the tenant starts at t=0
