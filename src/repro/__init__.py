@@ -17,7 +17,7 @@ Compress: Energy Trade-Offs and Benefits of Lossy Compressed I/O"*
   Lustre-like parallel-file-system model;
 - :mod:`repro.cluster` — discrete-event multi-node compress+write campaigns;
 - :mod:`repro.workloads` — failure-aware checkpointed application lifetimes
-  (per-node MTTF failures, Young/Daly intervals, event-loop lifecycle
+  (per-node MTTF failures, Young/Daly intervals, lifecycle
   simulation) behind the ``checkpoint`` sweep kind and the Daly advisor;
 - :mod:`repro.core` — the Section-III trade-off formulation, the advisor,
   experiment drivers for every figure/table, and facility-scale

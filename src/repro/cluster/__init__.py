@@ -1,15 +1,15 @@
-"""Multi-node simulation: discrete events, nodes, ranks, and I/O campaigns.
+"""Multi-node simulation: tenants, ranks, the shared PFS and I/O campaigns.
 
 Reproduces the Section IV-E experiment (Fig. 6): N MPI nodes with R ranks
 each; every rank compresses its copy of the dataset, then all N*R ranks
-write concurrently to the shared PFS while the PAPI monitor records energy
-on every node.  :class:`~repro.cluster.campaign.MultiNodeCampaign` is the
-driver behind Fig. 12; each of its points is a one-tenant
+write concurrently to the shared PFS, and every node's energy is metered
+through the RAPL/PAPI sampling kernels
+(:func:`~repro.cluster.costs.measure_node_phases`).
+:class:`~repro.cluster.campaign.MultiNodeCampaign` is the driver behind
+Fig. 12; each of its points is a one-tenant
 :func:`~repro.cluster.scheduler.simulate_cluster` solve.
 """
 
-from repro.cluster.events import EventLoop, Process
-from repro.cluster.node import NodeModel
 from repro.cluster.campaign import CampaignResult, MultiNodeCampaign
 from repro.cluster.scheduler import (
     ClusterSpec,
@@ -28,9 +28,6 @@ from repro.cluster.scheduler import (
 # CLI / conftest / tools import it explicitly as a plugin.
 
 __all__ = [
-    "EventLoop",
-    "Process",
-    "NodeModel",
     "CampaignResult",
     "MultiNodeCampaign",
     "JobSpec",

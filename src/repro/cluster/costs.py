@@ -94,12 +94,10 @@ def measure_node_phases(
 ) -> list[dict[str, float]]:
     """Meter every node of ``nodes`` through its phases: joules per label.
 
-    Each phase is measured on its own RAPL window (the
-    :class:`~repro.cluster.node.NodeModel` convention, so the per-label
-    split stays exact), and all phases of all nodes go through one
-    :func:`~repro.energy.papi.tick_splits` walk and one
-    :func:`~repro.energy.rapl.phase_energies` pass.  Phases follow
-    :meth:`NodeModel.add_phase`: a bad duration raises
+    Each phase is measured on its own RAPL window, so the per-label split
+    stays exact and no wrap is lost, and all phases of all nodes go through
+    one :func:`~repro.energy.papi.tick_splits` walk and one
+    :func:`~repro.energy.rapl.phase_energies` pass.  A bad duration raises
     ``ConfigurationError``, zero-duration phases are dropped, and core
     counts are clamped to the node.
     """

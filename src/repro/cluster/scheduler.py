@@ -467,7 +467,7 @@ def _prepare_jobs(
             # (they do not enter the shared-PFS solve — only the final
             # output dump contends globally), restarts at the campaign's
             # restart cost, failures drawn from the job's own seeded
-            # timeline.  Run on its own event loop (time local to the job),
+            # timeline.  Simulated on its own clock (time local to the job),
             # so the history is identical whether the job starts at t=0 or
             # deep in the queue — which also keeps the fixed point stable.
             ckpt_s = cpu_s + dedicated_drain

@@ -220,7 +220,7 @@ class CheckpointPoint:
     on ``n_chunks``/``freq_ghz`` — and the restart cost from
     :meth:`Testbed.read_point`, so a failure-free single-checkpoint run
     reproduces those records bit for bit.  The lifetime itself is simulated
-    on the deterministic event loop (:mod:`repro.workloads.lifecycle`) with
+    deterministically (:mod:`repro.workloads.lifecycle`) with
     the explicit ``seed``; ``expected_*`` carry the closed-form Daly model
     for the same configuration.
 
@@ -732,8 +732,8 @@ class Testbed:
         clock), or by :meth:`pipeline_point` when ``n_chunks > 1``; restarts
         are priced by the read cost of :meth:`read_point` (fetch +
         decompress) at the same clock.  Failures are drawn per node from an
-        explicit-seed exponential model, the lifetime runs on the
-        deterministic event loop, and energy is integrated through
+        explicit-seed exponential model, the lifetime is simulated
+        deterministically, and energy is integrated through
         ``Interval`` → ``compose_phases`` with downtime charged at the power
         model's idle watts.
 

@@ -7,10 +7,12 @@ stack with the same *interfaces and mechanisms*:
 
 - :mod:`repro.energy.cpus` — the Table I CPU catalogue;
 - :mod:`repro.energy.power` — package power as a function of active cores;
-- :mod:`repro.energy.rapl` — powercap-style energy counter zones that
-  integrate power over a virtual clock;
-- :mod:`repro.energy.papi` — a PAPI-like monitor that samples those zones at
-  a fixed interval, reproducing the paper's discrete sum E = sum P(t_i) dt;
+- :mod:`repro.energy.rapl` — powercap-style wrapping energy counters,
+  integrated over a virtual clock in closed form (``integrate_phase``,
+  ``phase_energies``);
+- :mod:`repro.energy.papi` — the PAPI polling loop's fixed-interval ticks
+  (``tick_split``, ``tick_splits``), reproducing the paper's discrete sum
+  E = sum P(t_i) dt;
 - :mod:`repro.energy.throughput` — the calibrated codec performance model
   that supplies phase durations (see DESIGN.md for calibration constants);
 - :mod:`repro.energy.measurement` — the user-facing
@@ -19,9 +21,7 @@ stack with the same *interfaces and mechanisms*:
 
 from repro.energy.cpus import CPUS, CPUSpec, get_cpu
 from repro.energy.measurement import EnergyMeter, EnergyReport, Phase
-from repro.energy.papi import PapiPowercapMonitor
 from repro.energy.power import PowerModel
-from repro.energy.rapl import SimulatedRapl
 from repro.energy.throughput import ThroughputModel
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "EnergyMeter",
     "EnergyReport",
     "Phase",
-    "PapiPowercapMonitor",
     "PowerModel",
-    "SimulatedRapl",
     "ThroughputModel",
 ]

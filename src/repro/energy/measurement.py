@@ -2,15 +2,13 @@
 
 :class:`EnergyMeter` is what the experiment drivers use: describe a workload
 as :class:`Phase` segments (duration, active cores, CPU activity), and the
-meter samples them as a :class:`~repro.energy.papi.PapiPowercapMonitor`
-over a fresh :class:`~repro.energy.rapl.SimulatedRapl` would, returning an
-:class:`EnergyReport` with the discrete-sampled energy the paper reports.
+meter samples them as the PAPI powercap polling loop samples RAPL counters,
+returning an :class:`EnergyReport` with the discrete-sampled energy the
+paper reports.
 
-The meter builds neither simulator: each phase goes through the same
-:func:`~repro.energy.papi.tick_split` and
-:func:`~repro.energy.rapl.integrate_phase` the simulators use, on bare
-counters starting at zero, so every report is bit-identical to playing the
-window through them.
+Each phase goes through :func:`~repro.energy.papi.tick_split` and
+:func:`~repro.energy.rapl.integrate_phase` on counters starting at zero, so
+every report is bit-identical to sampling the window one tick at a time.
 """
 
 from __future__ import annotations
@@ -141,7 +139,7 @@ class EnergyReport:
 
 
 class EnergyMeter:
-    """Plays phases through a simulated RAPL node and reports joules."""
+    """Samples phases as PAPI samples a RAPL node and reports joules."""
 
     def __init__(
         self,
@@ -210,8 +208,8 @@ class EnergyMeter:
         lose a whole wrap in the single delta.  Application *lifetimes*
         (checkpointed runs spanning hours) need this variant: every phase is
         cut into sub-wrap windows, each measured on its own node, and the
-        reports are summed.  (:class:`~repro.cluster.node.NodeModel` needs no
-        cut: it reads every tick of a phase, so it keeps every wrap.)
+        reports are summed.  (:func:`~repro.cluster.costs.measure_node_phases`
+        needs no cut: it reads every tick of a phase, so it keeps every wrap.)
         """
         if not all(math.isfinite(ph.duration_s) for ph in phases):
             raise ConfigurationError("phase durations must be finite")

@@ -1,33 +1,30 @@
-"""PAPI-powercap-style sampling monitor over the simulated RAPL zones.
+"""PAPI-powercap-style sampling rules over the simulated RAPL counters.
 
 Section IV-B: energy is reported as the discrete sum ``E = Σ P(t_i) Δt`` of
-sampled power readings.  :class:`PapiPowercapMonitor` reproduces that
-measurement: it steps the virtual clock in fixed ``sample_interval``
-increments across each workload phase, reading the counters at every tick,
-so the reported energy inherits the same discretization the paper's numbers
-have (the final partial interval is sampled too, as PAPI's stop() does).
+sampled power readings.  The PAPI polling loop steps the virtual clock in
+fixed ``sample_interval`` increments across each workload phase, reading
+the counters at every tick, so the reported energy inherits the same
+discretization the paper's numbers have (the final partial interval is
+sampled too, as PAPI's stop() does).
 
 Power is constant within a phase, so the ticks of one phase are not walked
 one by one: :func:`tick_split` finds how many full ticks and what partial
-tail the polling loop would take, and the RAPL zones integrate them in
+tail the polling loop would take (:func:`tick_splits` for many phases at
+once), and :func:`~repro.energy.rapl.integrate_phase` integrates them in
 closed form.  Counters, clock and joules are bit-identical to sampling tick
-by tick; the per-tick :attr:`PapiPowercapMonitor.samples` are rebuilt from
-the recorded phases only when someone reads them.
+by tick.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.energy.rapl import STEP_CHUNK, SimulatedRapl, step_sequence
+from repro.energy.rapl import STEP_CHUNK, step_sequence
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "PapiPowercapMonitor",
-    "PowerSample",
     "check_sample_interval",
     "tick_split",
     "tick_splits",
@@ -125,111 +122,3 @@ def tick_splits(durations, interval: float) -> tuple[np.ndarray, np.ndarray]:
         todo, x = todo[miss], buf[-1, miss]
         walked += width
     return ticks, tails
-
-
-@dataclass(frozen=True)
-class PowerSample:
-    """One sampling tick: virtual time and per-zone counter snapshot."""
-
-    time_s: float
-    counters_uj: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class _Span:
-    """One sampled phase: where it started and how the zones were loaded."""
-
-    t0: float
-    counters_uj: tuple[int, ...]
-    ticks: int
-    tail: float
-    watts: tuple[float, ...]
-
-
-@dataclass
-class PapiPowercapMonitor:
-    """Samples RAPL zones while workload phases advance the virtual clock."""
-
-    rapl: SimulatedRapl
-    sample_interval: float = 0.010  # 10 ms, a typical powercap polling rate
-    #: Samples recorded since :meth:`start`, the start snapshot included.
-    n_samples: int = field(default=0, init=False)
-    _started: bool = field(default=False, init=False, repr=False)
-    _start_counters: tuple[int, ...] | None = field(
-        default=None, init=False, repr=False
-    )
-    _t_first: float = field(default=0.0, init=False, repr=False)
-    _t_last: float = field(default=0.0, init=False, repr=False)
-    _samples: list[PowerSample] = field(default_factory=list, init=False, repr=False)
-    _spans: list[_Span] = field(default_factory=list, init=False, repr=False)
-
-    def __post_init__(self):
-        check_sample_interval(self.sample_interval)
-
-    def start(self) -> None:
-        """Snapshot counters and begin recording samples."""
-        if self._started:
-            raise ConfigurationError("monitor already started")
-        self._started = True
-        self._start_counters = tuple(self.rapl.read_uj())
-        self._t_first = self._t_last = self.rapl.now
-        self._samples = [PowerSample(self.rapl.now, self._start_counters)]
-        self._spans = []
-        self.n_samples = 1
-
-    def run_phase(self, duration: float, active_cores: int, activity: float = 1.0) -> None:
-        """Advance one workload phase, sampling at the configured interval."""
-        if not self._started:
-            raise ConfigurationError("monitor not started")
-        ticks, tail = tick_split(duration, self.sample_interval)
-        if not (ticks or tail):
-            return
-        t0, counters = self.rapl.now, tuple(self.rapl.read_uj())
-        watts = self.rapl.advance(
-            self.sample_interval, active_cores, activity, ticks=ticks, tail=tail
-        )
-        self._spans.append(_Span(t0, counters, ticks, tail, watts))
-        self.n_samples += ticks + (tail > 0)
-        self._t_last = self.rapl.now
-
-    def stop(self) -> float:
-        """Stop recording; returns total joules over the window (Eq. 6)."""
-        if not self._started or self._start_counters is None:
-            raise ConfigurationError("monitor not started")
-        self._started = False
-        end = tuple(self.rapl.read_uj())
-        return self.rapl.total_joules_between(list(self._start_counters), list(end))
-
-    @property
-    def samples(self) -> list[PowerSample]:
-        """Every tick's (time, counters) snapshot, the start snapshot first.
-
-        Built from the recorded phases on first access, so measuring never
-        pays for them.
-        """
-        for span in self._spans:
-            self._samples.extend(self._span_samples(span))
-        self._spans.clear()
-        return self._samples
-
-    def _span_samples(self, span: _Span) -> list[PowerSample]:
-        """The samples the ticks of one phase took, one per tick."""
-        dt = self.sample_interval
-        times: list[float] = []
-        for chunk in step_sequence(np.add, span.t0, dt, span.ticks):
-            times.extend(chunk.tolist())
-        if span.tail > 0:
-            times.append((times[-1] if times else span.t0) + span.tail)
-        columns = []
-        for e0, w, zone in zip(span.counters_uj, span.watts, self.rapl.zones):
-            col = [zone.counter_after(e0, w * dt, j) for j in range(1, span.ticks + 1)]
-            if span.tail > 0:
-                full = zone.counter_after(e0, w * dt, span.ticks)
-                col.append(zone.counter_after(full, w * span.tail))
-            columns.append(col)
-        return [PowerSample(t, c) for t, c in zip(times, zip(*columns))]
-
-    @property
-    def elapsed(self) -> float:
-        """Seconds covered by the recorded samples."""
-        return self._t_last - self._t_first

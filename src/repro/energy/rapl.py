@@ -3,9 +3,9 @@
 Real RAPL exposes one monotonically increasing microjoule counter per
 package zone (``intel-rapl:0``, ``intel-rapl:1``, ...) that wraps at
 ``max_energy_range_uj``.  The simulation reproduces that contract — counter
-semantics, wrap-around, per-zone naming — over a virtual clock: callers
-advance time with a power level and read counters exactly as a powercap
-client would, which is what the PAPI layer (:mod:`repro.energy.papi`) does.
+semantics and wrap-around — on plain integer counters over a virtual clock,
+which the PAPI sampling rules (:mod:`repro.energy.papi`) step phase by
+phase.
 
 Power is constant within one load level, so a span of ``n`` equal clock
 ticks is integrated in closed form: every tick deposits the same integer
@@ -13,11 +13,10 @@ microjoule quantum, the counter moves by ``n`` quanta modulo the wrap range,
 and the clock is the exact sequential float sum of the tick lengths
 (:func:`step_sequence`), bit-identical to advancing one tick at a time.
 :func:`integrate_phase` is the one copy of those quantum, wrap and clock
-rules: :meth:`SimulatedRapl.advance` runs it on its zones, and
-:class:`~repro.energy.measurement.EnergyMeter` runs it on bare counters.
-:func:`phase_energies` is its array form for phases that are each metered
-on their own from zero (the cluster's node phases): the same quanta, read
-every tick so no wrap is lost, and no clock.
+rules; :class:`~repro.energy.measurement.EnergyMeter` runs it on counters
+that start at zero.  :func:`phase_energies` is its array form for phases
+that are each metered on their own from zero (the cluster's node phases):
+the same quanta, read every tick so no wrap is lost, and no clock.
 """
 
 from __future__ import annotations
@@ -27,13 +26,10 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from repro.energy.cpus import CPUSpec
 from repro.energy.power import PowerModel
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "RaplZone",
-    "SimulatedRapl",
     "clock_after",
     "counter_after",
     "integrate_phase",
@@ -190,96 +186,3 @@ def phase_energies(
     for p in range(1, sockets):
         joules += zones[:, p]
     return joules
-
-
-class RaplZone:
-    """One package-level energy counter zone."""
-
-    def __init__(self, name: str, max_energy_range_uj: int = DEFAULT_MAX_ENERGY_RANGE_UJ):
-        if max_energy_range_uj <= 0:
-            raise ConfigurationError("max_energy_range_uj must be positive")
-        self.name = name
-        self.max_energy_range_uj = int(max_energy_range_uj)
-        self._energy_uj = 0
-
-    @property
-    def energy_uj(self) -> int:
-        """Current counter value (wraps like the hardware)."""
-        return self._energy_uj
-
-    def counter_after(self, start_uj: int, joules: float, times: int = 1) -> int:
-        """:func:`counter_after` at this zone's wrap range."""
-        return counter_after(start_uj, joules, times, self.max_energy_range_uj)
-
-    def deposit(self, joules: float, times: int = 1) -> None:
-        """Accumulate ``times`` equal deposits of ``joules`` (from the clock)."""
-        self._energy_uj = self.counter_after(self._energy_uj, joules, times)
-
-    @staticmethod
-    def delta(before: int, after: int, max_range: int = DEFAULT_MAX_ENERGY_RANGE_UJ) -> float:
-        """Wrap-aware counter difference in joules."""
-        d = after - before
-        if d < 0:
-            d += max_range
-        return d / 1e6
-
-
-class SimulatedRapl:
-    """A node's RAPL zones plus the virtual clock that drives them.
-
-    Package 0/1/... correspond to CPU sockets; total CPU energy is the sum
-    over zones, exactly the paper's Eq. 6 (E_CPU = E_P0 + E_P1).
-    """
-
-    def __init__(self, cpu: CPUSpec, power_model: PowerModel | None = None):
-        self.cpu = cpu
-        self.power = power_model or PowerModel(cpu)
-        self.zones = [RaplZone(f"intel-rapl:{p}") for p in range(cpu.sockets)]
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
-        """Virtual time in seconds."""
-        return self._now
-
-    def advance(
-        self,
-        dt: float,
-        active_cores: int,
-        activity: float = 1.0,
-        ticks: int = 1,
-        tail: float = 0.0,
-    ) -> tuple[float, ...]:
-        """Advance the clock ``ticks`` steps of ``dt`` seconds, then one
-        ``tail`` step if positive, all at one constant load level
-        (:func:`integrate_phase` on the zone counters).  Returns each
-        package's power (W).
-        """
-        counters = self.read_uj()
-        watts, self._now = integrate_phase(
-            self.power,
-            counters,
-            [z.max_energy_range_uj for z in self.zones],
-            self._now,
-            dt,
-            active_cores,
-            activity,
-            ticks,
-            tail,
-        )
-        for zone, reading in zip(self.zones, counters):
-            zone._energy_uj = reading
-        return watts
-
-    def read_uj(self) -> list[int]:
-        """Read every zone counter (the powercap client view)."""
-        return [z.energy_uj for z in self.zones]
-
-    def total_joules_between(self, before: list[int], after: list[int]) -> float:
-        """Sum wrap-aware per-zone deltas — Eq. 6 over a measurement window."""
-        if len(before) != len(self.zones) or len(after) != len(self.zones):
-            raise ConfigurationError("counter snapshot length mismatch")
-        return sum(
-            RaplZone.delta(b, a, z.max_energy_range_uj)
-            for b, a, z in zip(before, after, self.zones)
-        )

@@ -10,7 +10,7 @@ with it the total wasted work and energy:
 - :mod:`repro.workloads.checkpoint` — :class:`CheckpointSpec`, the
   Young/Daly closed-form optimal intervals, and expected-makespan/energy
   models;
-- :mod:`repro.workloads.lifecycle` — the event-loop simulator: compute
+- :mod:`repro.workloads.lifecycle` — the lifetime simulator: compute
   segments, checkpoint writes, failure interrupts, downtime, restart and
   rework as one labelled :class:`~repro.energy.measurement.Interval`
   timeline.
@@ -34,7 +34,6 @@ from repro.workloads.failures import FailureModel, FailureTimeline
 from repro.workloads.lifecycle import (
     LifecycleStats,
     compact_intervals,
-    lifecycle_process,
     run_lifecycle,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "expected_energy",
     "expected_failures",
     "expected_makespan",
-    "lifecycle_process",
     "resolve_interval",
     "run_lifecycle",
     "segment_works",

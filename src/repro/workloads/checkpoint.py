@@ -33,7 +33,7 @@ model).  For a segment whose vulnerable window is ``v = w + δ``:
 
 The first-order *energy* expansion charges, per expected failure, half of
 the segment's energy (the average rework), one full restart, and downtime
-at node idle power — documented tolerance versus the event-loop simulation
+at node idle power — documented tolerance versus the lifecycle simulation
 is asserted in ``tests/test_workloads.py``.
 """
 
@@ -197,7 +197,7 @@ def expected_energy(
     Per segment: the useful compute and its committed checkpoint, plus — per
     expected failure — half the segment's energy as average rework, one full
     restart, and ``downtime_s`` at node idle power.  This is the energy
-    analogue of Daly's first-order time expansion; the event-loop simulator
+    analogue of Daly's first-order time expansion; the lifecycle simulator
     is the higher-fidelity reference it is validated against.
     """
     total = 0.0

@@ -1,19 +1,18 @@
-"""Failure-aware application lifetimes on the deterministic event loop.
+"""Failure-aware application lifetimes, simulated one delay at a time.
 
 This is the simulation counterpart to the closed forms in
-:mod:`repro.workloads.checkpoint`: a generator process on
-:class:`~repro.cluster.events.EventLoop` lives through compute segments,
-checkpoint writes, failure interrupts, downtime, restart fetches and
-rework, emitting an absolute-time :class:`~repro.energy.measurement.Interval`
-timeline as it goes.  The timeline feeds
-:func:`~repro.energy.measurement.compose_phases`, so the RAPL/PAPI energy
-stack integrates the lifetime exactly like it integrates a pipelined write
-— downtime becomes zero-core idle phases charged at the power model's idle
-watts.
+:mod:`repro.workloads.checkpoint`: :func:`run_lifecycle` lives through
+compute segments, checkpoint writes, failure interrupts, downtime, restart
+fetches and rework, emitting an absolute-time
+:class:`~repro.energy.measurement.Interval` timeline as it goes.  The
+timeline feeds :func:`~repro.energy.measurement.compose_phases`, so the
+RAPL/PAPI energy stack integrates the lifetime exactly like it integrates a
+pipelined write — downtime becomes zero-core idle phases charged at the
+power model's idle watts.
 
-The process hands its statistics back through ``Process.result`` (the
-generator's return value), never by mutating shared state, so several
-lifetimes can share one loop.  Every random draw comes from the explicit
+The clock advances by one float addition per elapsed delay (a phase, the
+part of a phase a failure cut short, or a downtime window), never by
+assignment to a failure time.  Every random draw comes from the explicit
 seed buried in the :class:`~repro.workloads.failures.FailureTimeline`; the
 simulation itself contains no randomness, which is what makes repeated runs
 byte-identical.
@@ -23,16 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster.events import EventLoop, Process
 from repro.energy.measurement import Interval
 from repro.errors import SimulationError
-from repro.obs.trace import active_tracer
 from repro.workloads.checkpoint import CheckpointSpec
 from repro.workloads.failures import FailureTimeline
 
 __all__ = [
     "LifecycleStats",
-    "lifecycle_process",
     "run_lifecycle",
     "compact_intervals",
     "trace_intervals",
@@ -111,111 +107,6 @@ def trace_intervals(tracer, intervals, track: str, offset_s: float = 0.0) -> Non
         )
 
 
-def lifecycle_process(
-    loop: EventLoop,
-    spec: CheckpointSpec,
-    timeline: FailureTimeline | None,
-    compute_cores: int = 1,
-    ckpt_cores: int = 1,
-    ckpt_activity: float = 1.0,
-    restart_cores: int = 1,
-    restart_activity: float = 1.0,
-):
-    """The application generator; spawn it on ``loop``.
-
-    Returns (via ``StopIteration.value`` → ``Process.result``) the
-    :class:`LifecycleStats` of this lifetime.
-    """
-    if timeline is not None and timeline.model.failure_free:
-        timeline = None
-    intervals: list[Interval] = []
-    busy = {"compute": 0.0, "checkpoint": 0.0, "restart": 0.0}
-    counts = {
-        "failures": 0,
-        "checkpoints": 0,
-        "ckpt_attempts": 0,
-        "restarts": 0,
-        "restart_attempts": 0,
-    }
-    downtime_total = 0.0
-
-    def phase(duration, cores, activity, label):
-        """Run one vulnerable phase; returns True iff it completed."""
-        if duration <= 0:
-            return True
-        start = loop.now
-        end = start + duration
-        cut = timeline.next_after(start) if timeline is not None else None
-        if cut is not None and cut < end:
-            intervals.append(Interval(start, cut, cores, activity, label))
-            busy[label] += cut - start
-            yield cut - start
-            return False
-        intervals.append(Interval(start, end, cores, activity, label))
-        busy[label] += duration
-        yield duration
-        return True
-
-    def fail_and_restart():
-        """Downtime then restart attempts until one survives."""
-        nonlocal downtime_total
-        while True:
-            counts["failures"] += 1
-            if counts["failures"] > MAX_FAILURES:
-                raise SimulationError(
-                    f"lifecycle exceeded {MAX_FAILURES} failures; "
-                    "work_s is unreachable at this MTTF"
-                )
-            if spec.downtime_s > 0:
-                intervals.append(
-                    Interval(loop.now, loop.now + spec.downtime_s, 0, 0.0, "down")
-                )
-                downtime_total += spec.downtime_s
-                yield spec.downtime_s
-            counts["restart_attempts"] += 1
-            if spec.restart_s <= 0:
-                counts["restarts"] += 1
-                return
-            ok = yield from phase(
-                spec.restart_s, restart_cores, restart_activity, "restart"
-            )
-            if ok:
-                counts["restarts"] += 1
-                return
-
-    segments = spec.segments
-    seg_idx = 0
-    while seg_idx < len(segments):
-        ok = yield from phase(segments[seg_idx], compute_cores, 1.0, "compute")
-        if not ok:
-            yield from fail_and_restart()
-            continue
-        counts["ckpt_attempts"] += 1
-        ok = yield from phase(spec.ckpt_s, ckpt_cores, ckpt_activity, "checkpoint")
-        if not ok:
-            yield from fail_and_restart()
-            continue
-        counts["checkpoints"] += 1
-        seg_idx += 1
-
-    return LifecycleStats(
-        work_s=spec.work_s,
-        makespan_s=loop.now,
-        n_checkpoints=counts["checkpoints"],
-        n_ckpt_attempts=counts["ckpt_attempts"],
-        n_failures=counts["failures"],
-        n_restarts=counts["restarts"],
-        n_restart_attempts=counts["restart_attempts"],
-        compute_busy_s=busy["compute"],
-        ckpt_busy_s=busy["checkpoint"],
-        restart_busy_s=busy["restart"],
-        downtime_s=downtime_total,
-        intervals=tuple(intervals),
-        ckpt_partial_s=busy["checkpoint"] - counts["checkpoints"] * spec.ckpt_s,
-        restart_partial_s=busy["restart"] - counts["restarts"] * spec.restart_s,
-    )
-
-
 def run_lifecycle(
     spec: CheckpointSpec,
     timeline: FailureTimeline | None = None,
@@ -224,34 +115,81 @@ def run_lifecycle(
     ckpt_activity: float = 1.0,
     restart_cores: int = 1,
     restart_activity: float = 1.0,
-    loop: EventLoop | None = None,
-    trace_track: str | None = None,
 ) -> LifecycleStats:
-    """Simulate one lifetime to completion and return its stats.
+    """Simulate one lifetime to completion and return its stats."""
+    if timeline is not None and timeline.model.failure_free:
+        timeline = None
+    now = 0.0
+    intervals: list[Interval] = []
+    busy = {"compute": 0.0, "checkpoint": 0.0, "restart": 0.0}
+    failures = checkpoints = ckpt_attempts = restarts = restart_attempts = 0
+    downtime_total = 0.0
 
-    With ``trace_track`` set and a tracer active, the interval timeline is
-    emitted as virtual spans on that track after the run (tracing never
-    perturbs the simulation).
-    """
-    loop = loop or EventLoop()
-    proc: Process = loop.spawn(
-        lifecycle_process(
-            loop,
-            spec,
-            timeline,
-            compute_cores=compute_cores,
-            ckpt_cores=ckpt_cores,
-            ckpt_activity=ckpt_activity,
-            restart_cores=restart_cores,
-            restart_activity=restart_activity,
-        ),
-        name="lifecycle",
+    def phase(duration, cores, activity, label) -> bool:
+        """Run one vulnerable phase; returns True iff it completed."""
+        nonlocal now
+        if duration <= 0:
+            return True
+        start = now
+        end = start + duration
+        cut = timeline.next_after(start) if timeline is not None else None
+        if cut is not None and cut < end:
+            intervals.append(Interval(start, cut, cores, activity, label))
+            busy[label] += cut - start
+            now += cut - start
+            return False
+        intervals.append(Interval(start, end, cores, activity, label))
+        busy[label] += duration
+        now += float(duration)
+        return True
+
+    def fail_and_restart() -> None:
+        """Downtime then restart attempts until one survives."""
+        nonlocal now, failures, restarts, restart_attempts, downtime_total
+        while True:
+            failures += 1
+            if failures > MAX_FAILURES:
+                raise SimulationError(
+                    f"lifecycle exceeded {MAX_FAILURES} failures; "
+                    "work_s is unreachable at this MTTF"
+                )
+            if spec.downtime_s > 0:
+                intervals.append(Interval(now, now + spec.downtime_s, 0, 0.0, "down"))
+                downtime_total += spec.downtime_s
+                now += float(spec.downtime_s)
+            restart_attempts += 1
+            if spec.restart_s <= 0 or phase(
+                spec.restart_s, restart_cores, restart_activity, "restart"
+            ):
+                restarts += 1
+                return
+
+    segments = spec.segments
+    seg_idx = 0
+    while seg_idx < len(segments):
+        if not phase(segments[seg_idx], compute_cores, 1.0, "compute"):
+            fail_and_restart()
+            continue
+        ckpt_attempts += 1
+        if not phase(spec.ckpt_s, ckpt_cores, ckpt_activity, "checkpoint"):
+            fail_and_restart()
+            continue
+        checkpoints += 1
+        seg_idx += 1
+
+    return LifecycleStats(
+        work_s=spec.work_s,
+        makespan_s=now,
+        n_checkpoints=checkpoints,
+        n_ckpt_attempts=ckpt_attempts,
+        n_failures=failures,
+        n_restarts=restarts,
+        n_restart_attempts=restart_attempts,
+        compute_busy_s=busy["compute"],
+        ckpt_busy_s=busy["checkpoint"],
+        restart_busy_s=busy["restart"],
+        downtime_s=downtime_total,
+        intervals=tuple(intervals),
+        ckpt_partial_s=busy["checkpoint"] - checkpoints * spec.ckpt_s,
+        restart_partial_s=busy["restart"] - restarts * spec.restart_s,
     )
-    loop.run()
-    if not proc.finished:  # pragma: no cover - defensive
-        raise SimulationError("lifecycle process did not finish")
-    if trace_track is not None:
-        tracer = active_tracer()
-        if tracer is not None:
-            trace_intervals(tracer, proc.result.intervals, trace_track)
-    return proc.result

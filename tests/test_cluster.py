@@ -1,15 +1,21 @@
-"""Cluster simulation: event loop determinism, node energy, campaign physics."""
+"""Cluster simulation: the reference event loop, node energy, campaign physics."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import EventLoop, MultiNodeCampaign, NodeModel
+from reference.cluster import reference_measure_node_phases
+from reference.events import EventLoop
+
+from repro.cluster import MultiNodeCampaign
+from repro.cluster.costs import measure_node_phases
 from repro.energy import get_cpu
 from repro.errors import ConfigurationError, SimulationError
 from repro.iolib import PFSModel, get_io_library
 
 
 class TestEventLoop:
+    """The event loop the schedule and lifecycle oracles run on."""
+
     def test_delays_advance_time(self):
         loop = EventLoop()
         trace = []
@@ -27,7 +33,7 @@ class TestEventLoop:
 
     def test_events_synchronize(self):
         loop = EventLoop()
-        evt = loop.event("go")
+        evt = loop.event()
         order = []
 
         def waiter():
@@ -73,47 +79,6 @@ class TestEventLoop:
         with pytest.raises(SimulationError):
             loop.run()
 
-    def test_run_until(self):
-        loop = EventLoop()
-
-        def proc():
-            yield 10.0
-
-        loop.spawn(proc())
-        t = loop.run(until=5.0)
-        assert t == 5.0
-
-    def test_pause_resume_preserves_tie_order(self):
-        """Regression: the process popped at the `until` boundary used to be
-        re-pushed with a *fresh* sequence number, so pausing and resuming
-        reordered same-timestamp ties versus a straight-through run."""
-
-        def schedule(loop, trace):
-            def make(name):
-                def proc():
-                    yield 5.0
-                    trace.append(name)
-
-                return proc
-
-            for n in ("a", "b", "c"):
-                loop.spawn(make(n)())
-
-        straight: list[str] = []
-        loop = EventLoop()
-        schedule(loop, straight)
-        loop.run()
-
-        paused: list[str] = []
-        loop = EventLoop()
-        schedule(loop, paused)
-        # Pause right before the tied wakeups, then resume: 'a' is popped at
-        # the boundary and must keep its place at the front of the tie.
-        loop.run(until=4.0)
-        loop.run()
-        assert straight == ["a", "b", "c"]
-        assert paused == straight
-
     def test_process_result_captures_return_value(self):
         loop = EventLoop()
 
@@ -141,60 +106,26 @@ class TestEventLoop:
 
 
 class TestNodeModel:
+    """Node energy: ``costs.measure_node_phases`` meters labelled phases."""
+
+    @staticmethod
+    def _measure(*phases):
+        cpu = get_cpu("plat8160")
+        (by_label,) = measure_node_phases(cpu, [list(phases)], sample_interval=0.010)
+        return by_label
+
     def test_labelled_energy_split(self):
-        node = NodeModel(get_cpu("plat8160"))
-        node.add_phase(1.0, 48, 1.0, "compress")
-        node.add_phase(2.0, 0, 1.0, "write")
-        energy = node.measure()
-        assert energy.by_label["compress"] == pytest.approx(540.0, rel=1e-6)
-        assert energy.by_label["write"] == pytest.approx(220.0, rel=1e-6)
-        assert energy.total_j == pytest.approx(760.0, rel=1e-6)
-        assert energy.runtime_s == pytest.approx(3.0)
+        energy = self._measure((1.0, 48, 1.0, "compress"), (2.0, 0, 1.0, "write"))
+        assert energy["compress"] == pytest.approx(540.0, rel=1e-6)
+        assert energy["write"] == pytest.approx(220.0, rel=1e-6)
+        assert sum(energy.values()) == pytest.approx(760.0, rel=1e-6)
 
     def test_zero_duration_skipped(self):
-        node = NodeModel(get_cpu("plat8160"))
-        node.add_phase(0.0, 4, 1.0, "x")
-        assert node.measure().total_j == 0.0
+        assert self._measure((0.0, 4, 1.0, "x")) == {}
+        assert self._measure((0.0, 4, 1.0, "x"), (0.5, 4, 1.0, "y")).keys() == {"y"}
 
-    @pytest.mark.parametrize(
-        "duration", [-1.0, float("nan"), float("inf"), float("-inf")], ids=repr
-    )
-    def test_bad_duration_rejected_when_added(self, duration):
-        node = NodeModel(get_cpu("plat8160"))
-        with pytest.raises(ConfigurationError, match="duration"):
-            node.add_phase(duration, 4, 1.0, "x")
-        assert node.measure().total_j == 0.0
-
-
-def reference_node_measure(node):
-    """``NodeModel.measure`` as it was: one ``EnergyMeter.measure`` window
-    per phase, joules summed per label in phase order (wraps at the RAPL
-    range, so it is only a reference below it)."""
-    from repro.cluster.node import NodeEnergy
-    from repro.energy import EnergyMeter
-
-    meter = EnergyMeter(
-        node.cpu, sample_interval=node.sample_interval, freq_ghz=node.freq_ghz
-    )
-    by_label: dict[str, float] = {}
-    runtime = 0.0
-    for ph in node._phases:
-        report = meter.measure([ph])
-        by_label[ph.label] = by_label.get(ph.label, 0.0) + report.energy_j
-        runtime += report.runtime_s
-    return NodeEnergy(by_label=by_label, runtime_s=runtime)
-
-
-def reference_measure_node_phases(cpu, nodes, *, sample_interval, freq_ghz=None):
-    """``costs.measure_node_phases`` one node at a time through
-    :func:`reference_node_measure`."""
-    out = []
-    for phases in nodes:
-        node = NodeModel(cpu, sample_interval=sample_interval, freq_ghz=freq_ghz)
-        for phase in phases:
-            node.add_phase(*phase)
-        out.append(dict(reference_node_measure(node).by_label))
-    return out
+    def test_core_count_clamped_to_the_node(self):
+        assert self._measure((1.0, 480, 1.0, "x")) == self._measure((1.0, 48, 1.0, "x"))
 
 
 def _node_batches():
@@ -222,28 +153,11 @@ def _node_batches():
 
 
 class TestBatchMetering:
-    """``NodeModel.measure`` and ``costs.measure_node_phases`` run the
-    array kernel, bit-identically to the per-phase meter they replaced."""
-
-    def test_node_model_equals_per_phase_meter(self):
-        from hypothesis import given, settings
-
-        @settings(max_examples=200, deadline=None)
-        @given(_node_batches())
-        def check(case):
-            cpu, interval, freq, nodes = case
-            for phases in nodes:
-                node = NodeModel(cpu, sample_interval=interval, freq_ghz=freq)
-                for phase in phases:
-                    node.add_phase(*phase)
-                assert node.measure() == reference_node_measure(node)
-
-        check()
+    """``costs.measure_node_phases`` runs the array kernel, bit-identically
+    to the per-phase meter it replaced."""
 
     def test_batch_equals_node_by_node(self):
         from hypothesis import given, settings
-
-        from repro.cluster.costs import measure_node_phases
 
         @settings(max_examples=200, deadline=None)
         @given(_node_batches())
@@ -260,8 +174,6 @@ class TestBatchMetering:
         "duration", [-1.0, float("nan"), float("inf"), float("-inf")], ids=repr
     )
     def test_bad_duration_rejected(self, duration):
-        from repro.cluster.costs import measure_node_phases
-
         nodes = [[(0.5, 4, 1.0, "compress")], [(duration, 4, 1.0, "write")]]
         with pytest.raises(ConfigurationError, match="duration"):
             measure_node_phases(get_cpu("plat8160"), nodes, sample_interval=0.02)
@@ -269,11 +181,10 @@ class TestBatchMetering:
     def test_long_phase_keeps_every_wrap(self):
         # 1200 s at full load deposits 324 kJ per zone, past the ~262 kJ
         # wrap range; every tick is read, so no wrap is lost.
-        node = NodeModel(get_cpu("plat8160"), sample_interval=0.02)
-        node.add_phase(1200.0, 48, 1.0, "compute")
-        energy = node.measure()
-        assert energy.by_label["compute"] == pytest.approx(648_000.0, rel=1e-9)
-        assert energy.runtime_s == pytest.approx(1200.0)
+        (energy,) = measure_node_phases(
+            get_cpu("plat8160"), [[(1200.0, 48, 1.0, "compute")]], sample_interval=0.02
+        )
+        assert energy["compute"] == pytest.approx(648_000.0, rel=1e-9)
 
 
 def reference_drain_phases(t0, finishes, ranks, transfer_activity):

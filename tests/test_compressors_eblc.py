@@ -1,7 +1,6 @@
 """Per-EBLC behaviour beyond the shared contract (see test_error_bounds_property)."""
 
 import struct
-import threading
 
 import numpy as np
 import pytest
@@ -13,6 +12,8 @@ from repro.compressors.deflate import pack_chunk, unpack_chunk
 from repro.compressors.huffman import huffman_max_bytes
 from repro.errors import CompressionError, DecompressionError
 from repro.metrics import check_error_bound, psnr
+
+from hostile import assert_decodes_typed, bit_flips, decoded, truncations, walk
 
 
 class TestSharedBehaviour:
@@ -88,50 +89,14 @@ class TestSZ2:
         check_error_bound(field_4d, SZ2().decompress(buf), 1e-3)
 
 
-def _decode_outcome(data, codec="sz2", seconds=5.0):
-    """Decode ``data`` with ``codec`` on a daemon thread; return the array or
-    the raised exception, failing if the call does not return within
-    ``seconds``."""
-    outcome = []
-
-    def target():
-        try:
-            with np.errstate(all="ignore"):
-                outcome.append(get_compressor(codec).decompress(data))
-        except BaseException as exc:  # noqa: BLE001 - handed to the test
-            outcome.append(exc)
-
-    worker = threading.Thread(target=target, daemon=True)
-    worker.start()
-    worker.join(seconds)
-    assert not worker.is_alive(), f"decode did not return within {seconds} s"
-    return outcome[0]
-
-
-def _assert_rejected_or_declared(data, label, codec="sz2"):
-    got = _decode_outcome(data, codec)
-    if isinstance(got, BaseException):
-        assert isinstance(got, DecompressionError), f"{label}: {got!r}"
-        return
-    _, shape, dtype, *_ = Compressor._unpack_header(data)
-    assert got.shape == shape and got.dtype == dtype, label
-
-
-def _walk(shape, seed):
-    walk = np.random.default_rng(seed).standard_normal(shape)
-    for axis in range(len(shape)):
-        walk = np.cumsum(walk, axis=axis)
-    return walk
-
-
 SZ2_CORRUPT_CASES = {
-    "walk_3d": (_walk((12, 10, 9), 11), 1e-3),
+    "walk_3d": (walk((12, 10, 9), 11), 1e-3),
     "plane_escapes_2d": (
         np.add.outer(np.arange(20.0), 0.5 * np.arange(18.0))
         + np.where(np.arange(360).reshape(20, 18) % 37 == 0, 1e4, 0.0),
         1e-9,
     ),
-    "walk_1d": (_walk((300,), 12), 1e-4),
+    "walk_1d": (walk((300,), 12), 1e-4),
 }
 
 
@@ -143,18 +108,13 @@ class TestSZ2CorruptStreams:
     def test_every_truncation(self, name):
         arr, rel = SZ2_CORRUPT_CASES[name]
         stream = SZ2().compress(arr, rel).data
-        for cut in range(len(stream)):
-            _assert_rejected_or_declared(stream[:cut], f"{name}[:{cut}]")
+        assert_decodes_typed("sz2", truncations(stream, name))
 
     @pytest.mark.parametrize("name", sorted(SZ2_CORRUPT_CASES))
     def test_seeded_bit_flips(self, name):
         arr, rel = SZ2_CORRUPT_CASES[name]
         stream = SZ2().compress(arr, rel).data
-        rng = np.random.default_rng(20261017)
-        for bit in rng.integers(0, 8 * len(stream), size=250):
-            corrupt = bytearray(stream)
-            corrupt[bit // 8] ^= 1 << (bit % 8)
-            _assert_rejected_or_declared(bytes(corrupt), f"{name} flip {bit}")
+        assert_decodes_typed("sz2", bit_flips(stream, name, 250))
 
     @pytest.fixture
     def parts(self):
@@ -168,7 +128,7 @@ class TestSZ2CorruptStreams:
         return header, payload
 
     def _rejected(self, data, needle):
-        exc = _decode_outcome(data)
+        exc = decoded("sz2", data)
         assert isinstance(exc, DecompressionError), repr(exc)
         assert needle in str(exc)
 
@@ -292,7 +252,7 @@ class TestQoZ:
                 QoZ(alpha=alpha, beta=beta)
 
     def test_stored_params_checked(self):
-        stream = QoZ().compress(_walk((9, 8), 5), 1e-3).data
+        stream = QoZ().compress(walk((9, 8), 5), 1e-3).data
         payload = Compressor._unpack_header(stream)[-1]
         header = stream[: len(stream) - len(payload)]
         for cut in range(16):
@@ -311,7 +271,7 @@ class TestQoZ:
 
 
 INTERP_CORRUPT_CASES = {
-    "walk_3d": (_walk((12, 10, 9), 21), 1e-3),
+    "walk_3d": (walk((12, 10, 9), 21), 1e-3),
     "escapes_2d": (
         np.add.outer(np.arange(20.0), 0.5 * np.arange(18.0))
         + np.where(np.arange(360).reshape(20, 18) % 7 == 0, 1e4, 0.0),
@@ -329,18 +289,13 @@ class TestInterpCorruptStreams:
     def test_every_truncation(self, codec, name):
         arr, rel = INTERP_CORRUPT_CASES[name]
         stream = get_compressor(codec).compress(arr, rel).data
-        for cut in range(len(stream)):
-            _assert_rejected_or_declared(stream[:cut], f"{name}[:{cut}]", codec)
+        assert_decodes_typed(codec, truncations(stream, name))
 
     @pytest.mark.parametrize("name", sorted(INTERP_CORRUPT_CASES))
     def test_seeded_bit_flips(self, codec, name):
         arr, rel = INTERP_CORRUPT_CASES[name]
         stream = get_compressor(codec).compress(arr, rel).data
-        rng = np.random.default_rng(20261017)
-        for bit in rng.integers(0, 8 * len(stream), size=250):
-            corrupt = bytearray(stream)
-            corrupt[bit // 8] ^= 1 << (bit % 8)
-            _assert_rejected_or_declared(bytes(corrupt), f"{name} flip {bit}", codec)
+        assert_decodes_typed(codec, bit_flips(stream, name, 250))
 
     @pytest.fixture
     def parts(self, codec):
@@ -361,7 +316,7 @@ class TestInterpCorruptStreams:
         return header, prefix, body, offsets
 
     def _rejected(self, codec, data, needle):
-        exc = _decode_outcome(data, codec)
+        exc = decoded(codec, data)
         assert isinstance(exc, DecompressionError), repr(exc)
         assert needle in str(exc), str(exc)
 
@@ -380,16 +335,18 @@ class TestInterpCorruptStreams:
     def test_high_declared_rank(self, codec):
         # A flip in the rank byte turns later bytes into a long shape; the
         # pass count is checked without building a plan per (level, axis).
-        arr = _walk((40, 30, 20), 3)
+        arr = walk((40, 30, 20), 3)
         stream = get_compressor(codec).compress(arr, 1e-4).data
         ndim_off = 4 + 1 + len(codec) + 1 + 1
         assert stream[ndim_off] == 3
+        cases = []
         for ndim in (35, 67, 131, 255):
             if ndim_off + 1 + 8 * ndim + 16 > len(stream):
                 continue
             corrupt = bytearray(stream)
             corrupt[ndim_off] = ndim
-            _assert_rejected_or_declared(bytes(corrupt), f"rank {ndim}", codec)
+            cases.append((f"rank {ndim}", bytes(corrupt)))
+        assert_decodes_typed(codec, cases)
 
     def test_mode_and_anchor_counts(self, codec, parts):
         header, prefix, body, _ = parts
@@ -488,7 +445,7 @@ class TestSZx:
 
 
 SZX_CORRUPT_CASES = {
-    "walk_3d": (_walk((12, 10, 9), 31), 1e-3),
+    "walk_3d": (walk((12, 10, 9), 31), 1e-3),
     "const_and_ramp_1d": (
         np.concatenate([np.full(300, 5.0), np.linspace(0.0, 50.0, 340)]),
         1e-2,
@@ -504,18 +461,13 @@ class TestSZxCorruptStreams:
     def test_every_truncation(self, name):
         arr, rel = SZX_CORRUPT_CASES[name]
         stream = SZx().compress(arr, rel).data
-        for cut in range(len(stream)):
-            _assert_rejected_or_declared(stream[:cut], f"{name}[:{cut}]", "szx")
+        assert_decodes_typed("szx", truncations(stream, name))
 
     @pytest.mark.parametrize("name", sorted(SZX_CORRUPT_CASES))
     def test_seeded_bit_flips(self, name):
         arr, rel = SZX_CORRUPT_CASES[name]
         stream = SZx().compress(arr, rel).data
-        rng = np.random.default_rng(20261017)
-        for bit in rng.integers(0, 8 * len(stream), size=250):
-            corrupt = bytearray(stream)
-            corrupt[bit // 8] ^= 1 << (bit % 8)
-            _assert_rejected_or_declared(bytes(corrupt), f"{name} flip {bit}", "szx")
+        assert_decodes_typed("szx", bit_flips(stream, name, 250))
 
     @pytest.fixture
     def parts(self):
@@ -529,7 +481,7 @@ class TestSZxCorruptStreams:
         return stream[: len(stream) - len(payload)], payload
 
     def _rejected(self, data, needle):
-        exc = _decode_outcome(data, "szx")
+        exc = decoded("szx", data)
         assert isinstance(exc, DecompressionError), repr(exc)
         assert needle in str(exc), str(exc)
 

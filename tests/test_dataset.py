@@ -6,7 +6,6 @@ meets each declared quality floor.
 """
 
 import json
-import threading
 from collections import Counter
 
 import numpy as np
@@ -29,6 +28,8 @@ from repro.iolib import get_io_library
 from repro.iolib.pipeline import chunk_array
 from repro.metrics.error import max_rel_error
 from repro.obs import tracing
+
+from hostile import bit_flips, outcomes, truncations, walk
 
 TESTBED = Testbed(scale="tiny")
 
@@ -274,17 +275,10 @@ class TestDatasetKind:
 EBLCS = ("sz2", "sz3", "qoz", "zfp", "szx")
 
 
-def _walk(shape, seed):
-    walk = np.random.default_rng(seed).standard_normal(shape)
-    for axis in range(len(shape)):
-        walk = np.cumsum(walk, axis=axis)
-    return walk
-
-
 #: Ad-hoc fields (no catalogue provenance), so the tuner compresses them.
 ADHOC = Dataset.from_arrays({
-    "walk": _walk((16, 10, 9), 3),
-    "line": _walk((400,), 4).astype(np.float32),
+    "walk": walk((16, 10, 9), 3),
+    "line": walk((400,), 4).astype(np.float32),
 })
 
 
@@ -387,34 +381,25 @@ class TestCompressOnce:
 # -- hostile containers --------------------------------------------------------
 
 
-def _read_outcome(path, seconds=5.0):
-    """``read(path)`` on a daemon thread; returns the dataset or the raised
-    exception, failing if the call does not return within ``seconds``."""
-    outcome = []
+def _assert_reads_typed(path, files):
+    """Each ``(label, bytes)`` of ``files``, written to ``path``, raises a
+    typed error on read, or reads back as the variables its container and
+    stream headers declare."""
 
-    def target():
-        try:
-            with np.errstate(all="ignore"):
-                outcome.append(read(path))
-        except BaseException as exc:  # noqa: BLE001 - handed to the test
-            outcome.append(exc)
+    def read_back(blob):
+        path.write_bytes(blob)
+        return read(path)
 
-    worker = threading.Thread(target=target, daemon=True)
-    worker.start()
-    worker.join(seconds)
-    assert not worker.is_alive(), f"read did not return within {seconds} s"
-    return outcome[0]
+    for label, _, got in outcomes(read_back, files):
+        if isinstance(got, BaseException):
+            assert isinstance(got, (IOModelError, DecompressionError)), (
+                f"{label}: {got!r}"
+            )
+            continue
+        _assert_declared(path, got, label)
 
 
-def _assert_rejected_or_declared(path, label):
-    """A corrupt file raises a typed error, or reads back as the variables
-    its container and stream headers declare."""
-    got = _read_outcome(path)
-    if isinstance(got, BaseException):
-        assert isinstance(got, (IOModelError, DecompressionError)), (
-            f"{label}: {got!r}"
-        )
-        return
+def _assert_declared(path, got, label):
     lib = get_io_library(got.attrs["io_library"])
     members, attrs = lib.unpack(path.read_bytes())
     order = [n for n in attrs.get("__variables__", "").split(",") if n]
@@ -433,8 +418,8 @@ def _assert_rejected_or_declared(path, label):
 
 #: A float64 3-D field under sz3 and a float32 1-D field under szx.
 CORRUPT_DS = Dataset.from_arrays({
-    "walk": _walk((8, 6, 5), 11),
-    "line": _walk((120,), 12).astype(np.float32),
+    "walk": walk((8, 6, 5), 11),
+    "line": walk((120,), 12).astype(np.float32),
 }, attrs={"origin": "battery"})
 CORRUPT_SPEC = "walk:lossy,sz3,rel,1e-3;lossy,szx,rel,1e-3"
 CORRUPT_CASES = {
@@ -460,24 +445,17 @@ class TestCorruptContainers:
 
     def test_every_truncation(self, written):
         blob, bad = written
-        for cut in range(len(blob)):
-            bad.write_bytes(blob[:cut])
-            _assert_rejected_or_declared(bad, f"[:{cut}]")
+        _assert_reads_typed(bad, truncations(blob, "file"))
 
     def test_seeded_bit_flips(self, written):
         blob, bad = written
-        rng = np.random.default_rng(20261017)
-        for bit in rng.integers(0, 8 * len(blob), size=300):
-            corrupt = bytearray(blob)
-            corrupt[bit // 8] ^= 1 << (bit % 8)
-            bad.write_bytes(bytes(corrupt))
-            _assert_rejected_or_declared(bad, f"flip {bit}")
+        _assert_reads_typed(bad, bit_flips(blob, "file", 300))
 
 
 class TestReadMalformed:
     """Containers that parse but do not hold what their attrs declare."""
 
-    STREAM = get_compressor("szx").compress(_walk((6, 4), 5), 1e-3).data
+    STREAM = get_compressor("szx").compress(walk((6, 4), 5), 1e-3).data
 
     def _read(self, tmp_path, members, attrs):
         path = tmp_path / "crafted.h5"
@@ -499,7 +477,7 @@ class TestReadMalformed:
                        {"__variables__": "x", "chunks/x": count})
 
     def test_chunks_that_do_not_stack(self, tmp_path):
-        other = get_compressor("szx").compress(_walk((6, 5), 5), 1e-3).data
+        other = get_compressor("szx").compress(walk((6, 5), 5), 1e-3).data
         with pytest.raises(IOModelError, match="do not stack"):
             self._read(tmp_path, {"x/00000": self.STREAM, "x/00001": other},
                        {"__variables__": "x", "chunks/x": "2"})

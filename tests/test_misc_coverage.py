@@ -113,3 +113,23 @@ class TestNetCDFArrayKinds:
         data = {f"v{i}": rng.standard_normal(7).astype(np.float32) for i in range(40)}
         out, _ = lib.unpack(lib.pack(data))
         assert set(out) == set(data)
+
+
+class TestHostileRunner:
+    def test_hang_fails_naming_the_case(self):
+        import time
+
+        from hostile import outcomes
+
+        cases = [("quick", 0.0), ("stuck case", 1.0), ("never run", 0.0)]
+        seen = []
+        with pytest.raises(pytest.fail.Exception, match="stuck case did not return"):
+            for label, _, got in outcomes(time.sleep, cases, seconds=0.2):
+                seen.append((label, got))
+        assert seen == [("quick", None)]
+
+    def test_outcome_is_the_return_value_or_the_exception(self):
+        from hostile import outcome
+
+        assert outcome(lambda: 7) == 7
+        assert isinstance(outcome(lambda: 1 / 0), ZeroDivisionError)

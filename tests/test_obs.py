@@ -330,37 +330,21 @@ class TestEngineIntegration:
 class TestVirtualInstrumentation:
     def test_lifecycle_spans_match_interval_timeline(self):
         from repro.workloads.checkpoint import CheckpointSpec
-        from repro.workloads.lifecycle import run_lifecycle
+        from repro.workloads.lifecycle import run_lifecycle, trace_intervals
 
         spec = CheckpointSpec(work_s=100.0, interval_s=50.0, ckpt_s=5.0,
                               restart_s=2.0, mttf_s=float("inf"))
         plain = run_lifecycle(spec)
         with tracing() as tracer:
-            traced = run_lifecycle(spec, trace_track="tenant:x")
+            traced = run_lifecycle(spec)
+            assert len(tracer.spans) == 0  # the run itself emits nothing
+            trace_intervals(tracer, traced.intervals, "tenant:x")
         assert traced.intervals == plain.intervals  # tracing never perturbs
         spans = [s for s in tracer.spans if s.track == "tenant:x"]
         assert len(spans) == len(plain.intervals)
         for span, iv in zip(spans, plain.intervals):
             assert (span.name, span.t0, span.t1) == \
                 (iv.label, iv.start_s, iv.end_s)
-
-    def test_event_loop_process_spans_are_opt_in(self):
-        from repro.cluster.events import EventLoop
-
-        def ticker(loop):
-            yield 3.0
-
-        with tracing() as tracer:
-            silent = EventLoop()  # default: no spans
-            silent.spawn(ticker(silent), name="quiet")
-            silent.run()
-            assert len(tracer.spans) == 0
-            loud = EventLoop(trace_track="loop")
-            loud.spawn(ticker(loud), name="tick", delay=1.0)
-            loud.run()
-        (span,) = tracer.spans
-        assert span.name == "tick" and span.track == "loop"
-        assert (span.t0, span.t1) == (1.0, 4.0)
 
     def test_pipeline_plan_emits_stage_and_pfs_tracks(self):
         from repro.iolib.hdf5_like import HDF5Like

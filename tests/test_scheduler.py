@@ -27,123 +27,12 @@ from repro.cluster import (
 )
 from repro.cluster import scheduler
 from repro.cluster.scheduler import _JobState
-from repro.cluster.events import EventLoop
 from repro.energy import get_cpu
 from repro.errors import ConfigurationError, SimulationError
 from repro.iolib import PFSModel, get_io_library, pfs
 from repro.obs import tracing
 
-
-def reference_run_schedule(
-    cluster: ClusterSpec,
-    states: list[_JobState],
-    drains: dict[str, float],
-) -> tuple[dict[str, float], dict[str, float], dict[str, bool]]:
-    """The schedule pass as generator processes on the :class:`EventLoop`.
-
-    The replay ``scheduler._run_schedule`` is checked against, entry for
-    entry: same starts, PFS arrivals and backfill flags on any input.
-    """
-    loop = EventLoop()
-    by_name = {st.spec.name: st for st in states}
-    alloc = {name: st.nodes for name, st in by_name.items()}
-    state = {"free": cluster.n_nodes, "wake": None, "granted": 0}
-    queue: list[str] = []  # job names, FIFO by arrival
-    starts: dict[str, float] = {}
-    arrivals: dict[str, float] = {}
-    backfilled: dict[str, bool] = {}
-    grants = {st.spec.name: loop.event(f"grant:{st.spec.name}") for st in states}
-
-    def notify():
-        ev = state["wake"]
-        if ev is not None:
-            state["wake"] = None
-            ev.fire()
-
-    def grant(name: str, backfill: bool):
-        state["free"] -= alloc[name]
-        state["granted"] += 1
-        backfilled[name] = backfill
-        # Reservation bookkeeping sees the fixed walltime estimate.
-        running[name] = loop.now + by_name[name].est_s
-        grants[name].fire()
-
-    running: dict[str, float] = {}  # name -> estimated end, for reservations
-
-    def try_schedule():
-        progress = True
-        while progress:
-            progress = False
-            while queue and alloc[queue[0]] <= state["free"]:
-                grant(queue.pop(0), backfill=False)
-                progress = True
-            if not queue:
-                return
-            head = queue[0]
-            # EASY reservation: find the shadow time when the head fits,
-            # accumulating releases in estimated-end order.
-            avail = state["free"]
-            shadow = None
-            extra = 0
-            for end, name in sorted((running[n], n) for n in running):
-                avail += alloc[name]
-                if avail >= alloc[head]:
-                    shadow = end
-                    extra = avail - alloc[head]
-                    break
-            if shadow is None:
-                return  # nothing running frees enough (cannot happen: validated)
-            for cand in queue[1:]:
-                fits_now = alloc[cand] <= state["free"]
-                harmless = (
-                    loop.now + by_name[cand].est_s <= shadow + 1e-9
-                    or alloc[cand] <= extra
-                )
-                if fits_now and harmless:
-                    queue.remove(cand)
-                    grant(cand, backfill=True)
-                    progress = True
-                    break  # re-derive the reservation with the new state
-
-    def submitter(st: _JobState):
-        if st.spec.submit_s > 0:
-            yield st.spec.submit_s
-        queue.append(st.spec.name)
-        notify()
-
-    def job_proc(st: _JobState):
-        name = st.spec.name
-        yield grants[name]
-        starts[name] = loop.now
-        if st.pre_s > 0:
-            yield st.pre_s
-        if st.cpu_s > 0:
-            yield st.cpu_s
-        arrivals[name] = loop.now  # the flows enter the PFS here
-        drain = drains[name]
-        if drain > 0:
-            yield drain
-        state["free"] += alloc[name]
-        running.pop(name, None)
-        notify()
-
-    def sched_proc():
-        while state["granted"] < len(states):
-            try_schedule()
-            if state["granted"] >= len(states):
-                break
-            ev = loop.event("sched:wake")
-            state["wake"] = ev
-            yield ev
-
-    for st in states:
-        loop.spawn(submitter(st), name=f"submit:{st.spec.name}")
-        loop.spawn(job_proc(st), name=f"job:{st.spec.name}")
-    loop.spawn(sched_proc(), name="scheduler")
-    loop.run()
-    if len(starts) != len(states):  # pragma: no cover - defensive
-        raise SimulationError("cluster schedule did not grant every job")
-    return starts, arrivals, backfilled
+from reference.cluster import reference_measure_node_phases, reference_run_schedule
 
 
 @pytest.fixture(scope="module")
@@ -752,8 +641,6 @@ class TestOneMeteringPass:
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_equals_node_by_node_meter(self, campaign, monkeypatch, seed):
-        from test_cluster import reference_measure_node_phases
-
         from repro.cluster import costs
 
         spec = TestClassSolverOracle._seeded(seed)

@@ -5,8 +5,7 @@ import statistics
 
 import pytest
 
-from repro.cluster.events import EventLoop
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.workloads import (
     CheckpointSpec,
     FailureModel,
@@ -14,13 +13,33 @@ from repro.workloads import (
     expected_energy,
     expected_failures,
     expected_makespan,
-    lifecycle_process,
     resolve_interval,
     run_lifecycle,
     segment_works,
     young_interval,
 )
+from repro.workloads import lifecycle as lc
 from repro.workloads.lifecycle import compact_intervals
+
+from reference.workloads import reference_run_lifecycle
+
+
+def test_imports_in_a_fresh_interpreter():
+    """``repro.workloads`` imports on its own: no cycle through
+    ``repro.cluster``, which imports the lifecycle back."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", "import repro.workloads"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestFailureModel:
@@ -128,15 +147,14 @@ class TestLifecycle:
         assert st.makespan_s == pytest.approx(108.0)
 
     def test_result_returned_via_process_result(self):
-        """The stats come back through Process.result, not shared state."""
+        """The generator oracle hands its stats back through
+        ``Process.result``; the plain loop returns the same stats."""
         spec = CheckpointSpec(
             work_s=10.0, interval_s=math.inf, ckpt_s=1.0, restart_s=1.0,
             mttf_s=math.inf,
         )
-        loop = EventLoop()
-        proc = loop.spawn(lifecycle_process(loop, spec, None))
-        loop.run()
-        assert proc.finished and proc.result.makespan_s == 11.0
+        st = reference_run_lifecycle(spec)
+        assert st.makespan_s == 11.0 and run_lifecycle(spec) == st
 
     def test_same_seed_byte_identical(self):
         model = FailureModel(node_mttf_s=900.0, n_nodes=3)
@@ -184,9 +202,6 @@ class TestLifecycle:
         )
 
     def test_unreachable_work_raises(self):
-        from repro.errors import SimulationError
-        from repro.workloads import lifecycle as lc
-
         model = FailureModel(node_mttf_s=1.0, n_nodes=1)
         spec = CheckpointSpec(
             work_s=1000.0, interval_s=1000.0, ckpt_s=5.0, restart_s=5.0,
@@ -199,6 +214,85 @@ class TestLifecycle:
                 run_lifecycle(spec, model.timeline(0))
         finally:
             lc.MAX_FAILURES = old
+
+
+def _lifetimes():
+    """(spec, model, seed, kwargs): failure-free and failing lifetimes, with
+    zero and positive checkpoint, restart and downtime costs, and MTTFs low
+    enough that some runs exhaust ``MAX_FAILURES``."""
+    from hypothesis import strategies as st
+
+    costs = st.one_of(st.just(0.0), st.floats(0.01, 60.0))
+
+    @st.composite
+    def lifetime(draw):
+        model = FailureModel(
+            node_mttf_s=draw(st.one_of(st.just(math.inf), st.floats(2.0, 20_000.0))),
+            n_nodes=draw(st.integers(1, 8)),
+        )
+        spec = CheckpointSpec(
+            work_s=draw(st.floats(0.5, 3000.0)),
+            interval_s=draw(st.one_of(st.just(math.inf), st.floats(5.0, 1000.0))),
+            ckpt_s=draw(costs),
+            restart_s=draw(costs),
+            mttf_s=model.system_mttf_s,
+            downtime_s=draw(costs),
+        )
+        kwargs = dict(
+            compute_cores=draw(st.integers(1, 96)),
+            ckpt_cores=draw(st.integers(1, 96)),
+            ckpt_activity=draw(st.floats(0.0, 1.0)),
+            restart_cores=draw(st.integers(1, 96)),
+            restart_activity=draw(st.floats(0.0, 1.0)),
+        )
+        return spec, model, draw(st.integers(0, 2**32 - 1)), kwargs
+
+    return lifetime()
+
+
+class TestLifecycleOracle:
+    """The plain-loop lifecycle equals the generator process it replaced on
+    the event loop: every ``LifecycleStats`` field and interval, bit for bit,
+    and the same ``SimulationError`` past ``MAX_FAILURES``."""
+
+    def test_equals_event_loop_lifecycle(self, monkeypatch):
+        from hypothesis import example, given, settings
+
+        monkeypatch.setattr(lc, "MAX_FAILURES", 50)
+        unreachable = FailureModel(node_mttf_s=1.0, n_nodes=1)
+
+        @settings(max_examples=200, deadline=None)
+        @given(_lifetimes())
+        @example((  # fails past the cap
+            CheckpointSpec(work_s=1000.0, interval_s=1000.0, ckpt_s=5.0,
+                           restart_s=5.0, mttf_s=1.0),
+            unreachable, 0, {},
+        ))
+        def check(case):
+            spec, model, seed, kwargs = case
+            try:
+                want = reference_run_lifecycle(spec, model.timeline(seed), **kwargs)
+            except SimulationError as exc:
+                with pytest.raises(SimulationError) as got:
+                    run_lifecycle(spec, model.timeline(seed), **kwargs)
+                assert str(got.value) == str(exc)
+                return
+            assert run_lifecycle(spec, model.timeline(seed), **kwargs) == want
+
+        check()
+
+    def test_failure_cut_steps_the_clock(self):
+        # After a failure the clock is ``start + (cut - start)``, as the
+        # event loop's delay made it, which here lands off the failure time.
+        model = FailureModel(node_mttf_s=3000.0, n_nodes=4)
+        spec = CheckpointSpec(
+            work_s=2000.0, interval_s=math.inf, ckpt_s=0.3, restart_s=0.1,
+            mttf_s=model.system_mttf_s, downtime_s=0.1,
+        )
+        st = run_lifecycle(spec, model.timeline(4))
+        ivs = st.intervals
+        assert any(b.start_s != a.end_s for a, b in zip(ivs, ivs[1:]))
+        assert st == reference_run_lifecycle(spec, model.timeline(4))
 
 
 class TestSimulationMatchesClosedForm:

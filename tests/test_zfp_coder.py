@@ -14,7 +14,6 @@ an array of the declared shape and dtype, each within a wall-time bound.
 from __future__ import annotations
 
 import struct
-import threading
 
 import numpy as np
 import pytest
@@ -43,6 +42,8 @@ from repro.compressors.zfp import (
     _needs_raw_escape,
 )
 from repro.errors import DecompressionError
+
+from hostile import assert_decodes_typed, bit_flips, decoded, truncations, walk
 
 # -- scalar reference coder ----------------------------------------------------
 
@@ -240,46 +241,10 @@ class ReferenceZFP(ZFP):
 # -- helpers -------------------------------------------------------------------
 
 
-def _outcome_within(seconds, fn):
-    """Run ``fn`` on a daemon thread; return its result or what it raised,
-    failing on a hang."""
-    outcome = []
-
-    def target():
-        try:
-            with np.errstate(all="ignore"):  # garbage exponents overflow
-                outcome.append(fn())
-        except BaseException as exc:  # noqa: BLE001 - handed to the test
-            outcome.append(exc)
-
-    worker = threading.Thread(target=target, daemon=True)
-    worker.start()
-    worker.join(seconds)
-    assert not worker.is_alive(), f"call did not return within {seconds} s"
-    return outcome[0]
-
-
 def _split(data: bytes) -> tuple[bytes, bytes]:
     """A stream's framing header and its codec payload."""
     payload = Compressor._unpack_header(data)[-1]
     return data[: len(data) - len(payload)], payload
-
-
-def _assert_rejected_or_declared(data: bytes, label: str) -> None:
-    got = _outcome_within(5.0, lambda: ZFP().decompress(data))
-    if isinstance(got, BaseException):
-        assert isinstance(got, DecompressionError), f"{label}: {got!r}"
-        return
-    _, shape, dtype, *_ = Compressor._unpack_header(data)
-    assert got.shape == shape and got.dtype == dtype, label
-
-
-def _smooth(shape, seed):
-    rng = np.random.default_rng(seed)
-    walk = rng.standard_normal(shape)
-    for axis in range(len(shape)):
-        walk = np.cumsum(walk, axis=axis)
-    return walk
 
 
 # -- reference battery ---------------------------------------------------------
@@ -298,7 +263,7 @@ def zfp_inputs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.floats(-20.0, 20.0))
     if kind == "smooth":
-        arr = _smooth(shape, rng.integers(2**32)) * scale
+        arr = walk(shape, rng.integers(2**32)) * scale
     elif kind == "noise":
         arr = rng.standard_normal(shape) * scale + rng.uniform(-1, 1) * scale
     elif kind == "offset":
@@ -367,21 +332,21 @@ class TestPayloadHeaderChecked:
 
     @pytest.fixture(scope="class")
     def stream(self):
-        return ZFP().compress(_smooth((9, 10, 11), 3), 1e-3).data
+        return ZFP().compress(walk((9, 10, 11), 3), 1e-3).data
 
     def _with_payload(self, stream, payload):
         return _split(stream)[0] + payload
 
     def test_payload_shorter_than_header(self, stream):
         data = self._with_payload(stream, _split(stream)[1][:5])
-        exc = _outcome_within(5.0, lambda: ZFP().decompress(data))
+        exc = decoded("zfp", data)
         assert isinstance(exc, DecompressionError)
         assert "shorter" in str(exc)
 
     def test_huge_block_count(self, stream):
         payload = _split(stream)[1]
         data = self._with_payload(stream, struct.pack("<BQ", 3, 2**40) + payload[9:])
-        exc = _outcome_within(5.0, lambda: ZFP().decompress(data))
+        exc = decoded("zfp", data)
         assert isinstance(exc, DecompressionError)
         assert "blocks" in str(exc)
 
@@ -391,13 +356,13 @@ class TestPayloadHeaderChecked:
         core_dims, n_blocks = struct.unpack_from("<BQ", payload)
         header = struct.pack("<BQ", core_dims, n_blocks + delta)
         data = self._with_payload(stream, header + payload[9:])
-        exc = _outcome_within(5.0, lambda: ZFP().decompress(data))
+        exc = decoded("zfp", data)
         assert isinstance(exc, DecompressionError)
 
     def test_core_rank_out_of_range(self, stream):
         payload = _split(stream)[1]
         data = self._with_payload(stream, b"\x09" + payload[1:])
-        exc = _outcome_within(5.0, lambda: ZFP().decompress(data))
+        exc = decoded("zfp", data)
         assert isinstance(exc, DecompressionError)
         assert "rank" in str(exc)
 
@@ -406,7 +371,7 @@ class TestPayloadHeaderChecked:
 
 
 CORRUPT_CASES = {
-    "smooth_3d": (_smooth((6, 5, 7), 11), 1e-3),
+    "smooth_3d": (walk((6, 5, 7), 11), 1e-3),
     "noisy_1d": (np.random.default_rng(12).standard_normal(45) * 7.0, 1e-5),
     "escape_2d": (
         1.0e8 + np.random.default_rng(13).standard_normal((4, 5)) * 1e-4,
@@ -420,18 +385,13 @@ class TestCorruptStreams:
     def test_every_truncation(self, name):
         arr, rel = CORRUPT_CASES[name]
         stream = ZFP().compress(arr, rel).data
-        for cut in range(len(stream)):
-            _assert_rejected_or_declared(stream[:cut], f"{name}[:{cut}]")
+        assert_decodes_typed("zfp", truncations(stream, name))
 
     @pytest.mark.parametrize("name", sorted(CORRUPT_CASES))
     def test_seeded_bit_flips(self, name):
         arr, rel = CORRUPT_CASES[name]
         stream = ZFP().compress(arr, rel).data
-        rng = np.random.default_rng(20261017)
-        for bit in rng.integers(0, 8 * len(stream), size=150):
-            corrupt = bytearray(stream)
-            corrupt[bit // 8] ^= 1 << (bit % 8)
-            _assert_rejected_or_declared(bytes(corrupt), f"{name} flip {bit}")
+        assert_decodes_typed("zfp", bit_flips(stream, name, 150))
 
     def test_corrupt_abs_bound(self):
         """A stored absolute bound of NaN, inf, zero, negative or extreme
@@ -440,6 +400,7 @@ class TestCorruptStreams:
         arr, rel = CORRUPT_CASES["smooth_3d"]
         stream = ZFP().compress(arr, rel).data
         header, payload = _split(stream)
-        for bound in (float("nan"), float("inf"), -1.0, 0.0, 1e300, 5e-324):
-            corrupt = header[:-8] + struct.pack("<d", bound) + payload
-            _assert_rejected_or_declared(corrupt, f"abs_bound={bound!r}")
+        assert_decodes_typed("zfp", (
+            (f"abs_bound={bound!r}", header[:-8] + struct.pack("<d", bound) + payload)
+            for bound in (float("nan"), float("inf"), -1.0, 0.0, 1e300, 5e-324)
+        ))
