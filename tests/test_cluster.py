@@ -127,6 +127,14 @@ class TestNodeModel:
     def test_core_count_clamped_to_the_node(self):
         assert self._measure((1.0, 480, 1.0, "x")) == self._measure((1.0, 48, 1.0, "x"))
 
+    @pytest.mark.parametrize(
+        "duration", [-1.0, float("nan"), float("inf"), float("-inf")], ids=repr
+    )
+    def test_bad_duration_rejected_when_added(self, duration):
+        with pytest.raises(ConfigurationError, match="duration"):
+            self._measure((0.5, 4, 1.0, "compress"), (duration, 4, 1.0, "x"))
+        assert self._measure((0.5, 4, 1.0, "compress")).keys() == {"compress"}
+
 
 def _node_batches():
     """(cpu, interval, freq, nodes): catalogue CPUs and a one-socket node,
@@ -155,6 +163,22 @@ def _node_batches():
 class TestBatchMetering:
     """``costs.measure_node_phases`` runs the array kernel, bit-identically
     to the per-phase meter it replaced."""
+
+    def test_node_model_equals_per_phase_meter(self):
+        # One node per call: the single-node front end the node model was.
+        from hypothesis import given, settings
+
+        @settings(max_examples=200, deadline=None)
+        @given(_node_batches())
+        def check(case):
+            cpu, interval, freq, nodes = case
+            kw = dict(sample_interval=interval, freq_ghz=freq)
+            for phases in nodes:
+                assert measure_node_phases(cpu, [phases], **kw) == (
+                    reference_measure_node_phases(cpu, [phases], **kw)
+                )
+
+        check()
 
     def test_batch_equals_node_by_node(self):
         from hypothesis import given, settings
