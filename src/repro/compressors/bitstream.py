@@ -1,20 +1,13 @@
 """Bit-level stream I/O backed by NumPy, word-at-a-time.
 
-The SZ-family codecs need two access patterns:
+:func:`pack_bits` / :func:`unpack_bits` pack many variable-width fields at
+once (Huffman codes, truncated mantissas, FPC residuals): every field
+is shifted and or-ed directly into/out of ``uint64`` words — no
+one-byte-per-bit intermediate — so both directions are a handful of O(n)
+NumPy passes.
 
-- **Vectorized packing** of many variable-width fields at once (Huffman codes,
-  truncated mantissas).  :func:`pack_bits` / :func:`unpack_bits` shift-and-or
-  every field directly into/out of ``uint64`` words — no one-byte-per-bit
-  intermediate — so both directions are a handful of O(n) NumPy passes.
-- **Sequential access** for the ZFP bitplane coder whose control flow is
-  data-dependent.  :class:`BitWriter` / :class:`BitReader` provide a compact
-  MSB-first stream with ``write_bit``/``write_bits``/``read_bit``/``read_bits``
-  plus batch variants ``write_many``/``read_many`` that reuse the vectorized
-  word kernels for runs of fields with known widths.
-
-Bit order is MSB-first within each byte for both paths, so the two interfaces
-can read each other's output; the on-disk byte format is unchanged from the
-original per-bit implementation.
+Bit order is MSB-first within each byte; the on-disk byte format is
+unchanged from the original per-bit implementation.
 """
 
 from __future__ import annotations
@@ -23,7 +16,7 @@ import numpy as np
 
 from repro.errors import DecompressionError
 
-__all__ = ["BitWriter", "BitReader", "pack_bits", "unpack_bits"]
+__all__ = ["pack_bits", "unpack_bits"]
 
 _U64 = np.uint64
 _ZERO = np.uint64(0)
@@ -162,158 +155,3 @@ def unpack_bits(data: bytes, widths: np.ndarray) -> np.ndarray:
     ends = np.cumsum(widths)
     starts = ends - widths
     return _gather_fields(_words_from_bytes(data), starts, widths)
-
-
-class BitWriter:
-    """Sequential MSB-first bit writer.
-
-    Bits are accumulated in a Python integer window and flushed to a
-    ``bytearray`` in 8-bit groups; this keeps single-bit writes cheap enough
-    for the ZFP group-testing coder while remaining exactly byte-compatible
-    with :func:`pack_bits`.  Runs of fields with known widths should go
-    through :meth:`write_many`, which packs whole words vectorized.
-    """
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-        self._acc = 0  # bit accumulator, MSB side filled first
-        self._nacc = 0  # number of valid bits in the accumulator
-
-    def write_bit(self, bit: int) -> None:
-        """Append a single bit (0 or 1)."""
-        self._acc = (self._acc << 1) | (bit & 1)
-        self._nacc += 1
-        if self._nacc == 8:
-            self._buf.append(self._acc)
-            self._acc = 0
-            self._nacc = 0
-
-    def write_bits(self, value: int, width: int) -> None:
-        """Append ``width`` bits of ``value``, MSB-first."""
-        if width < 0:
-            raise ValueError("width must be non-negative")
-        if width == 0:
-            return
-        value &= (1 << width) - 1
-        self._acc = (self._acc << width) | value
-        self._nacc += width
-        while self._nacc >= 8:
-            self._nacc -= 8
-            self._buf.append((self._acc >> self._nacc) & 0xFF)
-        self._acc &= (1 << self._nacc) - 1
-
-    def write_many(self, values: np.ndarray, widths: np.ndarray) -> None:
-        """Append ``len(values)`` fields in one vectorized pass.
-
-        Equivalent to ``for v, w in zip(values, widths): self.write_bits(v, w)``
-        but packed word-at-a-time; widths must be in ``[0, 64]``.
-        """
-        values = np.asarray(values, dtype=_U64)
-        widths = np.asarray(widths, dtype=np.int64)
-        if values.shape != widths.shape:
-            raise ValueError("values and widths must have the same shape")
-        if values.size == 0:
-            return
-        _check_widths(widths)
-        # Prepend the partial accumulator as field 0 so the packed stream is
-        # already aligned with the flushed byte buffer.
-        all_values = np.concatenate(([np.uint64(self._acc)], values))
-        all_widths = np.concatenate(([self._nacc], widths))
-        words, total_bits = _pack_to_words(
-            _mask_to_width(all_values, all_widths), all_widths
-        )
-        if total_bits == 0:
-            return
-        packed = words.astype(">u8").tobytes()
-        full, rem = divmod(total_bits, 8)
-        self._buf += packed[:full]
-        self._acc = packed[full] >> (8 - rem) if rem else 0
-        self._nacc = rem
-
-    @property
-    def bit_length(self) -> int:
-        """Total number of bits written so far."""
-        return 8 * len(self._buf) + self._nacc
-
-    def getvalue(self) -> bytes:
-        """Return the stream padded with zero bits to a byte boundary."""
-        if self._nacc:
-            return bytes(self._buf) + bytes([(self._acc << (8 - self._nacc)) & 0xFF])
-        return bytes(self._buf)
-
-
-class BitReader:
-    """Sequential MSB-first bit reader over a ``bytes`` buffer."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0  # absolute bit position
-        self._words: np.ndarray | None = None  # lazy word view for read_many
-
-    @property
-    def bit_position(self) -> int:
-        """Current absolute bit offset from the start of the buffer."""
-        return self._pos
-
-    @property
-    def bit_size(self) -> int:
-        """Total number of bits in the underlying buffer."""
-        return 8 * len(self._data)
-
-    def seek_bit(self, position: int) -> None:
-        """Jump to an absolute bit offset."""
-        if position < 0 or position > 8 * len(self._data):
-            raise DecompressionError("bit seek out of range")
-        self._pos = position
-
-    def read_bit(self) -> int:
-        """Read a single bit; raises :class:`DecompressionError` at EOF."""
-        byte_idx = self._pos >> 3
-        if byte_idx >= len(self._data):
-            raise DecompressionError("bit stream exhausted")
-        bit = (self._data[byte_idx] >> (7 - (self._pos & 7))) & 1
-        self._pos += 1
-        return bit
-
-    def read_bits(self, width: int) -> int:
-        """Read ``width`` bits MSB-first and return them as an int."""
-        if width < 0:
-            raise ValueError("width must be non-negative")
-        end = self._pos + width
-        if end > 8 * len(self._data):
-            raise DecompressionError("bit stream exhausted")
-        out = 0
-        pos = self._pos
-        remaining = width
-        while remaining > 0:
-            byte_idx = pos >> 3
-            offset = pos & 7
-            take = min(8 - offset, remaining)
-            chunk = (self._data[byte_idx] >> (8 - offset - take)) & ((1 << take) - 1)
-            out = (out << take) | chunk
-            pos += take
-            remaining -= take
-        self._pos = pos
-        return out
-
-    def read_many(self, widths: np.ndarray) -> np.ndarray:
-        """Read ``len(widths)`` consecutive fields in one vectorized gather.
-
-        Equivalent to ``np.array([self.read_bits(w) for w in widths])`` but
-        word-at-a-time; returns ``uint64`` and advances the bit position.
-        """
-        widths = np.asarray(widths, dtype=np.int64)
-        if widths.size == 0:
-            return np.zeros(0, dtype=_U64)
-        _check_widths(widths)
-        total_bits = int(widths.sum())
-        end = self._pos + total_bits
-        if end > 8 * len(self._data):
-            raise DecompressionError("bit stream exhausted")
-        if self._words is None:
-            self._words = _words_from_bytes(self._data)
-        ends = np.cumsum(widths)
-        starts = self._pos + (ends - widths)
-        out = _gather_fields(self._words, starts, widths)
-        self._pos = end
-        return out

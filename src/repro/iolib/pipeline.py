@@ -43,11 +43,8 @@ from repro.obs.trace import active_tracer
 __all__ = [
     "PipelineConfig",
     "PipelinePlan",
-    "StageSchedule",
     "chunk_spans",
     "chunk_array",
-    "stage_schedule",
-    "stage_intervals",
     "plan_pipelined_write",
 ]
 
@@ -106,106 +103,6 @@ def chunk_array(values: np.ndarray, n_chunks: int) -> list[np.ndarray]:
 
 
 @dataclass(frozen=True)
-class StageSchedule:
-    """Per-chunk compress+serialize timeline of one pipelined writer.
-
-    The single source of truth for how the compute stage feeds the write
-    stage — shared by the single-node plan (:func:`plan_pipelined_write`)
-    and the multi-node campaign, so the two paths can never diverge.
-    ``arrivals`` includes the per-chunk metadata stagger but not the MDS
-    open latency (the PFS solver charges that once).
-    """
-
-    sizes: np.ndarray  # chunk output bytes
-    t_compress: np.ndarray
-    t_serialize: np.ndarray
-    stage_start: np.ndarray
-    stage_finish: np.ndarray
-    arrivals: np.ndarray
-
-    @property
-    def n_chunks(self) -> int:
-        return int(self.sizes.size)
-
-
-def stage_schedule(
-    out_nbytes: int,
-    compress_s: float,
-    cost: WriteCostModel,
-    cpu_speed: float = 1.0,
-    n_chunks: int = 8,
-) -> StageSchedule:
-    """Solve the compute-stage timeline: chunks back to back on one core.
-
-    ``compress_s`` (the whole-dataset compression time; zero for the
-    uncompressed baseline) is spread over the chunks proportionally to
-    their bytes, so the stage total is identical to the monolithic model.
-    """
-    if compress_s < 0:
-        raise ConfigurationError("compress_s must be non-negative")
-    sizes = chunk_spans(out_nbytes, n_chunks)
-    n = sizes.size
-    frac = sizes / float(sizes.sum())
-    t_compress = compress_s * frac
-    t_serialize = np.array(
-        [cost.serialize_seconds(int(s), cpu_speed) for s in sizes]
-    )
-    stage_finish = np.cumsum(t_compress + t_serialize)
-    stage_start = stage_finish - (t_compress + t_serialize)
-    arrivals = stage_finish + cost.chunk_meta_latency_s * np.arange(n)
-    return StageSchedule(
-        sizes=sizes,
-        t_compress=t_compress,
-        t_serialize=t_serialize,
-        stage_start=stage_start,
-        stage_finish=stage_finish,
-        arrivals=arrivals,
-    )
-
-
-def stage_intervals(
-    sched: StageSchedule,
-    transfer_start: np.ndarray,
-    transfer_finish: np.ndarray,
-    cores: int = 1,
-    transfer_activity: float = 0.1,
-) -> list[Interval]:
-    """Absolute-time load intervals for one node running ``sched``.
-
-    ``cores`` is the node's concurrent writer count (1 for a single-stream
-    pipeline, ranks-per-node for a campaign node); the transfer bounds come
-    from whichever PFS solver the caller ran over the flows.
-    """
-    intervals: list[Interval] = []
-    for i in range(sched.n_chunks):
-        c0 = float(sched.stage_start[i])
-        if sched.t_compress[i] > 0:
-            intervals.append(
-                Interval(c0, c0 + float(sched.t_compress[i]), cores, 1.0, "compress")
-            )
-        if sched.t_serialize[i] > 0:
-            intervals.append(
-                Interval(
-                    c0 + float(sched.t_compress[i]),
-                    float(sched.stage_finish[i]),
-                    cores,
-                    1.0,
-                    "write",
-                )
-            )
-        intervals.append(
-            Interval(
-                float(transfer_start[i]),
-                float(transfer_finish[i]),
-                cores,
-                transfer_activity,
-                "write",
-            )
-        )
-    return intervals
-
-
-@dataclass(frozen=True)
 class PipelinePlan:
     """The solved timeline of one pipelined write.
 
@@ -248,42 +145,68 @@ def plan_pipelined_write(
 ) -> PipelinePlan:
     """Solve the overlapped compress→serialize→transfer timeline.
 
-    The stage timeline comes from :func:`stage_schedule`; chunk *i*'s flow
-    enters the PFS the instant its serialize pass ends (plus the per-chunk
-    metadata its library charges), so transfers drain underneath the
-    remaining compress work.
+    The chunks run their compress+serialize stage back to back on one core;
+    ``compress_s`` (the whole-dataset compression time; zero for the
+    uncompressed baseline) is spread over them in proportion to their bytes,
+    so the stage total is identical to the monolithic model.  Chunk *i*'s
+    flow enters the PFS the instant its serialize pass ends (plus the
+    per-chunk metadata its library charges), so transfers drain underneath
+    the remaining compress work.
     """
-    sched = stage_schedule(out_nbytes, compress_s, cost, cpu_speed, n_chunks)
-    finish = pfs.pipelined_write_times(
-        sched.sizes.astype(np.float64),
-        sched.arrivals,
-        efficiency=cost.bandwidth_efficiency,
+    if compress_s < 0:
+        raise ConfigurationError("compress_s must be non-negative")
+    sizes = chunk_spans(out_nbytes, n_chunks)
+    t_compress = compress_s * (sizes / float(sizes.sum()))
+    t_serialize = np.array(
+        [cost.serialize_seconds(int(s), cpu_speed) for s in sizes]
     )
+    stage = t_compress + t_serialize
+    stage_finish = np.cumsum(stage)
+    stage_start = stage_finish - stage
+    # The MDS open latency is charged once, by the PFS solver.
+    arrivals = stage_finish + cost.chunk_meta_latency_s * np.arange(sizes.size)
+    finish = pfs.pipelined_write_times(
+        sizes.astype(np.float64), arrivals, efficiency=cost.bandwidth_efficiency
+    )
+    write_arrival = tuple(float(a) + pfs.metadata_latency_s for a in arrivals)
     total = float(finish.max()) + cost.open_latency_s
 
     write_alone = (
-        float(sched.t_serialize.sum())
-        + pfs.single_write_seconds(int(sched.sizes.sum()), cost.bandwidth_efficiency)
+        float(t_serialize.sum())
+        + pfs.single_write_seconds(int(sizes.sum()), cost.bandwidth_efficiency)
         + cost.open_latency_s
     )
 
-    intervals = stage_intervals(
-        sched,
-        sched.arrivals + pfs.metadata_latency_s,
-        finish,
-        cores=1,
-        transfer_activity=cost.transfer_activity,
-    )
+    intervals: list[Interval] = []
+    for i in range(sizes.size):
+        c0 = float(stage_start[i])
+        if t_compress[i] > 0:
+            intervals.append(
+                Interval(c0, c0 + float(t_compress[i]), 1, 1.0, "compress")
+            )
+        if t_serialize[i] > 0:
+            intervals.append(
+                Interval(
+                    c0 + float(t_compress[i]), float(stage_finish[i]), 1, 1.0,
+                    "write",
+                )
+            )
+        intervals.append(
+            Interval(
+                write_arrival[i], float(finish[i]), 1, cost.transfer_activity,
+                "write",
+            )
+        )
     # File close/commit tail after the last flow drains.
     intervals.append(
         Interval(float(finish.max()), total, 1, cost.transfer_activity, "write")
     )
 
     plan = PipelinePlan(
-        chunk_bytes=tuple(int(s) for s in sched.sizes),
-        compress_start=tuple(float(s) for s in sched.stage_start),
-        stage_finish=tuple(float(s) for s in sched.stage_finish),
-        write_arrival=tuple(float(a) + pfs.metadata_latency_s for a in sched.arrivals),
+        chunk_bytes=tuple(int(s) for s in sizes),
+        compress_start=tuple(float(s) for s in stage_start),
+        stage_finish=tuple(float(s) for s in stage_finish),
+        write_arrival=write_arrival,
         write_finish=tuple(float(f) for f in finish),
         total_time_s=total,
         compress_time_s=float(compress_s),

@@ -869,7 +869,7 @@ def _validate_checkpoint(spec) -> None:
     # worker pool.
     if not spec.mttfs:
         raise ConfigurationError("mttfs axis must not be empty")
-    if any(m <= 0 for m in spec.mttfs):
+    if any(not m > 0 for m in spec.mttfs):  # NaN too; inf is failure-free
         raise ConfigurationError("every mttf must be positive")
     if isinstance(spec.interval, str):
         if spec.interval not in ("daly", "young"):
@@ -879,6 +879,10 @@ def _validate_checkpoint(spec) -> None:
             )
     elif not spec.interval > 0:
         raise ConfigurationError("explicit interval must be positive")
+    for name in ("work_s", "downtime_s"):
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value!r}")
     if not spec.work_s > 0:
         raise ConfigurationError("work_s must be positive")
     if spec.downtime_s < 0:
@@ -1017,6 +1021,24 @@ def _invariants_serial(records) -> list:
     return errors
 
 
+_CODEC_COST = ("compress_time_s", "compress_energy_j")
+
+
+def _baseline_errors(rec, where: str, cost=(), ratio: bool = False) -> list:
+    """The write-path kinds' codec checks: ``codec`` and ``rel_bound`` are
+    null together, and the uncompressed baseline carries none of the
+    ``cost`` fields and (with ``ratio``) a ratio of exactly 1."""
+    errors = []
+    if (rec["codec"] is None) != (rec["rel_bound"] is None):
+        errors.append(f"{where}: codec/rel_bound nullability mismatch")
+    if rec["codec"] is None:
+        if any(rec[name] != 0 for name in cost):
+            errors.append(f"{where}: uncompressed baseline carries codec cost")
+        if ratio and rec["ratio"] != 1.0:
+            errors.append(f"{where}: uncompressed baseline ratio != 1.0")
+    return errors
+
+
 def _invariants_io(records) -> list:
     errors = []
     for i, rec in enumerate(records):
@@ -1027,12 +1049,7 @@ def _invariants_io(records) -> list:
             errors.append(f"{where}: negative stage time")
         if min(rec["write_energy_j"], rec["compress_energy_j"]) < 0:
             errors.append(f"{where}: negative energy")
-        if (rec["codec"] is None) != (rec["rel_bound"] is None):
-            errors.append(f"{where}: codec/rel_bound nullability mismatch")
-        if rec["codec"] is None and (
-            rec["compress_time_s"] != 0 or rec["compress_energy_j"] != 0
-        ):
-            errors.append(f"{where}: uncompressed baseline carries codec cost")
+        errors += _baseline_errors(rec, where, _CODEC_COST)
     return errors
 
 
@@ -1067,8 +1084,7 @@ def _invariants_pipeline(records) -> list:
             )
         if not rec["overlap"] and abs(rec["total_time_s"] - stage_sum) > 1e-9:
             errors.append(f"{where}: overlap-off control does not sum exactly")
-        if (rec["codec"] is None) != (rec["rel_bound"] is None):
-            errors.append(f"{where}: codec/rel_bound nullability mismatch")
+        errors += _baseline_errors(rec, where)
     return errors
 
 
@@ -1088,13 +1104,7 @@ def _invariants_dvfs(records) -> list:
             errors.append(f"{where}: energy must be positive (idle power alone is)")
         if rec["ratio"] <= 0:
             errors.append(f"{where}: ratio must be positive")
-        if (rec["codec"] is None) != (rec["rel_bound"] is None):
-            errors.append(f"{where}: codec/rel_bound nullability mismatch")
-        if rec["codec"] is None:
-            if rec["compress_time_s"] != 0 or rec["compress_energy_j"] != 0:
-                errors.append(f"{where}: uncompressed baseline carries codec cost")
-            if rec["ratio"] != 1.0:
-                errors.append(f"{where}: uncompressed baseline ratio != 1.0")
+        errors += _baseline_errors(rec, where, _CODEC_COST, ratio=True)
         key = (
             rec["dataset"],
             rec["codec"],
@@ -1141,13 +1151,10 @@ def _invariants_checkpoint(records) -> list:
         ):
             if rec[name] < 0:
                 errors.append(f"{where}.{name}: negative energy")
-        if (rec["codec"] is None) != (rec["rel_bound"] is None):
-            errors.append(f"{where}: codec/rel_bound nullability mismatch")
-        if rec["codec"] is None:
-            if rec["ckpt_compress_time_s"] != 0 or rec["ckpt_compress_energy_j"] != 0:
-                errors.append(f"{where}: uncompressed baseline carries codec cost")
-            if rec["ratio"] != 1.0:
-                errors.append(f"{where}: uncompressed baseline ratio != 1.0")
+        errors += _baseline_errors(
+            rec, where, ("ckpt_compress_time_s", "ckpt_compress_energy_j"),
+            ratio=True,
+        )
         if math.isinf(mttf):
             if rec["n_failures"] != 0 or rec["rework_s"] != 0:
                 errors.append(f"{where}: failure-free lifetime shows failures")

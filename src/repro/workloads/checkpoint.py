@@ -140,6 +140,12 @@ class CheckpointSpec:
     downtime_s: float = 0.0
 
     def __post_init__(self):
+        # interval_s and mttf_s may be inf (one trailing checkpoint, no
+        # failures); every cost must be a real number of seconds.
+        for name in ("work_s", "ckpt_s", "restart_s", "downtime_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
         if not self.work_s > 0:
             raise ConfigurationError("work_s must be positive")
         if not self.interval_s > 0:

@@ -11,5 +11,7 @@ and its reference are never compared through a second copy:
 - :mod:`reference.workloads` — the application lifetime as a generator
   process;
 - :mod:`reference.cluster` — the schedule pass as generator processes and
-  the per-phase node meter.
+  the per-phase node meter;
+- :mod:`reference.zfp` — the per-bitplane ZFP coder over a sequential
+  MSB-first bit reader/writer.
 """

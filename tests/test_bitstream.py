@@ -1,11 +1,11 @@
-"""Bit-level I/O: vectorized packing and sequential reader/writer agree."""
+"""Bit-level I/O: vectorized packing round-trips and rejects bad input."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compressors.bitstream import BitReader, BitWriter, pack_bits, unpack_bits
+from repro.compressors.bitstream import pack_bits, unpack_bits
 from repro.errors import DecompressionError
 
 
@@ -65,69 +65,3 @@ class TestPackBits:
         out = unpack_bits(pack_bits(values, widths), widths)
         np.testing.assert_array_equal(out, values)
 
-
-class TestBitWriterReader:
-    def test_single_bits(self):
-        w = BitWriter()
-        bits = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1]
-        for b in bits:
-            w.write_bit(b)
-        r = BitReader(w.getvalue())
-        assert [r.read_bit() for _ in range(len(bits))] == bits
-
-    def test_write_bits_msb_first(self):
-        w = BitWriter()
-        w.write_bits(0b1011, 4)
-        w.write_bits(0b01, 2)
-        r = BitReader(w.getvalue())
-        assert r.read_bits(4) == 0b1011
-        assert r.read_bits(2) == 0b01
-
-    def test_interop_with_pack_bits(self):
-        """Sequential writer output parses with the vectorized unpacker."""
-        w = BitWriter()
-        w.write_bits(0b101, 3)
-        w.write_bits(0b11110000, 8)
-        out = unpack_bits(w.getvalue(), np.array([3, 8]))
-        np.testing.assert_array_equal(out, [0b101, 0b11110000])
-
-    def test_bit_length_tracks(self):
-        w = BitWriter()
-        assert w.bit_length == 0
-        w.write_bit(1)
-        assert w.bit_length == 1
-        w.write_bits(0, 13)
-        assert w.bit_length == 14
-
-    def test_eof_raises(self):
-        r = BitReader(b"\xff")
-        r.read_bits(8)
-        with pytest.raises(DecompressionError):
-            r.read_bit()
-
-    def test_seek(self):
-        w = BitWriter()
-        w.write_bits(0b10110011, 8)
-        r = BitReader(w.getvalue())
-        r.read_bits(5)
-        r.seek_bit(2)
-        assert r.read_bits(3) == 0b110
-
-    def test_large_width_values(self):
-        w = BitWriter()
-        w.write_bits((1 << 50) - 3, 50)
-        r = BitReader(w.getvalue())
-        assert r.read_bits(50) == (1 << 50) - 3
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 2**20), st.integers(1, 21)), max_size=80))
-    def test_writer_reader_property(self, pairs):
-        w = BitWriter()
-        expected = []
-        for v, width in pairs:
-            v &= (1 << width) - 1
-            w.write_bits(v, width)
-            expected.append((v, width))
-        r = BitReader(w.getvalue())
-        for v, width in expected:
-            assert r.read_bits(width) == v

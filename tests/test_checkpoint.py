@@ -272,6 +272,20 @@ class TestStoreAndSweep:
         with pytest.raises(ConfigurationError):
             SweepSpec(kind="checkpoint", n_nodes=0)
 
+    @pytest.mark.parametrize(
+        "override",
+        [dict(work_s=math.inf), dict(mttfs=(math.nan,)),
+         dict(mttfs=(math.inf, math.nan)), dict(downtime_s=math.nan),
+         dict(downtime_s=math.inf)],
+        ids=repr,
+    )
+    def test_spec_rejects_non_finite(self, override):
+        """Rejected at construction: an inf work used to fail inside a
+        worker with an untyped ``OverflowError``; a NaN MTTF or downtime
+        passed the sign checks."""
+        with pytest.raises(ConfigurationError):
+            SweepSpec(kind="checkpoint", **override)
+
     def test_spec_json_round_trip_with_inf(self):
         spec = SweepSpec(kind="checkpoint", mttfs=(float("inf"), 3600.0))
         assert SweepSpec.from_json(spec.to_json()) == spec

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.compressors import get_compressor
 from repro.compressors.base import Compressor
-from repro.compressors.bitstream import BitReader, BitWriter, pack_bits, unpack_bits
+from repro.compressors.bitstream import pack_bits, unpack_bits
 from repro.compressors.deflate import unpack_chunk
 from repro.compressors.huffman import PEEK_BITS, huffman_decode, huffman_encode
 
@@ -356,52 +356,3 @@ class TestVectorizedAgainstScalarSemantics:
         )
         syms = syms[np.random.default_rng(seed).permutation(syms.size)]
         np.testing.assert_array_equal(huffman_decode(huffman_encode(syms)), syms)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 64)),
-            min_size=0,
-            max_size=150,
-        )
-    )
-    def test_write_many_matches_scalar_write_bits(self, pairs):
-        values = np.array(
-            [v & ((1 << w) - 1) if w else 0 for v, w in pairs], dtype=np.uint64
-        )
-        widths = np.array([w for _, w in pairs], dtype=np.int64)
-        scalar, batched = BitWriter(), BitWriter()
-        scalar.write_bits(0b0110, 4)  # misalign the accumulator
-        batched.write_bits(0b0110, 4)
-        for v, w in zip(values, widths):
-            scalar.write_bits(int(v), int(w))
-        batched.write_many(values, widths)
-        assert scalar.getvalue() == batched.getvalue()
-        assert scalar.bit_length == batched.bit_length
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 64)),
-            min_size=0,
-            max_size=150,
-        ),
-        st.integers(0, 7),
-    )
-    def test_read_many_matches_scalar_read_bits(self, pairs, lead):
-        writer = BitWriter()
-        writer.write_bits(0, lead)
-        values = [(v & ((1 << w) - 1)) if w else 0 for v, w in pairs]
-        widths = np.array([w for _, w in pairs], dtype=np.int64)
-        for v, w in zip(values, widths):
-            writer.write_bits(v, int(w))
-        data = writer.getvalue()
-
-        scalar = BitReader(data)
-        scalar.seek_bit(lead)
-        expected = [scalar.read_bits(int(w)) for w in widths]
-        batched = BitReader(data)
-        batched.seek_bit(lead)
-        out = batched.read_many(widths)
-        np.testing.assert_array_equal(out, np.array(expected, dtype=np.uint64))
-        assert batched.bit_position == scalar.bit_position

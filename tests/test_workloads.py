@@ -122,6 +122,21 @@ class TestIntervalMath:
             100.0 * 100.0 + 3 * 50.0
         )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("work_s", math.inf)]
+        + [(f, v) for f in ("ckpt_s", "restart_s", "downtime_s")
+           for v in (math.nan, math.inf)],
+    )
+    def test_spec_rejects_non_finite_costs(self, field, value):
+        """A NaN cost used to pass ``x < 0`` and end the run at a NaN
+        makespan; an inf work overflowed in ``segment_works``."""
+        good = dict(work_s=100.0, interval_s=math.inf, ckpt_s=5.0,
+                    restart_s=3.0, mttf_s=math.inf, downtime_s=1.0)
+        CheckpointSpec(**good)  # inf interval and MTTF keep their meaning
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            CheckpointSpec(**{**good, field: value})
+
 
 class TestLifecycle:
     def test_failure_free_reduction(self):
