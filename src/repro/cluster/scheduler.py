@@ -424,6 +424,9 @@ def _prepare_jobs(
     # Dedicated drains per tenant class: jobs with equal (ranks, out_bytes,
     # cpu_s) put the same flows on the PFS, so one solve prices them all.
     drains: dict[tuple[int, int, float], float] = {}
+    # Tenants share a handful of (codec, rel_bound, ratio) triples, so each
+    # write prelude is priced once.
+    preludes: dict[tuple[str | None, float, float], tuple[float, float, int]] = {}
     for job in spec.jobs:
         nodes, rpn, rem = campaign._topology(job.ranks)
         if nodes > spec.n_nodes:
@@ -440,9 +443,10 @@ def _prepare_jobs(
                     "measured compression ratio in `ratios`"
                 )
             ratio = float(ratios[job.name])
-        t_comp, t_serialize, out_bytes = campaign.write_prelude(
-            job.codec, job.rel_bound, ratio
-        )
+        triple = (job.codec, job.rel_bound, ratio)
+        if triple not in preludes:
+            preludes[triple] = campaign.write_prelude(*triple)
+        t_comp, t_serialize, out_bytes = preludes[triple]
         cpu_s = t_comp + t_serialize
 
         # Dedicated write drain: this job's flows alone on the PFS, arriving

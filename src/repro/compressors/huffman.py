@@ -11,18 +11,24 @@ DEFLATE pass.  This module implements a canonical Huffman code:
   length-limiting adjustment (rarely triggered for quantization data),
 - a compact header storing only the symbol list and code lengths,
 - vectorized encoding through :func:`repro.compressors.bitstream.pack_bits`,
-- fully vectorized decoding: a :data:`PEEK_BITS`-bit window is gathered at
-  *every* candidate bit offset of the word-packed payload, decoded
-  speculatively through the lookup table (one ``np.repeat``: canonical codes
-  fill contiguous prefix ranges; a per-length canonical search handles the
-  rare codes longer than :data:`PEEK_BITS`), and the true symbol boundaries
-  are then recovered by pointer-doubling over the resulting offset-successor
-  array.
+- vectorized decoding from anchors on the true symbol chain: the
+  :data:`PEEK_BITS`-bit prefix at *every* bit offset of the payload is read
+  through one broadcast shift of a byte-strided 32-bit view and decoded
+  speculatively through one fused lookup table (canonical codes fill
+  contiguous prefix ranges; one ``np.searchsorted`` against the canonical
+  left-justified limits resolves the rare codes longer than
+  :data:`PEEK_BITS`), giving each offset's successor.  Five doubling rounds
+  turn the successor array into a 32-symbol jump, a scalar walk visits
+  every 32nd symbol boundary, and 32 lockstep gathers expand those anchors
+  into the full chain.  Every anchor lies on the true chain, so no lane
+  ever has to resynchronise.
 
-Both directions are O(n) NumPy passes over the symbols (decode adds a
-log₂(n) factor for the pointer doubling).  The Python loops run over the
-distinct symbols only: one step per merge and one per merged node's depth,
-plus one iteration per distinct code length when assigning canonical codes.
+Both directions are O(n) NumPy passes over the symbols and the payload
+bits; decode makes a constant number of passes over ``payload_bits``-sized
+arrays plus n/32 scalar steps.  The Python loops run over the distinct
+symbols only, apart from that anchor walk: one step per merge and one per
+merged node's depth, plus one iteration per distinct code length when
+assigning canonical codes.
 The byte format is identical to the original per-symbol implementation.
 """
 
@@ -33,7 +39,7 @@ import struct
 import numpy as np
 
 from repro.compressors.base import MAX_DECLARED_ELEMENTS
-from repro.compressors.bitstream import _words_from_bytes, pack_bits
+from repro.compressors.bitstream import pack_bits
 from repro.errors import DecompressionError
 
 __all__ = ["HuffmanCodec", "huffman_encode", "huffman_decode", "huffman_max_bytes"]
@@ -42,6 +48,11 @@ MAX_CODE_LENGTH = 32
 PEEK_BITS = 12
 
 _HEADER = struct.Struct("<IHI")  # n_symbols_encoded, n_distinct, payload_bits
+
+# The decoder anchors every _LANES-th symbol and expands the anchors in
+# _LANES lockstep gathers; _ANCHOR_ROUNDS doubling rounds reach that jump.
+_ANCHOR_ROUNDS = 5
+_LANES = 1 << _ANCHOR_ROUNDS
 
 
 def _code_lengths(freqs: np.ndarray) -> np.ndarray:
@@ -176,6 +187,27 @@ def _build_peek_table(sorted_lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return table_idx, table_len
 
 
+def _anchors(nxt: np.ndarray, count: int) -> list[int]:
+    """Offsets of symbols 0, _LANES, 2 * _LANES, ... on the chain from 0.
+
+    Doubling ``nxt`` :data:`_ANCHOR_ROUNDS` times gives each offset's
+    successor ``_LANES`` symbols on; the anchors are then one scalar step
+    apart.
+    """
+    adv = nxt.take(nxt, mode="clip")
+    spare = np.empty_like(adv)
+    for _ in range(_ANCHOR_ROUNDS - 1):
+        adv.take(adv, out=spare, mode="clip")
+        adv, spare = spare, adv
+    step = memoryview(adv)
+    anchors = [0] * count
+    a = 0
+    for i in range(1, count):
+        a = step[a]
+        anchors[i] = a
+    return anchors
+
+
 class HuffmanCodec:
     """Encode/decode integer symbol arrays with a canonical Huffman code."""
 
@@ -257,6 +289,11 @@ class HuffmanCodec:
                 f"MAX_CODE_LENGTH={MAX_CODE_LENGTH}"
             )
 
+        # The encoder writes int64 symbols, so a stored value past that range
+        # is corrupt (and would not survive the cast to the decoded dtype).
+        if (values >> np.uint64(63)).any():
+            raise DecompressionError("huffman symbol value exceeds the int64 range")
+
         if n_distinct == 1:
             # No payload bits bound a one-symbol stream's length.
             if n > MAX_DECLARED_ELEMENTS:
@@ -288,86 +325,83 @@ class HuffmanCodec:
         if total_bits < payload_bits:
             raise DecompressionError("huffman payload truncated")
 
-        # Speculative decode at *every* bit offset: gather a 64-bit window
-        # per offset from the word-packed payload, classify the top
-        # PEEK_BITS through the lookup table, and resolve the rare long-code
-        # escapes with a vectorized per-length canonical search.
+        # Decode speculatively at every bit offset.  Each offset's entry is
+        # (sorted index << 6) | code length, 0 where no code starts: a
+        # byte-strided big-endian 32-bit view of the zero-padded payload
+        # holds one window per byte, and one broadcast shift reads the peek
+        # prefix at its 8 bit phases.  Two bytes past the payload cover
+        # the overshoot of a short code; offsets from total_bits on are
+        # invalid.
         table_idx, table_len = _build_peek_table(sorted_lens)
-        words = _words_from_bytes(payload)
-        pos = np.arange(total_bits, dtype=np.int64)
-        wi = pos >> 6
-        boff = (pos & 63).astype(np.uint64)
-        win64 = words[wi] << boff
-        np.bitwise_or(
-            win64,
-            np.where(
-                boff > 0,
-                words[wi + 1] >> ((np.uint64(64) - boff) & np.uint64(63)),
-                np.uint64(0),
-            ),
-            out=win64,
-        )
-        peek = (win64 >> np.uint64(64 - PEEK_BITS)).astype(np.int64)
-        idx_at = table_idx[peek]
-        len_at = table_len[peek].astype(np.int64)
+        table = (np.maximum(table_idx, 0).astype(np.intp) << 6) | table_len
+        nbytes = len(payload)
+        padded = b"".join((payload, bytes(8)))
+        win = np.ndarray(
+            (nbytes + 4,), dtype=">u4", buffer=padded, strides=(1,)
+        ).astype(np.intp)
+        phases = np.arange(32 - PEEK_BITS, 24 - PEEK_BITS, -1)
+        peek = np.right_shift(win[: nbytes + 2, None], phases)
+        peek &= (1 << PEEK_BITS) - 1
+        ent = table.take(peek, mode="clip").ravel()
+        del peek
+        ent[total_bits:] = 0
 
-        escapes = np.flatnonzero(idx_at < 0)
-        if escapes.size:
-            # Ascending-length first-match mirrors the scalar slow path.
-            esc_win = win64[escapes]
-            unresolved = np.ones(escapes.size, dtype=bool)
-            # sorted_lens is ascending, so its distinct lengths are the
-            # first of each run (np.unique would import numpy.ma).
+        # Short codes fill the table from its start, so only a table whose
+        # last entry is empty leaves prefixes to long codes.  Canonical
+        # codes left-justified to 32 bits fill one contiguous range per
+        # length, ending at the limits below, so one search of each
+        # escape's 32-bit window finds its length.
+        if not table[-1]:
+            escapes = np.flatnonzero(ent[:total_bits] == 0)
+            b, q = escapes >> 3, escapes & 7
+            w = ((win[b] << q) | (win[b + 4] >> (32 - q))) & 0xFFFFFFFF
             starts = np.flatnonzero(np.diff(sorted_lens, prepend=-1))
-            for ln in sorted_lens[starts].tolist():
-                if ln <= PEEK_BITS or ln > MAX_CODE_LENGTH:
-                    continue
-                lo = int(np.searchsorted(sorted_lens, ln, side="left"))
-                hi = int(np.searchsorted(sorted_lens, ln, side="right"))
-                cand = np.flatnonzero(unresolved)
-                if cand.size == 0:
-                    break
-                code = (esc_win[cand] >> np.uint64(64 - ln)).astype(np.int64)
-                delta = code - int(codes[lo])
-                ok = (
-                    (delta >= 0)
-                    & (delta < hi - lo)
-                    & (escapes[cand] + ln <= total_bits)
-                )
-                hit = cand[ok]
-                idx_at[escapes[hit]] = (lo + delta[ok]).astype(np.int32)
-                len_at[escapes[hit]] = ln
-                unresolved[hit] = False
+            run_lens = sorted_lens[starts]
+            firsts = codes[starts].astype(np.int64)
+            counts = np.diff(np.append(starts, sorted_lens.size))
+            limits = (firsts + counts) << (32 - run_lens)
+            run = np.searchsorted(limits, w, side="right")
+            ok = run < limits.size
+            escapes, w, run = escapes[ok], w[ok], run[ok]
+            ln = run_lens[run]
+            ok = escapes + ln <= total_bits
+            escapes, w, run, ln = escapes[ok], w[ok], run[ok], ln[ok]
+            sym = starts[run] + (w >> (32 - ln)) - firsts[run]
+            ent[escapes] = (sym << 6) | ln
 
         # Offset-successor chain: position -> position of the next symbol.
-        # Invalid offsets jump to the absorbing sentinel `total_bits`.
-        nxt = np.where(idx_at >= 0, np.minimum(pos + len_at, total_bits), total_bits)
-        nxt = np.append(nxt, total_bits)
-        idx_at = np.append(idx_at, np.int32(-1))
-        len_at = np.append(len_at, 0)
+        # Invalid offsets (entry 0) loop on themselves, so a chain that
+        # meets one stays there and fails the checks below.  Every
+        # successor is an index into `ent`, which is why the gathers below
+        # may skip their bounds checks (mode="clip").
+        nxt = ent & 63
+        nxt += np.arange(ent.size, dtype=np.intp)
 
-        # Pointer doubling: `adv` advances m symbols at once, so each round
-        # doubles the known prefix of the symbol-boundary chain.
-        chain = np.zeros(1, dtype=np.int64)
-        adv = nxt
-        m = 1
-        while m < n:
-            chain = np.concatenate((chain, adv[chain]))[:n]
-            m = min(2 * m, n)
-            if m >= n:
-                break
-            adv = adv[adv]
+        # Anchor every `lanes`-th symbol on the true chain, then expand all
+        # anchors in lockstep, one gather of `nxt` per symbol.  Symbol i
+        # sits at chain[i % lanes, i // lanes].
+        lanes = min(_LANES, n)
+        n_anchors = -(-n // lanes)
+        chain = np.zeros((lanes, n_anchors), dtype=np.intp)
+        if n_anchors > 1:
+            chain[0] = _anchors(nxt, n_anchors)
+        for r in range(1, lanes):
+            nxt.take(chain[r - 1], out=chain[r], mode="clip")
 
-        sym_indices = idx_at[chain]
-        if (sym_indices < 0).any():
+        # In symbol order the gathers read the payload's entries forwards,
+        # several times faster than lane by lane.
+        chain = chain.T.reshape(-1)[:n]
+        sym_ent = ent.take(chain, mode="clip")
+        if not sym_ent.all():
             raise DecompressionError("invalid huffman code or exhausted payload")
-        consumed = int(chain[-1]) + int(len_at[chain[-1]])
+        consumed = int(chain[-1]) + (int(sym_ent[-1]) & 63)
         if consumed != payload_bits:
             raise DecompressionError(
                 f"huffman payload length mismatch: consumed {consumed}, "
                 f"expected {payload_bits}"
             )
-        return sorted_values[sym_indices]
+        sym_ent >>= 6
+        return sorted_values.take(sym_ent, mode="clip")
 
 
 _DEFAULT = HuffmanCodec()

@@ -83,13 +83,12 @@ def fair_share_schedule(
         for cap in (per_flow_cap_mbps, aggregate_cap_mbps)
     ):
         raise ConfigurationError("capacities must be positive and finite")
-    if counts is None:
-        counts = np.ones(arrivals.shape, dtype=np.int64)
-    counts = np.asarray(counts)
-    if counts.ndim != 1 or counts.shape != arrivals.shape:
-        raise ConfigurationError("counts must be 1-D and align with arrivals")
-    if counts.size and (counts.dtype.kind not in "iu" or (counts < 1).any()):
-        raise ConfigurationError("counts must be integers >= 1")
+    if counts is not None:
+        counts = np.asarray(counts)
+        if counts.ndim != 1 or counts.shape != arrivals.shape:
+            raise ConfigurationError("counts must be 1-D and align with arrivals")
+        if counts.size and (counts.dtype.kind not in "iu" or (counts < 1).any()):
+            raise ConfigurationError("counts must be integers >= 1")
     m = arrivals.size
     if not m:
         return np.empty(0)
@@ -101,7 +100,13 @@ def fair_share_schedule(
     # same doubles.
     due = arrivals[order].tolist()
     order = order.tolist()
-    flows = counts.tolist()
+    # Flows per class, and the flows a completion mask retires.
+    if counts is None:
+        flows = [1] * m
+        n_finished = np.count_nonzero
+    else:
+        flows = counts.tolist()
+        n_finished = lambda done: counts[done].sum()  # noqa: E731
     next_arrival = 0  # index into `order`
     # The active set is a boolean mask over classes, so the per-event work
     # (progress subtraction, minimum remaining, completion harvest) runs as
@@ -154,7 +159,7 @@ def fair_share_schedule(
             done = active & (remaining <= 1e-9)
             finish[done] = t
             active &= ~done
-            n_active -= int(counts[done].sum())
+            n_active -= int(n_finished(done))
     return finish
 
 

@@ -121,6 +121,17 @@ def _prep_huffman_decode(inp: KernelInputs):
     return (lambda: huffman_decode(blob)), codes.size, codes.nbytes
 
 
+def _prep_huffman_decode_field(inp: KernelInputs):
+    """Decode one field's own code stream, untiled: a stream of the size
+    the SZ codecs decode (6k-16k symbols at ``test`` shapes), where the
+    fixed cost per call shows."""
+    if inp.field is None:
+        return None
+    codes = inp.codes[: inp.field.size]
+    blob = huffman_encode(codes)
+    return (lambda: huffman_decode(blob)), codes.size, codes.nbytes
+
+
 def _prep_pack_bits(inp: KernelInputs):
     values = inp.codes.astype(np.uint64)
     widths = _widths_from_codes(inp.codes)
@@ -155,6 +166,7 @@ def _codec_kernel(codec: str, direction: str):
 KERNELS: tuple[KernelSpec, ...] = (
     KernelSpec("huffman_encode", _prep_huffman_encode),
     KernelSpec("huffman_decode", _prep_huffman_decode),
+    KernelSpec("huffman_decode_field", _prep_huffman_decode_field),
     KernelSpec("pack_bits", _prep_pack_bits),
     KernelSpec("unpack_bits", _prep_unpack_bits),
     KernelSpec("zfp_compress", _codec_kernel("zfp", "compress")),
@@ -302,6 +314,14 @@ def validate_doc(doc: object) -> None:
                 raise ValueError(f"results[{i}].{key} must be {typ.__name__}")
         if rec["seconds_per_call"] <= 0:
             raise ValueError(f"results[{i}].seconds_per_call must be positive")
+    # The trail holds earlier runs in the same shape, minus their history.
+    for i, run in enumerate(doc["history"]):
+        if not isinstance(run, dict) or "history" in run:
+            raise ValueError(f"history[{i}] must be a run without its own history")
+        try:
+            validate_doc(dict(run, history=[]))
+        except ValueError as exc:
+            raise ValueError(f"history[{i}]: {exc}") from None
 
 
 def load_doc(path: str) -> dict:

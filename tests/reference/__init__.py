@@ -13,5 +13,7 @@ and its reference are never compared through a second copy:
 - :mod:`reference.cluster` — the schedule pass as generator processes and
   the per-phase node meter;
 - :mod:`reference.zfp` — the per-bitplane ZFP coder over a sequential
-  MSB-first bit reader/writer.
+  MSB-first bit reader/writer;
+- :mod:`reference.huffman` — the per-offset pointer-doubling Huffman
+  decoder.
 """

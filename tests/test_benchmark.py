@@ -58,6 +58,14 @@ class TestKernelInputs:
             names.add(spec.name)
         assert {"huffman_encode", "huffman_decode", "pack_bits", "unpack_bits"} <= names
 
+    def test_field_decode_row_is_one_untiled_field(self):
+        inputs = kernel_inputs("nyx", target_symbols=1 << 15, scale="tiny")
+        (spec,) = [s for s in KERNELS if s.name == "huffman_decode_field"]
+        fn, n_symbols, n_bytes = spec.prepare(inputs)
+        assert n_symbols == inputs.field.size < inputs.codes.size
+        assert n_bytes == 8 * n_symbols
+        np.testing.assert_array_equal(fn(), inputs.codes[:n_symbols])
+
 
 class TestDocumentSchema:
     def test_run_produces_valid_doc(self, quick_doc):
@@ -85,6 +93,17 @@ class TestDocumentSchema:
             validate_doc(dict(quick_doc, results=clipped))
         with pytest.raises(ValueError):
             validate_doc([])
+
+    def test_validate_rejects_drift_in_the_history_trail(self, quick_doc):
+        run = {k: v for k, v in quick_doc.items() if k != "history"}
+        validate_doc(dict(quick_doc, history=[run, run]))
+        clipped = dict(run, results=[
+            {k: v for k, v in quick_doc["results"][0].items() if k != "calls"}
+        ])
+        with pytest.raises(ValueError, match=r"history\[1\].*calls"):
+            validate_doc(dict(quick_doc, history=[run, clipped]))
+        with pytest.raises(ValueError, match=r"history\[0\]"):
+            validate_doc(dict(quick_doc, history=[dict(quick_doc, history=[])]))
 
     def test_json_round_trip(self, tmp_path, quick_doc):
         path = tmp_path / "BENCH_kernels.json"

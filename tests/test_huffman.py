@@ -21,6 +21,9 @@ from repro.compressors.huffman import (
 )
 from repro.errors import DecompressionError
 
+from hostile import outcomes
+from reference.huffman import reference_huffman_decode
+
 
 class TestRoundtrip:
     def test_simple(self):
@@ -143,6 +146,13 @@ class TestCodecObject:
                 huffman_decode(forged)
         forged = struct.pack("<IHI", 33, n_distinct, bits) + blob[10:]
         np.testing.assert_array_equal(huffman_decode(forged), np.full(33, 7))
+
+    @pytest.mark.parametrize("distinct", (1, 3))
+    def test_symbol_value_past_int64_raises(self, distinct):
+        blob = bytearray(huffman_encode(np.arange(distinct).repeat(5)))
+        blob[10 + 7] |= 0x80  # top bit of the first stored value
+        with pytest.raises(DecompressionError, match="int64"):
+            huffman_decode(bytes(blob))
 
     def test_deterministic(self):
         syms = np.array([3, 1, 4, 1, 5, 9, 2, 6] * 10, dtype=np.int64)
@@ -279,3 +289,93 @@ class TestReferenceEquivalence:
         lengths = _code_lengths(freqs)
         assert lengths.max() > PEEK_BITS
         _assert_same_tables(freqs)
+
+
+# -- decoder equivalence -------------------------------------------------------
+
+
+def _stream(kind, seed, size):
+    """A symbol stream of one of the regimes the decoder must handle."""
+    r = np.random.default_rng(seed)
+    if kind == "geometric":
+        return r.geometric(r.uniform(0.05, 0.9), size) - 1
+    if kind == "heavy-tailed":
+        # Fibonacci counts over 15-18 symbols give a chain of codes up to
+        # 14-17 bits, past PEEK_BITS; the most common symbol takes `size`
+        # extra copies, which leaves the chain as it is.  The two rarest
+        # symbols, the longest codes, end the stream, where their windows
+        # run into the zero padding.
+        depth = int(r.integers(15, 19))
+        counts = _fibonacci(depth)
+        counts[-1] += size
+        body = r.permutation(np.repeat(np.arange(2, depth), counts[2:]))
+        return r.permutation(depth)[np.concatenate([body, r.permutation(2)])]
+    if kind == "power-of-two":
+        width = int(r.integers(1, 11))
+        reps = -(-size // 2**width)
+        return r.permutation(np.tile(np.arange(2**width), reps))
+    values = r.choice(2**40, size=int(r.integers(1, 4)), replace=False)
+    return values[r.integers(0, values.size, size)]
+
+
+def _corruptions(blob, seed):
+    """``blob``, seeded truncations of it and copies with 1-3 bits flipped."""
+    r = np.random.default_rng(seed)
+    yield "clean", blob
+    for cut in r.integers(0, len(blob), 6):
+        yield f"[:{cut}]", blob[:cut]
+    for _ in range(12):
+        corrupt = bytearray(blob)
+        bits = r.choice(8 * len(blob), size=int(r.integers(1, 4)), replace=False)
+        for bit in bits:
+            corrupt[bit // 8] ^= 1 << (bit % 8)
+        yield f"flip {sorted(bits.tolist())}", bytes(corrupt)
+
+
+def _both_decodes(case):
+    blob, n_symbols = case
+    got = []
+    for decode in (huffman_decode, reference_huffman_decode):
+        try:
+            got.append(decode(blob, n_symbols))
+        except DecompressionError as exc:
+            got.append(exc)
+    return got
+
+
+class TestDecoderEquivalence:
+    """The anchored decoder returns the pointer-doubling reference's exact
+    array on every stream, and raises ``DecompressionError`` on exactly the
+    streams the reference rejects."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["geometric", "heavy-tailed", "power-of-two", "few"]),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3000),
+    )
+    def test_matches_reference_on_clean_and_corrupt_streams(self, kind, seed, size):
+        syms = _stream(kind, seed, size)
+        blob = huffman_encode(syms)
+        n_distinct = np.unique(syms).size
+        if kind == "heavy-tailed":
+            lengths = blob[10 + 8 * n_distinct :][:n_distinct]
+            assert max(lengths) > PEEK_BITS
+        # Only the 2**31 cap bounds a one-symbol stream's declared count, so
+        # its corrupt copies decode against the known count, as the codecs do.
+        n_symbols = syms.size if n_distinct == 1 else None
+        cases = (
+            (f"{kind} seed {seed} {label}", (data, n_symbols))
+            for label, data in _corruptions(blob, seed)
+        )
+        for label, _, pair in outcomes(_both_decodes, cases):
+            # Any error but DecompressionError escapes _both_decodes.
+            assert not isinstance(pair, BaseException), f"{label}: {pair!r}"
+            got, want = pair
+            if isinstance(want, DecompressionError):
+                assert isinstance(got, DecompressionError), f"{label}: {got!r}"
+            else:
+                assert isinstance(got, np.ndarray), f"{label}: {got!r}"
+                assert got.dtype == want.dtype, label
+                assert got.tobytes() == want.tobytes(), label
+        np.testing.assert_array_equal(huffman_decode(blob), syms)

@@ -695,6 +695,34 @@ class TestDedicatedDrainPerClass:
             assert st.dedicated_drain_s == float(solo.max()) - st.cpu_s
 
 
+class TestWritePreludePerTriple:
+    """``_prepare_jobs`` prices each ``(codec, rel_bound, ratio)`` write
+    prelude once, however many tenants share it."""
+
+    def test_one_prelude_per_triple_and_prices_unchanged(self, campaign, monkeypatch):
+        from repro.cluster.scheduler import _prepare_jobs
+
+        spec = TestClassSolverOracle._seeded(3)
+        ratios = {j.name: 4.0 + int(j.name[1:]) % 2 for j in spec.jobs if j.codec}
+        priced = []
+        original = MultiNodeCampaign.write_prelude
+
+        def counting(self, *triple):
+            priced.append(triple)
+            return original(self, *triple)
+
+        monkeypatch.setattr(MultiNodeCampaign, "write_prelude", counting)
+        states = _prepare_jobs(spec, campaign, ratios)
+        monkeypatch.undo()
+        assert len(priced) == len(set(priced)) < len(states)
+        for st in states:
+            t_comp, t_serialize, out_bytes = campaign.write_prelude(
+                st.spec.codec, st.spec.rel_bound, ratios.get(st.spec.name, 1.0)
+            )
+            assert st.cpu_s == t_comp + t_serialize
+            assert st.out_bytes == out_bytes
+
+
 class TestLifecycle:
     def test_failure_free_compute_is_plain_hold(self, campaign):
         spec = parse_scenario("nodes=1; a=ranks:48,work:600")
