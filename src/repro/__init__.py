@@ -39,6 +39,7 @@ Quickstart::
     print(buf.ratio, report.energy_j)
 """
 
+from repro import _lazy
 from repro._version import __version__
 from repro.compressors import (
     CompressedBuffer,
@@ -93,11 +94,6 @@ def decompress(buf):
     return get_compressor(buf.codec).decompress(buf)
 
 
-def __getattr__(name):
-    # Lazy import: the Testbed pulls in the energy/iolib stacks, which are
-    # not needed by users who only want the codecs.
-    if name == "Testbed":
-        from repro.core.experiments import Testbed
-
-        return Testbed
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+# The Testbed pulls in the energy/iolib stacks, which users who only want
+# the codecs do not need, so it loads on first access.
+__getattr__, __dir__ = _lazy.exports(globals(), {"repro.core.experiments": ("Testbed",)})

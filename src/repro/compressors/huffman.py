@@ -27,8 +27,8 @@ Both directions are O(n) NumPy passes over the symbols and the payload
 bits; decode makes a constant number of passes over ``payload_bits``-sized
 arrays plus n/32 scalar steps.  The Python loops run over the distinct
 symbols only, apart from that anchor walk: one step per merge and one per
-merged node's depth, plus one iteration per distinct code length when
-assigning canonical codes.
+merged node's depth.  Canonical codes are assigned without a loop, from
+one ``np.bincount`` over the at most ``MAX_CODE_LENGTH + 1`` code lengths.
 The byte format is identical to the original per-symbol implementation.
 """
 
@@ -139,33 +139,21 @@ def _kraft(lengths: np.ndarray) -> float:
 def _canonical_codes(symbols: np.ndarray, lengths: np.ndarray):
     """Assign canonical codes: sort by (length, symbol), count upward.
 
-    Vectorized: within one length run the codes are ``first_code + rank``;
-    across lengths the canonical recurrence ``first <<= (len - prev_len)``
-    only needs one Python iteration per *distinct* length (≤ 32).
+    Vectorized: within one length run the codes are ``first_code + rank``,
+    and the canonical recurrence ``first[L] = (first[L-1] + count[L-1]) << 1``
+    over the at most ``MAX_CODE_LENGTH + 1`` lengths has the closed form
+    ``sum(count[l] << (L - l) for l < L)``, summed here at a common scale.
     """
     order = np.lexsort((symbols, lengths))
     sorted_syms = symbols[order]
     sorted_lens = lengths[order]
-    codes = np.zeros(symbols.size, dtype=np.uint64)
-    if symbols.size == 0:
-        return sorted_syms, sorted_lens, codes
-    distinct, run_start, run_count = np.unique(
-        sorted_lens, return_index=True, return_counts=True
-    )
-    first = 0
-    prev_len = int(distinct[0])
-    first_codes = np.zeros(distinct.size, dtype=np.uint64)
-    for j in range(distinct.size):
-        ln = int(distinct[j])
-        first <<= ln - prev_len
-        first_codes[j] = first
-        first += int(run_count[j])
-        prev_len = ln
-    rank = np.arange(symbols.size, dtype=np.uint64) - run_start.astype(np.uint64).repeat(
-        run_count
-    )
-    codes = first_codes.repeat(run_count) + rank
-    return sorted_syms, sorted_lens, codes
+    count = np.bincount(sorted_lens, minlength=MAX_CODE_LENGTH + 1)
+    shift = count.size - 1 - np.arange(count.size)
+    scaled = count << shift
+    first = (np.cumsum(scaled) - scaled) >> shift
+    start = np.cumsum(count) - count
+    codes = (first - start)[sorted_lens] + np.arange(symbols.size)
+    return sorted_syms, sorted_lens, codes.astype(np.uint64)
 
 
 def _build_peek_table(sorted_lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

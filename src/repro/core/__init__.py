@@ -7,26 +7,19 @@
   figure/table of the evaluation;
 - :mod:`repro.core.extrapolation` — Section VII facility-scale projections;
 - :mod:`repro.core.report` — ASCII rendering of tables and figure series.
+
+The names below load on first access: importing :mod:`repro.core` (or one
+of its submodules, such as :mod:`repro.core.experiments`) runs none of
+the advisor or trade-off code until a caller reads one of their names.
 """
 
-from repro.core.formulation import BenefitConditions, CompressionPlan
-from repro.core.tradeoff import TradeoffAnalyzer, TradeoffRecord
-from repro.core.advisor import (
-    Advisor,
-    CompressionAdvice,
-    DvfsAdvisor,
-    Recommendation,
-)
-from repro.core.experiments import Testbed
+from repro import _lazy
 
-__all__ = [
-    "BenefitConditions",
-    "CompressionPlan",
-    "TradeoffAnalyzer",
-    "TradeoffRecord",
-    "Advisor",
-    "CompressionAdvice",
-    "DvfsAdvisor",
-    "Recommendation",
-    "Testbed",
-]
+_EXPORTS = {
+    "repro.core.formulation": ("BenefitConditions", "CompressionPlan"),
+    "repro.core.tradeoff": ("TradeoffAnalyzer", "TradeoffRecord"),
+    "repro.core.advisor": ("Advisor", "CompressionAdvice", "DvfsAdvisor", "Recommendation"),
+    "repro.core.experiments": ("Testbed",),
+}
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+__getattr__, __dir__ = _lazy.exports(globals(), _EXPORTS)

@@ -22,11 +22,10 @@ fanned out over thread/process pools.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from repro.cluster.campaign import CampaignResult, MultiNodeCampaign
 from repro.compressors import get_compressor
 from repro.compressors import lossless as _lossless  # noqa: F401 (registration)
 from repro.data.inflate import inflate
@@ -40,6 +39,9 @@ from repro.iolib.base import IOLibrary, get_io_library
 from repro.iolib.pfs import PFSModel
 from repro.metrics.error import check_error_bound, max_rel_error
 from repro.metrics.quality import autocorrelation, psnr
+
+if TYPE_CHECKING:
+    from repro.cluster.campaign import CampaignResult, MultiNodeCampaign
 
 __all__ = [
     "RoundtripRecord",
@@ -917,6 +919,8 @@ class Testbed:
         :meth:`run_multinode` and the ``cluster`` kind build their campaign
         here, so a one-tenant cluster point and a Fig. 12 point agree.
         """
+        from repro.cluster.campaign import MultiNodeCampaign
+
         spec = get_dataset(dataset)
         if payload_nbytes is None:
             payload_nbytes = spec.paper_nbytes // 6

@@ -20,85 +20,34 @@ evaluated:
 Every ``Testbed`` sweep driver and every advisor (``TradeoffAnalyzer``
 included) delegate here, so repeated points are computed once per store.
 See ``docs/user-guide/sweeps.md`` for a guided tour.
+
+The names below load on first access: importing the package, or
+``registry``, ``spec`` or ``store`` alone, does not import the engine, the
+fault injector or the benchmark harness, and the engine imports the
+process pool only when it builds one.
 """
 
-from repro.runtime.benchmark import (
-    KERNELS,
-    KernelInputs,
-    KernelSpec,
-    compare_docs,
-    kernel_inputs,
-    run_and_report,
-    run_kernels,
-    validate_doc,
-)
-from repro.runtime.engine import EXECUTORS, ON_ERROR, EngineStats, SweepEngine, SweepEvent
-from repro.runtime.faults import (
-    FailedPoint,
-    FaultInjector,
-    InjectedFault,
-    RetryPolicy,
-    SweepManifest,
-    error_chain,
-    sweep_id,
-)
-from repro.runtime.registry import (
-    ExperimentKind,
-    all_kinds,
-    get_kind,
-    kind_names,
-    record_schema,
-    register,
-    register_record,
-    unregister,
-)
-from repro.runtime.spec import SWEEP_KINDS, GridPoint, SweepSpec
-from repro.runtime.store import (
-    CACHE_VERSION,
-    ResultStore,
-    decode_record,
-    default_store,
-    encode_record,
-    point_key,
-    testbed_fingerprint,
-)
+from repro import _lazy
 
-__all__ = [
-    "CACHE_VERSION",
-    "EXECUTORS",
-    "KERNELS",
-    "ON_ERROR",
-    "SWEEP_KINDS",
-    "EngineStats",
-    "ExperimentKind",
-    "FailedPoint",
-    "FaultInjector",
-    "GridPoint",
-    "InjectedFault",
-    "KernelInputs",
-    "KernelSpec",
-    "ResultStore",
-    "RetryPolicy",
-    "SweepEngine",
-    "SweepEvent",
-    "SweepManifest",
-    "SweepSpec",
-    "all_kinds",
-    "compare_docs",
-    "decode_record",
-    "default_store",
-    "encode_record",
-    "error_chain",
-    "get_kind",
-    "kernel_inputs",
-    "kind_names",
-    "point_key",
-    "record_schema",
-    "register",
-    "register_record",
-    "run_and_report",
-    "run_kernels",
-    "sweep_id",
-    "testbed_fingerprint",
-    "unregister",
-]
+_EXPORTS = {
+    "repro.runtime.benchmark": (
+        "KERNELS", "KernelInputs", "KernelSpec", "compare_docs", "kernel_inputs",
+        "run_and_report", "run_kernels", "validate_doc",
+    ),
+    "repro.runtime.engine": ("EXECUTORS", "ON_ERROR", "EngineStats", "SweepEngine", "SweepEvent"),
+    "repro.runtime.faults": (
+        "FailedPoint", "FaultInjector", "InjectedFault", "RetryPolicy", "SweepManifest",
+        "error_chain", "sweep_id",
+    ),
+    "repro.runtime.registry": (
+        "ExperimentKind", "all_kinds", "get_kind", "kind_names", "record_schema",
+        "register", "register_record", "unregister",
+    ),
+    "repro.runtime.spec": ("SWEEP_KINDS", "GridPoint", "SweepSpec"),
+    "repro.runtime.store": (
+        "CACHE_VERSION", "ResultStore", "decode_record", "default_store", "encode_record",
+        "point_key", "testbed_fingerprint",
+    ),
+}
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+__getattr__, __dir__ = _lazy.exports(globals(), _EXPORTS)

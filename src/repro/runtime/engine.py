@@ -35,8 +35,7 @@ import dataclasses
 import os
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from repro.obs.trace import active_tracer
@@ -354,6 +353,8 @@ class SweepEngine:
     def _make_pool(self):
         if self.executor == "thread":
             return ThreadPoolExecutor(max_workers=self.max_workers)
+        from concurrent.futures import ProcessPoolExecutor
+
         return ProcessPoolExecutor(max_workers=self.max_workers)
 
     @staticmethod
@@ -436,8 +437,11 @@ class SweepEngine:
                     task, _deadline, submit_t = futures.pop(fut)
                     try:
                         record = fut.result()
-                    except BrokenProcessPool as exc:
-                        # The pool died under this future.  Whether this task
+                    except BrokenExecutor as exc:
+                        # A BrokenProcessPool, caught by its base class so
+                        # that no process-pool import is needed (the thread
+                        # pools here have no initializer to break).  The
+                        # pool died under this future.  Whether this task
                         # crashed it or merely rode along is unknowable, so
                         # every lost point is charged one attempt — the one
                         # that deterministically re-crashes otherwise.

@@ -15,5 +15,7 @@ and its reference are never compared through a second copy:
 - :mod:`reference.zfp` — the per-bitplane ZFP coder over a sequential
   MSB-first bit reader/writer;
 - :mod:`reference.huffman` — the per-offset pointer-doubling Huffman
-  decoder.
+  decoder;
+- :mod:`reference.iolib` — the per-flow fair-share solver the flow-class
+  PFS solver replaced.
 """

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from meter_cases import INTERVALS, METER_CPUS, tick_durations
 from reference.cluster import reference_measure_node_phases
 from reference.events import EventLoop
 
@@ -141,7 +142,6 @@ def _node_batches():
     nominal or DVFS-pinned, each node a list of labelled phases including
     zero, sub-floor and tail-only ones."""
     from hypothesis import strategies as st
-    from test_energy import INTERVALS, METER_CPUS, _durations
 
     @st.composite
     def batch(draw):
@@ -149,7 +149,7 @@ def _node_batches():
         interval = draw(st.sampled_from(INTERVALS + (0.0137,)))
         freq = draw(st.one_of(st.none(), st.sampled_from(cpu.freq_ladder())))
         phase = st.tuples(
-            _durations(interval),
+            tick_durations(interval),
             st.integers(0, 2 * cpu.cores),  # clamped to the node
             st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False),
             st.sampled_from(["compress", "write", "idle"]),

@@ -218,7 +218,7 @@ class TestDatasetKind:
 
     def test_full_conformance_battery(self, tmp_path, capsys):
         # The shared battery every kind earns by registering.
-        from test_conformance import assert_kind_conformance
+        from conformance import assert_kind_conformance
         from repro.runtime import registry
 
         assert_kind_conformance(TESTBED, registry.get_kind("dataset"),

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.energy import CPUS, EnergyMeter, PowerModel, get_cpu
-from repro.energy.cpus import PAPER_CPUS, CPUSpec
+from repro.energy.cpus import PAPER_CPUS
 from repro.energy.measurement import EnergyReport, Phase
 from repro.energy.papi import tick_split
 from repro.energy.rapl import DEFAULT_MAX_ENERGY_RANGE_UJ, counter_after, integrate_phase
 from repro.errors import ConfigurationError
 
 from hostile import outcome
+from meter_cases import INTERVALS, METER_CPUS, tick_durations
 from reference.energy import FLOOR, reference_window
 
 
@@ -296,9 +297,6 @@ class TestComposePhasesConservation:
 
 # -- closed-form sampler ------------------------------------------------------
 
-INTERVALS = (0.003, 0.01, 0.02, 0.05, 0.25)
-
-
 def closed_form_window(power, interval, phases, max_range):
     """The same window as :func:`reference_window` through ``tick_split``
     and ``integrate_phase`` on bare counters, one call per phase."""
@@ -322,34 +320,6 @@ def assert_bit_identical(cpu, interval, phases, max_range):
     )
 
 
-def _durations(interval):
-    """Durations on, just under and just over tick multiples, near the floor."""
-    from hypothesis import strategies as st
-
-    def near(k, where):
-        base = k * interval
-        return {
-            "on": base,
-            "under": float(np.nextafter(base, 0.0)),
-            "over": float(np.nextafter(base, np.inf)),
-            "floor-": base + 0.5 * FLOOR,
-            "floor": base + FLOOR,
-            "floor+": base + 2 * FLOOR,
-        }[where]
-
-    return st.one_of(
-        st.builds(
-            near,
-            st.integers(0, 400),
-            st.sampled_from(["on", "under", "over", "floor-", "floor", "floor+"]),
-        ),
-        st.sampled_from(
-            [0.0, 0.5 * FLOOR, FLOOR, float(np.nextafter(FLOOR, 1.0)), 2 * FLOOR]
-        ),
-        st.floats(0.0, 4.0, allow_nan=False, allow_infinity=False),
-    )
-
-
 def _windows():
     """(cpu, interval, phases, wrap range) covering every Table-I CPU."""
     from hypothesis import strategies as st
@@ -359,7 +329,7 @@ def _windows():
         cpu = get_cpu(draw(st.sampled_from(sorted(CPUS))))
         interval = draw(st.sampled_from(INTERVALS))
         phase = st.tuples(
-            _durations(interval),
+            tick_durations(interval),
             st.integers(0, cpu.cores),
             st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False),
         )
@@ -578,23 +548,6 @@ def window_report(window, meter, phases):
     )
 
 
-#: A one-socket node beside the catalogue's two- and four-socket ones.
-ONE_SOCKET = CPUSpec(
-    name="uni16",
-    model="one-socket test node",
-    codename="-",
-    system="-",
-    cores=16,
-    sockets=1,
-    tdp_w=125.0,
-    idle_w=30.0,
-    speed=1.0,
-    ram="-",
-    year=2020,
-)
-METER_CPUS = [get_cpu(name) for name in sorted(CPUS)] + [ONE_SOCKET]
-
-
 def _meter_windows(long_s=0.0):
     """(meter, phases): every meter CPU, nominal or DVFS-pinned, with
     multi-phase windows of zero, sub-floor, tick-multiple and tailed phases
@@ -606,7 +559,7 @@ def _meter_windows(long_s=0.0):
         cpu = draw(st.sampled_from(METER_CPUS))
         interval = draw(st.sampled_from(INTERVALS))
         freq = draw(st.one_of(st.none(), st.sampled_from(cpu.freq_ladder())))
-        durations = _durations(interval)
+        durations = tick_durations(interval)
         if long_s:
             durations = st.one_of(durations, st.floats(90.0, long_s))
         phase = st.builds(
@@ -696,7 +649,7 @@ def _split_durations(interval):
     from hypothesis import strategies as st
 
     return st.one_of(
-        _durations(interval),
+        tick_durations(interval),
         st.sampled_from([0.0, 1e-13, FLOOR, 2 * FLOOR, interval]),
         st.builds(lambda k: k * interval, st.integers(0, 2000)),
         st.floats(0.0, interval, allow_nan=False, allow_infinity=False),

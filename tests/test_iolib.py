@@ -13,7 +13,9 @@ from repro.iolib import (
     get_io_library,
 )
 from repro.iolib.devices import DEVICES, get_device
-from repro.errors import ConfigurationError, IOModelError, SimulationError
+from repro.errors import ConfigurationError, IOModelError
+
+from reference.iolib import reference_fair_share_schedule
 
 
 class TestContainers:
@@ -408,69 +410,12 @@ class TestFairShareProperties:
 # -- flow classes: bit-identity against the per-flow reference solver --------
 #
 # ``fair_share_schedule`` solves one entry per flow class, weighted by its
-# flow count.  The per-flow solver it replaced is kept here as the
-# reference; the class solver must return its finish times bit for bit,
+# flow count.  The per-flow solver it replaced is the reference
+# (``reference.iolib``); the class solver must return its finish times bit for bit,
 # both on per-flow input (runs of identical flows, the cluster's tenants,
 # shuffled so runs break apart) and on class input against the expansion of
 # each class into its flows, with zero-byte flows and with completions
 # landing exactly on arrivals.
-
-
-def reference_fair_share_schedule(arrivals, sizes_bytes, per_flow_cap_mbps,
-                                  aggregate_cap_mbps):
-    """The per-flow event-driven solver: every flow its own mask entry."""
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    sizes = np.asarray(sizes_bytes, dtype=np.float64) / 1e6  # MB
-    if arrivals.shape != sizes.shape:
-        raise ConfigurationError("arrivals and sizes must align")
-    if per_flow_cap_mbps <= 0 or aggregate_cap_mbps <= 0:
-        raise ConfigurationError("capacities must be positive")
-    n = arrivals.size
-    finish = np.full(n, np.inf)
-    remaining = sizes.copy()
-    order = np.argsort(arrivals, kind="stable")
-    next_arrival = 0
-    active = np.zeros(n, dtype=bool)
-    n_active = 0
-    t = float(arrivals[order[0]]) if n else 0.0
-
-    guard = 0
-    while next_arrival < n or n_active:
-        guard += 1
-        if guard > 10 * n + 100:
-            raise SimulationError("fair-share solver failed to converge")
-        while next_arrival < n and arrivals[order[next_arrival]] <= t + 1e-12:
-            idx = int(order[next_arrival])
-            next_arrival += 1
-            if remaining[idx] <= 1e-9:
-                finish[idx] = float(arrivals[idx])
-            else:
-                active[idx] = True
-                n_active += 1
-        if not n_active:
-            if next_arrival >= n:
-                break
-            t = float(arrivals[order[next_arrival]])
-            continue
-        rate = min(per_flow_cap_mbps, aggregate_cap_mbps / n_active)
-        dt_complete = float(remaining[active].min()) / rate
-        dt_arrival = (
-            float(arrivals[order[next_arrival]]) - t
-            if next_arrival < n
-            else np.inf
-        )
-        dt = min(dt_complete, dt_arrival)
-        if dt <= 0:
-            raise SimulationError("non-positive time step in fair-share solver")
-        remaining[active] -= rate * dt
-        t += dt
-        done = active & (remaining <= 1e-9)
-        n_done = int(np.count_nonzero(done))
-        if n_done:
-            finish[done] = t
-            active &= ~done
-            n_active -= n_done
-    return finish
 
 
 @st.composite

@@ -5,7 +5,7 @@ members, unknown spec fields, op conflicts — all rejected eagerly with
 ``ConfigurationError``), the clean-failure contract for unknown kinds on
 both the spec and CLI paths, and a toy plugin kind registered in-test that
 runs end-to-end through SweepEngine + ResultStore + CLI and inherits the
-full conformance battery from ``tests/test_conformance.py``.
+full conformance battery through the helpers in ``tests/conformance.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.runtime.engine import SweepEngine
 from repro.runtime.spec import SweepSpec
 from repro.runtime.store import ResultStore, decode_record, encode_record
 
-from test_conformance import assert_kind_conformance, cli_args, run_kind
+from conformance import assert_kind_conformance, cli_args, run_kind
 
 
 # -- a complete toy third-party kind ------------------------------------------

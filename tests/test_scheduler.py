@@ -33,6 +33,7 @@ from repro.iolib import PFSModel, get_io_library, pfs
 from repro.obs import tracing
 
 from reference.cluster import reference_measure_node_phases, reference_run_schedule
+from reference.iolib import reference_fair_share_schedule
 
 
 @pytest.fixture(scope="module")
@@ -399,8 +400,6 @@ class TestClassSolverOracle:
 
     @staticmethod
     def _solve_both(spec, campaign, monkeypatch):
-        from test_iolib import reference_fair_share_schedule
-
         def per_flow(arrivals, sizes_bytes, per_flow_cap_mbps,
                      aggregate_cap_mbps, counts=None):
             # Every class expanded into its rank flows for the reference;
