@@ -47,7 +47,6 @@ from repro.compressors import (
     available_compressors,
     get_compressor,
 )
-from repro.compressors import lossless as _lossless  # register lossless codecs
 
 __all__ = [
     "__version__",

@@ -30,8 +30,6 @@ from functools import partial
 
 import numpy as np
 
-import repro.cluster.kind  # noqa: F401  (registers the `cluster` experiment kind)
-import repro.dataset  # noqa: F401  (registers the `dataset` experiment kind)
 from repro import __version__
 from repro.compressors import available_compressors, get_compressor
 from repro.compressors.base import Compressor

@@ -8,35 +8,21 @@ through the RAPL/PAPI sampling kernels
 :class:`~repro.cluster.campaign.MultiNodeCampaign` is the driver behind
 Fig. 12; each of its points is a one-tenant
 :func:`~repro.cluster.scheduler.simulate_cluster` solve.
+
+The names below load on first access: importing the package loads neither
+the campaign nor the scheduler (nor, through it, :mod:`repro.workloads`).
+The ``cluster`` experiment kind (:mod:`repro.cluster.kind`) loads the first
+time the runtime registry is asked for it by name.
 """
 
-from repro.cluster.campaign import CampaignResult, MultiNodeCampaign
-from repro.cluster.scheduler import (
-    ClusterSpec,
-    ClusterTimeline,
-    JobOutcome,
-    JobSpec,
-    compression_mixes,
-    format_scenario,
-    parse_scenario,
-    scenario_matrix,
-    simulate_cluster,
-)
+from repro import _lazy
 
-# repro.cluster.kind (the `cluster` experiment kind) is deliberately NOT
-# imported here: like repro.dataset.kind it registers on import, and the
-# CLI / conftest / tools import it explicitly as a plugin.
-
-__all__ = [
-    "CampaignResult",
-    "MultiNodeCampaign",
-    "JobSpec",
-    "ClusterSpec",
-    "JobOutcome",
-    "ClusterTimeline",
-    "parse_scenario",
-    "format_scenario",
-    "scenario_matrix",
-    "compression_mixes",
-    "simulate_cluster",
-]
+_EXPORTS = {
+    "repro.cluster.campaign": ("CampaignResult", "MultiNodeCampaign"),
+    "repro.cluster.scheduler": (
+        "ClusterSpec", "ClusterTimeline", "JobOutcome", "JobSpec", "compression_mixes",
+        "format_scenario", "parse_scenario", "scenario_matrix", "simulate_cluster",
+    ),
+}
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+__getattr__, __dir__ = _lazy.exports(globals(), _EXPORTS)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cluster.scheduler import ClusterSpec, JobSpec, simulate_cluster
 from repro.energy.cpus import CPUSpec
 from repro.energy.throughput import ThroughputModel
 from repro.errors import ConfigurationError
@@ -152,8 +153,6 @@ class MultiNodeCampaign:
         one-tenant cluster on exactly the nodes it needs: no queue, no
         contention from other jobs.
         """
-        from repro.cluster.scheduler import ClusterSpec, JobSpec, simulate_cluster
-
         nodes, _, _ = self._topology(total_cores)
         spec = ClusterSpec(
             n_nodes=nodes,

@@ -41,17 +41,20 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.cluster import costs
-from repro.cluster.campaign import MultiNodeCampaign
 from repro.energy.measurement import Interval
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.trace import active_tracer
 from repro.workloads.checkpoint import CheckpointSpec, resolve_interval
 from repro.workloads.failures import FailureModel
 from repro.workloads.lifecycle import LifecycleStats, run_lifecycle, trace_intervals
+
+if TYPE_CHECKING:
+    from repro.cluster.campaign import MultiNodeCampaign
 
 __all__ = [
     "JobSpec",

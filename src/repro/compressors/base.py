@@ -306,20 +306,25 @@ def register_compressor(cls: type[Compressor]) -> type[Compressor]:
     return cls
 
 
+def _with_lossless() -> dict[str, type[Compressor]]:
+    """The registry, once the lossless baselines have registered: they
+    load on the first lookup that needs them, not with the package."""
+    import repro.compressors.lossless  # noqa: F401
+
+    return _REGISTRY
+
+
 def get_compressor(name: str, **kwargs) -> Compressor:
     """Instantiate a registered codec by name (e.g. ``get_compressor("sz3")``)."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown compressor {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None
+    cls = _REGISTRY.get(name) or _with_lossless().get(name)
+    if cls is None:
+        raise KeyError(f"unknown compressor {name!r}; available: {sorted(_REGISTRY)}")
     return cls(**kwargs)
 
 
 def available_compressors(include_lossless: bool = True) -> list[str]:
     """Sorted names of all registered codecs."""
     names = [
-        n for n, c in _REGISTRY.items() if include_lossless or not c.lossless
+        n for n, c in _with_lossless().items() if include_lossless or not c.lossless
     ]
     return sorted(names)

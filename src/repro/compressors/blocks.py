@@ -3,14 +3,17 @@
 Arrays are padded (edge-replicated) to a multiple of the block side along
 every axis, then reshaped into a ``(n_blocks, block_elems)`` matrix so the
 per-block kernels can be vectorized across blocks.  ``unblockify`` inverts the
-operation and crops back to the original shape.
+operation and crops back to the original shape.  ``chunk_array`` cuts an
+array into the leading-axis chunks that chunked container writes store.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["blockify", "unblockify", "padded_shape"]
+from repro.errors import ConfigurationError
+
+__all__ = ["blockify", "chunk_array", "unblockify", "padded_shape"]
 
 
 def padded_shape(shape: tuple[int, ...], block: tuple[int, ...]) -> tuple[int, ...]:
@@ -61,3 +64,27 @@ def unblockify(
     arr = arr.transpose(perm).reshape(target)
     crop = tuple(slice(0, n) for n in shape)
     return np.ascontiguousarray(arr[crop])
+
+
+def chunk_array(values: np.ndarray, n_chunks: int) -> list[np.ndarray]:
+    """Split an array into exactly ``min(n_chunks, len(values))`` chunks.
+
+    When the leading axis divides evenly by the chunk count, the split
+    reuses :func:`blockify` with a full-rank block of shape
+    ``(height, *trailing)`` — one block per chunk; otherwise it falls back
+    to ``np.array_split``.  The chunk count is bounded by the leading-axis
+    length (rows cannot be split), so it can be smaller than what
+    :func:`repro.iolib.pipeline.chunk_spans` models for the same request on
+    a short, wide array.  Concatenating the chunks along axis 0 reproduces
+    the input exactly (no padding survives).
+    """
+    values = np.asarray(values)
+    if values.ndim == 0:
+        raise ConfigurationError("cannot chunk a 0-d array")
+    n0 = values.shape[0]
+    n = min(max(int(n_chunks), 1), n0) if n0 else 1
+    if n0 and n0 % n == 0:
+        block = (n0 // n,) + values.shape[1:]
+        stacked = blockify(values, block)  # (n, height, *trailing)
+        return [np.ascontiguousarray(stacked[i]) for i in range(stacked.shape[0])]
+    return [np.ascontiguousarray(c) for c in np.array_split(values, n, axis=0)]

@@ -198,7 +198,9 @@ def regression_fit(blocks: np.ndarray) -> np.ndarray:
 
     Returns ``(n_blocks, ndim + 1)`` float32 — float32 because the codec
     stores them at that precision; fitting *and* prediction use the stored
-    values so both sides agree bit-for-bit.
+    values so both sides agree bit-for-bit.  A coefficient past the float32
+    range becomes ``inf``; its block's regression error is then not finite,
+    so the codec picks Lorenzo for it.
     """
     block = blocks.shape[1:]
     X = _design_matrix(block)
@@ -206,13 +208,15 @@ def regression_fit(blocks: np.ndarray) -> np.ndarray:
     gram_inv = np.linalg.pinv(X.T @ X)
     flat = blocks.reshape(blocks.shape[0], -1)
     beta = flat @ X @ gram_inv.T
-    return beta.astype(np.float32)
+    with np.errstate(over="ignore"):
+        return beta.astype(np.float32)
 
 
 def regression_predict(coeffs: np.ndarray, block: tuple[int, ...]) -> np.ndarray:
     """Evaluate stored affine coefficients; returns ``(n_blocks, *block)``."""
     X = _design_matrix(block)
-    pred = coeffs.astype(np.float64) @ X.T
+    with np.errstate(invalid="ignore", over="ignore"):  # inf coefficients: see regression_fit
+        pred = coeffs.astype(np.float64) @ X.T
     return pred.reshape((coeffs.shape[0],) + tuple(block))
 
 

@@ -96,10 +96,13 @@ class LinearQuantizer:
             raw = np.rint((values - predictions) / width)
         # A non-finite prediction always makes the residual non-finite.
         finite = np.isfinite(raw)
-        # Clip before casting to avoid undefined int conversion of huge floats.
+        # Clip the bin before the cast and the fold: a bin of magnitude
+        # ``limit`` already folds past ``max_code`` (so it escapes like every
+        # larger one), and no folded code can wrap int64.
         raw = np.where(finite, raw, 0.0)
-        np.maximum(raw, -(2**62), out=raw)
-        np.minimum(raw, 2**62, out=raw)
+        limit = min(self.max_code, 2**61)
+        np.maximum(raw, -limit, out=raw)
+        np.minimum(raw, limit, out=raw)
         signed = raw.astype(np.int64)
         recon = predictions + signed * width
         folded = zigzag_encode(signed) + 1

@@ -471,7 +471,6 @@ class ClusterAdvisor(_ScenarioAdvisor):
         """
         from dataclasses import replace
 
-        import repro.cluster.kind  # noqa: F401  (registers the `cluster` kind)
         from repro.cluster.scheduler import (
             ClusterSpec,
             compression_mixes,

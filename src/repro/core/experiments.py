@@ -27,15 +27,14 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from repro.compressors import get_compressor
-from repro.compressors import lossless as _lossless  # noqa: F401 (registration)
-from repro.data.inflate import inflate
 from repro.data.registry import generate, get_dataset
 from repro.energy.cpus import CPUSpec, get_cpu
-from repro.energy.measurement import EnergyMeter, Phase
+from repro.energy.measurement import EnergyMeter, Phase, compression_energy
 from repro.energy.papi import check_sample_interval
 from repro.energy.throughput import ThroughputModel
 from repro.errors import ConfigurationError
 from repro.iolib.base import IOLibrary, get_io_library
+from repro.iolib import hdf5_like, netcdf_like  # noqa: F401  (the containers register on import)
 from repro.iolib.pfs import PFSModel
 from repro.metrics.error import check_error_bound, max_rel_error
 from repro.metrics.quality import autocorrelation, psnr
@@ -971,6 +970,8 @@ class Testbed:
         energy is modeled at paper scale, where factor f makes the 512^3
         snapshot grow to (512 f)^3 — the paper's 0.5 ... 62.5 GB x-axis.
         """
+        from repro.data.inflate import inflate
+
         spec = get_dataset(dataset)
         cpu = get_cpu(cpu_name)
         base = np.array(generate(dataset, base_scale))
@@ -1031,8 +1032,7 @@ class Testbed:
         threads: int = 1,
     ):
         """Modeled energy report of compressing ``nbytes`` with ``codec``."""
-        cpu = get_cpu(cpu_name)
-        t = self.throughput.runtime(
-            codec, "compress", nbytes, rel_bound, cpu, threads=threads
+        return compression_energy(
+            codec, nbytes, rel_bound, get_cpu(cpu_name), threads=threads,
+            throughput=self.throughput, sample_interval=self.sample_interval,
         )
-        return self._meter(cpu).measure_compute(t, threads)

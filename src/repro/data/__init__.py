@@ -10,22 +10,15 @@ metadata for the energy model.
 Each generator is calibrated so its compressibility signature — how CR falls
 as the bound tightens, per Table III — reproduces the paper's shape; see the
 module docstrings for the per-dataset rationale.
+
+The names below load on first access.
 """
 
-from repro.data.registry import (
-    DATASETS,
-    DatasetSpec,
-    dataset_names,
-    generate,
-    get_dataset,
-)
-from repro.data.inflate import inflate
+from repro import _lazy
 
-__all__ = [
-    "DATASETS",
-    "DatasetSpec",
-    "dataset_names",
-    "generate",
-    "get_dataset",
-    "inflate",
-]
+_EXPORTS = {
+    "repro.data.registry": ("DATASETS", "DatasetSpec", "dataset_names", "generate", "get_dataset"),
+    "repro.data.inflate": ("inflate",),
+}
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+__getattr__, __dir__ = _lazy.exports(globals(), _EXPORTS)

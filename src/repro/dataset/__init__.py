@@ -9,34 +9,21 @@ Public surface::
     write(ds, "out.h5", compression="cesm:lossy,sz3,rel,1e-3;auto")
     back = read("out.h5")
 
-Importing this package also registers the ``dataset`` experiment kind with
-the runtime registry (``repro sweep --kind dataset``); see
-:mod:`repro.dataset.kind`.  The grammar is documented in
+The names below load on first access, and importing the package registers
+nothing: the ``dataset`` experiment kind (``repro sweep --kind dataset``,
+:mod:`repro.dataset.kind`) loads the first time the runtime registry is
+asked for it by name.  The grammar is documented in
 ``docs/user-guide/datasets.md``.
 """
 
-from repro.dataset.containers import Dataset, Variable
-from repro.dataset.facade import WriteReport, read, write
-from repro.dataset.kind import DATASET_KIND, DatasetPoint
-from repro.dataset.spec import (
-    CompressionMap,
-    CompressionSpec,
-    parse_compression,
-)
-from repro.dataset.tuner import AutoTuner, TuningReport, VariableTuning
+from repro import _lazy
 
-__all__ = [
-    "AutoTuner",
-    "CompressionMap",
-    "CompressionSpec",
-    "DATASET_KIND",
-    "Dataset",
-    "DatasetPoint",
-    "TuningReport",
-    "Variable",
-    "VariableTuning",
-    "WriteReport",
-    "parse_compression",
-    "read",
-    "write",
-]
+_EXPORTS = {
+    "repro.dataset.containers": ("Dataset", "Variable"),
+    "repro.dataset.facade": ("WriteReport", "read", "write"),
+    "repro.dataset.kind": ("DATASET_KIND", "DatasetPoint"),
+    "repro.dataset.spec": ("CompressionMap", "CompressionSpec", "parse_compression"),
+    "repro.dataset.tuner": ("AutoTuner", "TuningReport", "VariableTuning"),
+}
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+__getattr__, __dir__ = _lazy.exports(globals(), _EXPORTS)

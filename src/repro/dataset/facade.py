@@ -35,7 +35,7 @@ from repro.dataset.containers import Dataset, Variable
 from repro.dataset.spec import parse_compression
 from repro.dataset.tuner import AutoTuner, TuningReport
 from repro.errors import ConfigurationError, DecompressionError, IOModelError
-from repro.iolib import get_io_library
+from repro.iolib.base import get_io_library
 
 __all__ = ["write", "read", "WriteReport"]
 
@@ -123,10 +123,10 @@ def write(
 
 def _sniff_library(blob: bytes):
     """Pick the registered I/O library whose magic matches the container."""
-    from repro.iolib.base import _REGISTRY
+    from repro.iolib.base import _libraries
 
     errors = []
-    for name in sorted(_REGISTRY):
+    for name in sorted(_libraries()):
         lib = get_io_library(name)
         try:
             return name, lib.unpack(blob)

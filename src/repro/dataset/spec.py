@@ -239,13 +239,14 @@ class CompressionSpec:
 
         if self.codec is None:  # auto: the tuner validates its own grid
             return
-        if self.codec not in available_compressors():
+        try:
+            lossless = get_compressor(self.codec).lossless
+        except KeyError:
             raise ConfigurationError(
                 f"unknown codec {self.codec!r} in compression spec "
                 f"{self.format()!r}; registered: "
                 f"{', '.join(available_compressors())}"
-            )
-        lossless = get_compressor(self.codec).lossless
+            ) from None
         if self.mode == "lossless" and not lossless:
             raise ConfigurationError(
                 f"compression spec {self.format()!r}: {self.codec!r} is an "

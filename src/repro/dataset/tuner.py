@@ -24,14 +24,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.compressors import get_compressor
+from repro.compressors.blocks import chunk_array
 from repro.dataset.containers import Dataset, Variable
 from repro.dataset.spec import (
     CompressionMap,
     CompressionSpec,
     parse_compression,
 )
+from repro.energy.cpus import get_cpu
+from repro.energy.measurement import compression_energy
 from repro.errors import CompressionError, ConfigurationError
-from repro.iolib.pipeline import chunk_array
 from repro.metrics.error import max_rel_error, value_range
 
 __all__ = ["AutoTuner", "TuningReport", "VariableTuning"]
@@ -107,15 +109,25 @@ class AutoTuner:
         io_library: str = "hdf5",
         cpu_name: str = "max9480",
     ):
-        if testbed is None:
-            from repro.core.experiments import Testbed
-
-            testbed = Testbed(scale="tiny")
-        self.testbed = testbed
+        self._testbed = testbed
         self.codecs = tuple(codecs)
         self.bounds = tuple(bounds)
         self.io_library = io_library
         self.cpu_name = cpu_name
+
+    @property
+    def testbed(self):
+        """The testbed that prices catalogue variables; a ``tiny`` one is
+        built on first use when none was given."""
+        if self._testbed is None:
+            from repro.core.experiments import Testbed
+
+            self._testbed = Testbed(scale="tiny")
+        return self._testbed
+
+    @testbed.setter
+    def testbed(self, testbed):
+        self._testbed = testbed
 
     # -- candidate measurement -------------------------------------------------
 
@@ -142,7 +154,9 @@ class AutoTuner:
         quality comes from decompressing those same streams, and the cost
         is the modeled compression energy of the whole variable.
         """
-        if variable.source is not None and variable.scale == self.testbed.scale:
+        testbed = self._testbed  # ad-hoc arrays need no testbed of their own
+        scale = "tiny" if testbed is None else testbed.scale
+        if variable.source is not None and variable.scale == scale:
             rt = self.testbed.roundtrip(variable.source, codec, rel_bound)
             io = self.testbed.io_point(
                 variable.source,
@@ -156,8 +170,10 @@ class AutoTuner:
         comp = get_compressor(codec)
         parts = [comp.decompress(stream) for stream in streams]
         recon = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-        report = self.testbed.compression_energy(
-            codec, variable.nbytes, rel_bound, cpu_name=self.cpu_name
+        model = {} if testbed is None else dict(
+            throughput=testbed.throughput, sample_interval=testbed.sample_interval)
+        report = compression_energy(
+            codec, variable.nbytes, rel_bound, get_cpu(self.cpu_name), **model
         )
         ratio = variable.nbytes / max(1, sum(len(s) for s in streams))
         return max_rel_error(variable.data, recon), ratio, report.energy_j, streams

@@ -20,9 +20,13 @@ from repro.energy.cpus import CPUSpec
 from repro.energy.papi import check_sample_interval, tick_split
 from repro.energy.power import PowerModel
 from repro.energy.rapl import DEFAULT_MAX_ENERGY_RANGE_UJ, integrate_phase
+from repro.energy.throughput import ThroughputModel
 from repro.errors import ConfigurationError
 
-__all__ = ["Phase", "Interval", "compose_phases", "EnergyReport", "EnergyMeter"]
+__all__ = [
+    "Phase", "Interval", "compose_phases", "EnergyReport", "EnergyMeter",
+    "compression_energy",
+]
 
 
 @dataclass(frozen=True)
@@ -224,3 +228,22 @@ class EnergyMeter:
         if total is None:
             return EnergyReport(0.0, 0.0, (0.0,) * self.cpu.sockets, 0)
         return total
+
+
+def compression_energy(
+    codec: str,
+    nbytes: int,
+    rel_bound: float,
+    cpu: CPUSpec,
+    threads: int = 1,
+    throughput: ThroughputModel | None = None,
+    sample_interval: float = 0.010,
+) -> EnergyReport:
+    """Modeled energy of compressing ``nbytes`` with ``codec`` on ``cpu``:
+    the throughput model's runtime as one compute phase, metered every
+    ``sample_interval`` seconds (the default model and step are a default
+    :class:`~repro.core.experiments.Testbed`'s)."""
+    t = (throughput or ThroughputModel()).runtime(
+        codec, "compress", nbytes, rel_bound, cpu, threads=threads
+    )
+    return EnergyMeter(cpu, sample_interval=sample_interval).measure_compute(t, threads)

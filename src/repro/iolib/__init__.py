@@ -15,31 +15,21 @@ a Lustre parallel file system.  This subpackage provides:
   compression of chunk *k+1*;
 - the storage-device catalogue used by the Section-VII extrapolation
   (:mod:`repro.iolib.devices`).
+
+The names below load on first access: importing the package loads none of
+these modules, so a container write never loads the PFS or pipeline models.
 """
 
-from repro.iolib.base import IOLibrary, WriteCostModel, get_io_library
-from repro.iolib.hdf5_like import HDF5Like
-from repro.iolib.netcdf_like import NetCDFLike
-from repro.iolib.pfs import PFSModel, fair_share_schedule
-from repro.iolib.pipeline import (
-    PipelineConfig,
-    PipelinePlan,
-    chunk_array,
-    chunk_spans,
-    plan_pipelined_write,
-)
+from repro import _lazy
 
-__all__ = [
-    "IOLibrary",
-    "WriteCostModel",
-    "get_io_library",
-    "HDF5Like",
-    "NetCDFLike",
-    "PFSModel",
-    "PipelineConfig",
-    "PipelinePlan",
-    "chunk_array",
-    "chunk_spans",
-    "fair_share_schedule",
-    "plan_pipelined_write",
-]
+_EXPORTS = {
+    "repro.iolib.base": ("IOLibrary", "WriteCostModel", "get_io_library"),
+    "repro.iolib.hdf5_like": ("HDF5Like",),
+    "repro.iolib.netcdf_like": ("NetCDFLike",),
+    "repro.iolib.pfs": ("PFSModel", "fair_share_schedule"),
+    "repro.iolib.pipeline": (
+        "PipelineConfig", "PipelinePlan", "chunk_array", "chunk_spans", "plan_pipelined_write",
+    ),
+}
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+__getattr__, __dir__ = _lazy.exports(globals(), _EXPORTS)

@@ -104,9 +104,9 @@ class IOLibrary:
         This is the container layout a block-pipelined writer produces: chunk
         ``i`` lands as dataset ``{name}/{i:05d}`` the moment its compress
         stage finishes, instead of one monolithic object at the end.  The
-        chunk decomposition comes from :func:`repro.iolib.pipeline.chunk_array`.
+        chunk decomposition comes from :func:`repro.compressors.blocks.chunk_array`.
         """
-        from repro.iolib.pipeline import chunk_array
+        from repro.compressors.blocks import chunk_array
 
         chunks = chunk_array(values, n_chunks)
         datasets = {f"{name}/{i:05d}": chunk for i, chunk in enumerate(chunks)}
@@ -156,11 +156,19 @@ def register_io_library(cls: type[IOLibrary]) -> type[IOLibrary]:
     return cls
 
 
+def _libraries() -> dict[str, type[IOLibrary]]:
+    """Every registered I/O library by name, the built-in containers
+    included: they register when first imported, and :mod:`repro.iolib`
+    itself imports neither."""
+    import repro.iolib.hdf5_like  # noqa: F401
+    import repro.iolib.netcdf_like  # noqa: F401
+
+    return _REGISTRY
+
+
 def get_io_library(name: str) -> IOLibrary:
     """Instantiate a registered I/O library (``"hdf5"`` or ``"netcdf"``)."""
-    try:
-        return _REGISTRY[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown I/O library {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None
+    cls = _REGISTRY.get(name) or _libraries().get(name)
+    if cls is None:
+        raise KeyError(f"unknown I/O library {name!r}; available: {sorted(_REGISTRY)}")
+    return cls()

@@ -10,9 +10,9 @@ toward ``max(compress, write)`` instead of their sum.
 
 This module models that pipeline on top of the existing substrates:
 
-- the dataset is decomposed into leading-axis chunks (:func:`chunk_array`,
-  built on :mod:`repro.compressors.blocks`) or, for the fluid model, into
-  byte spans (:func:`chunk_spans`);
+- the dataset is decomposed into leading-axis chunks
+  (:func:`~repro.compressors.blocks.chunk_array`, re-exported here) or, for
+  the fluid model, into byte spans (:func:`chunk_spans`);
 - the compress+serialize stage runs the chunks back to back on one core;
 - each chunk becomes a PFS flow the moment its stage work finishes, solved
   by the fair-share fluid model with staggered arrivals
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compressors.blocks import blockify
+from repro.compressors.blocks import chunk_array
 from repro.energy.measurement import Interval
 from repro.errors import ConfigurationError
 from repro.iolib.base import WriteCostModel
@@ -76,30 +76,6 @@ def chunk_spans(total_nbytes: int, n_chunks: int) -> np.ndarray:
     sizes = np.full(n, base, dtype=np.int64)
     sizes[:rem] += 1
     return sizes
-
-
-def chunk_array(values: np.ndarray, n_chunks: int) -> list[np.ndarray]:
-    """Split an array into exactly ``min(n_chunks, len(values))`` chunks.
-
-    When the leading axis divides evenly by the chunk count, the split
-    reuses :func:`repro.compressors.blocks.blockify` with a full-rank block
-    of shape ``(height, *trailing)`` — one block per chunk; otherwise it
-    falls back to ``np.array_split``.  The chunk count is bounded by the
-    leading-axis length (rows cannot be split), so it can be smaller than
-    what :func:`chunk_spans` models for the same request on a short, wide
-    array.  Concatenating the chunks along axis 0 reproduces the input
-    exactly (no padding survives).
-    """
-    values = np.asarray(values)
-    if values.ndim == 0:
-        raise ConfigurationError("cannot chunk a 0-d array")
-    n0 = values.shape[0]
-    n = min(max(int(n_chunks), 1), n0) if n0 else 1
-    if n0 and n0 % n == 0:
-        block = (n0 // n,) + values.shape[1:]
-        stacked = blockify(values, block)  # (n, height, *trailing)
-        return [np.ascontiguousarray(stacked[i]) for i in range(stacked.shape[0])]
-    return [np.ascontiguousarray(c) for c in np.array_split(values, n, axis=0)]
 
 
 @dataclass(frozen=True)

@@ -1,27 +1,16 @@
-"""Quality, error, ratio and statistics metrics used throughout the study."""
+"""Quality, error, ratio and statistics metrics used throughout the study.
 
-from repro.metrics.error import (
-    check_error_bound,
-    max_abs_error,
-    max_rel_error,
-    value_range,
-)
-from repro.metrics.quality import autocorrelation, mse, nrmse, psnr
-from repro.metrics.ratio import bitrate, compression_ratio
-from repro.metrics.stats import AdaptiveRepeater, MeasurementSummary, mean_ci
+The names below load on first access, so a caller of the error checks does
+not load the quality, ratio or statistics modules.
+"""
 
-__all__ = [
-    "check_error_bound",
-    "max_abs_error",
-    "max_rel_error",
-    "value_range",
-    "autocorrelation",
-    "mse",
-    "nrmse",
-    "psnr",
-    "bitrate",
-    "compression_ratio",
-    "AdaptiveRepeater",
-    "MeasurementSummary",
-    "mean_ci",
-]
+from repro import _lazy
+
+_EXPORTS = {
+    "repro.metrics.error": ("check_error_bound", "max_abs_error", "max_rel_error", "value_range"),
+    "repro.metrics.quality": ("autocorrelation", "mse", "nrmse", "psnr"),
+    "repro.metrics.ratio": ("bitrate", "compression_ratio"),
+    "repro.metrics.stats": ("AdaptiveRepeater", "MeasurementSummary", "mean_ci"),
+}
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+__getattr__, __dir__ = _lazy.exports(globals(), _EXPORTS)

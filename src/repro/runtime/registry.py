@@ -28,7 +28,11 @@ Registering a kind is all it takes: the sweep engine, the result store,
 conformance test battery discover it through :func:`get_kind` /
 :func:`all_kinds` — a new experiment axis (service layer, multi-tenant
 campaigns, dataset facade) lands as a plugin, not a sixth hand-threaded
-stack.  Registration validates the protocol eagerly: a plugin missing a
+stack.  The ``cluster`` and ``dataset`` plugins are known by name and
+module: each is imported, and so registers, the first time a lookup
+misses — its name, any unknown op or record name, or a call that lists
+every kind — so a path that never asks for them never loads them.
+Registration validates the protocol eagerly: a plugin missing a
 required member, reusing a kind name, or claiming unknown spec fields is
 rejected with a :class:`~repro.errors.ConfigurationError` at registration
 time, never mid-sweep.
@@ -42,6 +46,7 @@ seed tree — pinned by the conformance battery.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import math
 import threading
 import typing
@@ -61,6 +66,7 @@ __all__ = [
     "get_kind",
     "kind_names",
     "record_schema",
+    "record_type",
     "record_types",
     "register",
     "register_record",
@@ -226,7 +232,11 @@ class ExperimentKind:
 
 
 _LOCK = threading.Lock()
-_KINDS: dict[str, ExperimentKind] = {}
+#: Registered kinds in their listing order; a plugin kind not yet imported
+#: holds its place with ``None``.
+_KINDS: dict[str, ExperimentKind | None] = {}
+#: The plugin kinds that register when their module is imported.
+_PLUGINS = {"cluster": "repro.cluster.kind", "dataset": "repro.dataset.kind"}
 _OPS: dict[str, typing.Callable | None] = {}  # None = a Testbed method
 #: Extra record dataclasses (campaign results, plugin side records) that
 #: encode/decode through the store without being a kind's primary record.
@@ -294,7 +304,7 @@ def register(kind: ExperimentKind) -> ExperimentKind:
             "SweepSpec overrides or None"
         )
     with _LOCK:
-        if kind.name in _KINDS:
+        if _KINDS.get(kind.name) is not None:
             raise ConfigurationError(
                 f"experiment kind {kind.name!r} is already registered"
             )
@@ -320,15 +330,23 @@ def unregister(name: str) -> None:
         del _KINDS[name]
         # Rebuild the op table: ops may be shared between kinds.
         _OPS.clear()
-        for kind in _KINDS.values():
+        for kind in _loaded():
             for op in kind.ops:
                 _OPS[op] = (kind.evaluate or {}).get(op)
         _invalidate_record_cache()
 
 
+def _loaded() -> list[ExperimentKind]:
+    """The kinds whose modules are imported, in listing order."""
+    return [kind for kind in _KINDS.values() if kind is not None]
+
+
 def get_kind(name: str) -> ExperimentKind:
     """Look up a kind; unknown names fail naming every registered kind."""
     kind = _KINDS.get(name)
+    if kind is None and name in _KINDS:  # a plugin kind not imported yet
+        importlib.import_module(_PLUGINS[name])
+        kind = _KINDS.get(name)
     if kind is None:
         raise ConfigurationError(
             f"unknown experiment kind {name!r}; known kinds: "
@@ -338,17 +356,19 @@ def get_kind(name: str) -> ExperimentKind:
 
 
 def all_kinds() -> tuple[ExperimentKind, ...]:
-    """Every registered kind, in registration order."""
-    return tuple(_KINDS.values())
+    """Every registered kind, in listing order (plugins imported)."""
+    return tuple(get_kind(name) for name in tuple(_KINDS))
 
 
 def kind_names() -> tuple[str, ...]:
-    """Registered kind names, in registration order."""
+    """Registered kind names, in listing order; imports no plugin."""
     return tuple(_KINDS)
 
 
 def evaluate_op(testbed, op: str, kwargs: dict):
     """Evaluate one grid point: a plugin entrypoint or a Testbed method."""
+    if op not in _OPS:
+        all_kinds()  # an op no imported kind declares may be a plugin's
     fn = _OPS.get(op)
     if fn is not None:
         return fn(testbed, **kwargs)
@@ -403,9 +423,10 @@ def _invalidate_record_cache() -> None:
 def record_types() -> dict:
     """Every encodable record dataclass, keyed by its ``__record__`` tag.
 
-    Covers each registered kind's primary record, any nested record
-    dataclasses reachable through their fields (e.g. ``SerialPoint`` nests
-    ``RoundtripRecord``), and auxiliary records from
+    Covers each imported kind's primary record (a plugin kind not yet
+    imported is left out; :func:`record_type` imports it on a miss), any
+    nested record dataclasses reachable through their fields (e.g.
+    ``SerialPoint`` nests ``RoundtripRecord``), and auxiliary records from
     :func:`register_record`.
     """
     global _RECORD_TYPES_CACHE
@@ -429,7 +450,7 @@ def record_types() -> dict:
                 if dataclasses.is_dataclass(arg) and isinstance(arg, type):
                     add(arg)
 
-    for kind in all_kinds():
+    for kind in _loaded():
         cls = kind.load_record()
         if not dataclasses.is_dataclass(cls):
             raise ConfigurationError(
@@ -446,6 +467,16 @@ def record_types() -> dict:
         add(cls)
     _RECORD_TYPES_CACHE = out
     return out
+
+
+def record_type(name: str) -> type | None:
+    """The record dataclass tagged ``name``, or ``None``; a name no imported
+    kind knows imports the plugin kinds and looks again."""
+    cls = record_types().get(name)
+    if cls is None and None in _KINDS.values():
+        all_kinds()
+        cls = record_types().get(name)
+    return cls
 
 
 # -- JSON schemas (derived from the record dataclasses) -----------------------
@@ -1322,3 +1353,4 @@ BUILTIN_KINDS = (
 for _kind in BUILTIN_KINDS:
     register(_kind)
 del _kind
+_KINDS.update(dict.fromkeys(_PLUGINS))

@@ -135,21 +135,20 @@ def point_key(op: str, params: dict, fingerprint: dict) -> str:
 # -- record (de)serialisation -------------------------------------------------
 
 
-def _record_types() -> dict:
+def _record_type(name):
     # Registry-driven: every registered experiment kind's record class (plus
     # nested record dataclasses and registry.register_record extras) encodes
     # and decodes here — a plugin's records round-trip without touching this
     # module.  Imported lazily so the store stays importable on its own.
     from repro.runtime import registry
 
-    return registry.record_types()
+    return registry.record_type(name)
 
 
 def encode_record(record) -> dict:
     """Encode a result dataclass (recursively) as a tagged JSON-safe dict."""
-    types = _record_types()
     name = type(record).__name__
-    if name not in types:
+    if _record_type(name) is None:
         raise TypeError(f"cannot encode {name!r}: not a registered sweep record")
     payload = {"__record__": name}
     for f in dataclasses.fields(record):
@@ -169,9 +168,8 @@ def encode_record(record) -> dict:
 
 def decode_record(payload: dict):
     """Inverse of :func:`encode_record`."""
-    types = _record_types()
-    name = payload.get("__record__")
-    if name not in types:
+    cls = _record_type(payload.get("__record__"))
+    if cls is None:
         raise ValueError(f"not a sweep record payload: {payload!r}")
     kwargs = {}
     for key, value in payload.items():
@@ -190,7 +188,7 @@ def decode_record(payload: dict):
                 for v in value
             )
         kwargs[key] = value
-    return types[name](**kwargs)
+    return cls(**kwargs)
 
 
 def _jsonsafe(value):

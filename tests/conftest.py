@@ -5,11 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.cluster.kind  # noqa: F401  — registers the `cluster` kind
-import repro.dataset  # noqa: F401  — registers the `dataset` experiment
-# kind before test modules collect, so the registry-driven conformance
-# battery picks the plugins up alongside the builtin kinds.
-
 
 def pytest_configure(config):
     config.addinivalue_line(

@@ -1,6 +1,7 @@
 """Per-EBLC behaviour beyond the shared contract (see test_error_bounds_property)."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,15 @@ class TestSZ2:
     def test_4d_blocks(self, field_4d):
         buf = SZ2().compress(field_4d, 1e-3)
         check_error_bound(field_4d, SZ2().decompress(buf), 1e-3)
+
+    def test_field_near_float64_max_raises_no_warning(self, rng):
+        # Its regression coefficients pass the float32 range, so every
+        # block falls back to Lorenzo; no overflow warning may leak.
+        data = rng.standard_normal((9, 10, 11)) * 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = SZ2().decompress(SZ2().compress(data, 1e-3))
+        check_error_bound(data, rec, 1e-3)
 
 
 SZ2_CORRUPT_CASES = {

@@ -1,9 +1,8 @@
 """What a path imports: the lazily exported package API, and the modules an
-io sweep, a dataset write/read and a cluster solve load.
+io sweep, a dataset write/read, a cluster solve and the CLI load.
 
 Each case runs in a fresh interpreter, because this test process has
-already imported most of the package (``conftest`` registers the cluster
-and dataset kinds).
+already imported most of the package.
 """
 
 from __future__ import annotations
@@ -49,13 +48,27 @@ print(json.dumps(doc))
 """
 
 
-@pytest.mark.parametrize("name", ["repro", "repro.core", "repro.runtime"])
+LAZY_PACKAGES = ["repro", "repro.cluster", "repro.core", "repro.data", "repro.dataset",
+                 "repro.iolib", "repro.metrics", "repro.obs", "repro.runtime"]
+
+
+@pytest.mark.parametrize("name", LAZY_PACKAGES)
 def test_every_exported_name_resolves_and_is_listed(name):
     doc = fresh(EXPORTS.format(name=name))
     assert doc["unlisted"] == []
     assert doc["unresolved"] == []
     assert doc["star_missing"] == []
     assert doc.get("error") == f"module {name!r} has no attribute 'no_such_name'"
+
+
+def test_an_export_named_like_its_submodule_stays_the_export():
+    doc = fresh("""
+import json
+import repro.data.inflate
+from repro.data import inflate
+print(json.dumps({"callable": callable(inflate)}))
+""")
+    assert doc["callable"]
 
 
 # -- the modules each path loads ----------------------------------------------
@@ -101,6 +114,52 @@ with tempfile.TemporaryDirectory() as tmp:
     assert read(Path(tmp) / "x")["x"].data.shape == (8, 8, 8)
 """
 
+DATASET_IO_CHUNKED = DATASET_IO.replace('io_library="hdf5"', 'io_library="netcdf", n_chunks=4')
+
+#: Loaded by neither a whole nor a chunked dataset write/read: the sweep
+#: registry, the Testbed, the PFS and pipeline models, the lossless codecs,
+#: the trace exporters and the metrics the façade does not compute.
+NOT_FOR_DATASET_IO = (
+    "repro.runtime",
+    "repro.dataset.kind",
+    "repro.core",
+    "repro.iolib.pfs",
+    "repro.iolib.pipeline",
+    "repro.compressors.lossless",
+    "repro.obs.export",
+    "repro.data.inflate",
+    "repro.metrics.quality",
+    "repro.metrics.ratio",
+    "repro.metrics.stats",
+)
+
+WARM_IO_SWEEP = """
+import tempfile
+
+from repro.core.experiments import Testbed
+from repro.runtime import ResultStore, SweepEngine, SweepSpec
+
+spec = SweepSpec(kind="io", datasets=("cesm",), codecs=("szx",), bounds=(1e-3,),
+                 cpus=("plat8160",), io_libraries=("hdf5",))
+testbed = Testbed(scale="tiny")
+with tempfile.TemporaryDirectory() as cache:
+    cold = SweepEngine(testbed=testbed, store=ResultStore(cache), executor="serial")
+    cold.run(spec)
+    warm = SweepEngine(testbed=testbed, store=ResultStore(cache), executor="serial")
+    warm.run(spec)
+    assert warm.stats.computed == 0 and warm.stats.cache_hits == len(spec.points())
+"""
+
+KINDS_BY_NAME = """
+from repro.runtime import SweepSpec, get_kind
+
+assert get_kind("dataset").name == "dataset"
+assert get_kind("cluster").name == "cluster"
+spec = SweepSpec(kind="dataset", datasets=("cesm",), codecs=("szx",), bounds=(1e-3,),
+                 compression="lossy,szx,rel,1e-3")
+assert spec.points()[0].op == "dataset_point"
+"""
+
 CLUSTER_SOLVE = """
 from repro.cluster.scheduler import ClusterSpec, JobSpec, simulate_cluster
 from repro.core.experiments import Testbed
@@ -127,6 +186,49 @@ def test_io_paths_load_no_cluster_advisor_bench_or_process_pool(body):
     assert loaded(NOT_FOR_IO, body) == []
 
 
+@pytest.mark.parametrize("body", [DATASET_IO, DATASET_IO_CHUNKED], ids=["whole", "chunked"])
+def test_dataset_io_loads_no_registry_testbed_pfs_lossless_or_exporter(body):
+    assert loaded(NOT_FOR_DATASET_IO, body) == []
+
+
+def test_warm_io_sweep_loads_no_kind_plugin():
+    assert loaded(("repro.dataset", "repro.cluster"), WARM_IO_SWEEP) == []
+
+
+def test_plugin_kinds_resolve_by_name_after_importing_only_the_runtime():
+    assert set(loaded(("repro.dataset.kind", "repro.cluster.kind"), KINDS_BY_NAME)) == {
+        "repro.cluster.kind", "repro.dataset.kind"}
+
+
+def test_importing_the_cli_loads_no_scheduler_costs_or_workloads():
+    forbidden = ("repro.cluster.scheduler", "repro.cluster.costs", "repro.workloads")
+    assert loaded(forbidden, "import repro.cli") == []
+
+
 def test_cluster_solve_loads_no_engine_dataset_advisor_or_process_pool():
     forbidden = tuple(m for m in NOT_FOR_IO if m not in ("repro.cluster", "repro.workloads"))
     assert loaded(forbidden + ("repro.runtime.engine", "repro.dataset"), CLUSTER_SOLVE) == []
+
+
+# -- the tuner builds a testbed only for catalogue variables ------------------
+
+
+def test_tuner_without_a_testbed_matches_a_tiny_testbed_bit_for_bit():
+    import numpy as np
+
+    from repro.core.experiments import Testbed
+    from repro.dataset import AutoTuner, Dataset
+
+    rng = np.random.default_rng(3)
+    adhoc = Dataset.from_arrays({"a": rng.random((12, 9, 8)),
+                                 "b": np.cumsum(rng.standard_normal(700)).astype(np.float32)})
+    catalogue = Dataset.from_catalog(["cesm"], scale="tiny")
+    spec = "a:lossy,sz3,rel,1e-3;auto,rel,1e-2"
+    for dataset, builds in ((adhoc, False), (catalogue, True)):
+        grid = dict(codecs=("szx", "sz3"), bounds=(1e-2, 1e-3))
+        lazy, given = AutoTuner(**grid), AutoTuner(testbed=Testbed(scale="tiny"), **grid)
+        for n_chunks in (1, 3):
+            got, want = lazy.tune(dataset, spec, n_chunks), given.tune(dataset, spec, n_chunks)
+            assert repr(got.entries) == repr(want.entries)
+            assert got.streams == want.streams
+        assert (lazy._testbed is not None) is builds

@@ -67,6 +67,15 @@ class TestQuantizer:
         res = q.quantize(values, np.zeros(100))
         assert res.codes.min() >= 1  # no escapes needed here
 
+    def test_bins_past_two_to_the_62_escape(self):
+        # Such a bin's folded code used to wrap int64 and come out negative.
+        q = LinearQuantizer(2.0**-63)
+        values = np.array([1.0, -1.0, 0.0, 2.0**-62])
+        res = q.quantize(values, np.zeros(4))
+        np.testing.assert_array_equal(res.codes, [0, 0, 1, 3])
+        np.testing.assert_array_equal(res.recon, values)
+        np.testing.assert_array_equal(q.dequantize(res.codes, np.zeros(4), res.outliers), values)
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             LinearQuantizer(0.0)
@@ -174,3 +183,12 @@ class TestMatchesReference:
         assert got.codes.dtype == codes.dtype and (got.codes == codes).all()
         assert got.outliers.tobytes() == outliers.tobytes()
         assert got.recon.tobytes() == recon.tobytes()
+
+
+@pytest.mark.parametrize("codec", ["sz2", "sz3", "qoz"])
+def test_codecs_round_trip_bounds_whose_bins_pass_two_to_the_62(codec):
+    from repro.compressors import get_compressor
+
+    data = np.array([1.0, 0.0] * 64)
+    comp = get_compressor(codec)
+    np.testing.assert_array_equal(comp.decompress(comp.compress(data, 2.0**-62)), data)

@@ -39,8 +39,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 def check(kind_name: str, path) -> list[str]:
     """All schema/invariant violations in ``path`` (empty list = valid)."""
-    import repro.cluster.kind  # noqa: F401  (registers the `cluster` plugin kind)
-    import repro.dataset  # noqa: F401  (registers the `dataset` plugin kind)
+    import repro.cluster.campaign  # noqa: F401  (registers the CampaignResult record)
     from repro.errors import ConfigurationError
     from repro.runtime import registry
 
@@ -59,7 +58,7 @@ def check(kind_name: str, path) -> list[str]:
     except ConfigurationError as exc:
         # Not a kind: fall back to the registered record dataclasses, so
         # kind-less records (campaign results) validate schema-only.
-        record_cls = registry.record_types().get(kind_name)
+        record_cls = registry.record_type(kind_name)
         if record_cls is None:
             return [str(exc)]
         kind = None

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate the conformance golden fixture from the registry.
 
-Runs every registered experiment kind's ``conformance`` grid on a
+Runs every builtin experiment kind's ``conformance`` grid on a
 ``scale="tiny"`` testbed and writes the expected store keys and encoded
 records to ``tests/fixtures/conformance_golden.json`` — the fixture
 ``tests/test_conformance.py`` pins record values and sha256 store keys
@@ -24,7 +24,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from repro.core.experiments import Testbed  # noqa: E402
 from repro.runtime import registry  # noqa: E402
 from repro.runtime.engine import SweepEngine  # noqa: E402
-from repro.runtime.spec import SweepSpec  # noqa: E402
+from repro.runtime.spec import SWEEP_KINDS, SweepSpec  # noqa: E402
 from repro.runtime.store import ResultStore, _jsonsafe, encode_record  # noqa: E402
 
 
@@ -32,6 +32,8 @@ def main() -> int:
     tb = Testbed(scale="tiny")
     doc = {"version": 1, "scale": "tiny", "kinds": {}}
     for kind in registry.all_kinds():
+        if kind.name not in SWEEP_KINDS:
+            continue  # the plugin kinds are not part of this fixture
         if kind.conformance is None:
             print(f"{kind.name}: no conformance grid declared, skipped")
             continue
