@@ -262,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--resume",
         action="store_true",
-        help="report progress from this sweep's manifest under --cache-dir "
-        "before continuing it (completed points answer from the cache)",
+        help="report how many of this sweep's points --cache-dir already "
+        "holds before continuing it (those points answer from the cache)",
     )
     p.add_argument(
         "--retries",
@@ -617,24 +617,27 @@ def _run_spec(args, spec, *, executor="serial", workers=None, cache_dir=None,
     from repro.core.experiments import Testbed
     from repro.obs import ProgressPrinter, TracerBridge, compose
     from repro.runtime.engine import SweepEngine
-    from repro.runtime.faults import FailedPoint, RetryPolicy, SweepManifest, sweep_id
-    from repro.runtime.store import ResultStore, testbed_fingerprint
+    from repro.runtime.faults import FailedPoint, RetryPolicy
+    from repro.runtime.store import ResultStore, point_key, testbed_fingerprint
 
     testbed = Testbed(scale=args.scale)
+    store = ResultStore(cache_dir=cache_dir)
     if resume:
-        done = SweepManifest.progress(
-            cache_dir, sweep_id(spec, testbed_fingerprint(testbed))
-        )
-        if done is None:
-            print("no manifest for this sweep yet; starting fresh",
-                  file=sys.stderr)
+        # Progress is read from the store itself: ``in`` parses and
+        # checksums each entry, so a corrupt one never counts as complete.
+        fingerprint = testbed_fingerprint(testbed)
+        keys = {point_key(p.op, p.as_kwargs(), fingerprint) for p in spec.points()}
+        done = sum(key in store for key in keys)
+        if done:
+            print(f"resuming: {done}/{len(keys)} unique points already "
+                  "complete", file=sys.stderr)
         else:
-            print(f"resuming: {done[0]}/{done[1]} unique points "
-                  "already complete", file=sys.stderr)
+            print(f"no point of this sweep is in the cache yet; starting fresh "
+                  f"({len(keys)} unique points)", file=sys.stderr)
     with _maybe_tracing(args.trace) as tracer:
         engine = SweepEngine(
             testbed=testbed,
-            store=ResultStore(cache_dir=cache_dir),
+            store=store,
             executor=executor,
             max_workers=workers,
             retry_policy=RetryPolicy(max_attempts=retries + 1, timeout_s=timeout),
@@ -699,8 +702,8 @@ def _spec(args, kind: str):
 
 def _cmd_sweep(args) -> int:
     if args.resume and not args.cache_dir:
-        print("--resume needs --cache-dir: the manifest lives next to the "
-              "cache entries", file=sys.stderr)
+        print("--resume needs --cache-dir: progress is read from the cache "
+              "entries there", file=sys.stderr)
         return 2
     if args.spec:
         from repro.runtime.spec import SweepSpec

@@ -16,12 +16,20 @@ import numpy as np
 
 from repro.errors import DecompressionError
 
-__all__ = ["pack_bits", "unpack_bits"]
+__all__ = ["bit_length", "pack_bits", "unpack_bits"]
 
 _U64 = np.uint64
 _ZERO = np.uint64(0)
 _SIXTYFOUR = np.uint64(64)
 _MASK6 = np.uint64(63)
+
+
+def bit_length(values: np.ndarray) -> np.ndarray:
+    """Exact bit length of each ``uint64``: frexp's exponent, less one where
+    the float conversion rounded up to the next power of two."""
+    length = np.minimum(np.frexp(values.astype(np.float64))[1], 64).astype(np.int64)
+    top_bit = np.uint64(1) << np.maximum(length - 1, 0).astype(np.uint64)
+    return np.where(values > 0, length - (values < top_bit), 0)
 
 
 def _check_widths(widths: np.ndarray) -> None:

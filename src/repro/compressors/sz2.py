@@ -102,11 +102,6 @@ class SZ2(Compressor):
 
     name = "sz2"
 
-    def __init__(self, regression_bias: float = 1.0):
-        #: Multiplier on the regression error estimate before comparing with
-        #: Lorenzo; >1 biases block selection toward Lorenzo.
-        self.regression_bias = float(regression_bias)
-
     # -- compression --------------------------------------------------------
 
     def _compress_impl(self, values: np.ndarray, abs_bound: float) -> bytes:
@@ -123,10 +118,7 @@ class SZ2(Compressor):
         # the (original-neighbour) Lorenzo estimate.
         coeffs_all = regression_fit(core)
         reg_pred_all = regression_predict(coeffs_all, core_block)
-        reg_err = (
-            np.abs(core - reg_pred_all).reshape(n_blocks, -1).mean(axis=1)
-            * self.regression_bias
-        )
+        reg_err = np.abs(core - reg_pred_all).reshape(n_blocks, -1).mean(axis=1)
         lor_err = estimate_lorenzo_error(core)
         reg_mask = reg_err < lor_err
 

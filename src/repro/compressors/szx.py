@@ -22,8 +22,8 @@ import struct
 import numpy as np
 
 from repro.compressors.base import Compressor, register_compressor
-from repro.compressors.bitstream import pack_bits, unpack_bits
-from repro.errors import DecompressionError
+from repro.compressors.bitstream import bit_length, pack_bits, unpack_bits
+from repro.errors import CompressionError, DecompressionError
 
 __all__ = ["SZx", "BLOCK_ELEMS"]
 
@@ -58,16 +58,22 @@ class SZx(Compressor):
         payload_codes = b""
         if nc_idx.size:
             width = 2.0 * abs_bound
-            k = np.rint((blocks[nc_idx] - center[nc_idx, None]) / width).astype(
-                np.int64
-            )
-            kmax = np.abs(k).max(axis=1)
-            # Bits for sign + magnitude; at least 1 bit even if kmax == 0.
-            m = np.ceil(np.log2(kmax.astype(np.float64) + 1.0)).astype(np.int64) + 1
-            m = np.maximum(m, 1)
+            k = np.rint((blocks[nc_idx] - center[nc_idx, None]) / width)
+            if max(k.max(), -k.min()) >= 2.0**63:
+                raise CompressionError(
+                    f"szx: a block's quantization codes need more than 64 bits "
+                    f"at absolute bound {abs_bound!r}"
+                )
+            k = k.astype(np.int64)
+            # Sign + magnitude bits: the exact bit length of the largest
+            # offset (a float log2 rounds 2**j + 1 down to j past j = 48),
+            # plus one, so kmax == 0 still takes 1 bit.
+            m = bit_length(np.abs(k).max(axis=1).astype(np.uint64)) + 1
             widths_per_block[nc_idx] = m
-            offset = (np.int64(1) << (m - 1))[:, None]
-            stored = (k + offset).astype(np.uint64)
+            offset = (np.uint64(1) << (m - 1).astype(np.uint64))[:, None]
+            # uint64 arithmetic wraps mod 2**64, so the 64-bit width agrees
+            # with the decoder's inverse below.
+            stored = k.astype(np.uint64) + offset
             elem_widths = np.repeat(m, BLOCK_ELEMS)
             payload_codes = pack_bits(stored.reshape(-1), elem_widths)
 
@@ -125,8 +131,8 @@ class SZx(Compressor):
         if nc_idx.size:
             elem_widths = np.repeat(m, BLOCK_ELEMS)
             stored = unpack_bits(codes_raw, elem_widths).reshape(-1, BLOCK_ELEMS)
-            offset = (np.int64(1) << (m - 1))[:, None]
-            k = stored.astype(np.int64) - offset
+            offset = (np.uint64(1) << (m - 1).astype(np.uint64))[:, None]
+            k = (stored - offset).view(np.int64)
             width = 2.0 * abs_bound
             out[nc_idx] = center[nc_idx, None] + k.astype(np.float64) * width
         return out.reshape(-1)[:n].reshape(shape)

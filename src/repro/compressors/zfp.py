@@ -50,6 +50,7 @@ import struct
 import numpy as np
 
 from repro.compressors.base import Compressor, register_compressor
+from repro.compressors.bitstream import bit_length
 from repro.compressors.blocks import blockify, padded_shape, unblockify
 from repro.compressors.transform import (
     forward_transform,
@@ -187,14 +188,6 @@ def _slot_mask(
     return mask, cells
 
 
-def _bit_length(values: np.ndarray) -> np.ndarray:
-    """Exact bit length of each ``uint64``: frexp's exponent, less one where
-    the float conversion rounded up to the next power of two."""
-    length = np.minimum(np.frexp(values.astype(np.float64))[1], 64).astype(np.int64)
-    top_bit = np.uint64(1) << np.maximum(length - 1, 0).astype(np.uint64)
-    return np.where(values > 0, length - (values < top_bit), 0)
-
-
 def _from_plane_bits(bits: np.ndarray, kmax: np.ndarray) -> np.ndarray:
     """Coefficients whose bit ``kmax[b] - j`` is ``bits[b, j, i]`` (planes
     beyond ``bits`` read as 0)."""
@@ -213,7 +206,7 @@ def _encode_chunk(
     planes = int(n_planes.max(initial=0))
     # The plane where each coefficient becomes significant (64: never); it is
     # a group hit unless a later coefficient did so in an earlier plane.
-    first = np.where(neg > 0, kmax[:, None] + 1 - _bit_length(neg), 64)
+    first = np.where(neg > 0, kmax[:, None] + 1 - bit_length(neg), 64)
     later = np.full_like(first, 64)
     later[:, :-1] = np.minimum.accumulate(first[:, :0:-1], axis=1)[:, ::-1]
     flat = np.flatnonzero((first <= later) & (first < n_planes[:, None]))
@@ -372,7 +365,7 @@ class ZFP(Compressor):
         raw = nonzero & raw_u[inverse]
         normal = nonzero & ~raw
         # Top plane: bit length of the OR of the block's coefficients, minus 1.
-        kmax = np.maximum(_bit_length(np.bitwise_or.reduce(neg, axis=1)) - 1, 0)
+        kmax = np.maximum(bit_length(np.bitwise_or.reduce(neg, axis=1)) - 1, 0)
         n_planes = np.where(normal, np.maximum(kmax - kmin_u[inverse] + 1, 0), 0)
 
         flat_core = core.reshape(n_blocks, bsize)

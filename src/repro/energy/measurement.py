@@ -149,14 +149,13 @@ class EnergyMeter:
         self,
         cpu: CPUSpec,
         sample_interval: float = 0.010,
-        alpha: float = 0.85,
         freq_ghz: float | None = None,
     ):
         check_sample_interval(sample_interval)
         self.cpu = cpu
         self.sample_interval = sample_interval
         self.freq_ghz = freq_ghz
-        self.power_model = PowerModel(cpu, alpha=alpha, freq_ghz=freq_ghz)
+        self.power_model = PowerModel(cpu, freq_ghz=freq_ghz)
         self._ranges = (DEFAULT_MAX_ENERGY_RANGE_UJ,) * cpu.sockets
 
     def measure(self, phases: list[Phase]) -> EnergyReport:

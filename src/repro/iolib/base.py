@@ -94,54 +94,6 @@ class IOLibrary:
         with open(path, "rb") as fh:
             return self.unpack(fh.read())
 
-    # -- chunked (pipelined) serialization ------------------------------------
-
-    def pack_chunked(
-        self, name: str, values: np.ndarray, n_chunks: int, attrs: dict | None = None
-    ) -> bytes:
-        """Serialize one array as leading-axis chunks, each its own object.
-
-        This is the container layout a block-pipelined writer produces: chunk
-        ``i`` lands as dataset ``{name}/{i:05d}`` the moment its compress
-        stage finishes, instead of one monolithic object at the end.  The
-        chunk decomposition comes from :func:`repro.compressors.blocks.chunk_array`.
-        """
-        from repro.compressors.blocks import chunk_array
-
-        chunks = chunk_array(values, n_chunks)
-        datasets = {f"{name}/{i:05d}": chunk for i, chunk in enumerate(chunks)}
-        meta = dict(attrs or {})
-        meta["__chunked__"] = name
-        meta["__n_chunks__"] = str(len(chunks))
-        return self.pack(datasets, meta)
-
-    def unpack_chunked(self, blob: bytes):
-        """Inverse of :meth:`pack_chunked`: reassemble along the leading axis."""
-        datasets, attrs = self.unpack(blob)
-        name = attrs.pop("__chunked__", None)
-        if name is None:
-            raise IOModelError("container was not written by pack_chunked")
-        try:
-            n_chunks = int(attrs.pop("__n_chunks__"))
-            parts = [datasets[f"{name}/{i:05d}"] for i in range(n_chunks)]
-        except (KeyError, ValueError) as exc:
-            raise IOModelError(
-                f"malformed chunked container for {name!r}: {exc}"
-            ) from exc
-        return name, np.concatenate(parts, axis=0), attrs
-
-    def write_chunked(self, path, name: str, values, n_chunks: int, attrs=None) -> int:
-        """Pack chunked and write to ``path``; returns bytes written."""
-        blob = self.pack_chunked(name, np.asarray(values), n_chunks, attrs)
-        with open(path, "wb") as fh:
-            fh.write(blob)
-        return len(blob)
-
-    def read_chunked(self, path):
-        """Read and reassemble a file written by :meth:`write_chunked`."""
-        with open(path, "rb") as fh:
-            return self.unpack_chunked(fh.read())
-
 
 _REGISTRY: dict[str, type[IOLibrary]] = {}
 

@@ -36,8 +36,7 @@ _EXPORTS = {
     ),
     "repro.runtime.engine": ("EXECUTORS", "ON_ERROR", "EngineStats", "SweepEngine", "SweepEvent"),
     "repro.runtime.faults": (
-        "FailedPoint", "FaultInjector", "InjectedFault", "RetryPolicy", "SweepManifest",
-        "error_chain", "sweep_id",
+        "FailedPoint", "FaultInjector", "InjectedFault", "RetryPolicy", "error_chain",
     ),
     "repro.runtime.registry": (
         "ExperimentKind", "all_kinds", "get_kind", "kind_names", "record_schema",

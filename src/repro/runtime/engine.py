@@ -16,10 +16,9 @@ lost in-flight points — completed records are never discarded; and a point
 that exhausts its attempts either re-raises (``on_error="raise"``, the
 default and the seed behaviour) or surfaces as a structured
 :class:`~repro.runtime.faults.FailedPoint` in its grid position
-(``on_error="collect"``).  When the store persists to disk, the engine
-also journals every completed key into a crash-safe
-:class:`~repro.runtime.faults.SweepManifest`, so a killed sweep resumes
-from the cache with bit-identical records.
+(``on_error="collect"``).  Each computed record lands in the store as it
+completes, so a killed sweep rerun on the same disk-backed store answers
+its finished points from there and returns bit-identical records.
 
 Process workers rebuild the testbed once per process from a picklable
 config and keep it in a module global keyed by the testbed fingerprint, so
@@ -42,13 +41,7 @@ from repro.obs.trace import active_tracer
 
 from repro.errors import ConfigurationError
 from repro.runtime import registry
-from repro.runtime.faults import (
-    FailedPoint,
-    RetryPolicy,
-    SweepManifest,
-    error_chain,
-    sweep_id,
-)
+from repro.runtime.faults import FailedPoint, RetryPolicy, error_chain
 from repro.runtime.spec import GridPoint, SweepSpec
 from repro.runtime.store import ResultStore, default_store, point_key, testbed_fingerprint
 
@@ -213,7 +206,6 @@ class SweepEngine:
         self.on_error = on_error
         self.fault_injector = fault_injector
         self.stats = EngineStats()
-        self._manifest: SweepManifest | None = None
         self._run_t0: float | None = None
 
     # -- internals -----------------------------------------------------------
@@ -275,8 +267,6 @@ class SweepEngine:
             and self.fault_injector.should_corrupt(task.key)
         ):
             self.fault_injector.corrupt(self.store, task.key)
-        if self._manifest is not None:
-            self._manifest.record(task.key)
         self.stats.computed += 1
         self._emit(
             SweepEvent("point", index=task.index, total=total,
@@ -540,14 +530,6 @@ class SweepEngine:
         points = spec.points()
         keys = [self._key(p) for p in points]
         self.stats.runs += 1
-        manifest = None
-        if self.store.cache_dir is not None:
-            manifest = SweepManifest(
-                self.store.cache_dir,
-                sweep_id(spec, testbed_fingerprint(self.testbed)),
-                total=len(set(keys)),
-            ).open()
-        self._manifest = manifest
         self._run_t0 = time.perf_counter()
         try:
             self._emit(SweepEvent("start", total=len(points)))
@@ -560,8 +542,6 @@ class SweepEngine:
                 if record is not None:
                     results[i] = record
                     self.stats.cache_hits += 1
-                    if manifest is not None:
-                        manifest.record(key)
                     self._emit(
                         SweepEvent(
                             "point", index=i, total=len(points), op=point.op,
@@ -586,14 +566,11 @@ class SweepEngine:
             self._emit(SweepEvent("finish", total=len(points)))
             return [results[i] for i in range(len(points))]
         finally:
-            self._manifest = None
             self._run_t0 = None
             tracer = active_tracer()
             if tracer is not None:
                 tracer.metrics.merge("engine", self.stats.snapshot())
                 tracer.metrics.merge("store", self.store.stats)
-            if manifest is not None:
-                manifest.close()
 
     def evaluate(self, op: str, **kwargs):
         """Single-point path: memoized lookup-or-compute for one operation."""

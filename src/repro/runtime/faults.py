@@ -20,11 +20,11 @@ misbehave lives here:
   ``(seed, key, attempt)``, so a chaos test replays bit-identically; by
   default faults fire only on each point's first attempt, so any sweep with
   retries enabled must converge to the exact records of an unfaulted run.
-- :class:`SweepManifest` — a crash-safe, append-only completion journal
-  written next to a disk cache.  The engine appends each completed store
-  key as it lands; a killed-then-resumed sweep reads the manifest to report
-  progress and answers the completed points from the store, producing
-  records bit-identical to a straight-through run.
+
+Crash-safe resume needs nothing from this module: the engine answers every
+point already in its :class:`~repro.runtime.store.ResultStore` from there,
+so a killed sweep rerun on the same cache directory computes only the
+missing points and returns records bit-identical to a straight-through run.
 
 See ``docs/user-guide/robustness.md`` for the guided tour.
 """
@@ -32,11 +32,9 @@ See ``docs/user-guide/robustness.md`` for the guided tour.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.errors import ConfigurationError
 
@@ -45,14 +43,8 @@ __all__ = [
     "FaultInjector",
     "InjectedFault",
     "RetryPolicy",
-    "SweepManifest",
     "error_chain",
-    "sweep_id",
 ]
-
-#: Bump when the manifest line format changes: old manifests become
-#: unreadable (and are rewritten) rather than misinterpreted.
-MANIFEST_VERSION = 1
 
 
 def _unit(seed: int, *parts) -> float:
@@ -275,128 +267,3 @@ class FaultInjector:
         # Truncate mid-payload: half the entries become invalid JSON, the
         # rest parse but fail the checksum — both corruption flavours.
         path.write_text(text[: max(1, len(text) // 2)])
-
-
-# -- the sweep manifest -------------------------------------------------------
-
-
-def sweep_id(spec, fingerprint: dict) -> str:
-    """A stable content hash identifying one (spec, testbed-config) sweep.
-
-    Built from the same canonical JSON as store keys, so the identity is
-    stable across processes and platforms; any spec axis or testbed knob
-    change yields a different manifest, never a misattributed resume.
-    """
-    from repro.runtime.store import _canonical_json, _canonical_params
-
-    blob = _canonical_json(
-        {
-            "version": MANIFEST_VERSION,
-            "spec": _canonical_params(spec.to_dict(), "spec"),
-            "testbed": fingerprint,
-        }
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-class SweepManifest:
-    """Append-only journal of completed store keys for one sweep.
-
-    One JSONL file per sweep identity next to the cache entries: a header
-    line naming the sweep id and the unique-point total, then one line per
-    completed key.  Lines are flushed as written, so a killed process loses
-    at most the in-flight line — and a torn trailing line is skipped on
-    load, never trusted.  Appends take an advisory ``flock`` (where the
-    platform has one) so concurrent engines sharing the cache dir interleave
-    whole lines.
-    """
-
-    def __init__(self, cache_dir, sweep: str, total: int):
-        self.sweep = sweep
-        self.total = int(total)
-        self.path = Path(cache_dir) / f"sweep-{sweep[:24]}.manifest.jsonl"
-        self._done: set[str] = set()
-        self._fh = None
-
-    @property
-    def done(self) -> frozenset:
-        """Keys recorded complete (from the loaded file plus this run)."""
-        return frozenset(self._done)
-
-    @staticmethod
-    def _parse(path: Path, sweep: str) -> set[str] | None:
-        """Completed keys from an existing manifest, or None if foreign."""
-        try:
-            lines = path.read_text().splitlines()
-        except OSError:
-            return None
-        if not lines:
-            return None
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
-            return None
-        if (
-            not isinstance(header, dict)
-            or header.get("sweep") != sweep
-            or header.get("version") != MANIFEST_VERSION
-        ):
-            return None
-        done: set[str] = set()
-        for line in lines[1:]:
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn trailing line from a killed writer
-            if isinstance(entry, dict) and isinstance(entry.get("key"), str):
-                done.add(entry["key"])
-        return done
-
-    @classmethod
-    def progress(cls, cache_dir, sweep: str) -> tuple[int, int] | None:
-        """(completed, total) recorded for a sweep, or None if no manifest."""
-        path = Path(cache_dir) / f"sweep-{sweep[:24]}.manifest.jsonl"
-        done = cls._parse(path, sweep)
-        if done is None:
-            return None
-        try:
-            header = json.loads(path.read_text().splitlines()[0])
-            total = int(header.get("total", 0))
-        except (OSError, json.JSONDecodeError, ValueError):
-            return None
-        return len(done), total
-
-    def open(self) -> "SweepManifest":
-        """Load any prior progress and open the journal for appending."""
-        existing = self._parse(self.path, self.sweep)
-        if existing is None:
-            # Absent, foreign, or unreadable: start a fresh journal.
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "w", encoding="utf-8")
-            self._append(
-                {"version": MANIFEST_VERSION, "sweep": self.sweep, "total": self.total}
-            )
-        else:
-            self._done = existing
-            self._fh = open(self.path, "a", encoding="utf-8")
-        return self
-
-    def _append(self, payload: dict) -> None:
-        line = json.dumps(payload, sort_keys=True) + "\n"
-        from repro.runtime.store import _file_lock
-
-        with _file_lock(self._fh):
-            self._fh.write(line)
-            self._fh.flush()
-
-    def record(self, key: str) -> None:
-        """Journal one completed key (idempotent)."""
-        if self._fh is None or key in self._done:
-            return
-        self._done.add(key)
-        self._append({"key": key})
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None

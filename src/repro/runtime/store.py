@@ -415,8 +415,9 @@ class ResultStore:
         """Drop the in-memory layer; ``disk=True`` also deletes disk state.
 
         Disk clearing removes entries, quarantined ``*.corrupt`` files,
-        stranded ``*.tmp`` files from killed writers, and sweep manifests —
-        everything except the advisory ``.lock`` file itself.
+        stranded ``*.tmp`` files from killed writers, and the
+        ``*.manifest.jsonl`` journals earlier versions wrote — everything
+        except the advisory ``.lock`` file itself.
         """
         with self._lock:
             self._mem.clear()

@@ -9,7 +9,7 @@ unfaulted run would have landed:
   (faults fire only on first attempts, so retries must converge);
 - corrupted disk entries are quarantined, counted, and recomputed;
 - a crashed process worker costs a pool rebuild, never the grid;
-- a sweep killed mid-run and resumed from its cache/manifest produces
+- a sweep killed mid-run and resumed from its disk cache produces
   records and store bytes identical to a straight-through run;
 - with ``on_error="collect"``, exhausted points surface as structured
   :class:`FailedPoint`\\ s in their grid positions — completed work is
@@ -35,12 +35,10 @@ from repro.runtime.faults import (
     FaultInjector,
     InjectedFault,
     RetryPolicy,
-    SweepManifest,
     error_chain,
-    sweep_id,
 )
 from repro.runtime.spec import SweepSpec
-from repro.runtime.store import ResultStore
+from repro.runtime.store import ResultStore, point_key
 from repro.runtime.store import testbed_fingerprint as _fingerprint
 
 pytestmark = pytest.mark.chaos
@@ -148,17 +146,6 @@ class TestFailureStructures:
         assert wire["__failed__"] is True
         assert wire["params"] == {"codec": "szx"}
         json.dumps(wire)  # JSON-safe by construction
-
-    def test_sweep_id_sensitive_to_spec_and_testbed(self, tiny_testbed):
-        spec_a = SweepSpec(**TINY_SPEC)
-        spec_b = SweepSpec(kind="quality", datasets=("cesm",),
-                           codecs=("szx",), bounds=(1e-3,))
-        fp = _fingerprint(tiny_testbed)
-        assert sweep_id(spec_a, fp) == sweep_id(SweepSpec(**TINY_SPEC), fp)
-        assert sweep_id(spec_a, fp) != sweep_id(spec_b, fp)
-        assert sweep_id(spec_a, fp) != sweep_id(
-            spec_a, _fingerprint(Testbed(scale="test"))
-        )
 
 
 # -- the per-kind battery -----------------------------------------------------
@@ -313,6 +300,19 @@ def _run_until_killed(testbed, spec, cache_dir, n_points):
         engine.run(spec)
 
 
+def _keys(testbed, spec):
+    """The unique store keys of ``spec``'s points."""
+    fp = _fingerprint(testbed)
+    return {point_key(p.op, p.as_kwargs(), fp) for p in spec.points()}
+
+
+def _stored(testbed, spec, cache_dir):
+    """(unique points of ``spec`` in the disk store, unique points)."""
+    keys = _keys(testbed, spec)
+    store = ResultStore(cache_dir=cache_dir)
+    return sum(key in store for key in keys), len(keys)
+
+
 def test_killed_sweep_resumes_bit_identical(tiny_testbed, tmp_path):
     spec = SweepSpec(kind="quality", datasets=("cesm",),
                      codecs=("szx", "sz3"), bounds=(1e-2, 1e-3))
@@ -320,16 +320,14 @@ def test_killed_sweep_resumes_bit_identical(tiny_testbed, tmp_path):
     killed_dir, straight_dir = tmp_path / "killed", tmp_path / "straight"
     _run_until_killed(tiny_testbed, spec, killed_dir, n_points=2)
 
-    sid = sweep_id(spec, _fingerprint(tiny_testbed))
-    progress = SweepManifest.progress(killed_dir, sid)
-    assert progress == (2, 4)  # the manifest survived the kill
+    assert _stored(tiny_testbed, spec, killed_dir) == (2, 4)  # survived the kill
 
     resumed = SweepEngine(testbed=tiny_testbed,
                           store=ResultStore(cache_dir=killed_dir))
     records = resumed.run(spec)
     assert records == clean
     assert resumed.stats.cache_hits == 2 and resumed.stats.computed == 2
-    assert SweepManifest.progress(killed_dir, sid) == (4, 4)
+    assert _stored(tiny_testbed, spec, killed_dir) == (4, 4)
 
     # store bytes identical to a straight-through run
     SweepEngine(testbed=tiny_testbed,
@@ -343,18 +341,15 @@ def test_killed_sweep_resumes_bit_identical(tiny_testbed, tmp_path):
         ).read_bytes()
 
 
-def test_manifest_ignores_foreign_and_torn_lines(tiny_testbed, tmp_path):
+def test_disk_sweep_writes_only_store_entries(tiny_testbed, tmp_path):
+    """A cold disk-backed sweep leaves one ``<key>.json`` per unique point
+    and the advisory ``.lock`` in the cache dir, and nothing else."""
     spec = SweepSpec(**TINY_SPEC)
-    sid = sweep_id(spec, _fingerprint(tiny_testbed))
-    # a torn trailing line (killed writer) must be skipped, not trusted
-    manifest = SweepManifest(tmp_path, sid, total=2).open()
-    manifest.record("a" * 64)
-    manifest.close()
-    with open(manifest.path, "a") as fh:
-        fh.write('{"key": "b')  # torn mid-write
-    assert SweepManifest.progress(tmp_path, sid) == (1, 2)
-    # a manifest for a different sweep id is foreign: no progress
-    assert SweepManifest.progress(tmp_path, "0" * 64) is None
+    SweepEngine(testbed=tiny_testbed,
+                store=ResultStore(cache_dir=tmp_path)).run(spec)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [f"{key}.json" for key in _keys(tiny_testbed, spec)] + [".lock"]
+    )
 
 
 def test_cli_resume_reports_progress(tiny_testbed, tmp_path, capsys):
@@ -367,8 +362,14 @@ def test_cli_resume_reports_progress(tiny_testbed, tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert main(argv + ["--resume"]) == 0
-    err = capsys.readouterr().err
-    assert "resuming: 2/2" in err
+    assert "resuming: 2/2" in capsys.readouterr().err
+    # a corrupt entry is not complete: it is quarantined and recomputed
+    entry = next((tmp_path / "cache").glob("*.json"))
+    entry.write_text(entry.read_text()[:40])
+    assert main(argv + ["--resume"]) == 0
+    assert "resuming: 1/2" in capsys.readouterr().err
+    assert main(argv + ["--resume", "--cache-dir", str(tmp_path / "fresh")]) == 0
+    assert "starting fresh (2 unique points)" in capsys.readouterr().err
 
 
 def test_cli_resume_requires_cache_dir(capsys):

@@ -79,12 +79,6 @@ class TestSZ2:
         rec = SZ2().decompress(buf)
         check_error_bound(data, rec, 1e-3)
 
-    def test_regression_bias_parameter(self, smooth_3d):
-        biased = SZ2(regression_bias=100.0)  # effectively disable regression
-        buf = biased.compress(np.array(smooth_3d), 1e-3)
-        rec = biased.decompress(buf)
-        check_error_bound(smooth_3d, rec, 1e-3)
-
     def test_4d_blocks(self, field_4d):
         buf = SZ2().compress(field_4d, 1e-3)
         check_error_bound(field_4d, SZ2().decompress(buf), 1e-3)
@@ -452,6 +446,18 @@ class TestSZx:
         rec = SZx().decompress(buf)
         assert rec.shape == (1000,)
         check_error_bound(data, rec, 1e-2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("j", range(47, 71))
+    def test_tiny_bounds_keep_the_bound_or_raise(self, j):
+        """Offsets past 2**48 need exact code widths up to 64 bits; a block
+        whose codes would need more raises instead of wrapping."""
+        data = np.array([1.0, 0.0] * 64)
+        try:
+            buf = SZx().compress(data, 2.0**-j)
+        except CompressionError:
+            return
+        check_error_bound(data, SZx().decompress(buf), 2.0**-j)
 
 
 SZX_CORRUPT_CASES = {

@@ -104,6 +104,18 @@ class TestWriteRead:
         for v in catalog_ds:
             assert np.array_equal(back[v.name].data, v.data)
 
+    def test_chunk_headers_cost_real_bytes(self, tmp_path):
+        # Every chunk is its own stream and container object: the bytes
+        # behind the cost model's chunk_meta_latency_s.
+        ds = Dataset.from_arrays({"x": np.arange(64.0).reshape(16, 4)})
+        sizes = []
+        for n_chunks in (1, 8):
+            path = tmp_path / f"c{n_chunks}.h5"
+            write(ds, path, compression="lossless,zstd", n_chunks=n_chunks,
+                  testbed=TESTBED)
+            sizes.append(path.stat().st_size)
+        assert sizes[1] > sizes[0]
+
     def test_read_sniffs_library(self, catalog_ds, tmp_path):
         for lib in ("hdf5", "netcdf"):
             path = tmp_path / f"sniff-{lib}"

@@ -181,52 +181,6 @@ class TestOverlapSavings:
         assert n.total_time_s > h.total_time_s
 
 
-class TestChunkedContainers:
-    @pytest.mark.parametrize("lib_name", ["hdf5", "netcdf"])
-    def test_pack_chunked_roundtrip(self, lib_name):
-        lib = get_io_library(lib_name)
-        data = np.linspace(0, 1, 35 * 6, dtype=np.float32).reshape(35, 6)
-        blob = lib.pack_chunked("field", data, 4, {"units": "K"})
-        name, out, attrs = lib.unpack_chunked(blob)
-        assert name == "field"
-        assert attrs == {"units": "K"}
-        np.testing.assert_array_equal(out, data)
-
-    def test_write_read_chunked_files(self, tmp_path):
-        lib = get_io_library("hdf5")
-        data = np.arange(64, dtype=np.float64).reshape(16, 4)
-        nbytes = lib.write_chunked(tmp_path / "c.rh5", "x", data, 8)
-        assert nbytes > data.nbytes  # per-chunk headers cost real bytes
-        name, out, _ = lib.read_chunked(tmp_path / "c.rh5")
-        assert name == "x"
-        np.testing.assert_array_equal(out, data)
-
-    def test_unpack_chunked_rejects_plain_containers(self):
-        lib = get_io_library("hdf5")
-        blob = lib.pack({"x": np.zeros(4, dtype=np.float32)})
-        from repro.errors import IOModelError
-
-        with pytest.raises(IOModelError):
-            lib.unpack_chunked(blob)
-
-    def test_unpack_chunked_wraps_malformed_metadata(self):
-        """Missing chunk-count/chunks surface as IOModelError, not KeyError."""
-        from repro.errors import IOModelError
-
-        lib = get_io_library("hdf5")
-        no_count = lib.pack(
-            {"f/00000": np.zeros(4, dtype=np.float32)}, {"__chunked__": "f"}
-        )
-        with pytest.raises(IOModelError):
-            lib.unpack_chunked(no_count)
-        missing_chunk = lib.pack(
-            {"f/00000": np.zeros(4, dtype=np.float32)},
-            {"__chunked__": "f", "__n_chunks__": "2"},
-        )
-        with pytest.raises(IOModelError):
-            lib.unpack_chunked(missing_chunk)
-
-
 class TestSweepIntegration:
     def test_spec_expansion_and_json_roundtrip(self):
         spec = SweepSpec(

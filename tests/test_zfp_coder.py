@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compressors.base import Compressor
-from repro.compressors.zfp import ZFP, _bit_length
+from repro.compressors.bitstream import bit_length
+from repro.compressors.zfp import ZFP
 from repro.errors import DecompressionError
 
 from hostile import assert_decodes_typed, bit_flips, decoded, truncations, walk
@@ -100,7 +101,7 @@ class TestAgainstScalarReference:
         edges = [0, 1, 2, 3, 2**53 - 1, 2**53 + 1, 2**54 - 1, 2**63 - 1, 2**63]
         edges += [2**64 - 2048, 2**64 - 1]
         values = np.array(edges, dtype=np.uint64)
-        assert _bit_length(values).tolist() == [v.bit_length() for v in edges]
+        assert bit_length(values).tolist() == [v.bit_length() for v in edges]
 
     def test_raw_escape_is_exercised(self):
         arr = 1.0e8 + np.random.default_rng(5).standard_normal((4, 4, 4)) * 1e-4
