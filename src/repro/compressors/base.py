@@ -11,8 +11,11 @@ identical across codecs so the paper's comparisons are apples-to-apples:
   buffer can be decompressed without external metadata;
 - compression-ratio accounting.
 
-Subclasses implement ``_compress_impl`` / ``_decompress_impl`` on float64
-arrays with an absolute bound.
+Subclasses implement ``_compress_batch`` / ``_decompress_batch``, which code
+several float64 pieces (the chunks of one variable), each under its own
+absolute bound, in one pass; :meth:`Compressor.compress` is the batch of one.
+Codecs without a batched kernel implement ``_compress_impl`` /
+``_decompress_impl`` on one array instead.
 """
 
 from __future__ import annotations
@@ -119,6 +122,40 @@ class Compressor:
             ``|D[k] - Dhat[k]| <= ε * (max(D) - min(D))``.  Ignored (and
             recorded as 0) for lossless codecs.
         """
+        (buf,) = self.compress_many([array], rel_bound)
+        return buf
+
+    def compress_many(self, arrays, rel_bound: float = 0.0) -> list[CompressedBuffer]:
+        """:meth:`compress` each of ``arrays`` in one batched pass.
+
+        Each buffer is byte-identical to ``compress(array, rel_bound)``: every
+        piece keeps its own value range, hence its own absolute bound.  The
+        codec's kernel runs once over all the pieces (the chunks of one
+        variable), so its fixed per-call cost is paid once, not per piece.
+        An invalid piece raises what :meth:`compress` raises for it.
+        """
+        prepared = [self._prepare(array, rel_bound) for array in arrays]
+        coded = [i for i, p in enumerate(prepared) if p[3] is None]
+        payloads = dict(zip(coded, self._timed_compress(
+            [prepared[i][1] for i in coded], [prepared[i][2] for i in coded]
+        )))
+        out = []
+        for i, (array, _, abs_bound, payload, flag, rel) in enumerate(prepared):
+            header = self._pack_header(array, rel, abs_bound, flag)
+            out.append(CompressedBuffer(
+                data=header + payloads.get(i, payload),
+                codec=self.name,
+                shape=array.shape,
+                dtype=array.dtype,
+                rel_bound=rel,
+                original_nbytes=array.nbytes,
+            ))
+        return out
+
+    def _prepare(self, array: np.ndarray, rel_bound: float) -> tuple:
+        """Validate one piece; returns ``(array, values, abs_bound, payload,
+        flag, rel_bound)`` with ``payload`` None when the kernel must code
+        ``values`` under ``abs_bound``."""
         array = np.ascontiguousarray(array)
         if array.dtype not in (np.float32, np.float64):
             raise CompressionError(
@@ -126,125 +163,135 @@ class Compressor:
             )
         if array.size == 0:
             raise CompressionError(f"{self.name}: cannot compress an empty array")
-        if not self.lossless:
-            if not (0.0 < rel_bound <= 1.0):
-                raise CompressionError(
-                    f"{self.name}: rel_bound must be in (0, 1], got {rel_bound}"
-                )
-        else:
-            rel_bound = 0.0
-
         if self.lossless:
             # Lossless codecs compress the original-dtype bytes so their
             # ratios are comparable with the EBLCs (Fig. 1 semantics).
-            payload = self._timed_compress(array, 0.0)
-            flag = _FLAG_LOSSLESS
-            abs_bound = 0.0
-            values = array
-        else:
-            values = array.astype(np.float64, copy=False)
-            if not np.all(np.isfinite(values)):
-                raise CompressionError(
-                    f"{self.name}: input contains non-finite values"
-                )
-            vmin = float(values.min())
-            vmax = float(values.max())
-            value_range = vmax - vmin
-            abs_bound = rel_bound * value_range
-            if value_range == 0.0:
-                payload = struct.pack("<d", vmin)
-                flag = _FLAG_CONSTANT
-            else:
-                # The codecs guarantee the bound in exact arithmetic terms;
-                # the reconstruction then rounds a handful of times (the
-                # final prediction+residual addition, and for float32 the
-                # cast back).  Tighten the working bound by the worst-case
-                # rounding at the data's magnitude so the *returned* array
-                # stays within contract even for tiny ranges riding huge
-                # offsets.
-                eps_mach = 2.0**-24 if array.dtype == np.float32 else 2.0**-50
-                margin = max(abs(vmin), abs(vmax)) * eps_mach
-                abs_bound = max(abs_bound - margin, 0.5 * abs_bound)
-                payload = self._timed_compress(values, abs_bound)
-                flag = _FLAG_NORMAL
-
-        header = self._pack_header(array, rel_bound, abs_bound, flag)
-        return CompressedBuffer(
-            data=header + payload,
-            codec=self.name,
-            shape=array.shape,
-            dtype=array.dtype,
-            rel_bound=rel_bound,
-            original_nbytes=array.nbytes,
-        )
+            return array, array, 0.0, None, _FLAG_LOSSLESS, 0.0
+        if not (0.0 < rel_bound <= 1.0):
+            raise CompressionError(
+                f"{self.name}: rel_bound must be in (0, 1], got {rel_bound}"
+            )
+        values = array.astype(np.float64, copy=False)
+        if not np.all(np.isfinite(values)):
+            raise CompressionError(f"{self.name}: input contains non-finite values")
+        vmin = float(values.min())
+        vmax = float(values.max())
+        value_range = vmax - vmin
+        abs_bound = rel_bound * value_range
+        if value_range == 0.0:
+            payload = struct.pack("<d", vmin)
+            return array, values, abs_bound, payload, _FLAG_CONSTANT, rel_bound
+        # The codecs guarantee the bound in exact arithmetic terms; the
+        # reconstruction then rounds a handful of times (the final
+        # prediction+residual addition, and for float32 the cast back).
+        # Tighten the working bound by the worst-case rounding at the data's
+        # magnitude so the *returned* array stays within contract even for
+        # tiny ranges riding huge offsets.
+        eps_mach = 2.0**-24 if array.dtype == np.float32 else 2.0**-50
+        margin = max(abs(vmin), abs(vmax)) * eps_mach
+        abs_bound = max(abs_bound - margin, 0.5 * abs_bound)
+        return array, values, abs_bound, None, _FLAG_NORMAL, rel_bound
 
     def decompress(self, buf: CompressedBuffer | bytes) -> np.ndarray:
         """Reconstruct the array from a buffer produced by :meth:`compress`."""
-        data = buf.data if isinstance(buf, CompressedBuffer) else buf
-        codec, shape, dtype, rel_bound, abs_bound, flag, payload = self._unpack_header(
-            data
-        )
-        if codec != self.name:
-            raise DecompressionError(
-                f"stream was produced by codec {codec!r}, not {self.name!r}"
+        (out,) = self.decompress_many([buf])
+        return out
+
+    def decompress_many(self, bufs) -> list[np.ndarray]:
+        """:meth:`decompress` each of ``bufs`` in one batched pass.
+
+        Each array is bit-identical to ``decompress(buf)``, and a corrupt
+        stream anywhere in the batch raises the typed error it raises alone.
+        """
+        out: list[np.ndarray | None] = []
+        coded = []
+        for buf in bufs:
+            data = buf.data if isinstance(buf, CompressedBuffer) else buf
+            codec, shape, dtype, _, abs_bound, flag, payload = self._unpack_header(
+                data
             )
-        if flag == _FLAG_CONSTANT:
-            if len(payload) < 8:
-                raise DecompressionError("truncated constant-array payload")
-            n = math.prod(shape)
-            if n > MAX_DECLARED_ELEMENTS:
+            if codec != self.name:
                 raise DecompressionError(
-                    f"constant stream declares {n} elements, over the cap of "
-                    f"{MAX_DECLARED_ELEMENTS}"
+                    f"stream was produced by codec {codec!r}, not {self.name!r}"
                 )
-            (value,) = struct.unpack_from("<d", payload, 0)
-            return np.full(shape, value, dtype=dtype)
-        if flag == _FLAG_LOSSLESS:
-            out = self._timed_decompress(payload, shape, 0.0)
-        else:
-            out = self._timed_decompress(payload, shape, abs_bound)
-        return np.asarray(out, dtype=dtype).reshape(shape)
+            if flag == _FLAG_CONSTANT:
+                out.append(_constant(payload, shape, dtype))
+                continue
+            if flag == _FLAG_LOSSLESS:
+                abs_bound = 0.0
+            coded.append((len(out), payload, shape, dtype, abs_bound))
+            out.append(None)
+        arrays = self._timed_decompress(
+            [c[1] for c in coded], [c[2] for c in coded], [c[4] for c in coded]
+        )
+        for (i, _, shape, dtype, _), array in zip(coded, arrays):
+            out[i] = np.asarray(array, dtype=dtype).reshape(shape)
+        return out
 
     # -- tracing shims ------------------------------------------------------
 
-    def _timed_compress(self, values: np.ndarray, abs_bound: float) -> bytes:
-        """``_compress_impl`` under an optional wall span (codec track)."""
+    def _timed_compress(self, values: list, abs_bounds: list) -> list[bytes]:
+        """``_compress_batch`` under optional wall spans (codec track)."""
+        if not values:
+            return []
         tracer = active_tracer()
         if tracer is None:
-            return self._compress_impl(values, abs_bound)
+            return self._compress_batch(values, abs_bounds)
         t0 = tracer.now()
-        payload = self._compress_impl(values, abs_bound)
-        tracer.add_span(
-            f"compress:{self.name}", "codec", t0, tracer.now(), clock="wall",
-            codec=self.name, in_nbytes=int(values.nbytes),
-            out_nbytes=len(payload),
+        payloads = self._compress_batch(values, abs_bounds)
+        _piece_spans(
+            tracer, f"compress:{self.name}", self.name, t0,
+            [dict(in_nbytes=int(v.nbytes), out_nbytes=len(p))
+             for v, p in zip(values, payloads)],
         )
-        return payload
+        return payloads
 
     def _timed_decompress(
-        self, payload: bytes, shape: tuple[int, ...], abs_bound: float
-    ) -> np.ndarray:
-        """``_decompress_impl`` under an optional wall span (codec track)."""
+        self, payloads: list, shapes: list, abs_bounds: list
+    ) -> list[np.ndarray]:
+        """``_decompress_batch`` under optional wall spans (codec track)."""
+        if not payloads:
+            return []
         tracer = active_tracer()
         if tracer is None:
-            return self._decompress_impl(payload, shape, abs_bound)
+            return self._decompress_batch(payloads, shapes, abs_bounds)
         t0 = tracer.now()
-        out = self._decompress_impl(payload, shape, abs_bound)
-        tracer.add_span(
-            f"decompress:{self.name}", "codec", t0, tracer.now(), clock="wall",
-            codec=self.name, in_nbytes=len(payload),
+        out = self._decompress_batch(payloads, shapes, abs_bounds)
+        _piece_spans(
+            tracer, f"decompress:{self.name}", self.name, t0,
+            [dict(in_nbytes=len(p)) for p in payloads],
         )
         return out
 
     # -- hooks for subclasses ----------------------------------------------
+    #
+    # A codec overrides either the batch hooks (the EBLCs, whose kernels
+    # code all pieces at once) or the one-array hooks (the lossless
+    # baselines); each pair's default is written in terms of the other.
+
+    def _compress_batch(self, values: list, abs_bounds: list) -> list[bytes]:
+        """One payload per float64 piece of ``values``, each coded under its
+        own absolute bound."""
+        return [self._compress_impl(v, b) for v, b in zip(values, abs_bounds)]
+
+    def _decompress_batch(
+        self, payloads: list, shapes: list, abs_bounds: list
+    ) -> list[np.ndarray]:
+        """One array per payload, each decoded to its own shape and bound."""
+        return [
+            self._decompress_impl(p, s, b)
+            for p, s, b in zip(payloads, shapes, abs_bounds)
+        ]
 
     def _compress_impl(self, values: np.ndarray, abs_bound: float) -> bytes:
-        raise NotImplementedError
+        (payload,) = self._compress_batch([values], [abs_bound])
+        return payload
 
     def _decompress_impl(
         self, payload: bytes, shape: tuple[int, ...], abs_bound: float
     ) -> np.ndarray:
-        raise NotImplementedError
+        (out,) = self._decompress_batch([payload], [shape], [abs_bound])
+        return out
 
     # -- framing -----------------------------------------------------------
 
@@ -289,6 +336,70 @@ class Compressor:
                 f"truncated or corrupt stream header ({exc})"
             ) from None
         return codec, tuple(shape), dtype, rel_bound, abs_bound, flag, data[off:]
+
+
+def _constant(payload: bytes, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """The array a constant stream declares."""
+    if len(payload) < 8:
+        raise DecompressionError("truncated constant-array payload")
+    n = math.prod(shape)
+    if n > MAX_DECLARED_ELEMENTS:
+        raise DecompressionError(
+            f"constant stream declares {n} elements, over the cap of "
+            f"{MAX_DECLARED_ELEMENTS}"
+        )
+    (value,) = struct.unpack_from("<d", payload, 0)
+    return np.full(shape, value, dtype=dtype)
+
+
+def _piece_spans(tracer, name: str, codec: str, t0: float, pieces: list) -> None:
+    """One codec span per piece of a batch: the batch's wall time is
+    shared out by each piece's ``in_nbytes``, so the spans tile it."""
+    t1 = tracer.now()
+    total = sum(p["in_nbytes"] for p in pieces) or 1
+    done = 0
+    start = t0
+    for args in pieces:
+        done += args["in_nbytes"]
+        end = t0 + (t1 - t0) * done / total
+        tracer.add_span(name, "codec", start, end, clock="wall", codec=codec, **args)
+        start = end
+
+
+def group_indices(keys) -> list[list[int]]:
+    """Indices of ``keys`` grouped by equal key, groups in first-seen order:
+    the pieces a batched kernel can code in one pass."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def by_group(keys, code, *columns) -> list:
+    """``code(*columns)`` run once per group of equal ``keys`` on that
+    group's entries of each column; the results come back in input order."""
+    out: list = [None] * len(keys)
+    for idx in group_indices(keys):
+        for i, result in zip(idx, code(*([col[i] for i in idx] for col in columns))):
+            out[i] = result
+    return out
+
+
+def piece_bounds(abs_bounds, counts, shape=()):
+    """Per-row absolute bounds of pieces stacked on a leading axis:
+    ``counts[i]`` rows at ``abs_bounds[i]``, shaped ``(rows, *shape)`` to
+    broadcast.  One float when every piece has the same bound."""
+    if len(set(abs_bounds)) == 1:
+        return float(abs_bounds[0])
+    return np.repeat(np.asarray(abs_bounds, dtype=np.float64), counts).reshape(
+        (-1,) + shape
+    )
+
+
+def take_bounds(bound, rows: np.ndarray, shape=()):
+    """Rows ``rows`` of a :func:`piece_bounds` result, shaped ``(rows,
+    *shape)`` (the float itself when the pieces agree)."""
+    return bound if isinstance(bound, float) else bound[rows].reshape((-1,) + shape)
 
 
 # -- registry ---------------------------------------------------------------

@@ -4,7 +4,9 @@ Arrays are padded (edge-replicated) to a multiple of the block side along
 every axis, then reshaped into a ``(n_blocks, block_elems)`` matrix so the
 per-block kernels can be vectorized across blocks.  ``unblockify`` inverts the
 operation and crops back to the original shape.  ``chunk_array`` cuts an
-array into the leading-axis chunks that chunked container writes store.
+array into the leading-axis chunks that chunked container writes store;
+``blockify_many``, ``join_rows`` and ``split_rows`` stack and unstack the
+pieces a batched codec call codes together.
 """
 
 from __future__ import annotations
@@ -13,7 +15,15 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["blockify", "chunk_array", "unblockify", "padded_shape"]
+__all__ = [
+    "blockify",
+    "blockify_many",
+    "chunk_array",
+    "join_rows",
+    "padded_shape",
+    "split_rows",
+    "unblockify",
+]
 
 
 def padded_shape(shape: tuple[int, ...], block: tuple[int, ...]) -> tuple[int, ...]:
@@ -47,6 +57,13 @@ def blockify(values: np.ndarray, block: tuple[int, ...]) -> np.ndarray:
     arr = arr.transpose(grid_axes + block_axes)
     n_blocks = int(np.prod([values.shape[d] // block[d] for d in range(ndim)]))
     return np.ascontiguousarray(arr.reshape((n_blocks,) + tuple(block)))
+
+
+def blockify_many(arrays, block: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
+    """:func:`blockify` of each of ``arrays``, stacked on the leading axis,
+    and each array's block count."""
+    parts = [blockify(a, block) for a in arrays]
+    return join_rows(parts), [p.shape[0] for p in parts]
 
 
 def unblockify(
@@ -88,3 +105,15 @@ def chunk_array(values: np.ndarray, n_chunks: int) -> list[np.ndarray]:
         stacked = blockify(values, block)  # (n, height, *trailing)
         return [np.ascontiguousarray(stacked[i]) for i in range(stacked.shape[0])]
     return [np.ascontiguousarray(c) for c in np.array_split(values, n, axis=0)]
+
+
+def join_rows(parts: list) -> np.ndarray:
+    """``parts`` joined on their leading axis; a lone part is returned as
+    is, so a batch of one copies nothing."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def split_rows(array: np.ndarray, counts) -> list[np.ndarray]:
+    """Inverse of :func:`join_rows`: ``array`` cut along its leading axis
+    into runs of ``counts`` rows."""
+    return np.split(array, np.cumsum(counts)[:-1]) if len(counts) > 1 else [array]

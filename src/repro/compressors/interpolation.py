@@ -14,6 +14,13 @@ stream so the decoder replays the identical traversal.
 
 QoZ reuses this engine with per-level error-bound tightening (see
 :mod:`repro.compressors.qoz`), passed in via ``level_bound``.
+
+The engine codes a batch of equal-shaped pieces in one sweep: the pieces sit
+on a leading axis, every plan slice starts with an ``Ellipsis`` so it
+indexes one piece or the whole stack alike, and each piece keeps its own
+bound, level bounds and per-pass LINEAR/CUBIC choice.  Every step is
+elementwise or a per-piece reduction, so each piece codes exactly as it
+would alone.
 """
 
 from __future__ import annotations
@@ -25,13 +32,16 @@ from typing import Callable
 
 import numpy as np
 
-from repro.compressors.quantizer import LinearQuantizer
+from repro.compressors.base import piece_bounds
+from repro.compressors.quantizer import LinearQuantizer, zigzag_decode
 
 __all__ = [
     "InterpolationPlan",
     "anchor_count",
     "interp_decode",
+    "interp_decode_many",
     "interp_encode",
+    "interp_encode_many",
     "num_levels",
     "num_passes",
     "pass_plans",
@@ -55,8 +65,9 @@ def num_levels(shape: tuple[int, ...]) -> int:
 class InterpolationPlan:
     """One (level, dimension) refinement pass of the traversal.
 
-    Every grid is a tuple of basic slices, so indexing ``recon`` with it
-    gives a strided view.  Along the active axis ``dim`` the targets sit at
+    Every grid is an ``Ellipsis`` and one basic slice per axis, so indexing
+    ``recon``, or a stack of pieces on a leading axis, with it gives a
+    strided view.  Along the active axis ``dim`` the targets sit at
     ``h, 3h, 5h, ...`` (``h = 2**(level - 1)``); their left neighbours are
     the grid shifted back by ``h``.  Only the first :attr:`n_right` targets
     have a right neighbour (``h`` ahead), and only targets ``1 ..
@@ -82,10 +93,11 @@ class InterpolationPlan:
 
 
 def _on_axis(grid: list[slice], d: int, first: int, count: int, step: int):
-    """``grid`` with axis ``d`` replaced by ``count`` points from ``first``."""
+    """``grid`` with axis ``d`` replaced by ``count`` points from ``first``,
+    behind a leading ``Ellipsis``."""
     out = list(grid)
     out[d] = slice(first, first + (count - 1) * step + 1 if count else first, step)
-    return tuple(out)
+    return (Ellipsis, *out)
 
 
 @lru_cache(maxsize=128)
@@ -142,9 +154,9 @@ def num_passes(shape: tuple[int, ...]) -> int:
     )
 
 
-def _anchor_grid(shape: tuple[int, ...]) -> tuple[slice, ...]:
+def _anchor_grid(shape: tuple[int, ...]) -> tuple:
     stride = 1 << num_levels(shape)
-    return tuple(slice(0, n, stride) for n in shape)
+    return (Ellipsis, *(slice(0, n, stride) for n in shape))
 
 
 def anchor_count(shape: tuple[int, ...]) -> int:
@@ -180,9 +192,115 @@ def _predict(
     return cubic
 
 
-def _quantizer(abs_bound, level_bound, level: int) -> LinearQuantizer:
-    eb = abs_bound if level_bound is None else min(abs_bound, level_bound(level))
-    return LinearQuantizer(max(eb, _TINY))
+def _bound_of_level(abs_bounds, level_bounds, ndim: int):
+    """``level -> bound`` of every level: one bound per piece, broadcast
+    over a ``(pieces, *grid)`` stack (a float when the pieces agree)."""
+    cache: dict[int, object] = {}
+
+    def bound(level: int):
+        if level not in cache:
+            ebs = [
+                max(eb if lb is None else min(eb, lb(level)), _TINY)
+                for eb, lb in zip(abs_bounds, level_bounds)
+            ]
+            cache[level] = piece_bounds(ebs, 1, (1,) * ndim)
+        return cache[level]
+
+    return bound
+
+
+def _choose(cubic: list, pred_cub: np.ndarray, pred_lin: np.ndarray):
+    """Each piece's prediction under its own per-pass choice."""
+    if all(cubic):
+        return pred_cub
+    if not any(cubic):
+        return pred_lin
+    pick = np.array(cubic).reshape((-1,) + (1,) * (pred_lin.ndim - 1))
+    return np.where(pick, pred_cub, pred_lin)
+
+
+def interp_encode_many(
+    values: np.ndarray,
+    abs_bounds,
+    level_bounds=None,
+):
+    """Encode a ``(pieces, *shape)`` stack with the multilevel interpolation
+    predictor, each piece under its own bounds.
+
+    Parameters
+    ----------
+    values:
+        float64 array; axis 0 indexes the pieces, the rest is any rank >= 1.
+    abs_bounds:
+        Per-piece global absolute error bound.
+    level_bounds:
+        Optional per-piece ``level -> abs_bound`` override (QoZ tightening),
+        ``None`` entries for none.  Returned bounds are clamped to
+        ``(0, abs_bound]``.
+
+    Returns
+    -------
+    anchors : np.ndarray
+        ``(pieces, n_anchors)`` exact float64 anchor values (traversal order).
+    modes : np.ndarray
+        ``(pieces, n_passes)`` per-pass interpolator choice (LINEAR/CUBIC).
+    codes : np.ndarray
+        ``(pieces, n_codes)`` quantization symbols (traversal order).
+    outliers : list[np.ndarray]
+        Per piece, the escape-coded exact values (traversal order).
+    recon : np.ndarray
+        The decoder-visible reconstruction of the stack.
+    """
+    n, *shape = values.shape
+    shape = tuple(shape)
+    bound = _bound_of_level(abs_bounds, level_bounds or [None] * n, len(shape))
+    recon = np.zeros_like(values, dtype=np.float64)
+    a_grid = _anchor_grid(shape)
+    anchors = values[a_grid].astype(np.float64)
+    recon[a_grid] = anchors
+
+    linear = [LINEAR] * n
+    modes: list[list] = []
+    code_parts: list[np.ndarray] = []
+    escapes: list[tuple[np.ndarray, np.ndarray]] = []
+    for plan in pass_plans(shape):
+        target = values[plan.target]
+
+        # The trial errors sum over each piece's whole pass, as its mode bit
+        # records: one pairwise sum per contiguous row, as for one array.
+        pred_lin = _predict(recon, plan, LINEAR)
+        pred_cub = _predict(recon, plan, CUBIC, pred_lin)
+        if pred_cub is pred_lin:
+            cubic = linear
+        else:
+            err_lin = np.abs(target - pred_lin).reshape(n, -1).sum(axis=1)
+            err_cub = np.abs(target - pred_cub).reshape(n, -1).sum(axis=1)
+            cubic = (err_cub < err_lin).tolist()
+        modes.append(cubic)
+
+        codes, recon[plan.target] = LinearQuantizer(bound(plan.level)).quantize_codes(
+            target, _choose(cubic, pred_cub, pred_lin)
+        )
+        codes = codes.reshape(n, -1)
+        code_parts.append(codes)
+        esc = codes == 0
+        if esc.any():
+            escapes.append((np.nonzero(esc)[0], target.reshape(n, -1)[esc]))
+
+    codes = (
+        np.concatenate(code_parts, axis=1) if code_parts
+        else np.zeros((n, 0), dtype=np.int64)
+    )
+    modes = np.array(modes, dtype=np.int64).reshape(-1, n).T
+    # Each pass's escapes are piece-major; a stable sort on the piece keeps
+    # every piece's values in traversal order.
+    if escapes:
+        rows, pool = (np.concatenate(part) for part in zip(*escapes))
+        pool = pool[np.argsort(rows, kind="stable")]
+        outliers = np.split(pool, np.cumsum(np.bincount(rows, minlength=n))[:-1])
+    else:
+        outliers = [np.zeros(0)] * n
+    return anchors.reshape(n, -1), modes, codes, outliers, recon
 
 
 def interp_encode(
@@ -190,66 +308,73 @@ def interp_encode(
     abs_bound: float,
     level_bound: Callable[[int], float] | None = None,
 ):
-    """Encode with the multilevel interpolation predictor.
+    """:func:`interp_encode_many` of one array: returns ``(anchors, modes,
+    codes, outliers, recon)`` with ``modes`` a list of ints."""
+    anchors, modes, codes, outliers, recon = interp_encode_many(
+        values[None], [abs_bound], [level_bound]
+    )
+    return anchors[0], modes[0].tolist(), codes[0], outliers[0], recon[0]
 
-    Parameters
-    ----------
-    values:
-        float64 array, any rank >= 1.
-    abs_bound:
-        Global absolute error bound.
-    level_bound:
-        Optional ``level -> abs_bound`` override (QoZ tightening).  Returned
-        bounds are clamped to ``(0, abs_bound]``.
 
-    Returns
-    -------
-    anchors : np.ndarray
-        Exact float64 anchor values (traversal order).
-    modes : list[int]
-        Per-pass interpolator choice (LINEAR/CUBIC).
-    codes : np.ndarray
-        Concatenated quantization symbols (traversal order).
-    outliers : np.ndarray
-        Escape-coded exact values (traversal order).
-    recon : np.ndarray
-        The decoder-visible reconstruction.
-    """
-    shape = values.shape
-    recon = np.zeros_like(values, dtype=np.float64)
-    a_grid = _anchor_grid(shape)
-    anchors = values[a_grid].astype(np.float64)
-    recon[a_grid] = anchors
-
-    modes: list[int] = []
-    code_parts: list[np.ndarray] = []
-    outlier_parts: list[np.ndarray] = []
-    for plan in pass_plans(shape):
-        target = values[plan.target]
-
-        # The trial errors sum over the whole pass, as the mode bit records.
-        pred_lin = _predict(recon, plan, LINEAR)
-        pred_cub = _predict(recon, plan, CUBIC, pred_lin)
-        err_lin = float(np.abs(target - pred_lin).sum())
-        err_cub = (
-            err_lin if pred_cub is pred_lin else float(np.abs(target - pred_cub).sum())
+def interp_decode_many(
+    shape: tuple[int, ...],
+    abs_bounds,
+    anchors: np.ndarray,
+    modes: np.ndarray,
+    codes: np.ndarray,
+    outliers,
+    level_bounds=None,
+) -> np.ndarray:
+    """Replay :func:`interp_encode_many`'s traversal for a stack of pieces
+    of ``shape``; ``anchors``, ``modes`` and ``codes`` have one row per
+    piece and ``outliers`` one pool per piece."""
+    plans = pass_plans(shape)
+    n = codes.shape[0]
+    if modes.shape[1] != len(plans):
+        raise ValueError(
+            f"interpolation mode list length {modes.shape[1]} != {len(plans)} passes"
         )
-        mode = CUBIC if err_cub < err_lin else LINEAR
-        modes.append(mode)
+    if codes.shape[1] != math.prod(shape) - anchor_count(shape):
+        raise ValueError("interpolation code stream length mismatch")
+    bound = _bound_of_level(abs_bounds, level_bounds or [None] * n, len(shape))
+    # Residuals do not depend on the traversal: dequantize every code's bin
+    # index at once (escapes read bin 0 until their pool value lands).
+    esc = codes == 0
+    signed = zigzag_decode(np.maximum(codes - 1, 0)).astype(np.float64)
+    if esc.any():
+        if esc.sum(axis=1).tolist() != [len(pool) for pool in outliers]:
+            raise ValueError("interpolation outlier count mismatch")
+        # Global escape slots: the pools are concatenated in piece order.
+        pool = np.concatenate(outliers)
+        slots = np.cumsum(esc).reshape(esc.shape) - 1
+    elif any(len(pool) for pool in outliers):
+        raise ValueError("interpolation outlier count mismatch")
+    else:
+        slots = None
 
-        quantizer = _quantizer(abs_bound, level_bound, plan.level)
-        q = quantizer.quantize(target, pred_cub if mode == CUBIC else pred_lin)
-        recon[plan.target] = q.recon
-        code_parts.append(q.codes.ravel())
-        outlier_parts.append(q.outliers)
+    recon = np.zeros((n, *shape), dtype=np.float64)
+    a_grid = _anchor_grid(shape)
+    a_view = recon[a_grid]
+    a_view[...] = np.asarray(anchors, dtype=np.float64).reshape(a_view.shape)
 
-    codes = (
-        np.concatenate(code_parts) if code_parts else np.zeros(0, dtype=np.int64)
-    )
-    outliers = (
-        np.concatenate(outlier_parts) if outlier_parts else np.zeros(0)
-    )
-    return anchors.ravel(), modes, codes, outliers, recon
+    pos = 0
+    for plan, cubic in zip(plans, modes.T.tolist()):
+        size = math.prod(plan.shape)
+        if all(cubic) or not any(cubic):
+            pred = _predict(recon, plan, CUBIC if cubic[0] else LINEAR)
+        else:
+            pred_lin = _predict(recon, plan, LINEAR)
+            pred = _choose(cubic, _predict(recon, plan, CUBIC, pred_lin), pred_lin)
+        pred += signed[:, pos : pos + size].reshape(pred.shape) * (
+            2.0 * bound(plan.level)
+        )
+        if slots is not None:
+            hit = esc[:, pos : pos + size]
+            if hit.any():
+                pred[hit.reshape(pred.shape)] = pool[slots[:, pos : pos + size][hit]]
+        recon[plan.target] = pred
+        pos += size
+    return recon
 
 
 def interp_decode(
@@ -261,30 +386,13 @@ def interp_decode(
     outliers: np.ndarray,
     level_bound: Callable[[int], float] | None = None,
 ) -> np.ndarray:
-    """Replay :func:`interp_encode`'s traversal to reconstruct the array."""
-    plans = pass_plans(shape)
-    if len(modes) != len(plans):
-        raise ValueError(
-            f"interpolation mode list length {len(modes)} != {len(plans)} passes"
-        )
-    recon = np.zeros(shape, dtype=np.float64)
-    a_grid = _anchor_grid(shape)
-    a_view = recon[a_grid]
-    a_view[...] = np.asarray(anchors, dtype=np.float64).reshape(a_view.shape)
-
-    code_pos = 0
-    out_pos = 0
-    for plan, mode in zip(plans, modes):
-        n = math.prod(plan.shape)
-        sub_codes = codes[code_pos : code_pos + n].reshape(plan.shape)
-        code_pos += n
-        n_esc = int((sub_codes == 0).sum())
-        sub_out = outliers[out_pos : out_pos + n_esc]
-        out_pos += n_esc
-
-        pred = _predict(recon, plan, mode)
-        quantizer = _quantizer(abs_bound, level_bound, plan.level)
-        recon[plan.target] = quantizer.dequantize(sub_codes, pred, sub_out)
-    if code_pos != codes.size:
-        raise ValueError("interpolation code stream length mismatch")
-    return recon
+    """:func:`interp_decode_many` of one array."""
+    return interp_decode_many(
+        shape,
+        [abs_bound],
+        np.asarray(anchors)[None],
+        np.asarray(modes, dtype=np.int64).reshape(1, -1),
+        np.asarray(codes)[None],
+        [outliers],
+        [level_bound],
+    )[0]

@@ -116,7 +116,9 @@ def lorenzo_encode_blocks(
     blocks:
         ``(n_blocks, *block_shape)`` float64 array.
     quantizer:
-        Shared linear quantizer.
+        Shared linear quantizer; its ``abs_bound`` is a float or one bound
+        per block, ``(n_blocks,)``, when blocks of several pieces walk
+        together.
 
     Returns
     -------
@@ -183,14 +185,19 @@ def lorenzo_decode_blocks(
     return recon[:-1].T.reshape(codes.shape)
 
 
-def _design_matrix(block: tuple[int, ...]) -> np.ndarray:
-    """(block_elems, ndim+1) design matrix [1, x0, x1, ...] for the affine fit."""
+@functools.lru_cache(maxsize=16)
+def _design_matrix(block: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(block_elems, ndim+1) design matrix [1, x0, x1, ...] for the affine
+    fit, and the pseudo-inverse of its Gram matrix; both read-only."""
     coords = np.stack(
         [g.ravel().astype(np.float64) for g in np.meshgrid(*[np.arange(b) for b in block], indexing="ij")],
         axis=1,
     )
     ones = np.ones((coords.shape[0], 1))
-    return np.concatenate([ones, coords], axis=1)
+    X = np.concatenate([ones, coords], axis=1)
+    gram_inv = np.linalg.pinv(X.T @ X)
+    X.flags.writeable = gram_inv.flags.writeable = False
+    return X, gram_inv
 
 
 def regression_fit(blocks: np.ndarray) -> np.ndarray:
@@ -202,10 +209,8 @@ def regression_fit(blocks: np.ndarray) -> np.ndarray:
     range becomes ``inf``; its block's regression error is then not finite,
     so the codec picks Lorenzo for it.
     """
-    block = blocks.shape[1:]
-    X = _design_matrix(block)
     # Solve (X^T X) beta = X^T y for all blocks at once.
-    gram_inv = np.linalg.pinv(X.T @ X)
+    X, gram_inv = _design_matrix(blocks.shape[1:])
     flat = blocks.reshape(blocks.shape[0], -1)
     beta = flat @ X @ gram_inv.T
     with np.errstate(over="ignore"):
@@ -214,7 +219,7 @@ def regression_fit(blocks: np.ndarray) -> np.ndarray:
 
 def regression_predict(coeffs: np.ndarray, block: tuple[int, ...]) -> np.ndarray:
     """Evaluate stored affine coefficients; returns ``(n_blocks, *block)``."""
-    X = _design_matrix(block)
+    X, _ = _design_matrix(tuple(block))
     with np.errstate(invalid="ignore", over="ignore"):  # inf coefficients: see regression_fit
         pred = coeffs.astype(np.float64) @ X.T
     return pred.reshape((coeffs.shape[0],) + tuple(block))

@@ -33,6 +33,15 @@ def _valid_params(alpha: float, beta: float) -> bool:
     return all(math.isfinite(p) and p >= 1.0 for p in (alpha, beta))
 
 
+def _level_bound(abs_bound: float, alpha: float, beta: float):
+    """Level ``l``'s bound: ``abs_bound / min(alpha**(l-1), beta)``."""
+
+    def bound(level: int) -> float:
+        return abs_bound / min(alpha ** max(level - 1, 0), beta)
+
+    return bound
+
+
 @register_compressor
 class QoZ(SZ3):
     """SZ3 derivative with level-aware bounds and PSNR targeting."""
@@ -46,21 +55,13 @@ class QoZ(SZ3):
         self.beta = float(beta)
 
     def _level_bound(self, abs_bound: float):
-        alpha, beta = self.alpha, self.beta
-
-        def bound(level: int) -> float:
-            return abs_bound / min(alpha ** max(level - 1, 0), beta)
-
-        return bound
+        return _level_bound(abs_bound, self.alpha, self.beta)
 
     # QoZ prepends its tuning parameters to the SZ3 stream.
-    def _compress_impl(self, values: np.ndarray, abs_bound: float) -> bytes:
-        body = super()._compress_impl(values, abs_bound)
-        return struct.pack("<dd", self.alpha, self.beta) + body
+    def _params(self) -> bytes:
+        return struct.pack("<dd", self.alpha, self.beta)
 
-    def _decompress_impl(
-        self, payload: bytes, shape: tuple[int, ...], abs_bound: float
-    ) -> np.ndarray:
+    def _read_params(self, payload: bytes, abs_bound: float):
         if len(payload) < 16:
             raise DecompressionError("qoz stream truncated in alpha/beta")
         alpha, beta = struct.unpack_from("<dd", payload, 0)
@@ -70,12 +71,7 @@ class QoZ(SZ3):
                 "be finite and >= 1"
             )
         # Decode with the *stored* parameters, not the instance's.
-        saved = self.alpha, self.beta
-        try:
-            self.alpha, self.beta = alpha, beta
-            return super()._decompress_impl(payload[16:], shape, abs_bound)
-        finally:
-            self.alpha, self.beta = saved
+        return payload[16:], _level_bound(abs_bound, alpha, beta)
 
     # -- quality-target mode -------------------------------------------------
 

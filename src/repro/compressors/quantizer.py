@@ -64,19 +64,26 @@ class LinearQuantizer:
     ----------
     abs_bound:
         Absolute error bound (already converted from the value-range relative
-        bound by the caller).  Must be positive; callers handle the
-        ``abs_bound == 0`` (lossless/constant) case themselves.
+        bound by the caller): a float, or an array that broadcasts against
+        the quantized values, so pieces coded in one pass keep their own
+        bounds.  Must be positive; callers handle the ``abs_bound == 0``
+        (lossless/constant) case themselves.
     max_code:
         Largest zig-zag symbol allowed (bounds the Huffman alphabet).  SZ uses
         a radius of 2^15 by default; we keep the same default.
     """
 
     def __init__(self, abs_bound: float, max_code: int = 65536):
-        if abs_bound <= 0:
+        if isinstance(abs_bound, np.ndarray) and abs_bound.ndim:
+            bad = (abs_bound <= 0).any()
+        else:
+            abs_bound = float(abs_bound)
+            bad = abs_bound <= 0
+        if bad:
             raise ValueError("abs_bound must be positive")
         if max_code < 2:
             raise ValueError("max_code must be at least 2")
-        self.abs_bound = float(abs_bound)
+        self.abs_bound = abs_bound
         self.max_code = int(max_code)
 
     def quantize(self, values: np.ndarray, predictions: np.ndarray) -> QuantizerResult:

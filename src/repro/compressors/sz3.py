@@ -14,7 +14,8 @@ import struct
 
 import numpy as np
 
-from repro.compressors.base import Compressor, register_compressor
+from repro.compressors.base import Compressor, by_group, register_compressor
+from repro.compressors.blocks import join_rows
 from repro.compressors.deflate import pack_chunk, unpack_chunk
 from repro.compressors.huffman import (
     huffman_decode,
@@ -23,8 +24,8 @@ from repro.compressors.huffman import (
 )
 from repro.compressors.interpolation import (
     anchor_count,
-    interp_decode,
-    interp_encode,
+    interp_decode_many,
+    interp_encode_many,
     num_passes,
 )
 from repro.errors import DecompressionError
@@ -34,7 +35,11 @@ __all__ = ["SZ3"]
 
 @register_compressor
 class SZ3(Compressor):
-    """Interpolation-predictor EBLC; highest CR of the suite at loose bounds."""
+    """Interpolation-predictor EBLC; highest CR of the suite at loose bounds.
+
+    A batch's equal-shaped pieces share one interpolation sweep; Huffman,
+    DEFLATE and the framing run per piece.
+    """
 
     name = "sz3"
 
@@ -42,23 +47,51 @@ class SZ3(Compressor):
         """SZ3 uses the uniform bound at every level (QoZ overrides this)."""
         return None
 
-    def _compress_impl(self, values: np.ndarray, abs_bound: float) -> bytes:
-        anchors, modes, codes, outliers, _ = interp_encode(
-            values, abs_bound, self._level_bound(abs_bound)
-        )
-        mode_bytes = np.packbits(np.asarray(modes, dtype=np.uint8)).tobytes()
-        parts = [
-            struct.pack("<II", len(modes), anchors.size),
-            mode_bytes,
-            pack_chunk(anchors.astype(np.float64).tobytes()),
-            pack_chunk(outliers.astype(np.float64).tobytes()),
-            pack_chunk(huffman_encode(codes)),
-        ]
-        return b"".join(parts)
+    def _params(self) -> bytes:
+        """Codec parameters stored ahead of the payload (QoZ's alpha/beta)."""
+        return b""
 
-    def _decompress_impl(
-        self, payload: bytes, shape: tuple[int, ...], abs_bound: float
-    ) -> np.ndarray:
+    def _read_params(self, payload: bytes, abs_bound: float):
+        """``(body, level_bound)`` of a payload: the stored parameters
+        stripped and turned into the level bound they decode with."""
+        return payload, None
+
+    def _compress_batch(self, values: list, abs_bounds: list) -> list[bytes]:
+        return by_group(
+            [v.shape for v in values], self._compress_group, values, abs_bounds
+        )
+
+    def _compress_group(self, values: list, abs_bounds: list) -> list[bytes]:
+        """The payloads of equal-shaped pieces, from one sweep."""
+        stack = join_rows([v[None] for v in values])
+        anchors, modes, codes, outliers, _ = interp_encode_many(
+            stack, abs_bounds, [self._level_bound(b) for b in abs_bounds]
+        )
+        head = self._params() + struct.pack("<II", modes.shape[1], anchors.shape[1])
+        return [
+            b"".join([
+                head,
+                np.packbits(modes[i].astype(np.uint8)).tobytes(),
+                pack_chunk(anchors[i].tobytes()),
+                pack_chunk(outliers[i].astype(np.float64).tobytes()),
+                pack_chunk(huffman_encode(codes[i])),
+            ])
+            for i in range(len(values))
+        ]
+
+    def _decompress_batch(
+        self, payloads: list, shapes: list, abs_bounds: list
+    ) -> list[np.ndarray]:
+        pieces = [
+            self._read_payload(p, s, b)
+            for p, s, b in zip(payloads, shapes, abs_bounds)
+        ]
+        return by_group(shapes, _decode_group, shapes, abs_bounds, pieces)
+
+    def _read_payload(self, payload: bytes, shape: tuple[int, ...], abs_bound: float):
+        """Parse and check one payload: ``(anchors, modes, codes, outliers,
+        level_bound)``."""
+        payload, level_bound = self._read_params(payload, abs_bound)
         if not shape:
             raise DecompressionError("sz3 cannot decode a rank-0 shape")
         if len(payload) < 8:
@@ -80,13 +113,9 @@ class SZ3(Compressor):
         n_mode_bytes = -(-n_modes // 8)
         if len(payload) < off + n_mode_bytes:
             raise DecompressionError("sz3 stream truncated in level modes")
-        modes = (
-            np.unpackbits(
-                np.frombuffer(payload, dtype=np.uint8, count=n_mode_bytes, offset=off)
-            )[:n_modes]
-            .astype(int)
-            .tolist()
-        )
+        modes = np.unpackbits(
+            np.frombuffer(payload, dtype=np.uint8, count=n_mode_bytes, offset=off)
+        )[:n_modes]
         off += n_mode_bytes
         anchor_raw, off = unpack_chunk(payload, off, "sz3", 8 * n_anchor)
         outlier_raw, off = unpack_chunk(payload, off, "sz3", max_len=8 * n_codes)
@@ -100,12 +129,16 @@ class SZ3(Compressor):
         codes = huffman_decode(huff_raw, n_codes)
         if int(np.count_nonzero(codes == 0)) != outliers.size:
             raise DecompressionError("sz3 outlier pool size mismatch")
-        return interp_decode(
-            shape,
-            abs_bound,
-            anchors,
-            modes,
-            codes,
-            outliers,
-            self._level_bound(abs_bound),
-        )
+        return anchors, modes, codes, outliers, level_bound
+
+
+def _decode_group(shapes: list, abs_bounds: list, pieces: list) -> list[np.ndarray]:
+    """Reconstruct equal-shaped pieces in one sweep."""
+    anchors, modes, codes, outliers, level_bounds = zip(*pieces)
+    anchors, modes, codes = (
+        join_rows([row[None] for row in part]) for part in (anchors, modes, codes)
+    )
+    recon = interp_decode_many(
+        shapes[0], abs_bounds, anchors, modes, codes, outliers, level_bounds
+    )
+    return list(recon)

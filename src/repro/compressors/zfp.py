@@ -49,9 +49,15 @@ import struct
 
 import numpy as np
 
-from repro.compressors.base import Compressor, register_compressor
+from repro.compressors.base import Compressor, by_group, register_compressor
 from repro.compressors.bitstream import bit_length
-from repro.compressors.blocks import blockify, padded_shape, unblockify
+from repro.compressors.blocks import (
+    blockify_many,
+    join_rows,
+    padded_shape,
+    split_rows,
+    unblockify,
+)
 from repro.compressors.transform import (
     forward_transform,
     int_to_negabinary,
@@ -199,9 +205,10 @@ def _from_plane_bits(bits: np.ndarray, kmax: np.ndarray) -> np.ndarray:
 
 
 def _encode_chunk(
-    nonzero, raw, exps, kmax, n_planes, neg, flat_core
-) -> np.ndarray:
-    """The stream bits (one ``uint8`` per bit) of one chunk of blocks."""
+    nonzero, raw, exps, kmax, n_planes, neg, flat_core, starts=()
+) -> tuple[np.ndarray, list[int]]:
+    """The stream bits (one ``uint8`` per bit) of one chunk of blocks, and
+    the bit offset at which each block of ``starts`` begins."""
     rows, size = neg.shape
     planes = int(n_planes.max(initial=0))
     # The plane where each coefficient becomes significant (64: never); it is
@@ -230,7 +237,8 @@ def _encode_chunk(
     msb = np.unpackbits(np.ascontiguousarray(aligned, ">u8").view(np.uint8), axis=1)
     values[:, :, :, 1] = msb.reshape(rows, size, 64)[:, :, :planes].transpose(0, 2, 1)
     # np.compress/np.place beat boolean indexing on these irregular masks.
-    return np.compress(mask.reshape(-1), slots.reshape(-1))
+    offsets = [int(np.count_nonzero(mask[:row])) for row in starts]
+    return np.compress(mask.reshape(-1), slots.reshape(-1)), offsets
 
 
 def _walk(stream: bytes, pos: int, blocks: range, size: int, kmin_of):
@@ -327,123 +335,185 @@ def _check_geometry(payload: bytes, shape: tuple[int, ...]) -> tuple[int, int]:
     return core_dims, n_blocks
 
 
+def _kmin_table(exps, pieces, abs_bounds, core_dims):
+    """Raw-escape flag and cut-off plane per block, each from its piece's
+    bound, computed once per distinct (piece, exponent)."""
+    # A biased exponent fits the stream's _E_BITS field; the piece sits above.
+    keys = (pieces << _E_BITS) + (exps + _E_BIAS)
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    field = (1 << _E_BITS) - 1
+    pairs = [(abs_bounds[k >> _E_BITS], (k & field) - _E_BIAS) for k in uniq.tolist()]
+    raw_u = np.array([_needs_raw_escape(e, b) for b, e in pairs])
+    kmin_u = np.array([_kmin_for(e, b, core_dims) for b, e in pairs])
+    return raw_u[inverse], kmin_u[inverse]
+
+
+def _encode_pieces(values: list, abs_bounds: list) -> list[bytes]:
+    """The payloads of pieces of one block rank, transformed and coded as
+    one run of blocks; only the final byte packing is per piece."""
+    block = _block_for_shape(values[0].shape)
+    core_dims = sum(1 for b in block if b == 4)
+    bsize = 4**core_dims
+    blocks, counts = blockify_many(values, block)
+    n_blocks = blocks.shape[0]
+    core = blocks.reshape((n_blocks,) + (4,) * core_dims)
+
+    # Block-floating-point conversion.
+    fmax = np.abs(core).reshape(n_blocks, -1).max(axis=1)
+    nonzero = fmax > 0.0
+    exps = np.zeros(n_blocks, dtype=np.int64)
+    if nonzero.any():
+        _, e = np.frexp(fmax[nonzero])
+        exps[nonzero] = e
+    scale = np.exp2(PRECISION - exps.astype(np.float64))
+    q = np.rint(core * scale.reshape((n_blocks,) + (1,) * core_dims)).astype(
+        np.int64
+    )
+
+    coeff = forward_transform(q).reshape(n_blocks, bsize)
+    order = sequency_order(core_dims)
+    neg = int_to_negabinary(coeff[:, order])
+
+    pieces = np.repeat(np.arange(len(counts)), counts)
+    raw, kmin = _kmin_table(exps, pieces, abs_bounds, core_dims)
+    raw &= nonzero
+    normal = nonzero & ~raw
+    # Top plane: bit length of the OR of the block's coefficients, minus 1.
+    kmax = np.maximum(bit_length(np.bitwise_or.reduce(neg, axis=1)) - 1, 0)
+    n_planes = np.where(normal, np.maximum(kmax - kmin + 1, 0), 0)
+
+    # A block's bits do not depend on its chunk-mates, so chunks may span
+    # pieces; a piece's stream starts at the bit offset of its first block.
+    flat_core = core.reshape(n_blocks, bsize)
+    rows = _chunk_rows(int(n_planes.max(initial=0)), bsize)
+    firsts = np.cumsum(counts)[:-1]
+    bits, cuts = [], []
+    done = 0
+    for lo in range(0, n_blocks, rows):
+        s = slice(lo, lo + rows)
+        chunk, offsets = _encode_chunk(
+            nonzero[s], raw[s], exps[s], kmax[s], n_planes[s], neg[s], flat_core[s],
+            (firsts[(firsts >= lo) & (firsts < lo + rows)] - lo).tolist(),
+        )
+        cuts += [done + offset for offset in offsets]
+        bits.append(chunk)
+        done += chunk.size
+    bits = join_rows(bits)
+    return [
+        _HEADER.pack(core_dims, n) + np.packbits(piece).tobytes()
+        for n, piece in zip(counts, np.split(bits, cuts))
+    ]
+
+
+def _walk_payload(payload: bytes, shape: tuple[int, ...], abs_bound: float):
+    """Parse one payload's bit stream: ``(neg, exps, nonzero, raw rows, raw
+    values)`` of its blocks, with the negabinary coefficients in sequency
+    order."""
+    core_dims, n_blocks = _check_geometry(payload, shape)
+    bsize = 4**core_dims
+    stream = np.unpackbits(
+        np.frombuffer(payload, dtype=np.uint8, offset=_HEADER.size)
+    ).tobytes()
+    bits = np.frombuffer(stream, dtype=np.uint8)
+
+    kmins: dict[int, int] = {}
+
+    def kmin_of(e: int) -> int:
+        if e not in kmins:
+            try:
+                kmins[e] = _kmin_for(e, abs_bound, core_dims)
+            except (OverflowError, ValueError):
+                raise DecompressionError(
+                    f"zfp block exponent {e} is out of range for bound "
+                    f"{abs_bound!r}"
+                ) from None
+        return kmins[e]
+
+    neg = np.zeros((n_blocks, bsize), dtype=np.uint64)
+    exps = np.zeros(n_blocks, dtype=np.int64)
+    nonzero = np.zeros(n_blocks, dtype=bool)
+    raw_rows: list[np.ndarray] = []
+    raw_vals: list[np.ndarray] = []
+    rows = _chunk_rows(_MAX_PLANES, bsize)
+    pos = 0
+    for lo in range(0, n_blocks, rows):
+        hi = min(lo + rows, n_blocks)
+        start = pos
+        pos, heads, hits = _walk(stream, pos, range(lo, hi), bsize, kmin_of)
+        nz, raw, e, kmax, n_planes = np.array(heads, dtype=np.int64).T
+        nz, raw = nz.astype(bool), raw.astype(bool)
+        planes = int(n_planes.max(initial=0))
+        flat = np.array(hits, dtype=np.int64)
+        block, rest = np.divmod(flat, _MAX_PLANES * bsize)
+        hits = (block, *np.divmod(rest, bsize))
+        mask, cells = _slot_mask(nz, raw, n_planes, (planes, bsize), hits)
+        slots = np.zeros(mask.shape, dtype=np.uint8)
+        np.place(slots, mask, bits[start:pos])
+        head = mask.shape[1] - cells[0].size
+        values = slots[:, head:].reshape(cells.shape)
+        neg[lo:hi] = _from_plane_bits(values[:, :, :, 1], kmax)
+        exps[lo:hi] = e
+        nonzero[lo:hi] = nz
+        if raw.any():
+            words = np.packbits(slots[raw, _HEAD_SLOTS:head], axis=1)
+            raw_rows.append(lo + np.flatnonzero(raw))
+            raw_vals.append(words.view(">u8").astype(np.uint64).view(np.float64))
+    return neg, exps, nonzero, raw_rows, raw_vals
+
+
+def _decode_pieces(parsed: list, shapes: list) -> list[np.ndarray]:
+    """Reconstruct pieces of one block rank: their parsed blocks go through
+    one inverse transform."""
+    block = _block_for_shape(shapes[0])
+    core_dims = block.count(4)
+    counts = [p[0].shape[0] for p in parsed]
+    neg, exps, nonzero = (join_rows([p[i] for p in parsed]) for i in range(3))
+    n_blocks = neg.shape[0]
+
+    coeff = negabinary_to_int(neg)
+    order = sequency_order(core_dims)
+    inv_order = np.argsort(order)
+    coeff = coeff[:, inv_order].reshape((n_blocks,) + (4,) * core_dims)
+    q = inverse_transform(coeff)
+    scale = np.exp2(exps.astype(np.float64) - PRECISION)
+    vals = q.astype(np.float64) * scale.reshape((n_blocks,) + (1,) * core_dims)
+    vals[~nonzero] = 0.0
+    for first, (_, _, _, raw_rows, raw_vals) in zip(
+        np.cumsum([0] + counts[:-1]).tolist(), parsed
+    ):
+        for idx, raw_block in zip(raw_rows, raw_vals):
+            vals[first + idx] = raw_block.reshape((-1,) + (4,) * core_dims)
+
+    full = vals.reshape((n_blocks,) + tuple(block))
+    return [
+        unblockify(piece, shape, tuple(block))
+        for piece, shape in zip(split_rows(full, counts), shapes)
+    ]
+
+
 @register_compressor
 class ZFP(Compressor):
-    """Fixed-accuracy transform codec; fast, with graceful quality scaling."""
+    """Fixed-accuracy transform codec; fast, with graceful quality scaling.
+
+    A batch's pieces of one block rank share the block transform in both
+    directions; the encoder codes their blocks as one run, the decoder
+    walks each stream on its own.
+    """
 
     name = "zfp"
 
-    def _compress_impl(self, values: np.ndarray, abs_bound: float) -> bytes:
-        shape = values.shape
-        block = _block_for_shape(shape)
-        core_dims = sum(1 for b in block if b == 4)
-        blocks = blockify(values, block)
-        n_blocks = blocks.shape[0]
-        core = blocks.reshape((n_blocks,) + (4,) * core_dims)
-        bsize = 4**core_dims
-
-        # Block-floating-point conversion.
-        fmax = np.abs(core).reshape(n_blocks, -1).max(axis=1)
-        nonzero = fmax > 0.0
-        exps = np.zeros(n_blocks, dtype=np.int64)
-        if nonzero.any():
-            _, e = np.frexp(fmax[nonzero])
-            exps[nonzero] = e
-        scale = np.exp2(PRECISION - exps.astype(np.float64))
-        q = np.rint(core * scale.reshape((n_blocks,) + (1,) * core_dims)).astype(
-            np.int64
+    def _compress_batch(self, values: list, abs_bounds: list) -> list[bytes]:
+        return by_group(
+            [_block_for_shape(v.shape) for v in values], _encode_pieces,
+            values, abs_bounds,
         )
 
-        coeff = forward_transform(q).reshape(n_blocks, bsize)
-        order = sequency_order(core_dims)
-        neg = int_to_negabinary(coeff[:, order])
-
-        # Escape and cut-off plane once per distinct exponent.
-        uniq, inverse = np.unique(exps, return_inverse=True)
-        raw_u = np.array([_needs_raw_escape(int(e), abs_bound) for e in uniq])
-        kmin_u = np.array([_kmin_for(int(e), abs_bound, core_dims) for e in uniq])
-        raw = nonzero & raw_u[inverse]
-        normal = nonzero & ~raw
-        # Top plane: bit length of the OR of the block's coefficients, minus 1.
-        kmax = np.maximum(bit_length(np.bitwise_or.reduce(neg, axis=1)) - 1, 0)
-        n_planes = np.where(normal, np.maximum(kmax - kmin_u[inverse] + 1, 0), 0)
-
-        flat_core = core.reshape(n_blocks, bsize)
-        rows = _chunk_rows(int(n_planes.max(initial=0)), bsize)
-        pieces = [
-            _encode_chunk(
-                nonzero[s], raw[s], exps[s], kmax[s], n_planes[s], neg[s],
-                flat_core[s],
-            )
-            for s in (slice(lo, lo + rows) for lo in range(0, n_blocks, rows))
+    def _decompress_batch(
+        self, payloads: list, shapes: list, abs_bounds: list
+    ) -> list[np.ndarray]:
+        parsed = [
+            _walk_payload(p, s, b) for p, s, b in zip(payloads, shapes, abs_bounds)
         ]
-        bits = np.packbits(np.concatenate(pieces))
-        return _HEADER.pack(core_dims, n_blocks) + bits.tobytes()
-
-    def _decompress_impl(
-        self, payload: bytes, shape: tuple[int, ...], abs_bound: float
-    ) -> np.ndarray:
-        core_dims, n_blocks = _check_geometry(payload, shape)
-        bsize = 4**core_dims
-        stream = np.unpackbits(
-            np.frombuffer(payload, dtype=np.uint8, offset=_HEADER.size)
-        ).tobytes()
-        bits = np.frombuffer(stream, dtype=np.uint8)
-
-        kmins: dict[int, int] = {}
-
-        def kmin_of(e: int) -> int:
-            if e not in kmins:
-                try:
-                    kmins[e] = _kmin_for(e, abs_bound, core_dims)
-                except (OverflowError, ValueError):
-                    raise DecompressionError(
-                        f"zfp block exponent {e} is out of range for bound "
-                        f"{abs_bound!r}"
-                    ) from None
-            return kmins[e]
-
-        neg = np.zeros((n_blocks, bsize), dtype=np.uint64)
-        exps = np.zeros(n_blocks, dtype=np.int64)
-        nonzero = np.zeros(n_blocks, dtype=bool)
-        raw_rows: list[np.ndarray] = []
-        raw_vals: list[np.ndarray] = []
-        rows = _chunk_rows(_MAX_PLANES, bsize)
-        pos = 0
-        for lo in range(0, n_blocks, rows):
-            hi = min(lo + rows, n_blocks)
-            start = pos
-            pos, heads, hits = _walk(stream, pos, range(lo, hi), bsize, kmin_of)
-            nz, raw, e, kmax, n_planes = np.array(heads, dtype=np.int64).T
-            nz, raw = nz.astype(bool), raw.astype(bool)
-            planes = int(n_planes.max(initial=0))
-            flat = np.array(hits, dtype=np.int64)
-            block, rest = np.divmod(flat, _MAX_PLANES * bsize)
-            hits = (block, *np.divmod(rest, bsize))
-            mask, cells = _slot_mask(nz, raw, n_planes, (planes, bsize), hits)
-            slots = np.zeros(mask.shape, dtype=np.uint8)
-            np.place(slots, mask, bits[start:pos])
-            head = mask.shape[1] - cells[0].size
-            values = slots[:, head:].reshape(cells.shape)
-            neg[lo:hi] = _from_plane_bits(values[:, :, :, 1], kmax)
-            exps[lo:hi] = e
-            nonzero[lo:hi] = nz
-            if raw.any():
-                words = np.packbits(slots[raw, _HEAD_SLOTS:head], axis=1)
-                raw_rows.append(lo + np.flatnonzero(raw))
-                raw_vals.append(words.view(">u8").astype(np.uint64).view(np.float64))
-
-        coeff = negabinary_to_int(neg)
-        order = sequency_order(core_dims)
-        inv_order = np.argsort(order)
-        coeff = coeff[:, inv_order].reshape((n_blocks,) + (4,) * core_dims)
-        q = inverse_transform(coeff)
-        scale = np.exp2(exps.astype(np.float64) - PRECISION)
-        vals = q.astype(np.float64) * scale.reshape((n_blocks,) + (1,) * core_dims)
-        vals[~nonzero] = 0.0
-        for idx, raw_block in zip(raw_rows, raw_vals):
-            vals[idx] = raw_block.reshape((-1,) + (4,) * core_dims)
-
-        block = _block_for_shape(shape)
-        full = vals.reshape((n_blocks,) + tuple(block))
-        return unblockify(full, shape, tuple(block))
+        return by_group(
+            [_block_for_shape(s) for s in shapes], _decode_pieces, parsed, shapes
+        )

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compressors import get_compressor
-from repro.compressors.base import Compressor
+from repro.compressors.base import Compressor, group_indices
 from repro.dataset.containers import Dataset, Variable
 from repro.dataset.spec import parse_compression
 from repro.dataset.tuner import AutoTuner, TuningReport
@@ -138,16 +138,27 @@ def _sniff_library(blob: bytes):
     )
 
 
-def _decode(stream) -> np.ndarray:
-    """One member: a self-describing codec stream, or a stored array."""
-    if not isinstance(stream, (bytes, bytearray)):
-        return np.asarray(stream)  # stored uncompressed
-    codec, *_ = Compressor._unpack_header(bytes(stream))
-    try:
-        comp = get_compressor(codec)
-    except KeyError:
-        raise DecompressionError(f"stream names unknown codec {codec!r}") from None
-    return comp.decompress(bytes(stream))
+def _decode(streams: list) -> list[np.ndarray]:
+    """Decode members: self-describing codec streams, one batched call per
+    codec, or stored arrays."""
+    # A member that is not bytes was stored uncompressed.
+    out: list = [
+        None if isinstance(s, (bytes, bytearray)) else np.asarray(s) for s in streams
+    ]
+    coded = [i for i, array in enumerate(out) if array is None]
+    codecs = [Compressor._unpack_header(bytes(streams[i]))[0] for i in coded]
+    for idx in group_indices(codecs):
+        codec = codecs[idx[0]]
+        try:
+            comp = get_compressor(codec)
+        except KeyError:
+            raise DecompressionError(f"stream names unknown codec {codec!r}") from None
+        members = [coded[i] for i in idx]
+        for i, array in zip(members, comp.decompress_many(
+            [bytes(streams[i]) for i in members]
+        )):
+            out[i] = array
+    return out
 
 
 def _variable_data(members: dict, attrs: dict, var_name: str) -> np.ndarray:
@@ -161,7 +172,7 @@ def _variable_data(members: dict, attrs: dict, var_name: str) -> np.ndarray:
     missing = [key for key in keys if key not in members]
     if missing:
         raise IOModelError(f"container has no member {missing[0]!r}")
-    parts = [_decode(members[key]) for key in keys]
+    parts = _decode([members[key] for key in keys])
     if not n_chunks:
         return parts[0]
     stackable = {(p.dtype, p.shape[1:]) for p in parts}

@@ -135,12 +135,12 @@ class AutoTuner:
     def _compress(
         variable: Variable, codec: str, rel_bound: float, n_chunks: int
     ) -> tuple[bytes, ...]:
-        """The streams stored for ``variable``: one compress of each
-        leading-axis chunk, or of the whole array when ``n_chunks`` is 1."""
+        """The streams stored for ``variable``: one batched compress of its
+        leading-axis chunks, or of the whole array when ``n_chunks`` is 1."""
         data = variable.data
         pieces = chunk_array(data, n_chunks) if n_chunks > 1 else [data]
-        comp = get_compressor(codec)
-        return tuple(comp.compress(piece, rel_bound).data for piece in pieces)
+        bufs = get_compressor(codec).compress_many(pieces, rel_bound)
+        return tuple(buf.data for buf in bufs)
 
     def _measure(
         self, variable: Variable, codec: str, rel_bound: float, n_chunks: int = 1
@@ -167,8 +167,7 @@ class AutoTuner:
             )
             return rt.max_rel_err, rt.ratio, io.total_energy_j, None
         streams = self._compress(variable, codec, rel_bound, n_chunks)
-        comp = get_compressor(codec)
-        parts = [comp.decompress(stream) for stream in streams]
+        parts = get_compressor(codec).decompress_many(streams)
         recon = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
         model = {} if testbed is None else dict(
             throughput=testbed.throughput, sample_interval=testbed.sample_interval)

@@ -3,7 +3,9 @@
 The figure benches simulate testbed *energies*; this module measures the
 actual wall-clock speed of the hot entropy/bitstream kernels that decide
 whether compression repays its cost — Huffman encode/decode, variable-width
-bit packing/unpacking — and of the ZFP and SZ2 codecs end to end.  Inputs
+bit packing/unpacking — and of the ZFP, SZ2, SZ3 and QoZ codecs end to end,
+on the whole field and on the field in four leading-axis pieces coded in one
+batched call (the ``*_chunked`` rows).  Inputs
 are representative symbol distributions: quantizer output streams derived
 from the synthetic CESM/NYX/HACC fields (tiled to a stable working size),
 plus a seeded 1M-symbol synthetic quantizer stream; the codecs run on the
@@ -31,12 +33,15 @@ import numpy as np
 from repro import __version__
 from repro.compressors import get_compressor
 from repro.compressors.bitstream import pack_bits, unpack_bits
+from repro.compressors.blocks import chunk_array
 from repro.compressors.huffman import huffman_decode, huffman_encode
 from repro.compressors.quantizer import LinearQuantizer
 from repro.obs.trace import active_tracer
 
 __all__ = [
     "BENCH_DATASETS",
+    "CHUNKED_PIECES",
+    "CODEC_KERNELS",
     "DEFAULT_OUTPUT",
     "KERNELS",
     "SCHEMA_VERSION",
@@ -48,6 +53,7 @@ __all__ = [
     "format_report",
     "kernel_inputs",
     "load_doc",
+    "missing_chunked_rows",
     "run_and_report",
     "run_kernels",
     "validate_doc",
@@ -145,23 +151,31 @@ def _prep_unpack_bits(inp: KernelInputs):
     return (lambda: unpack_bits(packed, widths)), values.size, values.nbytes
 
 
-def _codec_kernel(codec: str, direction: str):
-    """Prepare a whole-codec round-trip half on the dataset's float field."""
+def _codec_kernel(codec: str, direction: str, n_chunks: int = 1):
+    """Prepare a codec round-trip half on the dataset's float field: the
+    whole field, or its ``n_chunks`` leading-axis pieces in one batched
+    call (the chunked container write and read)."""
 
     def prepare(inp: KernelInputs):
         if inp.field is None:
             return None
         comp = get_compressor(codec)
         field = inp.field
+        pieces = chunk_array(field, n_chunks)
         if direction == "compress":
-            fn = lambda: comp.compress(field, inp.rel_bound)  # noqa: E731
+            fn = lambda: comp.compress_many(pieces, inp.rel_bound)  # noqa: E731
         else:
-            blob = comp.compress(field, inp.rel_bound).data
-            fn = lambda: comp.decompress(blob)  # noqa: E731
+            blobs = [buf.data for buf in comp.compress_many(pieces, inp.rel_bound)]
+            fn = lambda: comp.decompress_many(blobs)  # noqa: E731
         return fn, field.size, field.nbytes
 
     return prepare
 
+
+#: Codecs with whole-field rows; each also has ``*_chunked`` rows on the
+#: field cut into :data:`CHUNKED_PIECES` leading-axis pieces.
+CODEC_KERNELS = ("zfp", "sz2", "sz3", "qoz")
+CHUNKED_PIECES = 4
 
 KERNELS: tuple[KernelSpec, ...] = (
     KernelSpec("huffman_encode", _prep_huffman_encode),
@@ -169,15 +183,25 @@ KERNELS: tuple[KernelSpec, ...] = (
     KernelSpec("huffman_decode_field", _prep_huffman_decode_field),
     KernelSpec("pack_bits", _prep_pack_bits),
     KernelSpec("unpack_bits", _prep_unpack_bits),
-    KernelSpec("zfp_compress", _codec_kernel("zfp", "compress")),
-    KernelSpec("zfp_decompress", _codec_kernel("zfp", "decompress")),
-    KernelSpec("sz2_compress", _codec_kernel("sz2", "compress")),
-    KernelSpec("sz2_decompress", _codec_kernel("sz2", "decompress")),
-    KernelSpec("sz3_compress", _codec_kernel("sz3", "compress")),
-    KernelSpec("sz3_decompress", _codec_kernel("sz3", "decompress")),
-    KernelSpec("qoz_compress", _codec_kernel("qoz", "compress")),
-    KernelSpec("qoz_decompress", _codec_kernel("qoz", "decompress")),
+) + tuple(
+    KernelSpec(f"{codec}_{direction}{suffix}", _codec_kernel(codec, direction, n))
+    for codec in CODEC_KERNELS
+    for n, suffix in ((1, ""), (CHUNKED_PIECES, "_chunked"))
+    for direction in ("compress", "decompress")
 )
+
+
+def missing_chunked_rows(doc: dict) -> list[str]:
+    """``codec/dataset`` pairs of ``doc``'s results with a whole-field codec
+    row but no ``*_chunked`` row of the same direction."""
+    rows = {(r["kernel"], r["dataset"]) for r in doc["results"]}
+    return [
+        f"{kernel}/{dataset}"
+        for kernel, dataset in sorted(rows)
+        if kernel.rsplit("_", 1)[0] in CODEC_KERNELS
+        and kernel.endswith(("_compress", "_decompress"))
+        and (f"{kernel}_chunked", dataset) not in rows
+    ]
 
 
 def kernel_inputs(

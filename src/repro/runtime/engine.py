@@ -219,11 +219,14 @@ class SweepEngine:
             )
         self.on_event(event)
 
-    def _key(self, point: GridPoint) -> str:
-        # The fingerprint is recomputed per lookup, not cached at engine
-        # construction: mutating the testbed (scale, models) between runs
-        # must change every key, never serve results for the old config.
-        return point_key(point.op, point.as_kwargs(), testbed_fingerprint(self.testbed))
+    def _key(self, point: GridPoint, fingerprint: dict | None = None) -> str:
+        # The fingerprint is taken per run (or per single lookup), not
+        # cached at engine construction: mutating the testbed (scale,
+        # models) between runs must change every key, never serve results
+        # for the old config.
+        if fingerprint is None:
+            fingerprint = testbed_fingerprint(self.testbed)
+        return point_key(point.op, point.as_kwargs(), fingerprint)
 
     def _compute_local(self, point: GridPoint):
         # Registry dispatch: a kind-registered evaluate entrypoint when one
@@ -528,7 +531,8 @@ class SweepEngine:
         of a record.
         """
         points = spec.points()
-        keys = [self._key(p) for p in points]
+        fingerprint = testbed_fingerprint(self.testbed)
+        keys = [self._key(p, fingerprint) for p in points]
         self.stats.runs += 1
         self._run_t0 = time.perf_counter()
         try:

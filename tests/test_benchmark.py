@@ -10,6 +10,8 @@ import pytest
 from repro.cli import main
 from repro.errors import BenchmarkRegression
 from repro.runtime.benchmark import (
+    CHUNKED_PIECES,
+    CODEC_KERNELS,
     KERNELS,
     SCHEMA_VERSION,
     SYNTHETIC_DATASET,
@@ -18,6 +20,7 @@ from repro.runtime.benchmark import (
     format_report,
     kernel_inputs,
     load_doc,
+    missing_chunked_rows,
     run_and_report,
     run_kernels,
     validate_doc,
@@ -67,6 +70,21 @@ class TestKernelInputs:
         np.testing.assert_array_equal(fn(), inputs.codes[:n_symbols])
 
 
+    def test_chunked_rows_code_the_field_in_pieces(self):
+        inputs = kernel_inputs("nyx", target_symbols=1 << 15, scale="tiny")
+        specs = {s.name: s for s in KERNELS}
+        for codec in CODEC_KERNELS:
+            whole = specs[f"{codec}_compress"].prepare(inputs)
+            chunked = specs[f"{codec}_compress_chunked"].prepare(inputs)
+            assert chunked[1:] == whole[1:]
+            bufs = chunked[0]()
+            assert len(bufs) == CHUNKED_PIECES
+            assert sum(b.shape[0] for b in bufs) == inputs.field.shape[0]
+            fn, _, _ = specs[f"{codec}_decompress_chunked"].prepare(inputs)
+            parts = fn()
+            assert np.concatenate(parts).shape == inputs.field.shape
+
+
 class TestDocumentSchema:
     def test_run_produces_valid_doc(self, quick_doc):
         validate_doc(quick_doc)  # must not raise
@@ -104,6 +122,31 @@ class TestDocumentSchema:
             validate_doc(dict(quick_doc, history=[run, clipped]))
         with pytest.raises(ValueError, match=r"history\[0\]"):
             validate_doc(dict(quick_doc, history=[dict(quick_doc, history=[])]))
+
+    def test_schema_step_requires_a_chunked_row_per_codec_row(
+        self, tmp_path, monkeypatch
+    ):
+        from pathlib import Path
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+        from check_record_schemas import check
+
+        row = {"dataset": "nyx", "n_symbols": 1, "n_bytes": 8,
+               "seconds_per_call": 1.0, "mb_per_s": 1.0, "sym_per_s": 1.0,
+               "calls": 2}
+        doc = {"schema_version": SCHEMA_VERSION, "created": "now",
+               "repro_version": "0", "quick": True, "history": [],
+               "results": [dict(row, kernel=k) for k in (
+                   "huffman_encode", "sz3_compress", "sz3_compress_chunked",
+                   "zfp_decompress")]}
+        assert missing_chunked_rows(doc) == ["zfp_decompress/nyx"]
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(doc))
+        (error,) = check("bench", path)
+        assert "zfp_decompress/nyx" in error
+        doc["results"].append(dict(row, kernel="zfp_decompress_chunked"))
+        path.write_text(json.dumps(doc))
+        assert check("bench", path) == []
 
     def test_json_round_trip(self, tmp_path, quick_doc):
         path = tmp_path / "BENCH_kernels.json"

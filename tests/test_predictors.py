@@ -12,7 +12,9 @@ from repro.compressors.predictors import (
     regression_fit,
     regression_predict,
 )
-from repro.compressors.quantizer import LinearQuantizer, zigzag_decode
+from repro.compressors.quantizer import LinearQuantizer
+
+from reference.predictors import reference_lorenzo_decode, reference_lorenzo_encode
 
 
 def _decode_slots(codes):
@@ -121,58 +123,6 @@ _HAND_WRITTEN_TERMS = {
 }
 
 
-def _block_positions(block):
-    """Raster-order in-block multi-indices."""
-    return list(np.ndindex(*block))
-
-
-def _reference_encode(blocks, quantizer):
-    """The raster Lorenzo walk the hyperplane walk replaced, kept verbatim:
-    one quantize call per in-block position."""
-    block = blocks.shape[1:]
-    ndim = len(block)
-    terms = _LORENZO_TERMS[ndim]
-    codes = np.zeros_like(blocks, dtype=np.int64)
-    recon = np.zeros_like(blocks, dtype=np.float64)
-    for pos in _block_positions(block):
-        pred = np.zeros(blocks.shape[0], dtype=np.float64)
-        for offset, sign in terms:
-            nb = tuple(p - o for p, o in zip(pos, offset))
-            if any(c < 0 for c in nb):
-                continue
-            pred += sign * recon[(slice(None),) + nb]
-        col = blocks[(slice(None),) + pos]
-        q = quantizer.quantize(col, pred)
-        codes[(slice(None),) + pos] = q.codes
-        recon[(slice(None),) + pos] = q.recon
-    return codes, recon, codes == 0
-
-
-def _reference_decode(codes, outlier_values, outlier_slots, quantizer):
-    """Raster-order decode, verbatim from before the hyperplane walk."""
-    block = codes.shape[1:]
-    ndim = len(block)
-    terms = _LORENZO_TERMS[ndim]
-    width = 2.0 * quantizer.abs_bound
-    recon = np.zeros(codes.shape, dtype=np.float64)
-    for pos in _block_positions(block):
-        pred = np.zeros(codes.shape[0], dtype=np.float64)
-        for offset, sign in terms:
-            nb = tuple(p - o for p, o in zip(pos, offset))
-            if any(c < 0 for c in nb):
-                continue
-            pred += sign * recon[(slice(None),) + nb]
-        code_col = codes[(slice(None),) + pos]
-        signed = zigzag_decode(np.maximum(code_col - 1, 0))
-        vals = pred + signed.astype(np.float64) * width
-        slots = outlier_slots[(slice(None),) + pos]
-        esc = code_col == 0
-        if esc.any():
-            vals = np.where(esc, outlier_values[np.maximum(slots, 0)], vals)
-        recon[(slice(None),) + pos] = vals
-    return recon
-
-
 #: Bit patterns the walk must carry through untouched: signed zeros,
 #: infinities, NaNs with distinct payloads (quiet, negative, signalling),
 #: the largest finite and the smallest subnormal values.
@@ -230,7 +180,7 @@ class TestHyperplaneMatchesRasterWalk:
         values, quantizer = case
         with np.errstate(all="ignore"):
             codes, recon, mask = lorenzo_encode_blocks(values, quantizer)
-            ref_codes, ref_recon, ref_mask = _reference_encode(values, quantizer)
+            ref_codes, ref_recon, ref_mask = reference_lorenzo_encode(values, quantizer)
             assert codes.shape == ref_codes.shape
             assert (codes == ref_codes).all()
             assert (mask == ref_mask).all()
@@ -239,7 +189,7 @@ class TestHyperplaneMatchesRasterWalk:
             outliers = values.reshape(-1)[codes.reshape(-1) == 0]
             slots = _decode_slots(codes)
             decoded = lorenzo_decode_blocks(codes, outliers, slots, quantizer)
-            expected = _reference_decode(codes, outliers, slots, quantizer)
+            expected = reference_lorenzo_decode(codes, outliers, slots, quantizer)
         assert decoded.shape == values.shape
         assert decoded.tobytes() == expected.tobytes()
 
@@ -250,5 +200,5 @@ class TestHyperplaneMatchesRasterWalk:
             values[:, 0] = 0.0
             values[::7, -1] = -0.0
             codes, recon, _ = lorenzo_encode_blocks(values, q)
-            ref_codes, ref_recon, _ = _reference_encode(values, q)
+            ref_codes, ref_recon, _ = reference_lorenzo_encode(values, q)
             assert (codes == ref_codes).all() and recon.tobytes() == ref_recon.tobytes()

@@ -11,6 +11,12 @@ from repro.compressors.quantizer import (
     zigzag_encode,
 )
 
+from reference.quantizer import (
+    reference_quantize,
+    reference_zigzag_decode,
+    reference_zigzag_encode,
+)
+
 
 class TestZigzag:
     def test_known_values(self):
@@ -106,44 +112,6 @@ class TestQuantizer:
 # -- reference equivalence -----------------------------------------------------
 
 
-def _reference_zigzag_encode(signed):
-    signed = signed.astype(np.int64)
-    return np.where(signed >= 0, 2 * signed, -2 * signed - 1).astype(np.int64)
-
-
-def _reference_zigzag_decode(unsigned):
-    unsigned = unsigned.astype(np.int64)
-    return np.where(unsigned % 2 == 0, unsigned // 2, -(unsigned + 1) // 2).astype(
-        np.int64
-    )
-
-
-def _reference_quantize(quantizer, values, predictions):
-    """``LinearQuantizer.quantize`` before the bit-trick zig-zag and the
-    ``quantize_codes`` split, kept verbatim."""
-    values = np.asarray(values, dtype=np.float64)
-    predictions = np.asarray(predictions, dtype=np.float64)
-    width = 2.0 * quantizer.abs_bound
-    residual = values - predictions
-    with np.errstate(invalid="ignore", over="ignore"):
-        raw = np.rint(residual / width)
-    finite = np.isfinite(raw) & np.isfinite(predictions)
-    raw = np.where(finite, raw, 0.0)
-    raw = np.clip(raw, -(2**62), 2**62)
-    signed = raw.astype(np.int64)
-    recon = predictions + signed.astype(np.float64) * width
-    folded = _reference_zigzag_encode(signed) + 1
-    within = (
-        finite
-        & (np.abs(recon - values) <= quantizer.abs_bound * (1 + 1e-12))
-        & (folded < quantizer.max_code)
-    )
-    codes = np.where(within, folded, 0).astype(np.int64)
-    outliers = values[~within].astype(np.float64)
-    recon = np.where(within, recon, values)
-    return codes, outliers, recon
-
-
 _EDGE_BITS = np.array(
     [0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
      0x7FF8000000000000, 0xFFF8000000000001, 0x7FF4000000000123,
@@ -158,8 +126,8 @@ class TestMatchesReference:
     def test_zigzag_over_all_int64(self, xs):
         x = np.array(xs + [-(2**63), 2**63 - 1, -(2**62), 2**62], dtype=np.int64)
         with np.errstate(over="ignore"):
-            assert zigzag_encode(x).tobytes() == _reference_zigzag_encode(x).tobytes()
-        assert zigzag_decode(x).tobytes() == _reference_zigzag_decode(x).tobytes()
+            assert zigzag_encode(x).tobytes() == reference_zigzag_encode(x).tobytes()
+        assert zigzag_decode(x).tobytes() == reference_zigzag_decode(x).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -179,7 +147,7 @@ class TestMatchesReference:
         q = LinearQuantizer(bound, max_code=int(rng.choice([2, 1000, 65536])))
         with np.errstate(all="ignore"):
             got = q.quantize(values, predictions)
-            codes, outliers, recon = _reference_quantize(q, values, predictions)
+            codes, outliers, recon = reference_quantize(q, values, predictions)
         assert got.codes.dtype == codes.dtype and (got.codes == codes).all()
         assert got.outliers.tobytes() == outliers.tobytes()
         assert got.recon.tobytes() == recon.tobytes()

@@ -391,6 +391,22 @@ class TestSweepEngine:
         assert engine.stats.computed == 2
         assert test.scale == "test" and test != tiny
 
+    def test_run_takes_the_fingerprint_once(self, engine, monkeypatch):
+        # Keys are built in one list at the start of run, so one fingerprint
+        # serves them all; the mutation test above shows a later run still
+        # takes a fresh one.
+        import repro.runtime.engine as engine_module
+
+        calls = []
+        real = engine_module.testbed_fingerprint
+        monkeypatch.setattr(engine_module, "testbed_fingerprint",
+                            lambda testbed: calls.append(testbed) or real(testbed))
+        spec = SweepSpec(kind="quality", **SMALL)
+        engine.run(spec)
+        assert calls == [engine.testbed]
+        engine.run(spec)
+        assert len(calls) == 2 and engine.stats.cache_hits == len(spec.points())
+
     def test_worker_testbed_cache_keyed_by_fingerprint(self):
         # _WORKER_TESTBEDS must key on the full testbed fingerprint: after
         # the parent mutates config between runs, a pool worker must build

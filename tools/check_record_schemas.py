@@ -19,7 +19,8 @@ registered kind's.  Two spellings are special:
 
 - ``bench`` validates a ``BENCH_kernels.json`` benchmark document
   (:func:`repro.runtime.benchmark.load_doc`) — a versioned dict with
-  history, not a sweep record array;
+  history, not a sweep record array — and requires every whole-field codec
+  row of its latest run to have its ``*_chunked`` twin;
 - sweep arrays may carry a trailing ``{"__meta__": ...}`` element
   (``repro sweep --json`` run telemetry); it is stripped before
   validation, never schema-checked.
@@ -44,13 +45,16 @@ def check(kind_name: str, path) -> list[str]:
     from repro.runtime import registry
 
     if kind_name == "bench":
-        from repro.runtime.benchmark import load_doc
+        from repro.runtime.benchmark import load_doc, missing_chunked_rows
 
         try:
-            load_doc(path)
+            doc = load_doc(path)
         except (OSError, ValueError) as exc:
             return [f"benchmark schema drift in {path}: {exc}"]
-        return []
+        return [
+            f"{path}: whole-field codec row {row} has no *_chunked row"
+            for row in missing_chunked_rows(doc)
+        ]
 
     record_cls = None
     try:
