@@ -6,8 +6,10 @@ checkpoint/failure lifecycles, and one shared-PFS fair-share solve for
 every concurrent write (:mod:`repro.cluster.scheduler`).  Registering
 through :func:`repro.runtime.registry.register` buys the full runtime:
 ``repro sweep --kind cluster``, engine memoization with content-addressed
-store keys, the conformance battery, JSON schema validation (including the
-nested per-tenant records), and the CLI table renderer.
+store keys, the conformance battery, wire-record checks from the type
+hints of :class:`ClusterResult` (the nested :class:`TenantResult` records
+included: the store reaches them through ``ClusterResult.tenants``), and
+the CLI table renderer.
 
 Grid identity note: the scenario string is canonicalised by the spec
 validator (:func:`repro.cluster.scheduler.format_scenario`), so two specs
@@ -15,10 +17,10 @@ describing the same scenario — reordered attributes, explicit defaults —
 share one store key, while any semantic difference (a codec, a submit
 time, a failure seed) changes it.
 
-This module is imported for its registration side effect (like
-:mod:`repro.dataset.kind`) — ``repro.cluster`` deliberately does not pull
-it in, mirroring the explicit plugin-import pattern the CLI and test
-conftest use.
+The registry imports this module by name (like :mod:`repro.core.kind` and
+:mod:`repro.dataset.kind`), and so registers the kind, the first time a
+lookup asks for ``cluster`` or for an op or record no imported kind
+declares; ``repro.cluster`` does not pull it in.
 """
 
 from __future__ import annotations
@@ -96,10 +98,6 @@ class ClusterResult:
     @property
     def max_stretch(self) -> float:
         return max(t.stretch for t in self.tenants)
-
-
-# The nested record must round-trip through the store on its own tag.
-registry.register_record(TenantResult)
 
 
 def _expand_cluster(spec) -> list:
@@ -289,8 +287,7 @@ CLUSTER_KIND = registry.register(
         name="cluster",
         help="multi-tenant cluster scenarios: FIFO+backfill schedule, "
         "shared-PFS write contention, per-tenant lifecycles",
-        record="ClusterResult",
-        load_record=lambda: ClusterResult,
+        record=ClusterResult,
         expand=_expand_cluster,
         ops=("cluster_point",),
         spec_fields=("datasets", "cpus", "io_libraries", "scenario"),

@@ -334,14 +334,12 @@ class Testbed:
         pfs: PFSModel | None = None,
         throughput: ThroughputModel | None = None,
         sample_interval: float = 0.010,
-        verify_bounds: bool = True,
     ):
         check_sample_interval(sample_interval)
         self.scale = scale
         self.pfs = pfs or PFSModel()
         self.throughput = throughput or ThroughputModel()
         self.sample_interval = sample_interval
-        self.verify_bounds = verify_bounds
         self._engine = None
 
     @property
@@ -378,7 +376,7 @@ class Testbed:
         if comp.lossless:
             if not np.array_equal(recon, data):
                 raise ConfigurationError(f"lossless codec {codec} failed roundtrip")
-        elif self.verify_bounds:
+        else:
             check_error_bound(data, recon, rel_bound)
         rec = RoundtripRecord(
             dataset=dataset,

@@ -8,7 +8,7 @@ answers with a :class:`DatasetPoint` combining the real roundtrip quality
 with the modeled compress+write cost.  Registering through
 :func:`repro.runtime.registry.register` buys the whole runtime for free:
 ``repro sweep --kind dataset``, engine memoization, the conformance
-battery, JSON schema validation, and the CLI table renderer.
+battery, wire-record checks from its type hints, and the CLI table renderer.
 
 Grid identity note: ``auto`` points embed their search grid (codecs,
 bounds) in the point kwargs — two auto points with different search spaces
@@ -233,8 +233,7 @@ DATASET_KIND = registry.register(
         name="dataset",
         help="per-variable compression-spec resolution through the facade "
         "(auto-tuned codec+bound, costed write)",
-        record="DatasetPoint",
-        load_record=lambda: DatasetPoint,
+        record=DatasetPoint,
         expand=_expand_dataset,
         ops=("dataset_point",),
         spec_fields=("datasets", "codecs", "bounds", "cpus", "io_libraries",

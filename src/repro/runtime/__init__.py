@@ -39,8 +39,8 @@ _EXPORTS = {
         "FailedPoint", "FaultInjector", "InjectedFault", "RetryPolicy", "error_chain",
     ),
     "repro.runtime.registry": (
-        "ExperimentKind", "all_kinds", "get_kind", "kind_names", "record_schema",
-        "register", "register_record", "unregister",
+        "ExperimentKind", "all_kinds", "get_kind", "kind_names", "register",
+        "register_record", "unregister",
     ),
     "repro.runtime.spec": ("SWEEP_KINDS", "GridPoint", "SweepSpec"),
     "repro.runtime.store": (

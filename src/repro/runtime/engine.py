@@ -256,7 +256,6 @@ class SweepEngine:
             "pfs": tb.pfs,
             "throughput": tb.throughput,
             "sample_interval": tb.sample_interval,
-            "verify_bounds": tb.verify_bounds,
         }
 
     # -- completion / failure bookkeeping ------------------------------------

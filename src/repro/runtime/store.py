@@ -111,7 +111,9 @@ def testbed_fingerprint(testbed) -> dict:
     return {
         "scale": testbed.scale,
         "sample_interval": float(testbed.sample_interval),
-        "verify_bounds": bool(testbed.verify_bounds),
+        # Round-trip bounds are always checked; the field stays so that no
+        # store key changes.
+        "verify_bounds": True,
         "pfs": repr(testbed.pfs),
         "throughput": {
             codec: repr(perf) for codec, perf in sorted(testbed.throughput.table.items())

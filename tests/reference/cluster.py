@@ -4,12 +4,15 @@ per-phase node meter.
 ``scheduler._run_schedule`` (the plain event-heap replay) is checked
 against :func:`reference_run_schedule`, and
 ``costs.measure_node_phases`` (one array pass over every node) against
-:func:`reference_measure_node_phases`.
+:func:`reference_measure_node_phases`, and ``costs.drain_phases`` (one
+segment per distinct finish time) against :func:`reference_drain_phases`.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from reference.events import EventLoop
 
@@ -154,3 +157,15 @@ def reference_measure_node_phases(cpu, nodes, *, sample_interval, freq_ghz=None)
             by_label[label] = by_label.get(label, 0.0) + report.energy_j
         out.append(by_label)
     return out
+
+
+def reference_drain_phases(t0, finishes, ranks, transfer_activity):
+    """The stepped drain profile walked one rank at a time."""
+    phases = []
+    prev = t0
+    for k, tf in enumerate(np.sort(finishes)):
+        seg = float(tf) - prev
+        if seg > 1e-9:
+            phases.append((seg, ranks - k, transfer_activity, "write"))
+            prev = float(tf)
+    return phases

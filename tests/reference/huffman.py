@@ -12,9 +12,16 @@ the streams this one rejects.  The one line added to the verbatim copy is
 the check, shared with the production decoder, that rejects a stored symbol
 value past the int64 range: a one-symbol stream used to raise an untyped
 ``OverflowError`` on it.
+
+:func:`reference_code_lengths` (the heap-based code-length builder) and
+:func:`reference_peek_table` (the per-length peek-table scatter) are the
+table builders ``_code_lengths`` and ``_build_peek_table`` replaced, which
+``test_huffman`` requires to give byte-identical tables.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -174,3 +181,57 @@ def reference_huffman_decode(data: bytes, n_symbols: int | None = None) -> np.nd
             f"expected {payload_bits}"
         )
     return sorted_values[sym_indices]
+
+
+def reference_code_lengths(freqs):
+    """The heap-based ``_code_lengths`` the two-queue merge replaced, in its
+    original leaf-list form: a heap on (frequency, id) pairs in which every
+    merge copies both leaf lists and bumps each leaf."""
+    present = np.flatnonzero(freqs)
+    lengths = np.zeros(freqs.size, dtype=np.int64)
+    if present.size == 0:
+        return lengths
+    if present.size == 1:
+        lengths[present[0]] = 1
+        return lengths
+
+    # Heap items: (freq, tiebreak, leaf symbols under this node)
+    heap = [(int(freqs[s]), int(s), [int(s)]) for s in present]
+    heapq.heapify(heap)
+    tiebreak = int(freqs.size)
+    while len(heap) > 1:
+        fa, _, la = heapq.heappop(heap)
+        fb, _, lb = heapq.heappop(heap)
+        for s in la:
+            lengths[s] += 1
+        for s in lb:
+            lengths[s] += 1
+        heapq.heappush(heap, (fa + fb, tiebreak, la + lb))
+        tiebreak += 1
+
+    # Limit code lengths (defensive; extremely skewed inputs only).
+    if lengths.max() > MAX_CODE_LENGTH:
+        lengths = np.minimum(lengths, MAX_CODE_LENGTH)
+        # Repair Kraft inequality by lengthening the shortest codes.
+        while _kraft(lengths) > 1.0:
+            cand = np.flatnonzero((lengths > 0) & (lengths < MAX_CODE_LENGTH))
+            shortest = cand[np.argmin(lengths[cand])]
+            lengths[shortest] += 1
+    return lengths
+
+
+def reference_peek_table(sorted_lens, codes):
+    """The per-length scatter ``_build_peek_table`` used before, verbatim."""
+    table_idx = np.full(1 << PEEK_BITS, -1, dtype=np.int32)
+    table_len = np.zeros(1 << PEEK_BITS, dtype=np.int8)
+    for ln in np.unique(sorted_lens):
+        ln = int(ln)
+        if ln <= 0 or ln > PEEK_BITS:
+            continue
+        sel = np.flatnonzero(sorted_lens == ln)
+        span = 1 << (PEEK_BITS - ln)
+        base = (codes[sel].astype(np.int64) << (PEEK_BITS - ln))[:, None]
+        idx = (base + np.arange(span, dtype=np.int64)[None, :]).ravel()
+        table_idx[idx] = np.repeat(sel.astype(np.int32), span)
+        table_len[idx] = ln
+    return table_idx, table_len

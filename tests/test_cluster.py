@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from meter_cases import INTERVALS, METER_CPUS, tick_durations
-from reference.cluster import reference_measure_node_phases
+from reference.cluster import reference_drain_phases, reference_measure_node_phases
 from reference.events import EventLoop
 
 from repro.cluster import MultiNodeCampaign
@@ -209,18 +209,6 @@ class TestBatchMetering:
             get_cpu("plat8160"), [[(1200.0, 48, 1.0, "compute")]], sample_interval=0.02
         )
         assert energy["compute"] == pytest.approx(648_000.0, rel=1e-9)
-
-
-def reference_drain_phases(t0, finishes, ranks, transfer_activity):
-    """The stepped drain profile walked one rank at a time."""
-    phases = []
-    prev = t0
-    for k, tf in enumerate(np.sort(finishes)):
-        seg = float(tf) - prev
-        if seg > 1e-9:
-            phases.append((seg, ranks - k, transfer_activity, "write"))
-            prev = float(tf)
-    return phases
 
 
 class TestDrainPhases:

@@ -29,6 +29,7 @@ import pathlib
 import pytest
 
 from conformance import cli_args, conformance_kinds, run_kind
+from reference.registry import reference_check_payloads
 
 from repro.core.experiments import Testbed
 from repro.runtime import registry
@@ -41,6 +42,27 @@ GOLDEN = json.loads(FIXTURE.read_text())
 
 _KINDS = conformance_kinds()
 _IDS = [k.name for k in _KINDS]
+
+#: Wrong values for a record field: every JSON type, the non-finite reprs
+#: a float field takes (and a finite one it does not), ints past 64 bits
+#: and nested records.
+_BAD_VALUES = (None, True, 0, 2**70, 1.5, float("inf"), "x", "1.5", "inf", "nan",
+               [], [None], {}, {"__record__": "X"})
+
+
+def _mutants(record):
+    """``record`` with an extra field, and with each field (those of nested
+    records too) deleted or set to each of ``_BAD_VALUES``."""
+    yield {**record, "extra": 0}
+    for name, value in record.items():
+        yield {k: v for k, v in record.items() if k != name}
+        for bad in _BAD_VALUES:
+            yield {**record, name: bad}
+        if isinstance(value, dict):
+            yield from ({**record, name: sub} for sub in _mutants(value))
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            yield from ({**record, name: [sub, *value[1:]]} for sub in _mutants(value[0]))
+
 
 #: One shared serial run per kind: the golden, schema, determinism, and
 #: round-trip subtests all reuse it instead of re-sweeping.
@@ -113,12 +135,31 @@ class TestConformance:
         assert kind.check_records(emitted) == []
 
     def test_schema_matches_record_fields(self, testbed, kind):
-        """The derived JSON schema covers the record dataclass exactly."""
-        schema = kind.json_schema()
-        names = {f.name for f in dataclasses.fields(kind.load_record())}
-        assert set(schema["properties"]) == names | {"__record__"}
-        assert set(schema["required"]) == names | {"__record__"}
-        assert schema["properties"]["__record__"] == {"const": kind.record}
+        """The wire check requires exactly the record dataclass's fields."""
+        tag = kind.record.__name__
+        errors = registry.check_record_payloads(
+            kind.record, [{"__record__": tag, "extra": 0}, {"__record__": "Other"}]
+        )
+        missing = [f"missing field {f.name!r}" for f in dataclasses.fields(kind.record)]
+        assert errors == [
+            *(f"record[0]: {m}" for m in missing),
+            "record[0]: unexpected field 'extra'",
+            *(f"record[1]: {m}" for m in missing),
+            f"record[1].__record__: expected {tag!r}, got 'Other'",
+        ]
+
+    def test_hint_check_matches_schema_oracle(self, testbed, kind):
+        """The type-hint wire check returns the JSON-schema validator's
+        error list, string for string, on every mutated wire record."""
+        _, _, records = shared_run(testbed, kind)
+        wire = registry.to_wire(records)
+        cases = [wire, [], "x", [5], *([m] for rec in wire for m in _mutants(rec))]
+        flagged = 0
+        for case in cases:
+            errors = registry.check_record_payloads(kind.record, case)
+            assert errors == reference_check_payloads(kind.record, case), case
+            flagged += bool(errors)
+        assert flagged > len(cases) // 2
 
     def test_spec_fields_are_real(self, testbed, kind):
         """Every declared spec field exists on SweepSpec."""
@@ -127,7 +168,7 @@ class TestConformance:
 
     def test_record_registered_with_store(self, testbed, kind):
         """The kind's record class is reachable through the store's type map."""
-        assert registry.record_types()[kind.record] is kind.load_record()
+        assert registry.record_types()[kind.record.__name__] is kind.record
 
 
 # -- registry/spec coherence --------------------------------------------------

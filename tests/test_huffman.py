@@ -1,7 +1,5 @@
 """Canonical Huffman codec: roundtrips, compactness, malformed streams."""
 
-import heapq
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +12,6 @@ from repro.compressors.huffman import (
     _build_peek_table,
     _canonical_codes,
     _code_lengths,
-    _kraft,
     huffman_decode,
     huffman_encode,
     huffman_max_bytes,
@@ -22,7 +19,11 @@ from repro.compressors.huffman import (
 from repro.errors import DecompressionError
 
 from hostile import outcomes
-from reference.huffman import reference_huffman_decode
+from reference.huffman import (
+    reference_code_lengths,
+    reference_huffman_decode,
+    reference_peek_table,
+)
 
 
 class TestRoundtrip:
@@ -162,60 +163,6 @@ class TestCodecObject:
 # -- reference equivalence -----------------------------------------------------
 
 
-def _reference_code_lengths(freqs):
-    """The heap-based ``_code_lengths`` the two-queue merge replaced, in its
-    original leaf-list form: a heap on (frequency, id) pairs in which every
-    merge copies both leaf lists and bumps each leaf."""
-    present = np.flatnonzero(freqs)
-    lengths = np.zeros(freqs.size, dtype=np.int64)
-    if present.size == 0:
-        return lengths
-    if present.size == 1:
-        lengths[present[0]] = 1
-        return lengths
-
-    # Heap items: (freq, tiebreak, leaf symbols under this node)
-    heap = [(int(freqs[s]), int(s), [int(s)]) for s in present]
-    heapq.heapify(heap)
-    tiebreak = int(freqs.size)
-    while len(heap) > 1:
-        fa, _, la = heapq.heappop(heap)
-        fb, _, lb = heapq.heappop(heap)
-        for s in la:
-            lengths[s] += 1
-        for s in lb:
-            lengths[s] += 1
-        heapq.heappush(heap, (fa + fb, tiebreak, la + lb))
-        tiebreak += 1
-
-    # Limit code lengths (defensive; extremely skewed inputs only).
-    if lengths.max() > MAX_CODE_LENGTH:
-        lengths = np.minimum(lengths, MAX_CODE_LENGTH)
-        # Repair Kraft inequality by lengthening the shortest codes.
-        while _kraft(lengths) > 1.0:
-            cand = np.flatnonzero((lengths > 0) & (lengths < MAX_CODE_LENGTH))
-            shortest = cand[np.argmin(lengths[cand])]
-            lengths[shortest] += 1
-    return lengths
-
-
-def _reference_peek_table(sorted_lens, codes):
-    """The per-length scatter ``_build_peek_table`` used before, verbatim."""
-    table_idx = np.full(1 << PEEK_BITS, -1, dtype=np.int32)
-    table_len = np.zeros(1 << PEEK_BITS, dtype=np.int8)
-    for ln in np.unique(sorted_lens):
-        ln = int(ln)
-        if ln <= 0 or ln > PEEK_BITS:
-            continue
-        sel = np.flatnonzero(sorted_lens == ln)
-        span = 1 << (PEEK_BITS - ln)
-        base = (codes[sel].astype(np.int64) << (PEEK_BITS - ln))[:, None]
-        idx = (base + np.arange(span, dtype=np.int64)[None, :]).ravel()
-        table_idx[idx] = np.repeat(sel.astype(np.int32), span)
-        table_len[idx] = ln
-    return table_idx, table_len
-
-
 def _fibonacci(n):
     fib = [1, 1]
     while len(fib) < n:
@@ -225,7 +172,7 @@ def _fibonacci(n):
 
 def _assert_same_tables(freqs):
     lengths = _code_lengths(freqs)
-    expected = _reference_code_lengths(freqs)
+    expected = reference_code_lengths(freqs)
     assert lengths.dtype == expected.dtype
     assert lengths.tobytes() == expected.tobytes()
     present = np.flatnonzero(lengths)
@@ -233,7 +180,7 @@ def _assert_same_tables(freqs):
         return
     _, sorted_lens, codes = _canonical_codes(np.arange(present.size), lengths[present])
     idx, ln = _build_peek_table(sorted_lens)
-    ref_idx, ref_ln = _reference_peek_table(sorted_lens, codes)
+    ref_idx, ref_ln = reference_peek_table(sorted_lens, codes)
     assert idx.tobytes() == ref_idx.tobytes()
     assert ln.tobytes() == ref_ln.tobytes()
 
@@ -275,7 +222,7 @@ class TestReferenceEquivalence:
     def test_deeper_than_max_code_length(self):
         freqs = _fibonacci(MAX_CODE_LENGTH + 12)
         # The unlimited tree is deeper than the cap; the limiter must kick in.
-        assert _reference_code_lengths(freqs).max() == MAX_CODE_LENGTH
+        assert reference_code_lengths(freqs).max() == MAX_CODE_LENGTH
         _assert_same_tables(freqs)
         _assert_same_tables(np.concatenate([np.zeros(5, np.int64), freqs[::-1]]))
 

@@ -556,3 +556,83 @@ class TestFairShareClasses:
         arrivals = np.array([0.0, -0.0, -0.0])
         finish = fair_share_schedule(arrivals, np.zeros(3), 1.0, 1.0)
         assert finish.tobytes() == arrivals.tobytes()
+
+
+# -- closed-form drains -------------------------------------------------------
+#
+# Where the fluid model has a closed form, the solver must meet it within
+# DRAIN_RTOL (documented in docs/user-guide/pipeline.md).  With per-flow cap
+# = aggregate cap = B the link is one work-conserving server of rate B, so
+# the last flow finishes at max_k(A_k + sum_{i>=k} s_i / B) over the flows
+# in arrival order; n equal flows arriving together, each capped above
+# B/n, share B evenly and all finish at A + n*s/B.
+
+#: Relative tolerance of the closed-form drain checks; the solver's float
+#: walk stays within about 1.4e-15 of them.
+DRAIN_RTOL = 1e-12
+
+
+def _single_server_makespan(arrivals, sizes_bytes, bandwidth_mbps):
+    order = np.argsort(arrivals, kind="stable")
+    drain = np.asarray(sizes_bytes, dtype=np.float64)[order] / 1e6 / bandwidth_mbps
+    return float(np.max(np.asarray(arrivals)[order] + np.cumsum(drain[::-1])[::-1]))
+
+
+@st.composite
+def _single_server_cases(draw):
+    n = draw(st.integers(1, 39))
+    arrival = st.one_of(st.integers(0, 20).map(float),
+                        st.floats(0.0, 60.0, allow_nan=False, allow_infinity=False))
+    size_mb = st.one_of(st.just(0.0), st.floats(0.1, 2000.0))
+    arrivals = np.array([draw(arrival) for _ in range(n)])
+    sizes = np.array([draw(size_mb) for _ in range(n)]) * 1e6
+    return arrivals, sizes, draw(st.floats(50.0, 6000.0))
+
+
+class TestDrainClosedForms:
+    @settings(max_examples=150, deadline=None)
+    @given(_single_server_cases())
+    def test_one_cap_drains_as_a_single_server(self, case):
+        arrivals, sizes, bandwidth = case
+        finish = fair_share_schedule(arrivals, sizes, bandwidth, bandwidth)
+        assert float(finish.max()) == pytest.approx(
+            _single_server_makespan(arrivals, sizes, bandwidth), rel=DRAIN_RTOL
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 10**9),
+        st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+        st.sampled_from(["hdf5", "netcdf"]),
+        st.floats(0.5, 2.0),
+        st.integers(1, 39),
+    )
+    def test_pipelined_write_drains_as_a_single_server(
+        self, out_nbytes, compress_s, library, cpu_speed, n_chunks
+    ):
+        from repro.iolib.pipeline import plan_pipelined_write
+
+        pfs, cost = PFSModel(), get_io_library(library).cost
+        plan = plan_pipelined_write(out_nbytes, compress_s, pfs, cost, cpu_speed, n_chunks)
+        bandwidth = pfs.stream_bw_mbps * cost.bandwidth_efficiency
+        assert max(plan.write_finish) == pytest.approx(
+            _single_server_makespan(plan.write_arrival, plan.chunk_bytes, bandwidth),
+            rel=DRAIN_RTOL,
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 39),
+        st.floats(0.0, 60.0),
+        st.floats(0.1, 2000.0),
+        st.floats(50.0, 6000.0),
+        st.floats(1.0 + 1e-9, 10.0),
+    )
+    def test_equal_flows_share_the_aggregate_evenly(self, n, arrival, size_mb, aggregate,
+                                                    headroom):
+        per_flow = aggregate / n * headroom
+        finish = fair_share_schedule(
+            np.full(n, arrival), np.full(n, size_mb * 1e6), per_flow, aggregate
+        )
+        expected = arrival + n * size_mb / aggregate
+        np.testing.assert_allclose(finish, expected, rtol=DRAIN_RTOL, atol=0.0)

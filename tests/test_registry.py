@@ -69,8 +69,7 @@ def make_toy_kind(name="toy", **overrides):
     members = dict(
         name=name,
         help="a third-party demonstration kind",
-        record="ToyPoint",
-        load_record=lambda: ToyPoint,
+        record=ToyPoint,
         expand=_toy_expand,
         ops=("toy_point",),
         evaluate={"toy_point": _toy_evaluate},
@@ -109,8 +108,8 @@ class TestRegistrationProtocol:
             {"name": ""},
             {"help": ""},
             {"record": ""},
-            {"load_record": None},
-            {"load_record": "ToyPoint"},
+            {"record": None},
+            {"record": "ToyPoint"},
             {"expand": None},
             {"expand": "expand"},
             {"ops": ()},
@@ -170,6 +169,7 @@ class TestRegistrationProtocol:
         class DvfsPoint:  # shadows the real record's __record__ tag
             x: int
 
+        registry.get_kind("dvfs")  # its module registers the real DvfsPoint
         with pytest.raises(ConfigurationError, match="already registered"):
             registry.register_record(DvfsPoint)
         # The rejected class never reaches the shared record-type map.
@@ -243,11 +243,17 @@ class TestToyKindEndToEnd:
         assert_kind_conformance(Testbed(scale="tiny"), toy_kind, tmp_path, capsys)
 
     def test_schema_derived_for_plugin_record(self, toy_kind):
-        schema = toy_kind.json_schema()
-        assert set(schema["required"]) == (
-            {f.name for f in dataclasses.fields(ToyPoint)} | {"__record__"}
-        )
-        assert schema["properties"]["codec"]["type"] == ["string", "null"]
+        """The wire check reads the plugin record's type hints: every field
+        is required, and ``codec: str | None`` takes a string or null."""
+        (rec,) = registry.to_wire([ToyPoint("cesm", None, None, 1.0)])
+        assert toy_kind.check_records([rec]) == []
+        assert toy_kind.check_records([{**rec, "codec": "szx"}]) == []
+        assert toy_kind.check_records([{**rec, "codec": 1}]) == [
+            "record[0].codec: wrong type int"
+        ]
+        assert toy_kind.check_records([{"__record__": "ToyPoint"}]) == [
+            f"record[0]: missing field {f.name!r}" for f in dataclasses.fields(ToyPoint)
+        ]
 
     def test_unregister_restores_clean_failure(self):
         kind = registry.register(make_toy_kind())

@@ -2,8 +2,8 @@
 """Registry-driven schema + invariant gate for sweep records (CI bench-smoke).
 
 Validates the JSON array emitted by ``repro sweep --kind KIND --json``
-against KIND's registered record schema (derived from the record dataclass
-by :mod:`repro.runtime.registry`) and its registered physical invariants,
+against the type hints of KIND's record dataclass (read by
+:mod:`repro.runtime.registry`) and its registered physical invariants,
 declared once per kind in the registry.  This is the one record checker:
 a plugin kind that registers ``invariants`` is validated by it with no
 tool changes.
