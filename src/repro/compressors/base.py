@@ -125,16 +125,24 @@ class Compressor:
         (buf,) = self.compress_many([array], rel_bound)
         return buf
 
-    def compress_many(self, arrays, rel_bound: float = 0.0) -> list[CompressedBuffer]:
+    def compress_many(self, arrays, rel_bound=0.0) -> list[CompressedBuffer]:
         """:meth:`compress` each of ``arrays`` in one batched pass.
 
-        Each buffer is byte-identical to ``compress(array, rel_bound)``: every
-        piece keeps its own value range, hence its own absolute bound.  The
-        codec's kernel runs once over all the pieces (the chunks of one
-        variable), so its fixed per-call cost is paid once, not per piece.
+        ``rel_bound`` is one bound for every array, or a sequence of one
+        bound per array.  Each buffer is byte-identical to
+        ``compress(array, bound)``: every piece keeps its own value range,
+        hence its own absolute bound.  The codec's kernel runs once over all
+        the pieces (the chunks of one variable, or one field at several
+        bounds), so its fixed per-call cost is paid once, not per piece.
         An invalid piece raises what :meth:`compress` raises for it.
         """
-        prepared = [self._prepare(array, rel_bound) for array in arrays]
+        arrays = list(arrays)
+        bounds = [rel_bound] * len(arrays) if np.ndim(rel_bound) == 0 else list(rel_bound)
+        if len(bounds) != len(arrays):
+            raise CompressionError(
+                f"{self.name}: {len(bounds)} bounds for {len(arrays)} arrays"
+            )
+        prepared = [self._prepare(a, b) for a, b in zip(arrays, bounds)]
         coded = [i for i, p in enumerate(prepared) if p[3] is None]
         payloads = dict(zip(coded, self._timed_compress(
             [prepared[i][1] for i in coded], [prepared[i][2] for i in coded]

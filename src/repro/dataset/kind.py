@@ -122,8 +122,9 @@ def _evaluate_dataset_point(
         best = None
         examined = 0
         for codec in codecs:
-            for bound in candidate_bounds:
-                rt = testbed.roundtrip(dataset, codec, bound)
+            # One batched codec pass for all of this codec's candidates.
+            rts = testbed.roundtrips(dataset, codec, candidate_bounds)
+            for bound, rt in zip(candidate_bounds, rts):
                 io = testbed.io_point(
                     dataset, codec, bound,
                     io_library=io_library, cpu_name=cpu_name,

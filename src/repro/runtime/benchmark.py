@@ -5,7 +5,9 @@ actual wall-clock speed of the hot entropy/bitstream kernels that decide
 whether compression repays its cost — Huffman encode/decode, variable-width
 bit packing/unpacking — and of the ZFP, SZ2, SZ3 and QoZ codecs end to end,
 on the whole field and on the field in four leading-axis pieces coded in one
-batched call (the ``*_chunked`` rows).  Inputs
+batched call (the ``*_chunked`` rows).  The ``*_tiny`` rows time one call on
+the ``tiny`` field, where fixed per-call cost dominates, and the
+``*_tiny_bounds`` rows that field at three bounds in one batched call.  Inputs
 are representative symbol distributions: quantizer output streams derived
 from the synthetic CESM/NYX/HACC fields (tiled to a stable working size),
 plus a seeded 1M-symbol synthetic quantizer stream; the codecs run on the
@@ -46,6 +48,8 @@ __all__ = [
     "KERNELS",
     "SCHEMA_VERSION",
     "SYNTHETIC_DATASET",
+    "TINY_BOUNDS",
+    "TINY_CODECS",
     "KernelInputs",
     "KernelSpec",
     "check_regressions",
@@ -172,10 +176,39 @@ def _codec_kernel(codec: str, direction: str, n_chunks: int = 1):
     return prepare
 
 
+def _tiny_kernel(codec: str, direction: str, bounds: tuple[float, ...] | None):
+    """Prepare a codec round-trip half on the dataset's ``tiny`` field, as a
+    cold sweep codes it (native dtype): alone at the inputs' bound, or once
+    per bound of ``bounds`` in one batched call."""
+
+    def prepare(inp: KernelInputs):
+        if inp.field is None:
+            return None
+        from repro.data import generate
+
+        comp = get_compressor(codec)
+        field = np.array(generate(inp.dataset, "tiny"))
+        rels = bounds or (inp.rel_bound,)
+        fields = [field] * len(rels)
+        if direction == "compress":
+            fn = lambda: comp.compress_many(fields, rels)  # noqa: E731
+        else:
+            blobs = [buf.data for buf in comp.compress_many(fields, rels)]
+            fn = lambda: comp.decompress_many(blobs)  # noqa: E731
+        return fn, field.size * len(rels), field.nbytes * len(rels)
+
+    return prepare
+
+
 #: Codecs with whole-field rows; each also has ``*_chunked`` rows on the
 #: field cut into :data:`CHUNKED_PIECES` leading-axis pieces.
 CODEC_KERNELS = ("zfp", "sz2", "sz3", "qoz")
 CHUNKED_PIECES = 4
+#: Codecs with per-call rows on the ``tiny`` field: ``*_tiny`` codes it
+#: alone, ``*_tiny_bounds`` at each of :data:`TINY_BOUNDS` in one call (a
+#: cold sweep's batched round-trips of one dataset and codec).
+TINY_CODECS = ("zfp", "sz2", "sz3", "qoz", "szx")
+TINY_BOUNDS = (1e-4, 1e-3, 1e-2)
 
 KERNELS: tuple[KernelSpec, ...] = (
     KernelSpec("huffman_encode", _prep_huffman_encode),
@@ -187,6 +220,11 @@ KERNELS: tuple[KernelSpec, ...] = (
     KernelSpec(f"{codec}_{direction}{suffix}", _codec_kernel(codec, direction, n))
     for codec in CODEC_KERNELS
     for n, suffix in ((1, ""), (CHUNKED_PIECES, "_chunked"))
+    for direction in ("compress", "decompress")
+) + tuple(
+    KernelSpec(f"{codec}_{direction}{suffix}", _tiny_kernel(codec, direction, bounds))
+    for codec in TINY_CODECS
+    for bounds, suffix in ((None, "_tiny"), (TINY_BOUNDS, "_tiny_bounds"))
     for direction in ("compress", "decompress")
 )
 

@@ -30,10 +30,11 @@ approximation.
 
 from __future__ import annotations
 
-import dataclasses
 import os
+import threading
 import time
 from collections import deque
+from contextlib import nullcontext
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -43,7 +44,9 @@ from repro.errors import ConfigurationError
 from repro.runtime import registry
 from repro.runtime.faults import FailedPoint, RetryPolicy, error_chain
 from repro.runtime.spec import GridPoint, SweepSpec
-from repro.runtime.store import ResultStore, default_store, point_key, testbed_fingerprint
+from repro.runtime.store import (
+    ResultStore, default_store, point_key, point_keys, testbed_fingerprint,
+)
 
 __all__ = ["SweepEvent", "EngineStats", "SweepEngine", "EXECUTORS", "ON_ERROR"]
 
@@ -210,23 +213,19 @@ class SweepEngine:
 
     # -- internals -----------------------------------------------------------
 
-    def _emit(self, event: SweepEvent) -> None:
+    def _emit(self, kind: str, **fields) -> None:
         if self.on_event is None:
             return
-        if self._run_t0 is not None and event.wall_time_s == 0.0:
-            event = dataclasses.replace(
-                event, wall_time_s=time.perf_counter() - self._run_t0
-            )
-        self.on_event(event)
+        if self._run_t0 is not None:
+            fields["wall_time_s"] = time.perf_counter() - self._run_t0
+        self.on_event(SweepEvent(kind, **fields))
 
-    def _key(self, point: GridPoint, fingerprint: dict | None = None) -> str:
+    def _key(self, point: GridPoint) -> str:
         # The fingerprint is taken per run (or per single lookup), not
         # cached at engine construction: mutating the testbed (scale,
         # models) between runs must change every key, never serve results
         # for the old config.
-        if fingerprint is None:
-            fingerprint = testbed_fingerprint(self.testbed)
-        return point_key(point.op, point.as_kwargs(), fingerprint)
+        return point_key(point.op, point.as_kwargs(), testbed_fingerprint(self.testbed))
 
     def _compute_local(self, point: GridPoint):
         # Registry dispatch: a kind-registered evaluate entrypoint when one
@@ -240,13 +239,36 @@ class SweepEngine:
         tracer = active_tracer()
         if tracer is None:
             return self._compute_local(point)
-        import threading
-
         with tracer.span(
             f"evaluate:{point.op}", track=threading.current_thread().name,
             op=point.op, key=key[:12], attempt=attempt,
         ):
             return self._compute_local(point)
+
+    def _batch_roundtrips(self, pending: list[tuple[int, str, GridPoint]]) -> None:
+        """Code the round-trips the in-process points need, one batched
+        codec pass per (dataset, codec), before the points evaluate.
+
+        Best-effort: the testbed decides which ops price through a
+        round-trip (``roundtrip_batches``), and a batch that fails is left
+        for its points, which then compute, retry and fail one by one.
+        """
+        groups = self.testbed.roundtrip_batches(
+            [(point.op, point.as_kwargs()) for _, _, point in pending]
+        )
+        if not groups:
+            return
+        tracer = active_tracer()
+        span = nullcontext() if tracer is None else tracer.span(
+            "evaluate:roundtrip", track=threading.current_thread().name,
+            op="roundtrip", batches=len(groups),
+        )
+        with span:
+            for dataset, codec, bounds in groups:
+                try:
+                    self.testbed.roundtrips(dataset, codec, bounds)
+                except Exception:
+                    pass  # each point raises its own error when it evaluates
 
     def _testbed_config(self) -> dict:
         """Picklable kwargs that rebuild an equivalent testbed in a worker."""
@@ -270,10 +292,8 @@ class SweepEngine:
         ):
             self.fault_injector.corrupt(self.store, task.key)
         self.stats.computed += 1
-        self._emit(
-            SweepEvent("point", index=task.index, total=total,
-                       op=task.point.op, key=task.key, attempt_s=attempt_s)
-        )
+        self._emit("point", index=task.index, total=total,
+                   op=task.point.op, key=task.key, attempt_s=attempt_s)
 
     def _should_retry(self, task: _Task, exc: BaseException) -> bool:
         return (
@@ -283,10 +303,8 @@ class SweepEngine:
 
     def _note_retry(self, task: _Task, exc: BaseException, total: int) -> None:
         self.stats.retries += 1
-        self._emit(
-            SweepEvent("retry", index=task.index, total=total, op=task.point.op,
-                       key=task.key, attempt=task.attempts, error=str(exc))
-        )
+        self._emit("retry", index=task.index, total=total, op=task.point.op,
+                   key=task.key, attempt=task.attempts, error=str(exc))
 
     def _fail(self, task: _Task, exc: BaseException, total: int,
               reason: str) -> FailedPoint:
@@ -300,10 +318,8 @@ class SweepEngine:
             error_chain=error_chain(exc),
             attempts=task.attempts,
         )
-        self._emit(
-            SweepEvent("failed", index=task.index, total=total, op=task.point.op,
-                       key=task.key, attempt=task.attempts, error=str(exc))
-        )
+        self._emit("failed", index=task.index, total=total, op=task.point.op,
+                   key=task.key, attempt=task.attempts, error=str(exc))
         if self.on_error == "raise":
             raise exc
         return failed
@@ -390,6 +406,7 @@ class SweepEngine:
         pool = self._make_pool()
         futures: dict = {}  # Future -> (task, deadline | None, submit_t)
         abandoned: set = set()  # timed-out thread futures; results discarded
+        finished = False
         try:
             while queue or futures:
                 now = time.monotonic()
@@ -511,9 +528,15 @@ class SweepEngine:
                     self._kill_pool(pool)
                     pool = self._make_pool()
                     self.stats.pool_rebuilds += 1
+            finished = True
         finally:
             if self.executor == "process":
-                self._kill_pool(pool)
+                if finished:
+                    # Every future is done: let the workers exit cleanly.
+                    pool.shutdown(wait=True)
+                else:
+                    # Raised mid-run: points may still be running.
+                    self._kill_pool(pool)
             else:
                 # Let abandoned (timed-out) threads drain in the background
                 # instead of blocking the caller on them.
@@ -531,11 +554,11 @@ class SweepEngine:
         """
         points = spec.points()
         fingerprint = testbed_fingerprint(self.testbed)
-        keys = [self._key(p, fingerprint) for p in points]
+        keys = point_keys([(p.op, p.as_kwargs()) for p in points], fingerprint)
         self.stats.runs += 1
         self._run_t0 = time.perf_counter()
         try:
-            self._emit(SweepEvent("start", total=len(points)))
+            self._emit("start", total=len(points))
 
             results: dict[int, object] = {}
             pending: list[tuple[int, str, GridPoint]] = []
@@ -545,17 +568,16 @@ class SweepEngine:
                 if record is not None:
                     results[i] = record
                     self.stats.cache_hits += 1
-                    self._emit(
-                        SweepEvent(
-                            "point", index=i, total=len(points), op=point.op,
-                            key=key, cached=True,
-                        )
-                    )
+                    self._emit("point", index=i, total=len(points), op=point.op,
+                               key=key, cached=True)
                 elif key not in scheduled:
                     scheduled.add(key)
                     pending.append((i, key, point))
 
             if pending:
+                if self.executor != "process":
+                    # Process workers keep their own round-trip memo.
+                    self._batch_roundtrips(pending)
                 if self.executor == "serial" or len(pending) == 1:
                     computed = self._run_serial(pending, total=len(points))
                 else:
@@ -566,7 +588,7 @@ class SweepEngine:
                     if i not in results:
                         results[i] = computed[keys[i]]
 
-            self._emit(SweepEvent("finish", total=len(points)))
+            self._emit("finish", total=len(points))
             return [results[i] for i in range(len(points))]
         finally:
             self._run_t0 = None

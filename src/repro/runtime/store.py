@@ -123,15 +123,25 @@ def testbed_fingerprint(testbed) -> dict:
 
 def point_key(op: str, params: dict, fingerprint: dict) -> str:
     """Stable content hash of one grid point under one testbed config."""
-    blob = _canonical_json(
-        {
-            "version": CACHE_VERSION,
-            "op": op,
-            "params": _canonical_params(params),
-            "testbed": fingerprint,
-        }
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    (key,) = point_keys([(op, params)], fingerprint)
+    return key
+
+
+def point_keys(points, fingerprint: dict) -> list[str]:
+    """:func:`point_key` of each ``(op, params)`` of ``points``, all under
+    one testbed config, whose canonical JSON is built once."""
+    # Each blob is the canonical JSON of {"op", "params", "testbed",
+    # "version"}, written out in that (sorted) key order.
+    testbed = _canonical_json(fingerprint)
+    return [
+        hashlib.sha256(
+            f'{{"op":{_canonical_json(op)},'
+            f'"params":{_canonical_json(_canonical_params(params))},'
+            f'"testbed":{testbed},"version":{_canonical_json(CACHE_VERSION)}}}'
+            .encode("utf-8")
+        ).hexdigest()
+        for op, params in points
+    ]
 
 
 # -- record (de)serialisation -------------------------------------------------

@@ -10,7 +10,7 @@ from repro.compressors.blocks import chunk_array
 from repro.compressors.interpolation import interp_decode_many, interp_encode_many
 from repro.compressors.predictors import lorenzo_decode_blocks, lorenzo_encode_blocks
 from repro.compressors.quantizer import LinearQuantizer
-from repro.errors import DecompressionError
+from repro.errors import CompressionError, DecompressionError
 
 from hostile import bit_flips, outcomes, truncations, walk
 from reference.interpolation import reference_interp_decode, reference_interp_encode
@@ -65,6 +65,24 @@ def test_batch_is_byte_identical_to_per_piece(codec, dtype):
                 alone = comp.decompress(stream)
                 assert array.dtype == alone.dtype and array.shape == alone.shape
                 assert array.tobytes() == alone.tobytes(), (label, rel)
+
+
+@pytest.mark.parametrize("codec", EBLCS)
+def test_one_bound_per_piece(codec):
+    """A sequence of bounds codes each piece under its own bound: one field
+    at three bounds is byte-identical to three lone compressions."""
+    comp = get_compressor(codec)
+    field = walk((12, 10), 9)
+    bounds = (1e-4, 1e-3, 1e-2)
+    bufs = comp.compress_many([field] * 3, bounds)
+    assert [b.data for b in bufs] == [comp.compress(field, b).data for b in bounds]
+    assert [b.rel_bound for b in bufs] == list(bounds)
+    back = comp.decompress_many([b.data for b in bufs])
+    assert [a.tobytes() for a in back] == [
+        comp.decompress(b.data).tobytes() for b in bufs
+    ]
+    with pytest.raises(CompressionError, match="2 bounds for 3 arrays"):
+        comp.compress_many([field] * 3, bounds[:2])
 
 
 def test_empty_batch():

@@ -15,6 +15,8 @@ from repro.runtime.benchmark import (
     KERNELS,
     SCHEMA_VERSION,
     SYNTHETIC_DATASET,
+    TINY_BOUNDS,
+    TINY_CODECS,
     check_regressions,
     compare_docs,
     format_report,
@@ -83,6 +85,29 @@ class TestKernelInputs:
             fn, _, _ = specs[f"{codec}_decompress_chunked"].prepare(inputs)
             parts = fn()
             assert np.concatenate(parts).shape == inputs.field.shape
+
+    def test_tiny_rows_code_the_tiny_field_at_one_and_three_bounds(self):
+        from repro.compressors import get_compressor
+        from repro.data import generate
+
+        inputs = kernel_inputs("cesm", target_symbols=1 << 12, scale="test")
+        field = np.array(generate("cesm", "tiny"))
+        specs = {s.name: s for s in KERNELS}
+        for codec in TINY_CODECS:
+            comp = get_compressor(codec)
+            fn, n_symbols, n_bytes = specs[f"{codec}_compress_tiny"].prepare(inputs)
+            (buf,) = fn()
+            assert (n_symbols, n_bytes) == (field.size, field.nbytes)
+            assert buf.data == comp.compress(field, inputs.rel_bound).data
+            fn, n_symbols, n_bytes = specs[f"{codec}_compress_tiny_bounds"].prepare(
+                inputs
+            )
+            assert [b.data for b in fn()] == [
+                comp.compress(field, b).data for b in TINY_BOUNDS
+            ]
+            assert n_bytes == len(TINY_BOUNDS) * field.nbytes
+            fn, _, _ = specs[f"{codec}_decompress_tiny_bounds"].prepare(inputs)
+            assert all(a.shape == field.shape for a in fn())
 
 
 class TestDocumentSchema:

@@ -27,6 +27,93 @@ class TestRoundtripCache:
         assert rec.max_rel_err == 0.0
 
 
+class TestBatchedRoundtrips:
+    """``roundtrips`` codes a (dataset, codec)'s bounds in one batched pass
+    and returns, field for field, what lone ``roundtrip`` calls return."""
+
+    @pytest.fixture()
+    def fresh_memo(self, monkeypatch):
+        import repro.core.experiments as experiments
+
+        monkeypatch.setattr(experiments, "_ROUNDTRIP_CACHE", {})
+        return experiments
+
+    @staticmethod
+    def _bounds(codec):
+        from repro.compressors import get_compressor
+
+        if get_compressor(codec).lossless:
+            return (0.0, 1e-3)
+        return (1e-4, 1e-3, 1e-2)
+
+    def _compare(self, memo, tb, dataset, codec, bounds):
+        batched = tb.roundtrips(dataset, codec, bounds)
+        memo._ROUNDTRIP_CACHE.clear()
+        alone = [tb.roundtrip(dataset, codec, b) for b in bounds]
+        assert [repr(r) for r in batched] == [repr(r) for r in alone]
+        return batched
+
+    @pytest.mark.parametrize("dataset", ("cesm", "hacc"))
+    def test_every_codec_matches_lone_roundtrips(self, fresh_memo, tb, dataset):
+        from repro.compressors import available_compressors
+
+        for codec in available_compressors():
+            self._compare(fresh_memo, tb, dataset, codec, self._bounds(codec))
+
+    def test_constant_field(self, fresh_memo, tb, monkeypatch):
+        from repro.compressors import available_compressors
+
+        monkeypatch.setattr(
+            fresh_memo, "generate",
+            lambda name, scale: np.full((6, 7, 8), 2.5, dtype=np.float32),
+        )
+        for codec in available_compressors():
+            recs = self._compare(fresh_memo, tb, "const", codec, self._bounds(codec))
+            assert all(r.max_rel_err == 0.0 for r in recs)
+
+    def test_misses_only_duplicates_once(self, fresh_memo, tb, monkeypatch):
+        coded = []
+        real = Testbed._code_roundtrips
+        monkeypatch.setattr(
+            Testbed, "_code_roundtrips",
+            lambda self, ds, codec, missing: coded.append(list(missing.values()))
+            or real(self, ds, codec, missing),
+        )
+        hit = tb.roundtrip("cesm", "szx", 1e-3)
+        recs = tb.roundtrips("cesm", "szx", (1e-2, 1e-3, 1e-2, 1e-4))
+        assert coded == [[1e-3], [1e-2, 1e-4]]
+        assert recs[1] is hit and recs[0] is recs[2]
+
+    def test_failed_batch_raises_what_the_bound_raises_alone(self, fresh_memo, tb):
+        from repro.errors import CompressionError
+
+        with pytest.raises(CompressionError) as alone:
+            tb.roundtrip("cesm", "szx", 1e-20)
+        fresh_memo._ROUNDTRIP_CACHE.clear()
+        with pytest.raises(CompressionError) as batched:
+            tb.roundtrips("cesm", "szx", (1e-3, 1e-20, 1e-2))
+        assert str(batched.value) == str(alone.value)
+        # Raised outside the batch's handler: no chained context.
+        assert batched.value.__context__ is None and batched.value.__cause__ is None
+        # The bound before the failing one is memoized, as alone.
+        assert ("cesm", "tiny", "szx", 1e-3) in fresh_memo._ROUNDTRIP_CACHE
+
+    def test_batches_group_the_ops_priced_through_a_roundtrip(self, fresh_memo, tb):
+        tb.roundtrip("cesm", "sz3", 1e-3)
+        points = [
+            ("io_point", dict(dataset="cesm", codec="szx", rel_bound=1e-3)),
+            ("read_point", dict(dataset="cesm", codec="szx", rel_bound=1e-2)),
+            ("io_point", dict(dataset="cesm", codec=None, rel_bound=None)),
+            ("io_point", dict(dataset="hacc", codec="szx", rel_bound=1e-3)),
+            ("io_point", dict(dataset="cesm", codec="sz3", rel_bound=1e-3)),
+            ("serial_point", dict(dataset="cesm", codec="sz3", rel_bound=1e-2)),
+            ("checkpoint_point", dict(dataset="cesm", codec="szx", rel_bound=1e-2)),
+            ("dataset_point", dict(dataset="cesm", codec="szx", rel_bound=1e-4)),
+        ]
+        # hacc has one bound and sz3 one miss: nothing to batch for them.
+        assert tb.roundtrip_batches(points) == [("cesm", "szx", [1e-3, 1e-2])]
+
+
 class TestSerialDrivers:
     def test_serial_point_fields(self, tb):
         p = tb.serial_point("nyx", "szx", 1e-3, "plat8160")

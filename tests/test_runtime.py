@@ -140,6 +140,32 @@ class TestPointKey:
         )
         assert out.stdout.strip() == local
 
+    def test_key_is_the_hash_of_the_whole_canonical_document(self, tiny_testbed):
+        """Keys written out piece by piece hash the bytes of one canonical
+        JSON document of the point, so no store key moves."""
+        import hashlib
+
+        from repro.runtime.store import (
+            CACHE_VERSION, _canonical_json, _canonical_params, point_keys,
+        )
+
+        fp = _fingerprint(tiny_testbed)
+        points = [
+            ("io_point", {"dataset": "cesm", "codec": None, "rel_bound": None}),
+            ("roundtrip", {"rel_bound": float("-inf"), "codec": "szé"}),
+            ("dataset_point", {"codecs": ("szx", "sz3"), "bounds": [1e-3, 2.5],
+                               "nested": {"b": 1, "a": [True, "x"]}}),
+        ]
+        expected = [
+            hashlib.sha256(_canonical_json({
+                "version": CACHE_VERSION, "op": op,
+                "params": _canonical_params(params), "testbed": fp,
+            }).encode("utf-8")).hexdigest()
+            for op, params in points
+        ]
+        assert point_keys(points, fp) == expected
+        assert [_point_key(op, params, fp) for op, params in points] == expected
+
     def test_fingerprint_ignores_object_identity(self):
         assert _fingerprint(Testbed(scale="tiny")) == _fingerprint(
             Testbed(scale="tiny")
@@ -458,6 +484,96 @@ class TestSweepEngine:
                                   bounds=(1e-3,), io_libraries=("hdf5",)))
         assert isinstance(serial[0], SerialPoint)
         assert isinstance(io[0], IOPoint) and io[0].codec is None
+
+
+class TestBatchedSweepRoundtrips:
+    """A cold in-process sweep codes each (dataset, codec)'s bounds in one
+    batched pass before its points evaluate; records are unchanged."""
+
+    IO = dict(kind="io", datasets=("cesm", "hacc"), codecs=("szx", "zfp"),
+              bounds=(1e-3, 1e-2), io_libraries=("hdf5",))
+
+    @pytest.fixture()
+    def memo(self, monkeypatch):
+        import repro.core.experiments as experiments
+
+        monkeypatch.setattr(experiments, "_ROUNDTRIP_CACHE", {})
+        return experiments._ROUNDTRIP_CACHE
+
+    @pytest.fixture()
+    def batches(self, monkeypatch):
+        """Every ``Testbed.roundtrips`` call's (dataset, codec, bounds)."""
+        calls = []
+        real = Testbed.roundtrips
+        monkeypatch.setattr(
+            Testbed, "roundtrips",
+            lambda self, ds, codec, bounds: calls.append((ds, codec, list(bounds)))
+            or real(self, ds, codec, bounds),
+        )
+        return calls
+
+    def test_cold_sweep_batches_warm_sweep_does_not(self, memo, batches):
+        spec = SweepSpec(**self.IO)
+        store = ResultStore()
+        cold = SweepEngine(testbed=Testbed(scale="tiny"), store=store).run(spec)
+        assert sorted(b for b in batches if len(b[2]) > 1) == [
+            (ds, codec, [1e-3, 1e-2])
+            for ds in ("cesm", "hacc") for codec in ("szx", "zfp")
+        ]
+        batches.clear()
+        warm = SweepEngine(testbed=Testbed(scale="tiny"), store=store).run(spec)
+        assert warm == cold and batches == []
+        # A fresh store over a warm memo computes every point, batching none.
+        SweepEngine(testbed=Testbed(scale="tiny"), store=ResultStore()).run(spec)
+        assert all(len(bounds) == 1 for _, _, bounds in batches)
+
+    def test_records_equal_unbatched_under_every_executor(self, memo):
+        spec = SweepSpec(**self.IO)
+        expected = []
+        for point in spec.points():  # one lone evaluation per point
+            memo.clear()
+            expected.append(SweepEngine(testbed=Testbed(scale="tiny"),
+                                        store=ResultStore()).evaluate(
+                point.op, **point.as_kwargs()))
+        for executor in ("serial", "thread", "process"):
+            memo.clear()
+            engine = SweepEngine(testbed=Testbed(scale="tiny"), store=ResultStore(),
+                                 executor=executor, max_workers=2)
+            assert engine.run(spec) == expected, executor
+
+    def test_failing_bound_keeps_its_error_chain(self, memo, batches):
+        from repro.runtime.faults import FailedPoint, error_chain
+
+        def sweep(bounds):
+            memo.clear()
+            spec = SweepSpec(kind="io", datasets=("cesm",), codecs=("szx",),
+                             bounds=bounds, io_libraries=("hdf5",),
+                             include_baseline=False)
+            return SweepEngine(testbed=Testbed(scale="tiny"), store=ResultStore(),
+                               on_error="collect").run(spec)
+
+        (alone_ok,) = sweep((1e-3,))
+        memo.clear()
+        try:
+            Testbed(scale="tiny").io_point("cesm", "szx", 1e-20)
+        except Exception as exc:  # noqa: BLE001 - its chain is the reference
+            expected_chain = error_chain(exc)
+        batches.clear()
+        ok, failed = sweep((1e-3, 1e-20))
+        assert ("cesm", "szx", [1e-3, 1e-20]) in batches  # the batch was tried
+        assert ok == alone_ok
+        assert isinstance(failed, FailedPoint) and failed.reason == "error"
+        assert failed.error_chain == expected_chain
+        assert failed.error_chain[0].startswith("CompressionError: ")
+
+    def test_process_pool_run_shuts_down_without_a_kill(self, monkeypatch):
+        killed = []
+        monkeypatch.setattr(SweepEngine, "_kill_pool", staticmethod(killed.append))
+        engine = SweepEngine(testbed=Testbed(scale="tiny"), store=ResultStore(),
+                             executor="process", max_workers=2)
+        engine.run(SweepSpec(kind="quality", datasets=("cesm",),
+                             codecs=("szx", "sz3"), bounds=(1e-3,)))
+        assert killed == [] and engine.stats.computed == 2
 
 
 class TestTradeoffAnalyzerMemoization:
