@@ -24,6 +24,7 @@ subcommand's flags are documented in ``docs/cli.md``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from functools import partial
@@ -904,10 +905,45 @@ def _cmd_codecs(args) -> int:
     return 0
 
 
+class _PipeSafe:
+    """``sys.stdout`` while a command runs: once the reader closes the pipe
+    (``repro ... | head``), the rest of the output goes to ``os.devnull``, as
+    the Python docs advise, so the command still ends with its own exit
+    status and prints no BrokenPipeError traceback."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+    def write(self, text):
+        return self._guard(self._stream.write, text)
+
+    def flush(self):
+        self._guard(self._stream.flush)
+
+    def _guard(self, call, *args):
+        try:
+            return call(*args)
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, self._stream.fileno())
+            os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point used by ``python -m repro``."""
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    stdout = sys.stdout  # None when the shell closed it (`>&-`)
+    if stdout is not None:
+        sys.stdout = _PipeSafe(stdout)
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    finally:
+        if stdout is not None:
+            sys.stdout.flush()
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":  # pragma: no cover

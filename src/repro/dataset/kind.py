@@ -1,8 +1,9 @@
 """The ``dataset`` experiment kind: the façade as a registry plugin.
 
 One grid point = one (dataset, variable, compression-spec, I/O library,
-CPU) cell.  The evaluate entrypoint resolves the spec exactly the way
-:func:`repro.dataset.facade.write` would — ``abs`` bounds against the
+CPU) cell.  The evaluate entrypoint resolves the spec through the same
+:meth:`~repro.dataset.tuner.AutoTuner.resolve` that
+:func:`repro.dataset.facade.write` uses — ``abs`` bounds against the
 variable's value range, ``auto`` through the tuner's grid search — and
 answers with a :class:`DatasetPoint` combining the real roundtrip quality
 with the modeled compress+write cost.  Registering through
@@ -19,12 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dataset.spec import (
-    CompressionMap,
-    CompressionSpec,
-    parse_compression,
-)
-from repro.errors import ConfigurationError
+from repro.dataset.containers import Dataset
+from repro.dataset.spec import CompressionSpec, parse_compression
+from repro.dataset.tuner import AutoTuner
 from repro.runtime import registry
 
 __all__ = ["DatasetPoint", "DATASET_KIND"]
@@ -60,28 +58,15 @@ class DatasetPoint:
         return self.write_energy_j + self.compress_energy_j
 
 
-def _spec_for_dataset(spec_text: str, dataset: str) -> CompressionSpec:
-    parsed = parse_compression(spec_text or DEFAULT_COMPRESSION)
-    if isinstance(parsed, CompressionMap):
-        return parsed.spec_for(dataset)
-    return parsed
-
-
-def _value_range(testbed, dataset: str) -> float:
-    from repro.data.registry import generate
-    from repro.metrics.error import value_range
-
-    return value_range(generate(dataset, testbed.scale))
-
-
 def _expand_dataset(spec) -> list:
     from repro.runtime.spec import GridPoint
 
+    parsed = parse_compression(spec.compression or DEFAULT_COMPRESSION)
     out = []
     for cpu in spec.cpus:
         for lib in spec.io_libraries:
             for ds in spec.datasets:
-                cspec = _spec_for_dataset(spec.compression, ds)
+                cspec = parsed.spec_for(ds)
                 kwargs = dict(
                     dataset=ds,
                     variable=ds,
@@ -112,41 +97,14 @@ def _evaluate_dataset_point(
     codecs: tuple[str, ...] = (),
     bounds: tuple[float, ...] = (),
 ):
-    """Resolve one spec against one catalogue variable and cost the write."""
+    """Resolve one spec against one catalogue variable through the tuner
+    (which codes no stream for it) and cost the write."""
     spec = CompressionSpec.parse(compression)
-    tuned = False
-    candidates = 1
-    if spec.is_auto:
-        floor = spec.rel_bound_for(_value_range(testbed, dataset))
-        candidate_bounds = tuple(b for b in bounds if b <= floor) or (floor,)
-        best = None
-        examined = 0
-        for codec in codecs:
-            # One batched codec pass for all of this codec's candidates.
-            rts = testbed.roundtrips(dataset, codec, candidate_bounds)
-            for bound, rt in zip(candidate_bounds, rts):
-                io = testbed.io_point(
-                    dataset, codec, bound,
-                    io_library=io_library, cpu_name=cpu_name,
-                )
-                examined += 1
-                if rt.max_rel_err > floor:
-                    continue
-                key = (io.total_energy_j, -rt.ratio, codec, bound)
-                if best is None or key < best[0]:
-                    best = (key, codec, bound)
-        if best is None:
-            raise ConfigurationError(
-                f"dataset point {dataset!r}: no (codec, bound) candidate out "
-                f"of {examined} met the auto floor {floor:g} "
-                f"(codecs {codecs}, bounds {candidate_bounds})"
-            )
-        _, codec, rel_bound = best
-        tuned = True
-        candidates = examined
-    else:
-        codec = spec.codec
-        rel_bound = spec.rel_bound_for(_value_range(testbed, dataset))
+    tuner = AutoTuner(testbed, codecs=codecs, bounds=bounds,
+                      io_library=io_library, cpu_name=cpu_name)
+    (field,) = Dataset.from_catalog(dataset, scale=testbed.scale)
+    tuning, _ = tuner.resolve(field, spec)
+    codec, rel_bound = tuning.codec, tuning.rel_bound
     rt = testbed.roundtrip(dataset, codec, rel_bound)
     io = testbed.io_point(
         dataset, codec, rel_bound, io_library=io_library, cpu_name=cpu_name
@@ -159,8 +117,8 @@ def _evaluate_dataset_point(
         rel_bound=rel_bound,
         io_library=io_library,
         cpu=cpu_name,
-        tuned=tuned,
-        candidates=candidates,
+        tuned=spec.is_auto,
+        candidates=tuning.candidates,
         ratio=rt.ratio,
         psnr_db=rt.psnr_db,
         max_rel_err=rt.max_rel_err,
@@ -211,8 +169,6 @@ def _invariants_dataset(records) -> list:
             errors.append(f"{where}: ratio must be positive")
         if rec["candidates"] < 1:
             errors.append(f"{where}: candidates must be >= 1")
-        if rec["tuned"] and rec["candidates"] < 1:
-            errors.append(f"{where}: tuned point examined no candidates")
         # An auto point's resolved quality must honour its requested floor
         # (non-finite max_rel_err arrives as a repr string; skip those).
         spec = CompressionSpec.parse(rec["compression"])

@@ -206,6 +206,10 @@ class CompressionSpec:
     def is_auto(self) -> bool:
         return self.mode == "auto"
 
+    def spec_for(self, variable: str) -> "CompressionSpec":
+        """One spec governs every variable (cf. :meth:`CompressionMap.spec_for`)."""
+        return self
+
     def rel_bound_for(self, value_range: float) -> float:
         """The value-range relative bound this spec means for one variable.
 
@@ -377,9 +381,10 @@ def sweep_axes_from_spec(spec, kind: str) -> dict:
     ``spec`` is a parsed :class:`CompressionSpec` (maps are only legal for
     the ``dataset`` kind, which consumes the string directly); the returned
     dict assigns ``codecs``/``bounds``/``rel_bound``/``lossless_codecs`` for
-    the grid kinds.  Raises :class:`ConfigurationError` for combinations
-    that have no meaning on a grid (absolute bounds, lossless specs outside
-    the ``lossless`` kind).
+    the grid kinds, and nothing for ``auto`` (the tuner's ``candidate_bounds``
+    narrows its bound axis).  Raises :class:`ConfigurationError` for
+    combinations that have no meaning on a grid (absolute bounds, lossless
+    specs outside the ``lossless`` kind).
     """
     if isinstance(spec, CompressionMap):
         raise ConfigurationError(
@@ -407,7 +412,5 @@ def sweep_axes_from_spec(spec, kind: str) -> dict:
             "bounds": (spec.bound,),
             "rel_bound": spec.bound,
         }
-    # auto: keep the codec axis as the search grid, cap the bound axis at
-    # the quality floor (a coarser bound can only miss the floor).
-    return {"auto_floor": spec.bound}
+    return {}  # auto: the codec axis is the search grid
 

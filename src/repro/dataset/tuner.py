@@ -8,6 +8,10 @@ testbed, and the cheapest feasible one wins.  Catalogue-backed variables
 answer from the testbed's memoized roundtrip/io paths (so a tune after a
 sweep is nearly free); ad-hoc arrays are compressed for real.
 
+``dataset write``, ``dataset tune`` and ``--kind dataset`` sweeps all
+resolve through :meth:`AutoTuner.resolve`, and grid kinds narrow an
+``auto`` spec's bound axis with :func:`candidate_bounds`.
+
 The result is a :class:`TuningReport` of per-variable
 :class:`VariableTuning` entries — each carrying the resolved concrete spec
 string, the measured quality, and the candidate count, so a tune is
@@ -26,17 +30,13 @@ import numpy as np
 from repro.compressors import get_compressor
 from repro.compressors.blocks import chunk_array
 from repro.dataset.containers import Dataset, Variable
-from repro.dataset.spec import (
-    CompressionMap,
-    CompressionSpec,
-    parse_compression,
-)
+from repro.dataset.spec import CompressionSpec, parse_compression
 from repro.energy.cpus import get_cpu
 from repro.energy.measurement import compression_energy
 from repro.errors import CompressionError, ConfigurationError
 from repro.metrics.error import max_rel_error, value_range
 
-__all__ = ["AutoTuner", "TuningReport", "VariableTuning"]
+__all__ = ["AutoTuner", "TuningReport", "VariableTuning", "candidate_bounds"]
 
 #: The paper's EBLC grid — the search space of an ``auto`` spec.
 DEFAULT_CODECS = ("sz2", "sz3", "zfp", "qoz", "szx")
@@ -90,6 +90,13 @@ class TuningReport:
         return all(entry.meets_floor for entry in self.entries)
 
 
+def candidate_bounds(bounds, floor: float) -> tuple[float, ...]:
+    """The bounds an ``auto`` search tries under a quality floor: every grid
+    bound at or under ``floor`` (a coarser bound can only miss it), or the
+    floor itself when the grid has none."""
+    return tuple(b for b in bounds if b <= floor) or (floor,)
+
+
 def _resolved_string(codec: str, rel_bound: float) -> str:
     if rel_bound == 0.0:
         return CompressionSpec(mode="lossless", codec=codec).canonical
@@ -125,11 +132,13 @@ class AutoTuner:
             self._testbed = Testbed(scale="tiny")
         return self._testbed
 
-    @testbed.setter
-    def testbed(self, testbed):
-        self._testbed = testbed
-
     # -- candidate measurement -------------------------------------------------
+
+    def _on_grid(self, variable: Variable) -> bool:
+        """Whether ``variable`` is a catalogue field at the testbed's scale,
+        which the testbed's memoized round-trips price."""
+        scale = "tiny" if self._testbed is None else self._testbed.scale
+        return variable.source is not None and variable.scale == scale
 
     @staticmethod
     def _compress(
@@ -154,9 +163,7 @@ class AutoTuner:
         quality comes from decompressing those same streams, and the cost
         is the modeled compression energy of the whole variable.
         """
-        testbed = self._testbed  # ad-hoc arrays need no testbed of their own
-        scale = "tiny" if testbed is None else testbed.scale
-        if variable.source is not None and variable.scale == scale:
+        if self._on_grid(variable):
             rt = self.testbed.roundtrip(variable.source, codec, rel_bound)
             io = self.testbed.io_point(
                 variable.source,
@@ -166,6 +173,7 @@ class AutoTuner:
                 cpu_name=self.cpu_name,
             )
             return rt.max_rel_err, rt.ratio, io.total_energy_j, None
+        testbed = self._testbed  # ad-hoc arrays need no testbed of their own
         streams = self._compress(variable, codec, rel_bound, n_chunks)
         parts = get_compressor(codec).decompress_many(streams)
         recon = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
@@ -179,20 +187,27 @@ class AutoTuner:
 
     # -- resolution -------------------------------------------------------------
 
-    def _search(self, variable: Variable, spec: CompressionSpec):
-        """An ``auto`` spec's grid search on the whole variable; returns
-        ``(floor, candidates, (codec, bound, err, ratio, cost, streams))``
-        of the cheapest candidate meeting the floor."""
-        floor = spec.rel_bound_for(value_range(variable.data))
-        candidate_bounds = tuple(b for b in self.bounds if b <= floor) or (floor,)
+    def _search(self, variable: Variable, floor: float):
+        """An ``auto`` grid search on the whole variable; returns
+        ``(candidates, (codec, bound, err, ratio, cost, streams))`` of the
+        cheapest candidate meeting the floor.  A candidate its codec
+        rejects with a typed error is skipped, not counted."""
+        bounds = candidate_bounds(self.bounds, floor)
         best = None
         examined = 0
+        skipped = []
         for codec in self.codecs:
-            for bound in candidate_bounds:
+            if self._on_grid(variable):
+                try:  # one batched codec pass; each bound is memoized
+                    self.testbed.roundtrips(variable.source, codec, bounds)
+                except (CompressionError, ConfigurationError):
+                    pass  # the failing bound is skipped below
+            for bound in bounds:
                 try:
                     err, ratio, cost, streams = self._measure(variable, codec, bound)
-                except (CompressionError, ConfigurationError):
-                    continue  # codec can't take this variable; not a candidate
+                except (CompressionError, ConfigurationError) as exc:
+                    skipped.append((codec, bound, exc))
+                    continue
                 examined += 1
                 if err > floor:
                     continue
@@ -202,35 +217,33 @@ class AutoTuner:
                 if best is None or key < best[0]:
                     best = (key, codec, bound, err, ratio, cost, streams)
         if best is None:
+            codec, bound, cause = skipped[0] if skipped else (None, None, None)
+            first = f"; first skipped: {codec} at {bound:g} ({cause})" if skipped else ""
             raise ConfigurationError(
                 f"auto-tuning {variable.name!r}: no (codec, bound) candidate "
-                f"out of {examined or len(self.codecs)} met the quality "
-                f"floor {floor:g} (codecs {self.codecs}, bounds "
-                f"{candidate_bounds})"
-            )
-        return floor, examined, best[1:]
+                f"met the quality floor {floor:g} ({examined} examined, "
+                f"{len(skipped)} skipped; codecs {self.codecs}, bounds {bounds}){first}"
+            ) from cause
+        return examined, best[1:]
 
-    def _resolve(
-        self, variable: Variable, spec: CompressionSpec, n_chunks: int
-    ) -> tuple[VariableTuning, tuple[bytes, ...]]:
-        """Resolve one spec for one variable; returns the tuning entry and
-        the streams to store (explicit specs pass through)."""
+    def resolve(
+        self, variable: Variable, spec: CompressionSpec, n_chunks: int = 1
+    ) -> tuple[VariableTuning, tuple[bytes, ...] | None]:
+        """Resolve one spec for one variable: its tuning entry, and the
+        streams measuring it coded, or ``None`` (a catalogue field at the
+        testbed's scale codes none)."""
         spec.validate()
+        # The explicit bound, or the auto floor, relative to the value range.
+        rel = 0.0 if spec.is_lossless else spec.rel_bound_for(value_range(variable.data))
         if spec.is_auto:
-            floor, candidates, winner = self._search(variable, spec)
+            floor = rel
+            candidates, winner = self._search(variable, floor)
             codec, bound, err, ratio, cost, streams = winner
             if n_chunks > 1:
                 streams = None  # the search measured the whole variable
         else:
-            floor, candidates, codec = None, 1, spec.codec
-            bound = (
-                0.0
-                if spec.is_lossless
-                else spec.rel_bound_for(value_range(variable.data))
-            )
+            floor, candidates, codec, bound = None, 1, spec.codec, rel
             err, ratio, cost, streams = self._measure(variable, codec, bound, n_chunks)
-        if streams is None:
-            streams = self._compress(variable, codec, bound, n_chunks)
         entry = VariableTuning(
             variable=variable.name,
             requested=spec.canonical,
@@ -256,10 +269,10 @@ class AutoTuner:
         entries = []
         streams = {}
         for variable in dataset:
-            if isinstance(compression, CompressionMap):
-                spec = compression.spec_for(variable.name)
-            else:
-                spec = compression
-            entry, streams[variable.name] = self._resolve(variable, spec, n_chunks)
+            spec = compression.spec_for(variable.name)
+            entry, kept = self.resolve(variable, spec, n_chunks)
+            if kept is None:
+                kept = self._compress(variable, entry.codec, entry.rel_bound, n_chunks)
+            streams[variable.name] = kept
             entries.append(entry)
         return TuningReport(entries=tuple(entries), streams=streams)

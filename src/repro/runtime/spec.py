@@ -179,26 +179,17 @@ class SweepSpec:
         string directly, including per-variable maps.
         """
         # Imported lazily: repro.dataset sits above this layer.
-        from repro.dataset.spec import (
-            CompressionMap,
-            parse_compression,
-            sweep_axes_from_spec,
-        )
+        from repro.dataset.spec import parse_compression, sweep_axes_from_spec
 
         parsed = parse_compression(self.compression)
         object.__setattr__(self, "compression", parsed.canonical)
         if self.kind not in SWEEP_KINDS:
             return  # plugin kinds interpret the canonical string themselves
-        if isinstance(parsed, CompressionMap):
-            raise ConfigurationError(
-                f"per-variable compression maps ({parsed.canonical!r}) only "
-                f"apply to the 'dataset' kind, not {self.kind!r}"
-            )
-        overrides = sweep_axes_from_spec(parsed, self.kind)
-        floor = overrides.pop("auto_floor", None)
-        if floor is not None:
-            kept = tuple(b for b in self.bounds if b <= floor)
-            overrides["bounds"] = kept or (floor,)
+        overrides = sweep_axes_from_spec(parsed, self.kind)  # maps raise here
+        if parsed.is_auto:
+            from repro.dataset.tuner import candidate_bounds
+
+            overrides["bounds"] = candidate_bounds(self.bounds, parsed.bound)
         for field_name, value in overrides.items():
             object.__setattr__(self, field_name, value)
 

@@ -1,5 +1,10 @@
 """CLI: every subcommand end-to-end through files and captured stdout."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -229,3 +234,31 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--help"])
         assert "repro sweep" in capsys.readouterr().out
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early (``repro ... | head``) costs the
+    command neither its exit status nor a BrokenPipeError traceback."""
+
+    @pytest.mark.parametrize("argv, status", [
+        (["codecs"], 0),
+        # A collected failed point exits 1 after printing its table.
+        (["sweep", "--kind", "dataset", "--datasets", "cesm", "--codecs", "szx",
+          "--bounds", "1e-20", "--compression", "auto,rel,1e-2",
+          "--io-libraries", "hdf5", "--scale", "tiny", "--on-error", "collect"], 1),
+    ])
+    def test_closed_stdout_keeps_the_status(self, argv, status):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the command writes
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=src),
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == status
+        assert "BrokenPipeError" not in done.stderr
+        assert "Traceback" not in done.stderr

@@ -23,7 +23,13 @@ from repro.dataset import (
     write,
 )
 from repro.dataset.facade import _sniff_library
-from repro.errors import ConfigurationError, DecompressionError, IOModelError
+from repro.dataset.tuner import DEFAULT_BOUNDS, DEFAULT_CODECS
+from repro.errors import (
+    CompressionError,
+    ConfigurationError,
+    DecompressionError,
+    IOModelError,
+)
 from repro.iolib import get_io_library
 from repro.iolib.pipeline import chunk_array
 from repro.metrics.error import max_rel_error
@@ -192,11 +198,72 @@ class TestAutoTuner:
         noisy = np.random.default_rng(5).standard_normal(2048)
         ds = Dataset.from_arrays({"noise": noisy})
         tuner = AutoTuner(testbed=TESTBED, codecs=(), bounds=(1e-1,))
-        with pytest.raises(ConfigurationError, match="quality floor"):
+        with pytest.raises(ConfigurationError, match="quality floor") as info:
             tuner.tune(ds, "auto,rel,1e-3")
+        assert "0 examined, 0 skipped" in str(info.value)
+        assert info.value.__cause__ is None
+
+    def test_infeasible_search_keeps_the_skipped_cause(self):
+        # szx cannot code cesm at 1e-20: the one candidate is skipped, not
+        # examined, and the search error chains the codec's own.
+        tuner = AutoTuner(testbed=TESTBED, codecs=("szx",), bounds=(1e-20,))
+        with pytest.raises(ConfigurationError) as info:
+            tuner.tune(Dataset.from_catalog("cesm", scale="tiny"), "auto,rel,1e-2")
+        message = str(info.value)
+        assert "quality floor 0.01 (0 examined, 1 skipped" in message
+        assert "first skipped: szx at 1e-20" in message
+        assert isinstance(info.value.__cause__, CompressionError)
+
+    def test_catalogue_search_codes_each_codec_in_one_pass(self, monkeypatch):
+        import repro.core.experiments as experiments
+
+        monkeypatch.setattr(experiments, "_ROUNDTRIP_CACHE", {})
+        coded = []
+        real = Testbed._code_roundtrips
+        monkeypatch.setattr(
+            Testbed, "_code_roundtrips",
+            lambda self, ds, codec, missing: coded.append((codec, list(missing.values())))
+            or real(self, ds, codec, missing),
+        )
+        tuner = AutoTuner(testbed=TESTBED, codecs=("szx", "sz3"),
+                          bounds=(1e-1, 1e-2, 1e-3))
+        entry, streams = tuner.resolve(
+            Dataset.from_catalog("cesm", scale="tiny")["cesm"],
+            parse_compression("auto,rel,1e-2"),
+        )
+        assert coded == [("szx", [1e-2, 1e-3]), ("sz3", [1e-2, 1e-3])]
+        assert entry.candidates == 4 and streams is None
+
+
+#: (dataset, floor, codecs, bounds) resolved by both the kind and the tuner.
+AGREEMENT = [
+    *[pytest.param(ds, floor, DEFAULT_CODECS, DEFAULT_BOUNDS, id=f"{ds}-{floor:g}")
+      for ds in ("cesm", "hacc") for floor in (1e-1, 1e-2, 1e-3)],
+    # szx cannot take 1e-20 on cesm: both skip that candidate.
+    pytest.param("cesm", 1e-2, ("szx", "sz3"), (1e-2, 1e-3, 1e-20),
+                 id="cesm-szx,sz3-1e-20"),
+]
 
 
 class TestDatasetKind:
+    @pytest.mark.parametrize("dataset, floor, codecs, bounds", AGREEMENT)
+    def test_kind_and_tuner_agree(self, dataset, floor, codecs, bounds):
+        from repro.runtime import registry
+        from repro.runtime.spec import SweepSpec
+
+        compression = f"auto,rel,{floor!r}"
+        spec = SweepSpec(kind="dataset", datasets=(dataset,), codecs=codecs,
+                         bounds=bounds, io_libraries=("hdf5",),
+                         cpus=("max9480",), compression=compression)
+        (point,) = spec.points()
+        rec = registry.evaluate_op(TESTBED, point.op, point.as_kwargs())
+        tuner = AutoTuner(testbed=TESTBED, codecs=codecs, bounds=bounds)
+        (entry,) = tuner.tune(Dataset.from_catalog(dataset, scale="tiny"),
+                              compression)
+        assert (rec.codec, rec.rel_bound, rec.candidates) == (
+            entry.codec, entry.rel_bound, entry.candidates)
+        assert (rec.max_rel_err, rec.ratio) == (entry.max_rel_err, entry.ratio)
+
     def test_registered_and_sweepable(self):
         from repro.runtime import registry
         from repro.runtime.spec import SweepSpec
